@@ -6,7 +6,7 @@ decompositions with independent verifiers, crossing localisation, and
 example-family generators — every pipeline re-checks its own output.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .errors import (CheckFailure, DegeneracyError, InvariantError, SceneError,
                      StrandkitError)

@@ -2,41 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegeneracyError, SceneError
+from .errors import DegeneracyError
 from .geometry import Point, SegmentIntersection, direction_cross, intersect_segments
+from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
-
-
-@dataclass
-class IntersectionGraph:
-    vertices: list[str]
-    edges: set[frozenset] = field(default_factory=set)
-    adjacency: dict[str, set[str]] = field(default_factory=dict)
-
-    @staticmethod
-    def from_edges(vertices, edges) -> "IntersectionGraph":
-        g = IntersectionGraph(sorted(vertices))
-        g.adjacency = {v: set() for v in g.vertices}
-        for u, v in edges:
-            if u == v:
-                continue
-            g.edges.add(frozenset((u, v)))
-            g.adjacency[u].add(v)
-            g.adjacency[v].add(u)
-        return g
-
-    def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
-
-    def edge_list(self) -> list[tuple[str, str]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
-
-    def to_json(self) -> dict:
-        return {"vertices": self.vertices,
-                "edges": [list(e) for e in self.edge_list()]}
 
 
 def compute_arrangement(scene: StringScene) -> list[CrossingEvent]:
@@ -158,10 +129,9 @@ def events_on_curve(events: list[CrossingEvent], curve_id: str) -> list[Crossing
     return mine
 
 
-def intersection_graph(scene: StringScene, events: list[CrossingEvent]) -> IntersectionGraph:
+def intersection_graph(scene: StringScene, events: list[CrossingEvent]) -> Graph:
     """Simple graph on curve ids: adjacent iff the curves share a crossing."""
-    pairs = {(e.curve_a, e.curve_b) for e in events}
-    return IntersectionGraph.from_edges(scene.curve_ids(), pairs)
+    return Graph(scene.curve_ids(), {(e.curve_a, e.curve_b) for e in events})
 
 
 def events_to_json(events: list[CrossingEvent]) -> list[dict]:

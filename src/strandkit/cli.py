@@ -13,23 +13,19 @@ import json
 import sys
 from pathlib import Path
 
-from .arrangement import (compute_arrangement, events_to_json,
-                          intersection_graph)
-from .colouring import (OrderedColouring, check_ordered, compute_params,
-                        degeneracy_order, greedy_colouring)
-from .decomp import (bounds, exact_treewidth, ltw_pipeline,
+from .arrangement import events_to_json
+from .colouring import OrderedColouring
+from .decomp import (Pipeline, bounds, exact_treewidth, ltw_pipeline,
                      outerstring_decomposition, td_to_pace)
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
-from .families import (ConvexScene, convex_to_drawing, gen_grid_disk,
-                       gen_grounded, gen_random, gen_random_convex,
-                       gen_rectangle_family, gen_segment_family)
-from .graph import Graph
+from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
+                       gen_random, gen_random_convex, gen_rectangle_family,
+                       gen_segment_family)
 from .localise import localise_pipeline
-from .planarise import (check_coloured_planarisation, coloured_planarisation,
-                        coloured_to_dot, coloured_to_json, euler_genus,
-                        planarisation_to_dot, planarisation_to_json, planarise,
-                        scene_to_svg)
-from .product_model import (build_model, grounded_distance_check, verify_model,
+from .planarise import (check_coloured_planarisation, coloured_to_dot,
+                        coloured_to_json, euler_genus, planarisation_to_dot,
+                        planarisation_to_json, scene_to_svg)
+from .product_model import (grounded_distance_check, verify_model,
                             walk_weak_diameter)
 from .scene import StringScene, dumps_canonical, load_scene
 
@@ -131,31 +127,21 @@ def _parse_params(tokens: list) -> dict:
     return params
 
 
-def _load_colouring(args, scene: StringScene, events) -> OrderedColouring:
+def _colouring(args, p: Pipeline) -> OrderedColouring:
+    """p's colouring stage.  A --colouring file is read here, not up front,
+    so that errors of the scene's earlier stages are reported before errors
+    of the file."""
+    p.events
     if getattr(args, "colouring", None):
-        data = json.loads(Path(args.colouring).read_text())
-        colouring = OrderedColouring.from_json(data)
-        missing = set(scene.curve_ids()) - set(colouring.phi)
-        if missing:
-            raise SceneError(f"colouring misses curves {sorted(missing)}")
-        check_ordered(colouring, events)
-        return colouring
-    G = intersection_graph(scene, events)
-    g = Graph(vertices=G.vertices, edges=G.edge_list())
-    return greedy_colouring(g, degeneracy_order(g)[::-1])
-
-
-def _graph_of(scene: StringScene, events) -> Graph:
-    G = intersection_graph(scene, events)
-    return Graph(vertices=G.vertices, edges=G.edge_list())
+        p.given = OrderedColouring.from_json(json.loads(Path(args.colouring).read_text()))
+    return p.colouring
 
 
 # ------------------------------------------------------------- subcommands
 
 def _cmd_arrange(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    G = intersection_graph(scene, events)
+    p = Pipeline(load_scene(args.inp))
+    events, G = p.events, p.graph
     _write_json(args, "events.json", events_to_json(events))
     _write_json(args, "graph.json",
                 {"vertices": G.vertices, "edges": G.edge_list()})
@@ -165,14 +151,13 @@ def _cmd_arrange(args) -> dict:
         lines += [f'  "{u}" -- "{v}";' for u, v in G.edge_list()]
         lines.append("}")
         _write(args, "graph.dot", "\n".join(lines) + "\n")
-    return {"command": "arrange", "curves": len(scene.curves),
+    return {"command": "arrange", "curves": len(p.scene.curves),
             "events": len(events), "edges": len(G.edge_list())}
 
 
 def _cmd_planarise(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    plan = planarise(scene, events)
+    p = Pipeline(load_scene(args.inp))
+    plan = p.plan
     fmts = _formats(args)
     _write_json(args, "planarisation.json", planarisation_to_json(plan))
     if "dot" in fmts:
@@ -181,24 +166,23 @@ def _cmd_planarise(args) -> dict:
               "vertices": len(plan.embedding.rotation),
               "edges": plan.embedding.edge_count(),
               "genus": euler_genus(plan)}
-    colouring = _load_colouring(args, scene, events)
-    cp = coloured_planarisation(plan, colouring)
+    colouring = _colouring(args, p)
+    cp = p.cp
     check_coloured_planarisation(plan, cp)
     _write_json(args, "coloured.json", coloured_to_json(cp))
     if "dot" in fmts:
         _write(args, "coloured.dot", coloured_to_dot(cp))
-    if "svg" in fmts and scene.is_geometric:
-        _write(args, "scene.svg", scene_to_svg(scene, colouring))
+    if "svg" in fmts and p.scene.is_geometric:
+        _write(args, "scene.svg", scene_to_svg(p.scene, colouring))
     report["coloured_vertices"] = len(cp.embedding.rotation)
-    report["coloured_genus"] = euler_genus(cp)
+    report["coloured_genus"] = p.genus
     return report
 
 
 def _cmd_colour(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    colouring = _load_colouring(args, scene, events)
-    params = compute_params(scene, events, colouring)
+    p = Pipeline(load_scene(args.inp))
+    colouring = _colouring(args, p)
+    params = p.params
     _write_json(args, "colouring.json", colouring.to_json())
     _write_json(args, "params.json", params.to_json())
     return {"command": "colour", "colouring": colouring.to_json(),
@@ -206,16 +190,11 @@ def _cmd_colour(args) -> dict:
 
 
 def _cmd_model(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    colouring = _load_colouring(args, scene, events)
-    plan = planarise(scene, events)
-    cp = coloured_planarisation(plan, colouring)
-    params = compute_params(scene, events, colouring)
-    model = build_model(cp, params)
-    G = _graph_of(scene, events)
-    check = verify_model(model, G)
-    diameters = walk_weak_diameter(cp, params)
+    p = Pipeline(load_scene(args.inp))
+    _colouring(args, p)
+    model, params = p.model, p.params
+    check = verify_model(model, p.graph)
+    diameters = walk_weak_diameter(p.cp, params)
     _write_json(args, "model.json", model.to_json())
     return {"command": "model", "ok": check["valid"], "check": check,
             "copies": model.copies, "branch_sets": len(model.mu),
@@ -224,35 +203,32 @@ def _cmd_model(args) -> dict:
 
 
 def _cmd_decomp(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    colouring = _load_colouring(args, scene, events)
-    result = ltw_pipeline(scene, colouring)
+    p = Pipeline(load_scene(args.inp))
+    _colouring(args, p)
+    result = ltw_pipeline(p)
     td = result["td"]
     _write_json(args, "td.json", td.to_json())
     _write_json(args, "layering.json", result["layering"].to_json())
     if "td" in _formats(args):
-        _write(args, "td.td", td_to_pace(td, _graph_of(scene, events)))
+        _write(args, "td.td", td_to_pace(td, p.graph))
     report = {"command": "decomp", "width": td.width,
               "layered_width": result["layered_width"],
               "layered_width_bound": result["bound"],
               "genus": result["genus"],
               "params": result["params"].to_json()}
-    g = _graph_of(scene, events)
-    if len(g) <= 16:
-        report["exact_treewidth"] = exact_treewidth(g)
+    if len(p.graph) <= 16:
+        report["exact_treewidth"] = exact_treewidth(p.graph)
     return report
 
 
 def _cmd_outerstring(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    colouring = _load_colouring(args, scene, events)
-    result = outerstring_decomposition(scene, colouring)
+    p = Pipeline(load_scene(args.inp))
+    _colouring(args, p)
+    result = outerstring_decomposition(p)
     td = result["td"]
     _write_json(args, "td.json", td.to_json())
     if "td" in _formats(args):
-        _write(args, "td.td", td_to_pace(td, _graph_of(scene, events)))
+        _write(args, "td.td", td_to_pace(td, p.graph))
     return {"command": "outerstring", "width": result["width"],
             "bound": result["bound"], "ok": result["valid"],
             "t": result["t"], "d": result["d"],
@@ -260,9 +236,8 @@ def _cmd_outerstring(args) -> dict:
 
 
 def _cmd_localise(args) -> dict:
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
-    result = localise_pipeline(scene, events)
+    p = Pipeline(load_scene(args.inp))
+    result = localise_pipeline(p.scene, p.events)
     _write_json(args, "instance.json", result["instance"].to_json())
     _write_json(args, "reduced.json", result["reduced"].to_json())
     _write_json(args, "scene.json", result["scene"].to_json())
@@ -310,35 +285,31 @@ def _cmd_bounds(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     """Run every applicable checker; ok=false (exit 1) on any failure."""
-    scene = load_scene(args.inp)
-    events = compute_arrangement(scene)
+    p = Pipeline(load_scene(args.inp))
     checks: dict = {}
 
-    colouring = _load_colouring(args, scene, events)
-    check_ordered(colouring, events)
+    _colouring(args, p)        # the stage checks the colouring is ordered
     checks["ordered-colouring"] = True
-    params = compute_params(scene, events, colouring)
+    params = p.params
 
-    plan = planarise(scene, events)
-    cp = coloured_planarisation(plan, colouring)
-    check_coloured_planarisation(plan, cp)
+    check_coloured_planarisation(p.plan, p.cp)
     checks["coloured-planarisation"] = True
-    genus = euler_genus(cp)
+    genus = p.genus
 
-    model = build_model(cp, params)
-    res = verify_model(model, _graph_of(scene, events))
+    res = verify_model(p.model, p.graph)
     checks["minor-model"] = res["valid"]
 
-    walk_weak_diameter(cp, params)
+    walk_weak_diameter(p.cp, params)
     checks["walk-weak-diameter"] = True
 
+    scene = p.scene
     if genus == 0 and len(scene.disks) == 1 and scene.grounded_curves():
         ends = {f"e:{cid}:{scene.curves[cid].grounded[1]}"
                 for cid in scene.grounded_curves()}
         if set(scene.grounded_curves()) == set(scene.curve_ids()):
-            grounded_distance_check(cp, ends)
+            grounded_distance_check(p.cp, ends)
             checks["grounded-distance"] = True
-            outerstring_decomposition(scene, colouring)
+            outerstring_decomposition(p)
             checks["outerstring"] = True
 
     ok = all(checks.values())

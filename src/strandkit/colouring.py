@@ -30,7 +30,12 @@ class OrderedColouring:
 
     @staticmethod
     def from_json(data: dict) -> "OrderedColouring":
-        phi = {str(cid): int(col) for cid, col in data.items()}
+        if not isinstance(data, dict):
+            raise SceneError("colouring JSON must be an object of curve id -> colour")
+        try:
+            phi = {str(cid): int(col) for cid, col in data.items()}
+        except TypeError as exc:
+            raise SceneError(f"malformed colouring JSON: {exc}") from exc
         for cid, col in phi.items():
             if col < 1:
                 raise SceneError(f"colour of {cid!r} must be >= 1, got {col}")
@@ -52,16 +57,9 @@ def weak_diameter_bound(t: int, k: int) -> int:
     return (2 * k + 1) * sum(k ** j for j in range(t - 1))
 
 
-def _adjacency(G) -> dict:
-    adj = getattr(G, "adjacency", None)
-    if adj is None:
-        adj = G.adj
-    return adj
-
-
 def greedy_colouring(G, order) -> OrderedColouring:
     """First-fit colouring along the given vertex order; t <= max degree + 1."""
-    adj = _adjacency(G)
+    adj = G.adj
     if sorted(order) != sorted(adj):
         raise SceneError("order is not a permutation of the vertices")
     phi: dict = {}
@@ -79,7 +77,7 @@ def degeneracy_order(G) -> list:
 
     The reverse order has back-degree at most the degeneracy of G.
     """
-    adj = {v: set(ns) for v, ns in _adjacency(G).items()}
+    adj = {v: set(ns) for v, ns in G.adj.items()}
     order = []
     while adj:
         v = min(adj, key=lambda u: (len(adj[u]), u))
@@ -94,7 +92,7 @@ def degeneracy(G) -> int:
     """Max back-degree along the reverse degeneracy order."""
     order = degeneracy_order(G)
     pos = {v: i for i, v in enumerate(order)}
-    adj = _adjacency(G)
+    adj = G.adj
     return max((sum(1 for u in adj[v] if pos[u] > pos[v]) for v in order), default=0)
 
 
@@ -137,7 +135,7 @@ def verify_tdeg(G, colouring: OrderedColouring, d: int) -> dict:
 
     Every vertex must have at most d neighbours of strictly greater colour.
     """
-    adj = _adjacency(G)
+    adj = G.adj
     phi = colouring.phi
     for v in sorted(adj):
         higher = sum(1 for u in adj[v] if phi[u] > phi[v])

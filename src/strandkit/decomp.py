@@ -1,4 +1,5 @@
-"""Tree decompositions, layerings, and the outerstring width pipeline.
+"""Tree decompositions, layerings, the staged pipeline of a scene, and the
+outerstring and layered-width pipelines built on it.
 
 Constructions here are certified: every emitted decomposition is re-checked
 by verify_td (independent of how it was built), and pipeline widths are
@@ -9,15 +10,19 @@ exact brute-force treewidth oracle (<= 16 vertices) backs the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .arrangement import compute_arrangement, intersection_graph
-from .colouring import compute_params
+from .colouring import (ColouringParams, OrderedColouring, check_ordered,
+                        compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
 from .embedding import EmbeddedGraph
 from .graph import Graph, bfs_distances, connected_components, eccentricity
-from .planarise import ColouredPlanarisation, coloured_planarisation, euler_genus, planarise
+from .planarise import (ColouredPlanarisation, Planarisation,
+                        coloured_planarisation, euler_genus, planarise)
 from .product_model import MinorModel, build_model, product_graph
+from .scene import StringScene
 
 
 @dataclass
@@ -50,18 +55,9 @@ class Layering:
         return {"layers": [sorted(str(v) for v in layer) for layer in self.layers]}
 
 
-def _vertices_and_edges(G):
-    adj = getattr(G, "adjacency", None)
-    if adj is None:
-        adj = G.adj
-    verts = sorted(adj)
-    edges = [(u, v) for u in verts for v in sorted(adj[u]) if u < v]
-    return verts, edges, adj
-
-
-def verify_td(td: TreeDecomposition, G) -> dict:
+def verify_td(td: TreeDecomposition, G: Graph) -> dict:
     """Independent validity check of a tree decomposition of G."""
-    verts, edges, _ = _vertices_and_edges(G)
+    verts = G.vertices
     if sorted(td.bags) != sorted(td.nodes):
         return {"valid": False, "width": td.width, "reason": "bags/nodes mismatch"}
     tree = Graph(vertices=td.nodes, edges=td.edges)
@@ -93,32 +89,27 @@ def verify_td(td: TreeDecomposition, G) -> dict:
             return {"valid": False, "width": td.width,
                     "reason": f"bags of {v!r} not connected in tree"}
     bagsets = list(td.bags.values())
-    for u, v in edges:
+    for u, v in G.edge_list():
         if not any(u in b and v in b for b in bagsets):
             return {"valid": False, "width": td.width,
                     "reason": f"edge {u!r}{v!r} uncovered"}
     return {"valid": True, "width": td.width, "reason": None}
 
 
-def verify_layering(layering: Layering, G) -> dict:
-    verts, edges, _ = _vertices_and_edges(G)
+def verify_layering(layering: Layering, G: Graph) -> dict:
     idx = layering.index()
-    if sorted(idx) != verts:
+    if sorted(idx) != G.vertices:
         return {"valid": False, "reason": "layers are not a partition of V(G)"}
-    for u, v in edges:
+    for u, v in G.edge_list():
         if abs(idx[u] - idx[v]) > 1:
             return {"valid": False, "reason": f"edge {u!r}{v!r} spans layers "
                                               f"{idx[u]} and {idx[v]}"}
     return {"valid": True, "reason": None}
 
 
-def bfs_layering(G, roots) -> Layering:
-    verts, _, adj = _vertices_and_edges(G)
-    g = Graph(vertices=verts)
-    for u in verts:
-        for v in adj[u]:
-            g.add_edge(u, v)
-    dist = bfs_distances(g, roots)
+def bfs_layering(G: Graph, roots) -> Layering:
+    verts = G.vertices
+    dist = bfs_distances(G, roots)
     missing = [v for v in verts if v not in dist]
     if missing:
         raise SceneError(f"vertex {missing[0]!r} unreachable from the roots")
@@ -130,33 +121,29 @@ def bfs_layering(G, roots) -> Layering:
 
 # ------------------------------------------------------- exact treewidth oracle
 
-def exact_treewidth(G) -> int:
+def exact_treewidth(G: Graph) -> int:
     return exact_treewidth_decomposition(G)[0]
 
 
-def exact_treewidth_decomposition(G) -> tuple:
+def exact_treewidth_decomposition(G: Graph) -> tuple:
     """Exact treewidth with a witness decomposition, |V| <= 16.
 
     Branch-and-bound over elimination orders, memoised on the eliminated
     set; the cost of eliminating v after S is the number of vertices outside
     S reachable from v through S.
     """
-    verts, edges, adj = _vertices_and_edges(G)
+    verts, edges = G.vertices, G.edge_list()
     n = len(verts)
     if n > 16:
         raise SceneError(f"exact treewidth oracle limited to 16 vertices, got {n}")
     if n == 0:
         return 0, TreeDecomposition([1], [], {1: frozenset()})
-    comps = connected_components(Graph(vertices=verts, edges=edges))
+    comps = connected_components(G)
     if len(comps) > 1:
         width = 0
         parts = []
         for comp in comps:
-            sub = Graph(vertices=comp)
-            for u, v in edges:
-                if u in comp:
-                    sub.add_edge(u, v)
-            w, td = exact_treewidth_decomposition(sub)
+            w, td = exact_treewidth_decomposition(G.subgraph(comp))
             width = max(width, w)
             parts.append(td)
         return width, _join_decompositions(parts)
@@ -339,7 +326,7 @@ def _join_decompositions(parts: list) -> TreeDecomposition:
 
 # ---------------------------------------------------- planar radius -> treewidth
 
-def radius_decomposition(G, root) -> TreeDecomposition:
+def radius_decomposition(G: Graph, root) -> TreeDecomposition:
     """Tree decomposition of a connected planar graph, width <= 3r + 1.
 
     r is the eccentricity of the root.  Construction: planar embedding,
@@ -347,22 +334,21 @@ def radius_decomposition(G, root) -> TreeDecomposition:
     root, one bag per face (union of the corners' root paths), and the dual
     spanning tree induced by non-BFS-tree edges as the decomposition tree.
     """
-    verts, edges, _ = _vertices_and_edges(G)
+    verts = G.vertices
     if not verts:
         raise SceneError("empty graph")
     if len(verts) == 1:
         return TreeDecomposition([1], [], {1: frozenset(verts)})
-    g = Graph(vertices=verts, edges=edges)
-    if len(connected_components(g)) != 1:
+    if len(connected_components(G)) != 1:
         raise SceneError("radius decomposition needs a connected graph")
-    r = eccentricity(g, root)
+    r = eccentricity(G, root)
 
-    emb = _planar_embedding(verts, edges)
+    emb = _planar_embedding(verts, G.edge_list())
     if emb.euler_genus() != 0:
         raise InvariantError("embedding is not plane")
     _triangulate(emb)
 
-    parent = _bfs_parents(g, root)
+    parent = _bfs_parents(G, root)
 
     def root_path(v):
         path = []
@@ -494,12 +480,6 @@ def product_lift(td: TreeDecomposition, n: int) -> TreeDecomposition:
     return TreeDecomposition(list(td.nodes), list(td.edges), bags)
 
 
-def project_back(td: TreeDecomposition) -> TreeDecomposition:
-    """Drop the copy coordinate; inverse of product_lift up to bag equality."""
-    bags = {node: frozenset(v for v, _ in td.bags[node]) for node in td.nodes}
-    return TreeDecomposition(list(td.nodes), list(td.edges), bags)
-
-
 def minor_lift(td: TreeDecomposition, model: MinorModel) -> TreeDecomposition:
     """Bag-lift a host decomposition through a minor model."""
     membership: dict = {}
@@ -513,6 +493,63 @@ def minor_lift(td: TreeDecomposition, model: MinorModel) -> TreeDecomposition:
             bag |= membership.get(pv, set())
         bags[node] = frozenset(bag)
     return TreeDecomposition(list(td.nodes), list(td.edges), bags)
+
+
+# ------------------------------------------------------------ staged pipeline
+
+class Pipeline:
+    """The certified chain of one scene, each stage built on first use, once.
+
+    scene -> events -> intersection graph -> ordered colouring -> C' (plan)
+    -> C^phi (cp) -> genus and parameters t, d, k, r -> minor model.  The
+    colouring stage takes `given`, checked against the scene, or when that
+    is None colours greedily on the reverse degeneracy order of the
+    intersection graph.
+    """
+
+    def __init__(self, scene: StringScene, colouring: OrderedColouring | None = None):
+        self.scene = scene
+        self.given = colouring
+
+    @cached_property
+    def events(self) -> list:
+        return compute_arrangement(self.scene)
+
+    @cached_property
+    def graph(self) -> Graph:
+        return intersection_graph(self.scene, self.events)
+
+    @cached_property
+    def colouring(self) -> OrderedColouring:
+        colouring = self.given
+        if colouring is None:
+            colouring = greedy_colouring(self.graph, degeneracy_order(self.graph)[::-1])
+        else:
+            missing = set(self.scene.curve_ids()) - set(colouring.phi)
+            if missing:
+                raise SceneError(f"colouring misses curves {sorted(missing)}")
+        check_ordered(colouring, self.events)
+        return colouring
+
+    @cached_property
+    def plan(self) -> Planarisation:
+        return planarise(self.scene, self.events)
+
+    @cached_property
+    def cp(self) -> ColouredPlanarisation:
+        return coloured_planarisation(self.plan, self.colouring)
+
+    @cached_property
+    def genus(self) -> int:
+        return euler_genus(self.cp)
+
+    @cached_property
+    def params(self) -> ColouringParams:
+        return compute_params(self.scene, self.events, self.colouring)
+
+    @cached_property
+    def model(self) -> MinorModel:
+        return build_model(self.cp, self.params)
 
 
 # --------------------------------------------------------- outerstring pipeline
@@ -534,10 +571,10 @@ def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
     out = Graph()
     for w in centers.values():
         out.add_vertex(w)
-    for v in g.vertices():
+    for v in g.vertices:
         if v not in cp.endpoints:
             out.add_vertex(v)
-    for u, v in g.edges():
+    for u, v in g.edge_list():
         uu = grounded_of.get(u, u)
         vv = grounded_of.get(v, v)
         if uu in cp.endpoints or vv in cp.endpoints:
@@ -546,37 +583,30 @@ def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
     return out, sorted(centers.values())
 
 
-def outerstring_decomposition(scene, colouring) -> dict:
+def outerstring_decomposition(p: Pipeline) -> dict:
     """Constructed treewidth certificate for a grounded one-disk scene.
 
     Pipeline: coloured planarisation -> quotient C^phi_0 (radius <= t-1 from
     the disk center) -> radius decomposition -> clique-product lift by d+1 ->
     bag lift through the minor model.  Width asserted <= (3t-1)(d+1)-1.
     """
-    if len(scene.disks) != 1:
+    if len(p.scene.disks) != 1:
         raise SceneError(f"outerstring pipeline needs exactly 1 disk, "
-                         f"got {len(scene.disks)}")
-    events = compute_arrangement(scene)
-    G = intersection_graph(scene, events)
-    plan = planarise(scene, events)
-    cp = coloured_planarisation(plan, colouring)
-    genus = euler_genus(cp)
+                         f"got {len(p.scene.disks)}")
+    genus = p.genus
     if genus != 0:
         raise SceneError(f"outerstring pipeline needs genus 0, got {genus}")
-    params = compute_params(scene, events, colouring)
-    t, d = params.t, params.d
+    t, d = p.params.t, p.params.d
 
-    quotient, centers = grounded_quotient(cp, scene)
+    quotient, centers = grounded_quotient(p.cp, p.scene)
     w = centers[0]
     ecc = eccentricity(quotient, w)
     if ecc > t - 1:
         raise InvariantError(f"quotient radius {ecc} exceeds t-1 = {t - 1}")
 
     td0 = radius_decomposition(quotient, w)
-    tdp = product_lift(td0, d + 1)
-    model = build_model(cp, params)
-    td = minor_lift(tdp, model)
-    report = verify_td(td, G)
+    td = minor_lift(product_lift(td0, d + 1), p.model)
+    report = verify_td(td, p.graph)
     if not report["valid"]:
         raise InvariantError(f"outerstring td invalid: {report['reason']}")
     bound = bounds("planar-outerstring", {"t": t, "d": d})
@@ -584,45 +614,6 @@ def outerstring_decomposition(scene, colouring) -> dict:
         raise InvariantError(f"outerstring width {td.width} > bound {bound}")
     return {"td": td, "width": td.width, "bound": bound, "valid": True,
             "t": t, "d": d, "genus": genus, "quotient_radius": ecc}
-
-
-def gc_outerstring_report(scene, colouring) -> dict:
-    """Bound + certificate for grounded scenes with c disks on genus-g data.
-
-    Always verifies the c-center cover at radius t-1 and computes the genus;
-    a constructed decomposition is attached only in the plane single-disk
-    case, otherwise the closed-form bound stands alone.
-    """
-    events = compute_arrangement(scene)
-    plan = planarise(scene, events)
-    cp = coloured_planarisation(plan, colouring)
-    params = compute_params(scene, events, colouring)
-    t, d = params.t, params.d
-    c = len(scene.disks)
-    genus = euler_genus(cp)
-
-    quotient, centers = grounded_quotient(cp, scene)
-    dist = bfs_distances(quotient, centers)
-    cover_radius = 0
-    for v in quotient.vertices():
-        if v in centers:
-            continue
-        if v not in dist:
-            raise InvariantError(f"vertex {v!r} unreachable from the disk centers")
-        cover_radius = max(cover_radius, dist[v])
-    if cover_radius > t - 1:
-        raise InvariantError(f"center cover radius {cover_radius} > t-1 = {t - 1}")
-
-    bound = bounds("genus-outerstring", {"t": t, "d": d, "c": c, "g": genus})
-    report = {"bound": bound, "t": t, "d": d, "c": c, "genus": genus,
-              "cover_radius": cover_radius, "constructed": False}
-    if genus == 0 and c == 1:
-        inner = outerstring_decomposition(scene, colouring)
-        report["constructed"] = True
-        report["td"] = inner["td"]
-        report["width"] = inner["width"]
-        report["planar_bound"] = inner["bound"]
-    return report
 
 
 def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:
@@ -679,37 +670,30 @@ def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
     return {"td": td, "layering": layering, "layered_width": lw}
 
 
-def ltw_pipeline(scene, colouring) -> dict:
+def ltw_pipeline(p: Pipeline) -> dict:
     """End-to-end layered-width certificate for a genus-0 scene.
 
     Builds the model in (C^phi - E_C) x K_{d+1}, decomposes the host by
     radius from its smallest vertex, lifts td and layering through the model,
     and returns the lifted pair with its layered width.
     """
-    events = compute_arrangement(scene)
-    G = intersection_graph(scene, events)
-    plan = planarise(scene, events)
-    cp = coloured_planarisation(plan, colouring)
-    genus = euler_genus(cp)
-    params = compute_params(scene, events, colouring)
-    model = build_model(cp, params)
-
+    genus, params, model = p.genus, p.params, p.model
     host = model.host
     if len(connected_components(host)) != 1:
         raise SceneError("ltw pipeline needs a connected crossing structure")
-    root = min(host.vertices())
-    host_td = radius_decomposition(host, root) if genus == 0 else None
-    if host_td is None:
+    if genus != 0:
         raise SceneError(f"ltw pipeline needs genus 0, got {genus}")
+    root = host.vertices[0]
+    host_td = radius_decomposition(host, root)
     host_lay = bfs_layering(host, [root])
     prod_td = product_lift(host_td, model.copies)
     prod_layers = [[(v, i) for v in layer for i in range(1, model.copies + 1)]
                    for layer in host_lay.layers]
     lifted = ltw_lift(prod_td, Layering(prod_layers), model, params.r, genus)
-    report = verify_td(lifted["td"], G)
+    report = verify_td(lifted["td"], p.graph)
     if not report["valid"]:
         raise InvariantError(f"lifted td invalid: {report['reason']}")
-    lrep = verify_layering(lifted["layering"], G)
+    lrep = verify_layering(lifted["layering"], p.graph)
     if not lrep["valid"]:
         raise InvariantError(f"lifted layering invalid: {lrep['reason']}")
     lifted["params"] = params
@@ -760,21 +744,30 @@ _BOUNDS = {
 
 
 def bounds(theorem: str, params: dict) -> int:
-    """Exact integer evaluation of a named closed-form bound."""
+    """Exact integer evaluation of a named closed-form bound.
+
+    Parameters are non-negative integers; on that domain every bound is an
+    int.
+    """
     if theorem not in _BOUNDS:
         raise SceneError(f"unknown theorem id {theorem!r}; known: "
                          f"{', '.join(sorted(_BOUNDS))}")
+    params = {k: int(v) for k, v in params.items()}
+    negative = [f"{k}={v}" for k, v in sorted(params.items()) if v < 0]
+    if negative:
+        raise SceneError(f"theorem {theorem!r} needs non-negative parameters, "
+                         f"got {', '.join(negative)}")
     try:
-        return _BOUNDS[theorem]({k: int(v) for k, v in params.items()})
+        return _BOUNDS[theorem](params)
     except KeyError as exc:
         raise SceneError(f"theorem {theorem!r} missing parameter {exc}") from exc
 
 
 # -------------------------------------------------------------------- emitters
 
-def td_to_pace(td: TreeDecomposition, G) -> str:
+def td_to_pace(td: TreeDecomposition, G: Graph) -> str:
     """PACE-style text: header, bag lines, tree edge lines; bit-exact."""
-    verts, _, _ = _vertices_and_edges(G)
+    verts = G.vertices
     vid = {v: i + 1 for i, v in enumerate(sorted(verts, key=str))}
     nid = {n: i + 1 for i, n in enumerate(sorted(td.nodes, key=str))}
     lines = [f"s td {len(td.nodes)} {td.width + 1} {len(verts)}"]

@@ -124,7 +124,7 @@ def _attempt_drawing(cs: ConvexScene, g: Graph, attempt: int) -> dict:
     for sid in sorted(cs.sets):
         points[sid] = jitter(centroid(cs.sets[sid]), cs.sets[sid])
     bends: dict = {}
-    for (a, b) in g.edges():
+    for (a, b) in g.edge_list():
         overlap = clip_convex(cs.sets[a], cs.sets[b])
         bends[(a, b)] = jitter(centroid(overlap), overlap)
 
@@ -139,11 +139,11 @@ def _attempt_drawing(cs: ConvexScene, g: Graph, attempt: int) -> dict:
 
     # segments per edge: (edge, owning set) so crossings can be audited
     segs = []
-    for (a, b) in g.edges():
+    for (a, b) in g.edge_list():
         q = bends[(a, b)]
         segs.append(((a, b), a, points[a], q))
         segs.append(((a, b), b, q, points[b]))
-    crossings = {e: 0 for e in g.edges()}
+    crossings = {e: 0 for e in g.edge_list()}
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             e1, s1, a1, b1 = segs[i]
@@ -218,9 +218,9 @@ def certify_grid_disk(cs: ConvexScene, t: int) -> dict:
             if j + 1 < t:
                 want.add((f"d:{i}:{j}", f"d:{i}:{j+1}"))
             want.add((f"d:{i}:{j}", "dom"))
-    got = {tuple(sorted(e)) for e in g.edges()}
+    got = {tuple(sorted(e)) for e in g.edge_list()}
     structure = got == {tuple(sorted(e)) for e in want}
-    grid_part = g.subgraph(v for v in g.vertices() if v != "dom")
+    grid_part = g.subgraph(v for v in g.vertices if v != "dom")
     return {"vertices": len(g), "structure_ok": structure,
             "degeneracy": degeneracy(g), "radius": graph_radius(g),
             "grid_graph": grid_part}
@@ -301,8 +301,7 @@ def gen_segment_family(t: int) -> StringScene:
 
 def certify_segment_family(scene: StringScene, t: int) -> dict:
     events = compute_arrangement(scene)
-    G = intersection_graph(scene, events)
-    g = Graph(vertices=G.vertices, edges=G.edge_list())
+    g = intersection_graph(scene, events)
     k22_free = not _has_k22(g)
     return {"vertices": len(g), "expected_vertices": 2 * t * t + 1,
             "degeneracy": degeneracy(g), "radius": graph_radius(g),
@@ -311,7 +310,7 @@ def certify_segment_family(scene: StringScene, t: int) -> dict:
 
 def _has_k22(g: Graph) -> bool:
     """Brute-force search for K_{2,2} as a (not necessarily induced) subgraph."""
-    verts = g.vertices()
+    verts = g.vertices
     for i, a in enumerate(verts):
         for b in verts[i + 1:]:
             common = set(g.adj[a]) & set(g.adj[b])
@@ -328,8 +327,7 @@ def ktt_minor_model(scene: StringScene, t: int) -> tuple:
     verify_model must accept it.
     """
     events = compute_arrangement(scene)
-    G = intersection_graph(scene, events)
-    host = Graph(vertices=G.vertices, edges=G.edge_list())
+    host = intersection_graph(scene, events)
     mu = {}
     for i in range(1, t + 1):
         mu[("r", i)] = frozenset({(f"g{i}", 1)})

@@ -62,10 +62,6 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
 
-def strictly_inside_segment(p: Point, a: Point, b: Point) -> bool:
-    return on_segment(p, a, b) and p != a and p != b
-
-
 class SegmentIntersection:
     """Classification of how two closed segments meet."""
 

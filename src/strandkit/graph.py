@@ -7,7 +7,7 @@ sorted so downstream constructions are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable
+from typing import Iterable
 
 
 class Graph:
@@ -35,10 +35,11 @@ class Graph:
         for u in self.adj.pop(v, set()):
             self.adj[u].discard(v)
 
+    @property
     def vertices(self) -> list:
         return sorted(self.adj)
 
-    def edges(self) -> list[tuple]:
+    def edge_list(self) -> list[tuple]:
         out = []
         for u in sorted(self.adj):
             for v in sorted(self.adj[u]):
@@ -66,7 +67,7 @@ class Graph:
     def subgraph(self, keep: Iterable) -> "Graph":
         keep = set(keep)
         g = Graph(vertices=sorted(keep))
-        for u, v in self.edges():
+        for u, v in self.edge_list():
             if u in keep and v in keep:
                 g.add_edge(u, v)
         return g
@@ -94,29 +95,13 @@ def bfs_distances(g: Graph, sources: Iterable) -> dict:
 def connected_components(g: Graph) -> list[list]:
     seen: set = set()
     comps = []
-    for v in g.vertices():
+    for v in g.vertices:
         if v in seen:
             continue
         comp = sorted(bfs_distances(g, [v]))
         seen.update(comp)
         comps.append(comp)
     return comps
-
-
-def is_connected_subset(g: Graph, subset: Iterable) -> bool:
-    subset = set(subset)
-    if not subset:
-        return False
-    start = min(subset)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w in subset and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == subset
 
 
 def eccentricity(g: Graph, v) -> int:
@@ -127,4 +112,4 @@ def eccentricity(g: Graph, v) -> int:
 
 
 def graph_radius(g: Graph) -> int:
-    return min(eccentricity(g, v) for v in g.vertices())
+    return min(eccentricity(g, v) for v in g.vertices)

@@ -46,8 +46,8 @@ class AuxiliaryInstance:
 
     def to_json(self) -> dict:
         return {
-            "H": {"vertices": [list(v) for v in self.H.vertices()],
-                  "edges": [[list(p), list(q)] for p, q in self.H.edges()]},
+            "H": {"vertices": [list(v) for v in self.H.vertices],
+                  "edges": [[list(p), list(q)] for p, q in self.H.edge_list()]},
             "pieces": {f"{c}:{i}": [list(a), list(b)]
                        for (c, i), (a, b) in sorted(self.pieces.items())},
             "R": sorted(sorted(f"{c}:{i}" for c, i in pair) for pair in self.R),

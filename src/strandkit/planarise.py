@@ -51,12 +51,6 @@ class Planarisation:
     def graph(self) -> Graph:
         return self.embedding.simple_graph()
 
-    def level_of(self, v, phi: dict) -> int:
-        if self.kind[v] == "endpoint":
-            return 0
-        ev = self.events[v]
-        return min(phi[ev.curve_a], phi[ev.curve_b])
-
 
 def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
     """Build C' with its rotation system (and arc signatures, if twisted)."""

@@ -40,14 +40,14 @@ class MinorModel:
 def product_graph(host: Graph, copies: int) -> Graph:
     """Materialised strong product host x K_copies."""
     g = Graph()
-    for v in host.vertices():
+    for v in host.vertices:
         for i in range(1, copies + 1):
             g.add_vertex((v, i))
-    for v in host.vertices():
+    for v in host.vertices:
         for i in range(1, copies + 1):
             for j in range(i + 1, copies + 1):
                 g.add_edge((v, i), (v, j))
-    for u, v in host.edges():
+    for u, v in host.edge_list():
         for i in range(1, copies + 1):
             for j in range(1, copies + 1):
                 g.add_edge((u, i), (v, j))
@@ -87,10 +87,10 @@ def build_model(cp: ColouredPlanarisation, params) -> MinorModel:
     return model
 
 
-def verify_model(model: MinorModel, G) -> dict:
+def verify_model(model: MinorModel, G: Graph) -> dict:
     """Check the three model clauses independently of the builder."""
     mu = model.mu
-    verts = sorted(getattr(G, "adjacency", None) or G.adj)
+    verts = G.vertices
     if sorted(mu) != verts:
         return {"valid": False, "violated_clause": "domain",
                 "detail": "branch sets do not cover V(G) exactly"}
@@ -107,9 +107,8 @@ def verify_model(model: MinorModel, G) -> dict:
     for v in verts:
         if not _connected_in_product(model, mu[v]):
             return {"valid": False, "violated_clause": "connected", "detail": v}
-    adj = getattr(G, "adjacency", None) or G.adj
     for v in verts:
-        for w in sorted(adj[v]):
+        for w in G.neighbours(v):
             if w <= v:
                 continue
             if not any(model.product_adjacent(a, b) for a in mu[v] for b in mu[w]):
@@ -173,7 +172,7 @@ def grounded_distance_check(cp: ColouredPlanarisation, Y) -> int:
     dist = bfs_distances(g, Y)
     t = max(cp.phi.values())
     worst = 0
-    for x in g.vertices():
+    for x in g.vertices:
         if x in cp.endpoints:
             continue
         if x not in dist:

@@ -215,10 +215,14 @@ class StringScene:
 
     @staticmethod
     def from_json(data: dict) -> "StringScene":
+        if not isinstance(data, dict):
+            raise SceneError("scene JSON must be an object")
         try:
             scene = StringScene()
             for entry in data.get("curves", []):
                 cid = entry["id"]
+                if cid in scene.curves:
+                    raise SceneError(f"duplicate curve id {cid!r}")
                 points = None
                 crossings = None
                 if "points" in entry:
@@ -232,6 +236,8 @@ class StringScene:
                 scene.curves[cid] = Curve(cid, points, crossings, grounded, twists)
             for entry in data.get("disks", []):
                 did = entry["id"]
+                if did in scene.disks:
+                    raise SceneError(f"duplicate disk id {did!r}")
                 center = radius = boundary = None
                 if "center" in entry:
                     center = Point.from_json(entry["center"])
@@ -240,7 +246,10 @@ class StringScene:
                 if "boundary" in entry:
                     boundary = tuple((c, int(e)) for c, e in entry["boundary"])
                 scene.disks[did] = Disk(did, center, radius, boundary)
-            for k, v in data.get("chirality", {}).items():
+            chirality = data.get("chirality", {})
+            if not isinstance(chirality, dict):
+                raise SceneError("chirality must be an object of crossing id -> sign")
+            for k, v in chirality.items():
                 scene.chirality[k] = int(v)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc

@@ -18,7 +18,7 @@ import pytest
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import (OrderedColouring, compute_params,
                                  degeneracy_order, greedy_colouring, relabel)
-from strandkit.decomp import (bounds, exact_treewidth,
+from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
                               outerstring_decomposition, radius_decomposition,
                               verify_td)
 from strandkit.families import (certify_grid_disk, certify_segment_family,
@@ -33,11 +33,6 @@ from strandkit.planarise import (check_coloured_planarisation,
 from strandkit.product_model import (build_model, grounded_distance_check,
                                      verify_model, walk_weak_diameter)
 from strandkit.scene import dumps_canonical
-
-
-def scene_graph(scene, events):
-    G = intersection_graph(scene, events)
-    return Graph(vertices=G.vertices, edges=G.edge_list())
 
 
 def colourings_for(g):
@@ -77,7 +72,7 @@ def test_criterion_1_lemma_suite(random_corpus):
     """Coloured-planarisation invariants hold on every scene and colouring."""
     t0 = time.monotonic()
     for scene, events in random_corpus:
-        g = scene_graph(scene, events)
+        g = intersection_graph(scene, events)
         plan = planarise(scene, events)
         for colouring in colourings_for(g):
             cp = coloured_planarisation(plan, colouring)
@@ -88,21 +83,21 @@ def test_criterion_1_lemma_suite(random_corpus):
 def test_criterion_2_model_validity(random_corpus):
     """build_model passes verify_model; projections equal W minus E_C."""
     for scene, events in random_corpus:
-        g = scene_graph(scene, events)
+        g = intersection_graph(scene, events)
         plan = planarise(scene, events)
         for colouring in colourings_for(g):
             cp = coloured_planarisation(plan, colouring)
             params = compute_params(scene, events, colouring)
             model = build_model(cp, params)
             assert verify_model(model, g)["valid"]
-            for cid in g.vertices():
+            for cid in g.vertices:
                 assert model.projection(cid) == set(cp.walks[cid]) - cp.endpoints
 
 
 def test_criterion_3_distance_bounds(random_corpus, grounded_corpus):
     """Walk weak diameters within r; grounded distances within t - 1."""
     for scene, events in random_corpus:
-        g = scene_graph(scene, events)
+        g = intersection_graph(scene, events)
         plan = planarise(scene, events)
         for colouring in colourings_for(g):
             cp = coloured_planarisation(plan, colouring)
@@ -111,7 +106,7 @@ def test_criterion_3_distance_bounds(random_corpus, grounded_corpus):
             assert max(diam.values()) <= params.r
     for scene in grounded_corpus:
         events = compute_arrangement(scene)
-        g = scene_graph(scene, events)
+        g = intersection_graph(scene, events)
         plan = planarise(scene, events)
         colouring = colourings_for(g)[0]
         cp = coloured_planarisation(plan, colouring)
@@ -124,9 +119,9 @@ def test_criterion_4_outerstring_width(grounded_corpus):
     t0 = time.monotonic()
     for scene in grounded_corpus:
         events = compute_arrangement(scene)
-        g = scene_graph(scene, events)
+        g = intersection_graph(scene, events)
         colouring = colourings_for(g)[0]
-        rep = outerstring_decomposition(scene, colouring)
+        rep = outerstring_decomposition(Pipeline(scene, colouring))
         assert verify_td(rep["td"], g)["valid"]
         assert rep["width"] <= bounds(
             "planar-outerstring", {"t": rep["t"], "d": rep["d"]})
@@ -294,9 +289,9 @@ def _bundle() -> str:
     for seed in (0, 1):
         scene = gen_grounded(5, seed)
         events = compute_arrangement(scene)
-        g = scene_graph(scene, events)
+        g = intersection_graph(scene, events)
         colouring = colourings_for(g)[0]
-        rep = outerstring_decomposition(scene, colouring)
+        rep = outerstring_decomposition(Pipeline(scene, colouring))
         parts.append(dumps_canonical(scene.to_json()))
         parts.append(dumps_canonical(colouring.to_json()))
         parts.append(dumps_canonical(rep["td"].to_json()))

@@ -1,9 +1,16 @@
+import importlib
 import json
+import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
+import strandkit
 from strandkit.cli import main
 from strandkit.scene import dump_scene
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -143,3 +150,93 @@ def test_reports_byte_identical(capsys, scene_file, tmp_path):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_negative_bound_parameter_exit_2(capsys):
+    code, rep = run(capsys, "bounds", "--theorem", "localised",
+                    "--params", "delta=-1")
+    assert code == 2 and rep["kind"] == "invalid-input"
+
+
+def count_stage_calls(monkeypatch) -> dict:
+    """Count calls of the stage builders, patched at every strandkit module
+    that binds them."""
+    modules = [importlib.import_module(f"strandkit.{info.name}")
+               for info in pkgutil.iter_modules(strandkit.__path__)]
+    calls = {}
+    for home, name in [("arrangement", "compute_arrangement"),
+                       ("planarise", "planarise"),
+                       ("planarise", "coloured_planarisation"),
+                       ("colouring", "compute_params")]:
+        original = getattr(importlib.import_module(f"strandkit.{home}"), name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        calls[name] = 0
+        for mod in modules:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["decomp", "outerstring", "verify", "model"])
+def test_each_stage_built_once(capsys, monkeypatch, grounded_file, tmp_path,
+                               command):
+    calls = count_stage_calls(monkeypatch)
+    out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+    code, _ = run(capsys, command, "--in", grounded_file, *out)
+    assert code == 0
+    assert calls == {"compute_arrangement": 1, "planarise": 1,
+                     "coloured_planarisation": 1, "compute_params": 1}
+
+
+# case -> (scene JSON, colouring JSON or None) from a valid scene JSON, and
+# the error it must report
+MALFORMED = {
+    "scene-array": (lambda scene: ([], None), "scene JSON must be an object"),
+    "chirality-array": (lambda scene: ({**scene, "chirality": []}, None),
+                        "chirality must be an object"),
+    "colouring-array": (lambda scene: (scene, []),
+                        "colouring JSON must be an object"),
+    "duplicate-curve-id": (lambda scene: (
+        {**scene, "curves": scene["curves"] + [{**scene["curves"][1], "id": "a"}]},
+        None), "duplicate curve id 'a'"),
+    "duplicate-disk-id": (lambda scene: (
+        {**scene, "disks": scene["disks"] * 2}, None), "duplicate disk id 'D'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_2(capsys, tmp_path, outerstring_scene, case):
+    make, error = MALFORMED[case]
+    scene, colouring = make(outerstring_scene.to_json())
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    argv = ["verify", "--in", str(path)]
+    if colouring is not None:
+        col = tmp_path / "colouring.json"
+        col.write_text(json.dumps(colouring))
+        argv += ["--colouring", str(col)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    report = json.loads(out)
+    assert report["kind"] == "invalid-input" and error in report["error"]
+    assert "Traceback" not in out + err
+
+
+def test_readme_scene_example_verifies(capsys, tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Scene format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "scene.json"
+    path.write_text(block)
+    code, rep = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and rep["ok"]
+
+
+def test_version_matches_pyproject():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1)
+    assert strandkit.__version__ == version

@@ -16,7 +16,7 @@ def path_graph(n):
 def test_greedy_is_proper():
     g = Graph(vertices="abcd", edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     col = greedy_colouring(g, list("abcd"))
-    for u, v in g.edges():
+    for u, v in g.edge_list():
         assert col.phi[u] != col.phi[v]
     assert col.t <= g.max_degree() + 1
 
@@ -99,7 +99,6 @@ def test_colouring_json_roundtrip():
 
 def test_greedy_on_intersection_graph(bigon_scene):
     events = compute_arrangement(bigon_scene)
-    G = intersection_graph(bigon_scene, events)
-    g = Graph(vertices=G.vertices, edges=G.edge_list())
+    g = intersection_graph(bigon_scene, events)
     col = greedy_colouring(g, degeneracy_order(g)[::-1])
     check_ordered(col, events)

@@ -1,8 +1,8 @@
 import pytest
 
 from strandkit.colouring import OrderedColouring
-from strandkit.decomp import (Layering, TreeDecomposition, bfs_layering,
-                              bounds, exact_treewidth,
+from strandkit.decomp import (_BOUNDS, Layering, Pipeline, TreeDecomposition,
+                              bfs_layering, bounds, exact_treewidth,
                               exact_treewidth_decomposition, grounded_quotient,
                               ltw_pipeline, merge_layers, minor_lift,
                               outerstring_decomposition, product_lift,
@@ -181,7 +181,7 @@ def test_grounded_quotient(outerstring_scene, outerstring_colouring):
 
 
 def test_outerstring_decomposition(outerstring_scene, outerstring_colouring):
-    rep = outerstring_decomposition(outerstring_scene, outerstring_colouring)
+    rep = outerstring_decomposition(Pipeline(outerstring_scene, outerstring_colouring))
     assert rep["valid"]
     assert rep["t"] == 2
     assert rep["width"] <= rep["bound"] == bounds(
@@ -192,11 +192,11 @@ def test_outerstring_decomposition(outerstring_scene, outerstring_colouring):
 
 def test_outerstring_needs_one_disk(plus_sign, plus_colouring):
     with pytest.raises(SceneError):
-        outerstring_decomposition(plus_sign, plus_colouring)
+        outerstring_decomposition(Pipeline(plus_sign, plus_colouring))
 
 
 def test_ltw_pipeline(plus_sign, plus_colouring):
-    rep = ltw_pipeline(plus_sign, plus_colouring)
+    rep = ltw_pipeline(Pipeline(plus_sign, plus_colouring))
     assert rep["layered_width"] <= rep["bound"]
     assert rep["genus"] == 0
     assert rep["td"].width >= 0
@@ -206,10 +206,9 @@ def test_ltw_pipeline_multicross(bigon_scene):
     from strandkit.arrangement import compute_arrangement, intersection_graph
     from strandkit.colouring import degeneracy_order, greedy_colouring
     events = compute_arrangement(bigon_scene)
-    IG = intersection_graph(bigon_scene, events)
-    g = Graph(vertices=IG.vertices, edges=IG.edge_list())
+    g = intersection_graph(bigon_scene, events)
     col = greedy_colouring(g, degeneracy_order(g)[::-1])
-    rep = ltw_pipeline(bigon_scene, col)
+    rep = ltw_pipeline(Pipeline(bigon_scene, col))
     assert rep["layered_width"] <= rep["bound"]
 
 
@@ -230,6 +229,26 @@ def test_bounds_errors():
         bounds("no-such-theorem", {})
     with pytest.raises(SceneError):
         bounds("planar-outerstring", {"t": 3})
+
+
+# the parameter each bound reads that is set negative
+NEGATED = {
+    "planar-outerstring": "d", "genus-outerstring": "g",
+    "outerstring-maxdegree": "c", "localised": "delta", "ss-crossing": "m",
+    "string-rtw": "delta", "ps-maxdegree": "delta", "rtw-main": "r",
+    "ltw-shallow": "d", "tw-from-ltw": "ltw", "product-tw": "tw",
+    "planar-radius-tw": "r", "weak-diameter": "k",
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_BOUNDS))
+def test_bounds_reject_negative_parameters(theorem):
+    params = dict.fromkeys(["t", "d", "c", "g", "delta", "m", "r", "ltw",
+                            "tw", "n", "k"], 2)
+    assert isinstance(bounds(theorem, params), int)
+    params[NEGATED[theorem]] = -1
+    with pytest.raises(SceneError):
+        bounds(theorem, params)
 
 
 def test_td_to_pace():

@@ -42,7 +42,7 @@ def test_rectangle_family_crossing_cap():
     for delta in (1, 2, 3, 4):
         cs = gen_rectangle_family(delta)
         g = cs.graph()
-        assert len(g.edges()) == delta * delta  # the K_{delta,delta} pattern
+        assert len(g.edge_list()) == delta * delta  # the K_{delta,delta} pattern
         d = convex_to_drawing(cs)
         assert d["max_crossings"] <= d["cap"] == 2 * delta * delta
 
@@ -91,7 +91,7 @@ def test_segment_family_t1_path():
     assert rep["vertices"] == 3
     assert sorted(scene.curves) == ["a1_1", "g", "g1"]
     g = rep["graph"]
-    assert sorted(len(g.adj[v]) for v in g.vertices()) == [1, 1, 2]  # a path
+    assert sorted(len(g.adj[v]) for v in g.vertices) == [1, 1, 2]  # a path
 
 
 def test_segment_family_certifications():
@@ -111,11 +111,11 @@ def test_segment_family_degrees():
     for i in range(1, 3):
         for j in range(1, 4):
             assert g.degree(f"b{i}_{j}") == 2
-            assert sorted(g.adjacency[f"b{i}_{j}"]) == [f"a{i}_{j}", f"a{i+1}_{j}"]
+            assert sorted(g.adj[f"b{i}_{j}"]) == [f"a{i}_{j}", f"a{i+1}_{j}"]
     for i in range(1, 4):
         for j in range(1, 4):
             assert g.degree(f"a{i}_{j}") <= 3
-            assert f"g{i}" in g.adjacency[f"a{i}_{j}"]
+            assert f"g{i}" in g.adj[f"a{i}_{j}"]
 
 
 def test_ktt_model():

@@ -15,7 +15,7 @@ def test_select_one_per_pair(bigon_scene):
 def test_build_HR_structure(bigon_scene):
     events = compute_arrangement(bigon_scene)
     inst = build_HR(bigon_scene, events, select_crossings(bigon_scene, events))
-    assert inst.H.vertices() == [("u", "v"), ("u", "w1"), ("u", "w2"), ("v", "z")]
+    assert inst.H.vertices == [("u", "v"), ("u", "w1"), ("u", "w2"), ("v", "z")]
     assert sorted(inst.pieces) == [("u", 0), ("u", 1), ("v", 0)]
     assert inst.R == {frozenset({("u", 1), ("v", 0)})}
     # the three unselected u-v crossings survive on the two interior pieces

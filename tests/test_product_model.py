@@ -16,8 +16,7 @@ def pipeline(scene, colouring):
     plan = planarise(scene, events)
     cp = coloured_planarisation(plan, colouring)
     params = compute_params(scene, events, colouring)
-    G = intersection_graph(scene, events)
-    return events, cp, params, Graph(vertices=G.vertices, edges=G.edge_list())
+    return events, cp, params, intersection_graph(scene, events)
 
 
 def test_product_graph_counts():
@@ -25,7 +24,7 @@ def test_product_graph_counts():
     prod = product_graph(host, 2)
     assert len(prod) == 4
     # strong product of K2 with K2 is K4
-    assert len(prod.edges()) == 6
+    assert len(prod.edge_list()) == 6
 
 
 def test_plus_sign_model(plus_sign, plus_colouring):
@@ -41,7 +40,7 @@ def test_projection_is_walk_minus_endpoints(abstract_multicross, abstract_colour
     _, cp, params, G = pipeline(abstract_multicross, abstract_colouring)
     model = build_model(cp, params)
     assert verify_model(model, G)["valid"]
-    for cid in G.vertices():
+    for cid in G.vertices:
         assert model.projection(cid) == set(cp.walks[cid]) - cp.endpoints
 
 
@@ -108,7 +107,7 @@ def test_grounded_distance_needs_full_cover(plus_sign, plus_colouring):
 def test_host_without_endpoints(plus_sign, plus_colouring):
     _, cp, _, _ = pipeline(plus_sign, plus_colouring)
     host = host_without_endpoints(cp)
-    assert host.vertices() == ["x:h:v:0"]
+    assert host.vertices == ["x:h:v:0"]
 
 
 def test_outerstring_fixture_distances(outerstring_scene, outerstring_colouring):
