@@ -25,10 +25,15 @@ def compute_arrangement(scene: StringScene) -> list[CrossingEvent]:
 
 def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     ids = scene.curve_ids()
+    boxes = {c: _segment_boxes(scene.curves[c].points) for c in ids}
+    hulls = {c: _hull(boxes[c]) for c in ids}
     raw: dict[tuple[str, str], list[dict]] = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            hits = _curve_pair_crossings(scene.curves[a], scene.curves[b])
+            if _boxes_disjoint(hulls[a], hulls[b]):
+                continue
+            hits = _curve_pair_crossings(scene.curves[a], scene.curves[b],
+                                         boxes[a], boxes[b])
             if hits:
                 raw[(a, b)] = hits
 
@@ -74,11 +79,36 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     return final
 
 
-def _curve_pair_crossings(a: Curve, b: Curve) -> list[dict]:
+def _segment_boxes(points) -> list[tuple]:
+    """Closed bounding box (xlo, ylo, xhi, yhi) of each segment of a polyline."""
+    return [(min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
+            for p, q in zip(points, points[1:])]
+
+
+def _hull(boxes: list[tuple]) -> tuple:
+    """Closed bounding box of a list of boxes."""
+    return (min(b[0] for b in boxes), min(b[1] for b in boxes),
+            max(b[2] for b in boxes), max(b[3] for b in boxes))
+
+
+def _boxes_disjoint(p: tuple, q: tuple) -> bool:
+    """Do two closed boxes miss each other?  Boxes that touch still meet.
+
+    Closed segments whose boxes are disjoint cannot meet, so the exact
+    segment test is skipped for them; touching boxes keep every tangency,
+    overlap and endpoint contact in front of intersect_segments.
+    """
+    return p[2] < q[0] or q[2] < p[0] or p[3] < q[1] or q[3] < p[1]
+
+
+def _curve_pair_crossings(a: Curve, b: Curve, boxes_a: list[tuple],
+                          boxes_b: list[tuple]) -> list[dict]:
     hits = []
     pa, pb = list(a.points), list(b.points)
     for i in range(len(pa) - 1):
         for j in range(len(pb) - 1):
+            if _boxes_disjoint(boxes_a[i], boxes_b[j]):
+                continue
             res = intersect_segments(pa[i], pa[i + 1], pb[j], pb[j + 1])
             if res.kind == SegmentIntersection.DISJOINT:
                 continue

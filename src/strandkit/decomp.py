@@ -21,7 +21,7 @@ from .embedding import EmbeddedGraph
 from .graph import Graph, bfs_distances, connected_components, eccentricity
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, euler_genus, planarise)
-from .product_model import MinorModel, build_model, product_graph
+from .product_model import MinorModel, build_model
 from .scene import StringScene
 
 
@@ -629,6 +629,34 @@ def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:
     return {"layered_width": lw, "layers": s, "width_bound": s * lw - 1}
 
 
+def shallow_centers(model: MinorModel, r: int) -> dict:
+    """A center for every branch set of a weakly r-shallow model.
+
+    The center of mu(v) is the first member of the sorted branch set whose
+    distance in host x K_n to every other member is at most r.  Distances
+    come from the host, without building the product: two vertices with
+    distinct host coordinates are at the host distance of those
+    coordinates, and two distinct copies of one host vertex are adjacent.
+    """
+    host_dist: dict = {}
+    centers = {}
+    for v in sorted(model.mu):
+        branch = sorted(model.mu[v])
+        for c in branch:
+            h = c[0]
+            if h not in host_dist:
+                host_dist[h] = bfs_distances(model.host, [h])
+            dist = host_dist[h]
+            worst = max(int(b != c) if b[0] == h else dist.get(b[0], r + 1)
+                        for b in branch)
+            if worst <= r:
+                centers[v] = c
+                break
+        else:
+            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
+    return centers
+
+
 def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
              model: MinorModel, r: int, genus: int = 0) -> dict:
     """Lift (td, layering) of the product host through a weak r-shallow model.
@@ -638,21 +666,7 @@ def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
     most one block.  At genus 0 the layered width is asserted against
     3(4r+1)(d+1).
     """
-    prod = product_graph(model.host, model.copies)
-    centers = {}
-    for v in sorted(model.mu):
-        branch = sorted(model.mu[v])
-        best = None
-        for c in branch:
-            dist = bfs_distances(prod, [c])
-            worst = max((dist.get(b, r + 1) for b in branch), default=0)
-            if worst <= r and (best is None or c < best[1]):
-                best = (worst, c)
-                break
-        if best is None:
-            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
-        centers[v] = best[1]
-
+    centers = shallow_centers(model, r)
     td = minor_lift(host_td, model)
     host_idx = host_layering.index()
     block = {v: host_idx[centers[v]] // (2 * r + 1) for v in centers}
@@ -704,9 +718,29 @@ def ltw_pipeline(p: Pipeline) -> dict:
 
 # ------------------------------------------------------------- bound arithmetic
 
+# Largest result bounds() returns, in bits.  A larger value would not print
+# as JSON under Python's default 4300-digit int-to-str limit, and a power
+# that certainly exceeds it is refused before it is evaluated, so a huge
+# exponent costs no time.
+MAX_BOUND_BITS = 8192
+
+
+def _pow(base: int, exp: int) -> int:
+    # base >= 2^(b-1) for b = base.bit_length(), so base**exp has more than
+    # (b-1)*exp bits
+    if (base.bit_length() - 1) * exp >= MAX_BOUND_BITS:
+        raise OverflowError(f"{base}**{exp} has more than {MAX_BOUND_BITS} bits")
+    return base ** exp
+
+
+def _geometric_sum(k: int, n: int) -> int:
+    """sum(k ** j for j in range(n)), exactly, with one power."""
+    return n if k == 1 else (_pow(k, n) - 1) // (k - 1)
+
+
 def _delta_string(big_delta: int) -> int:
     # localisation: a degree-D vertex's curve needs at most 2^D (D-1) + 1 crossings
-    return 2 ** big_delta * (big_delta - 1) + 1
+    return _pow(2, big_delta) * (big_delta - 1) + 1
 
 
 _BOUNDS = {
@@ -719,7 +753,7 @@ _BOUNDS = {
     "localised":
         lambda p: _delta_string(p["delta"]),
     "ss-crossing":
-        lambda p: 2 ** p["m"] * p["m"] ** 2,
+        lambda p: _pow(2, p["m"]) * p["m"] ** 2,
     "string-rtw":
         lambda p: 2 * max(2 * p["g"], 3) * (_delta_string(p["delta"]) + 1) ** 2
         * math.comb(2 * (_delta_string(p["delta"]) // 2) + 4, 3) - 1,
@@ -729,7 +763,7 @@ _BOUNDS = {
     "rtw-main":
         lambda p: (4 * p["r"] + 1) * p["c"] * (
             (2 * (8 * p["r"] + 1) * p["c"] + 3)
-            * (2 * p["g"] + 7) ** ((6 * p["r"] + 2) * (2 * p["g"] + 5) - 4) - 1) - 1,
+            * _pow(2 * p["g"] + 7, (6 * p["r"] + 2) * (2 * p["g"] + 5) - 4) - 1) - 1,
     "ltw-shallow":
         lambda p: (4 * p["r"] + 1) * (p["d"] + 1) * (2 * p["g"] + 3),
     "tw-from-ltw":
@@ -739,7 +773,7 @@ _BOUNDS = {
     "planar-radius-tw":
         lambda p: 3 * p["r"] + 1,
     "weak-diameter":
-        lambda p: (2 * p["k"] + 1) * sum(p["k"] ** j for j in range(p["t"] - 1)),
+        lambda p: (2 * p["k"] + 1) * _geometric_sum(p["k"], max(p["t"] - 1, 0)),
 }
 
 
@@ -747,7 +781,8 @@ def bounds(theorem: str, params: dict) -> int:
     """Exact integer evaluation of a named closed-form bound.
 
     Parameters are non-negative integers; on that domain every bound is an
-    int.
+    int.  A bound of more than MAX_BOUND_BITS bits is refused with
+    SceneError, decided from the exponents before any power is evaluated.
     """
     if theorem not in _BOUNDS:
         raise SceneError(f"unknown theorem id {theorem!r}; known: "
@@ -758,9 +793,15 @@ def bounds(theorem: str, params: dict) -> int:
         raise SceneError(f"theorem {theorem!r} needs non-negative parameters, "
                          f"got {', '.join(negative)}")
     try:
-        return _BOUNDS[theorem](params)
+        value = _BOUNDS[theorem](params)
     except KeyError as exc:
         raise SceneError(f"theorem {theorem!r} missing parameter {exc}") from exc
+    except OverflowError as exc:
+        raise SceneError(f"theorem {theorem!r}: {exc}") from exc
+    if value.bit_length() > MAX_BOUND_BITS:
+        raise SceneError(f"theorem {theorem!r}: bound has more than "
+                         f"{MAX_BOUND_BITS} bits")
+    return value
 
 
 # -------------------------------------------------------------------- emitters

@@ -1,7 +1,8 @@
 """Minimal simple-graph utilities shared across modules.
 
-Vertices are arbitrary hashable, sortable ids.  All iteration orders are
-sorted so downstream constructions are deterministic.
+Vertices are arbitrary hashable, sortable ids.  Every order a caller sees
+(vertices, edge_list, neighbours, components) is sorted so downstream
+constructions are deterministic.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ class Graph:
 
 
 def bfs_distances(g: Graph, sources: Iterable) -> dict:
-    """Multi-source BFS distance map; unreachable vertices are absent."""
+    """Multi-source BFS distance map; unreachable vertices are absent.
+
+    Neighbours are visited unsorted: distances do not depend on visit order.
+    """
     dist = {}
     queue = deque()
     for s in sorted(set(sources)):
@@ -85,7 +89,7 @@ def bfs_distances(g: Graph, sources: Iterable) -> dict:
         queue.append(s)
     while queue:
         v = queue.popleft()
-        for w in sorted(g.adj[v]):
+        for w in g.adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)

@@ -56,7 +56,8 @@ def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
     """Build C' with its rotation system (and arc signatures, if twisted)."""
     for cid in scene.curve_ids():
         if not any(cid in (e.curve_a, e.curve_b) for e in events):
-            raise SceneError(f"curve {cid!r} is isolated; strip first")
+            raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
+                             "needs a crossing to be planarised")
 
     g = EmbeddedGraph()
     kind: dict = {}

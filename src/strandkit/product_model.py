@@ -5,7 +5,8 @@ mu(v) = {(x, lambda_x(v)) : x in W_v \\ E_C} where lambda_x injectively
 assigns copies to the curves whose walks visit x.  The checkers are
 independent of the builder: verify_model re-derives all three model clauses
 by direct graph search, and the distance checks measure BFS distances on the
-coloured planarisation itself.
+coloured planarisation itself.  The product is never materialised: adjacency
+in it is decided from the host by MinorModel.product_adjacent.
 """
 
 from __future__ import annotations
@@ -35,23 +36,6 @@ class MinorModel:
 
     def to_json(self) -> dict:
         return {v: sorted([h, c] for h, c in self.mu[v]) for v in sorted(self.mu)}
-
-
-def product_graph(host: Graph, copies: int) -> Graph:
-    """Materialised strong product host x K_copies."""
-    g = Graph()
-    for v in host.vertices:
-        for i in range(1, copies + 1):
-            g.add_vertex((v, i))
-    for v in host.vertices:
-        for i in range(1, copies + 1):
-            for j in range(i + 1, copies + 1):
-                g.add_edge((v, i), (v, j))
-    for u, v in host.edge_list():
-        for i in range(1, copies + 1):
-            for j in range(1, copies + 1):
-                g.add_edge((u, i), (v, j))
-    return g
 
 
 def host_without_endpoints(cp: ColouredPlanarisation) -> Graph:

@@ -114,6 +114,7 @@ class StringScene:
            any(not c.is_geometric for c in self.curves.values()):
             raise SceneError("mixed geometric/abstract curves are not supported")
         self._validate_disks()
+        self._validate_boundaries()
 
     def _validate_polyline(self, curve: Curve) -> None:
         pts = curve.points
@@ -163,6 +164,23 @@ class StringScene:
                 if curve.points is None:
                     continue
                 self._check_curve_avoids_disk(curve, d)
+
+    def _validate_boundaries(self) -> None:
+        """Each boundary entry names a curve grounded there at that end, once."""
+        for did in sorted(self.disks):
+            # lists, not sets: a parsed entry may hold an unhashable value
+            ends = [(c.id, c.grounded[1]) for c in self.curves.values()
+                    if c.grounded is not None and c.grounded[0] == did]
+            seen: list = []
+            for entry in self.disks[did].boundary or ():
+                if entry not in ends:
+                    raise SceneError(
+                        f"disk {did!r}: boundary entry {list(entry)!r} is not "
+                        "a curve end grounded on this disk")
+                if entry in seen:
+                    raise SceneError(
+                        f"disk {did!r}: boundary entry {list(entry)!r} repeats")
+                seen.append(entry)
 
     def _check_curve_avoids_disk(self, curve: Curve, disk: Disk) -> None:
         grounded_here = curve.grounded is not None and curve.grounded[0] == disk.id

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,8 +7,9 @@ import pytest
 from strandkit.arrangement import (compute_arrangement, events_on_curve,
                                    events_to_json, intersection_graph)
 from strandkit.errors import DegeneracyError
-from strandkit.geometry import (Point, SegmentIntersection,
-                                intersect_segments, pt)
+from strandkit.families import gen_grounded, gen_random
+from strandkit.geometry import (Point, SegmentIntersection, direction_cross,
+                                intersect_segments, pt, squared_distance)
 from strandkit.scene import Curve, StringScene
 
 
@@ -109,7 +111,6 @@ def brute_force_pair_count(scene, a, b):
 
 
 def test_arrangement_matches_brute_force_oracle():
-    from strandkit.families import gen_random
     for seed in range(5):
         scene = gen_random(8, 2, seed)
         events = compute_arrangement(scene)
@@ -124,3 +125,70 @@ def test_deterministic_event_list(bigon_scene):
     one = events_to_json(compute_arrangement(bigon_scene))
     two = events_to_json(compute_arrangement(bigon_scene))
     assert one == two
+
+
+def all_pairs_events_json(scene):
+    """Unfiltered reference: every segment pair of every curve pair goes to
+    intersect_segments.  Ids number a pair's crossings along the smaller
+    curve; per-curve indices are arc order (segment, distance from its
+    start)."""
+    ids = scene.curve_ids()
+    hits = {}
+    for a, b in combinations(ids, 2):
+        pa, pb = scene.curves[a].points, scene.curves[b].points
+        for i in range(len(pa) - 1):
+            for j in range(len(pb) - 1):
+                res = intersect_segments(pa[i], pa[i + 1], pb[j], pb[j + 1])
+                assert res.kind in (SegmentIntersection.DISJOINT,
+                                    SegmentIntersection.PROPER)
+                if res.kind == SegmentIntersection.DISJOINT:
+                    continue
+                p = res.point
+                sign = direction_cross(pa[i + 1] - pa[i], pb[j + 1] - pb[j])
+                hits.setdefault((a, b), []).append(
+                    ((i, squared_distance(pa[i], p)),
+                     (j, squared_distance(pb[j], p)), p, 1 if sign > 0 else -1))
+    events = {}
+    along = {c: [] for c in ids}
+    for (a, b), pair_hits in hits.items():
+        for k, (pos_a, pos_b, p, sign) in enumerate(sorted(pair_hits)):
+            eid = f"x:{a}:{b}:{k}"
+            events[eid] = {"id": eid, "curve_a": a, "curve_b": b,
+                           "index_in_a": None, "index_in_b": None,
+                           "chirality": sign, "location": p.to_json()}
+            along[a].append((pos_a, eid, "index_in_a"))
+            along[b].append((pos_b, eid, "index_in_b"))
+    for c in ids:
+        for index, (_, eid, key) in enumerate(sorted(along[c])):
+            events[eid][key] = index
+    return [events[eid] for eid in sorted(events)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filtered_arrangement_matches_all_pairs_reference(seed):
+    for scene in (gen_random(8, 2, seed), gen_grounded(20, seed)):
+        got = json.dumps(events_to_json(compute_arrangement(scene)))
+        assert got == json.dumps(all_pairs_events_json(scene))
+
+
+# pairs of polylines whose bounding boxes meet only on their boundary
+BOX_TOUCH_FIXTURES = {
+    "t-touch": ([(0, 0), (4, 0)], [(2, 0), (3, 3)], (2, 0)),
+    "endpoint-on-curve": ([(0, 0), (2, 2), (4, 0)], [(2, 2), (3, 5)], (2, 2)),
+    "collinear-shared-endpoint": ([(0, 0), (2, 2)], [(2, 2), (4, 4)], (2, 2)),
+    "bend-tangent": ([(0, 0), (4, 0)], [(1, 3), (2, 0), (3, 3)], (2, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_TOUCH_FIXTURES))
+def test_touching_boxes_still_tested(name):
+    a, b, at = BOX_TOUCH_FIXTURES[name]
+    s = StringScene()
+    s.curves["a"] = Curve("a", tuple(pt(*q) for q in a))
+    s.curves["b"] = Curve("b", tuple(pt(*q) for q in b))
+    s.validate()
+    with pytest.raises(DegeneracyError) as info:
+        compute_arrangement(s)
+    assert str(info.value) == (
+        f"curves 'a' and 'b' touch non-transversally at {pt(*at)} "
+        "(tangency, bend crossing, or endpoint on another curve)")

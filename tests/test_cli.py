@@ -158,6 +158,13 @@ def test_negative_bound_parameter_exit_2(capsys):
     assert code == 2 and rep["kind"] == "invalid-input"
 
 
+def test_oversized_bound_exit_2(capsys):
+    code, rep = run(capsys, "bounds", "--theorem", "rtw-main",
+                    "--params", "r=1000000000", "c=1", "g=0")
+    assert code == 2 and rep["kind"] == "invalid-input"
+    assert "more than 8192 bits" in rep["error"]
+
+
 def count_stage_calls(monkeypatch) -> dict:
     """Count calls of the stage builders, patched at every strandkit module
     that binds them."""
@@ -205,6 +212,19 @@ MALFORMED = {
         None), "duplicate curve id 'a'"),
     "duplicate-disk-id": (lambda scene: (
         {**scene, "disks": scene["disks"] * 2}, None), "duplicate disk id 'D'"),
+    "boundary-missing-curve": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "boundary": [["zz", 0]]}]},
+        None), "boundary entry ['zz', 0] is not a curve end grounded"),
+    "boundary-wrong-end": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "boundary": [["a", 1]]}]},
+        None), "boundary entry ['a', 1] is not a curve end grounded"),
+    "boundary-repeat": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0],
+                             "boundary": [["a", 0], ["b", 0], ["a", 0]]}]},
+        None), "boundary entry ['a', 0] repeats"),
+    "boundary-unhashable-id": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "boundary": [[["a"], 0]]}]},
+        None), "boundary entry [['a'], 0] is not a curve end grounded"),
 }
 
 

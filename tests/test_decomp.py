@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from strandkit.colouring import OrderedColouring
-from strandkit.decomp import (_BOUNDS, Layering, Pipeline, TreeDecomposition,
-                              bfs_layering, bounds, exact_treewidth,
-                              exact_treewidth_decomposition, grounded_quotient,
+from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
+                              TreeDecomposition, bfs_layering, bounds,
+                              exact_treewidth, exact_treewidth_decomposition, grounded_quotient,
                               ltw_pipeline, merge_layers, minor_lift,
                               outerstring_decomposition, product_lift,
                               radius_decomposition, td_to_pace, verify_layering,
@@ -249,6 +251,37 @@ def test_bounds_reject_negative_parameters(theorem):
     params[NEGATED[theorem]] = -1
     with pytest.raises(SceneError):
         bounds(theorem, params)
+
+
+def test_rtw_main_tower_refused_fast():
+    start = time.perf_counter()
+    with pytest.raises(SceneError, match="more than 8192 bits"):
+        bounds("rtw-main", {"r": 10**9, "c": 1, "g": 0})
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("theorem,params", [
+    ("localised", {"delta": 10**9}),
+    ("ss-crossing", {"m": 10**9}),
+    ("string-rtw", {"delta": 10**9, "g": 0}),
+    ("ps-maxdegree", {"delta": 10**9}),
+    ("weak-diameter", {"t": 10**9, "k": 2}),
+    # no power is too large here, the product is: refused after evaluation
+    ("string-rtw", {"delta": 3000, "g": 0}),
+    ("ltw-shallow", {"r": 2**9000, "d": 0, "g": 0}),
+])
+def test_bounds_size_cap(theorem, params):
+    start = time.perf_counter()
+    with pytest.raises(SceneError, match=f"more than {MAX_BOUND_BITS} bits"):
+        bounds(theorem, params)
+    assert time.perf_counter() - start < 1
+
+
+def test_bounds_below_the_cap():
+    assert bounds("ss-crossing", {"m": 8000}) == 2 ** 8000 * 8000 ** 2
+    assert bounds("weak-diameter", {"t": 10**9, "k": 1}) == 3 * (10**9 - 1)
+    assert bounds("weak-diameter", {"t": 10**9, "k": 0}) == 1
+    assert bounds("weak-diameter", {"t": 0, "k": 3}) == 0
 
 
 def test_td_to_pace():

@@ -30,7 +30,7 @@ def test_isolated_curve_rejected():
     s.curves["far"] = Curve("far", (pt(9, 9), pt(10, 9)))
     s.validate()
     events = compute_arrangement(s)
-    with pytest.raises(SceneError):
+    with pytest.raises(SceneError, match="curve 'far' crosses no other curve"):
         planarise(s, events)
 
 

@@ -1,13 +1,17 @@
+import re
+
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import compute_params
-from strandkit.errors import InvariantError, SceneError
-from strandkit.graph import Graph
+from strandkit.decomp import Pipeline, shallow_centers
+from strandkit.errors import CheckFailure, InvariantError, SceneError
+from strandkit.families import gen_grounded
+from strandkit.graph import Graph, bfs_distances
 from strandkit.planarise import coloured_planarisation, planarise
 from strandkit.product_model import (MinorModel, build_model,
                                      grounded_distance_check,
-                                     host_without_endpoints, product_graph,
+                                     host_without_endpoints,
                                      verify_model, walk_weak_diameter)
 
 
@@ -17,6 +21,82 @@ def pipeline(scene, colouring):
     cp = coloured_planarisation(plan, colouring)
     params = compute_params(scene, events, colouring)
     return events, cp, params, intersection_graph(scene, events)
+
+
+# -------------------------------------------- materialised strong product oracle
+
+def product_graph(host: Graph, copies: int) -> Graph:
+    """Materialised strong product host x K_copies."""
+    g = Graph()
+    for v in host.vertices:
+        for i in range(1, copies + 1):
+            g.add_vertex((v, i))
+    for v in host.vertices:
+        for i in range(1, copies + 1):
+            for j in range(i + 1, copies + 1):
+                g.add_edge((v, i), (v, j))
+    for u, v in host.edge_list():
+        for i in range(1, copies + 1):
+            for j in range(1, copies + 1):
+                g.add_edge((u, i), (v, j))
+    return g
+
+
+def product_bfs_centers(model: MinorModel, r: int) -> dict:
+    """Reference: first member of each sorted branch set whose BFS in the
+    materialised product reaches the whole set within r."""
+    prod = product_graph(model.host, model.copies)
+    centers = {}
+    for v in sorted(model.mu):
+        branch = sorted(model.mu[v])
+        for c in branch:
+            dist = bfs_distances(prod, [c])
+            if max(dist.get(b, r + 1) for b in branch) <= r:
+                centers[v] = c
+                break
+        else:
+            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
+    return centers
+
+
+@pytest.fixture(params=["plus_sign", "bigon_scene"] +
+                [f"grounded-{s}" for s in range(4)])
+def model_scene(request):
+    if request.param.startswith("grounded-"):
+        return gen_grounded(12, int(request.param.split("-")[1]))
+    return request.getfixturevalue(request.param)
+
+
+def test_product_distance_is_host_distance(model_scene):
+    model = Pipeline(model_scene).model
+    prod = product_graph(model.host, model.copies)
+    for v in sorted(model.mu):
+        branch = sorted(model.mu[v])
+        assert len({h for h, _ in branch}) == len(branch)
+        for a in branch:
+            d_prod = bfs_distances(prod, [a])
+            d_host = bfs_distances(model.host, [a[0]])
+            for b in branch:
+                if b != a:
+                    assert d_prod.get(b) == d_host.get(b[0])
+
+
+def test_shallow_centers_match_product_bfs(model_scene):
+    p = Pipeline(model_scene)
+    model = p.model
+    outcomes = set()
+    # host distances are below len(host), so larger r change nothing
+    for r in sorted(set(range(len(model.host) + 1)) | {p.params.r}):
+        try:
+            want = product_bfs_centers(model, r)
+        except CheckFailure as exc:
+            with pytest.raises(CheckFailure, match=re.escape(str(exc))):
+                shallow_centers(model, r)
+            outcomes.add("fail")
+        else:
+            assert shallow_centers(model, r) == want
+            outcomes.add("ok")
+    assert outcomes == {"ok", "fail"} or len(model.host) == 1
 
 
 def test_product_graph_counts():
