@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegeneracyError
-from .geometry import Point, SegmentIntersection, direction_cross, intersect_segments
+from .geometry import (Point, SegmentIntersection, _boxes_disjoint, _segment_boxes,
+                       direction_cross, intersect_segments)
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
 
@@ -79,26 +80,10 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     return final
 
 
-def _segment_boxes(points) -> list[tuple]:
-    """Closed bounding box (xlo, ylo, xhi, yhi) of each segment of a polyline."""
-    return [(min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
-            for p, q in zip(points, points[1:])]
-
-
 def _hull(boxes: list[tuple]) -> tuple:
     """Closed bounding box of a list of boxes."""
     return (min(b[0] for b in boxes), min(b[1] for b in boxes),
             max(b[2] for b in boxes), max(b[3] for b in boxes))
-
-
-def _boxes_disjoint(p: tuple, q: tuple) -> bool:
-    """Do two closed boxes miss each other?  Boxes that touch still meet.
-
-    Closed segments whose boxes are disjoint cannot meet, so the exact
-    segment test is skipped for them; touching boxes keep every tangency,
-    overlap and endpoint contact in front of intersect_segments.
-    """
-    return p[2] < q[0] or q[2] < p[0] or p[3] < q[1] or q[3] < p[1]
 
 
 def _curve_pair_crossings(a: Curve, b: Curve, boxes_a: list[tuple],

@@ -8,7 +8,9 @@ at smaller-colour crossings).  The parameters:
      distinct higher-colour curves crossing alpha (fragment-local),
   k  max, over curves gamma, of the number of distinct smaller-colour curves
      crossing gamma,
-  r  (2k + 1) * sum_{j=0}^{t-2} k^j, the walk weak-diameter bound.
+  r  (2k + 1) * sum_{j=0}^{t-2} k^j, the walk weak-diameter bound, read
+     from the bound registry (decomp.bounds), which refuses one of more
+     than 8192 bits.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class ColouringParams:
 
     def to_json(self) -> dict:
         return {"t": self.t, "d": self.d, "k": self.k, "r": self.r}
-
-
-def weak_diameter_bound(t: int, k: int) -> int:
-    return (2 * k + 1) * sum(k ** j for j in range(t - 1))
 
 
 def greedy_colouring(G, order) -> OrderedColouring:
@@ -126,8 +124,9 @@ def compute_params(scene: StringScene, events: list[CrossingEvent],
             else:
                 frag.add(other)
         d = max(d, len(frag))
+    from .decomp import bounds   # decomp imports this module
     t = colouring.t
-    return ColouringParams(t, d, k, weak_diameter_bound(t, k))
+    return ColouringParams(t, d, k, bounds("weak-diameter", {"t": t, "k": k}))
 
 
 def verify_tdeg(G, colouring: OrderedColouring, d: int) -> dict:

@@ -471,27 +471,19 @@ def _triangulate(g: EmbeddedGraph) -> None:
 
 # ------------------------------------------------------------------------ lifts
 
-def product_lift(td: TreeDecomposition, n: int) -> TreeDecomposition:
-    """Lift a td of H to H x K_n by multiplying every bag by the n copies."""
-    if n < 1:
-        raise SceneError(f"clique factor must be >= 1, got {n}")
-    bags = {node: frozenset((v, i) for v in td.bags[node] for i in range(1, n + 1))
-            for node in td.nodes}
-    return TreeDecomposition(list(td.nodes), list(td.edges), bags)
-
-
 def minor_lift(td: TreeDecomposition, model: MinorModel) -> TreeDecomposition:
-    """Bag-lift a host decomposition through a minor model."""
-    membership: dict = {}
+    """Bag-lift a host decomposition through a minor model.
+
+    A vertex joins every bag that meets the projection of its branch set to
+    the host.  Every copy the model uses is one of the clique factor's, so
+    this is the lift of the host bags multiplied by the copies.
+    """
+    curves_at: dict = {}
     for v in sorted(model.mu):
-        for pv in model.mu[v]:
-            membership.setdefault(pv, set()).add(v)
-    bags = {}
-    for node in td.nodes:
-        bag = set()
-        for pv in td.bags[node]:
-            bag |= membership.get(pv, set())
-        bags[node] = frozenset(bag)
+        for h in model.projection(v):
+            curves_at.setdefault(h, set()).add(v)
+    bags = {node: frozenset().union(*(curves_at.get(h, ()) for h in td.bags[node]))
+            for node in td.nodes}
     return TreeDecomposition(list(td.nodes), list(td.edges), bags)
 
 
@@ -587,8 +579,8 @@ def outerstring_decomposition(p: Pipeline) -> dict:
     """Constructed treewidth certificate for a grounded one-disk scene.
 
     Pipeline: coloured planarisation -> quotient C^phi_0 (radius <= t-1 from
-    the disk center) -> radius decomposition -> clique-product lift by d+1 ->
-    bag lift through the minor model.  Width asserted <= (3t-1)(d+1)-1.
+    the disk center) -> radius decomposition -> bag lift through the minor
+    model's projection.  Width asserted <= (3t-1)(d+1)-1.
     """
     if len(p.scene.disks) != 1:
         raise SceneError(f"outerstring pipeline needs exactly 1 disk, "
@@ -605,7 +597,7 @@ def outerstring_decomposition(p: Pipeline) -> dict:
         raise InvariantError(f"quotient radius {ecc} exceeds t-1 = {t - 1}")
 
     td0 = radius_decomposition(quotient, w)
-    td = minor_lift(product_lift(td0, d + 1), p.model)
+    td = minor_lift(td0, p.model)
     report = verify_td(td, p.graph)
     if not report["valid"]:
         raise InvariantError(f"outerstring td invalid: {report['reason']}")
@@ -658,29 +650,23 @@ def shallow_centers(model: MinorModel, r: int) -> dict:
 
 
 def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
-             model: MinorModel, r: int, genus: int = 0) -> dict:
-    """Lift (td, layering) of the product host through a weak r-shallow model.
+             model: MinorModel, r: int) -> dict:
+    """Lift (td, layering) of the host through a weak r-shallow model.
 
     The G-layer of a vertex is its branch-set center's host layer divided
     into blocks of 2r+1; shallowness makes consecutive centers differ by at
-    most one block.  At genus 0 the layered width is asserted against
-    3(4r+1)(d+1).
+    most one block.
     """
     centers = shallow_centers(model, r)
     td = minor_lift(host_td, model)
     host_idx = host_layering.index()
-    block = {v: host_idx[centers[v]] // (2 * r + 1) for v in centers}
+    block = {v: host_idx[centers[v][0]] // (2 * r + 1) for v in centers}
     n_blocks = max(block.values(), default=0) + 1
     layers: list = [[] for _ in range(n_blocks)]
     for v in sorted(block):
         layers[block[v]].append(v)
     layering = Layering(layers)
-
     lw = merge_layers(td, layering)["layered_width"]
-    if genus == 0:
-        cap = 3 * (4 * r + 1) * model.copies
-        if lw > cap:
-            raise InvariantError(f"lifted layered width {lw} > 3(4r+1)(d+1) = {cap}")
     return {"td": td, "layering": layering, "layered_width": lw}
 
 
@@ -689,7 +675,8 @@ def ltw_pipeline(p: Pipeline) -> dict:
 
     Builds the model in (C^phi - E_C) x K_{d+1}, decomposes the host by
     radius from its smallest vertex, lifts td and layering through the model,
-    and returns the lifted pair with its layered width.
+    and returns the lifted pair with its layered width, asserted against
+    3(4r+1)(d+1).
     """
     genus, params, model = p.genus, p.params, p.model
     host = model.host
@@ -698,12 +685,12 @@ def ltw_pipeline(p: Pipeline) -> dict:
     if genus != 0:
         raise SceneError(f"ltw pipeline needs genus 0, got {genus}")
     root = host.vertices[0]
-    host_td = radius_decomposition(host, root)
-    host_lay = bfs_layering(host, [root])
-    prod_td = product_lift(host_td, model.copies)
-    prod_layers = [[(v, i) for v in layer for i in range(1, model.copies + 1)]
-                   for layer in host_lay.layers]
-    lifted = ltw_lift(prod_td, Layering(prod_layers), model, params.r, genus)
+    lifted = ltw_lift(radius_decomposition(host, root), bfs_layering(host, [root]),
+                      model, params.r)
+    bound = bounds("ltw-shallow", {"r": params.r, "d": params.d, "g": genus})
+    if lifted["layered_width"] > bound:
+        raise InvariantError(f"lifted layered width {lifted['layered_width']} "
+                             f"> 3(4r+1)(d+1) = {bound}")
     report = verify_td(lifted["td"], p.graph)
     if not report["valid"]:
         raise InvariantError(f"lifted td invalid: {report['reason']}")
@@ -712,7 +699,7 @@ def ltw_pipeline(p: Pipeline) -> dict:
         raise InvariantError(f"lifted layering invalid: {lrep['reason']}")
     lifted["params"] = params
     lifted["genus"] = genus
-    lifted["bound"] = bounds("ltw-shallow", {"r": params.r, "d": params.d, "g": genus})
+    lifted["bound"] = bound
     return lifted
 
 

@@ -66,9 +66,6 @@ class EmbeddedGraph:
     def degree(self, v) -> int:
         return len(self.rotation[v])
 
-    def neighbours(self, v) -> set:
-        return {self.dart_head(d) for d in self.rotation[v]}
-
     def simple_graph(self):
         from .graph import Graph
         g = Graph(vertices=self.vertices())
@@ -162,12 +159,9 @@ class EmbeddedGraph:
 
     def euler_genus(self) -> int:
         """Sum over components of 2 - V + E - F."""
-        from .graph import Graph, connected_components
-        g = Graph(vertices=self.vertices())
-        for eid, (u, v) in self.edge_ends.items():
-            g.add_edge(u, v)
+        from .graph import connected_components
         comp_of = {}
-        comps = connected_components(g)
+        comps = connected_components(self.simple_graph())
         for i, comp in enumerate(comps):
             for v in comp:
                 comp_of[v] = i

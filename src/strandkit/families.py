@@ -407,18 +407,18 @@ def _random_candidate(n: int, cap: int, rng: random.Random) -> StringScene:
     return scene
 
 
-def gen_grounded(n: int, seed: int, hooks: bool = True) -> StringScene:
+def gen_grounded(n: int, seed: int) -> StringScene:
     """Random grounded scene: n curves rooted on one disk, crossing above it.
 
     Each curve climbs from its boundary point to a private height, runs
-    sideways across other curves' risers, and (optionally) hooks back at a
-    second height to cross some of them twice.  All coordinates use distinct
+    sideways across other curves' risers, and with probability 1/2 hooks
+    back at a second height to cross some of them twice.  All coordinates use distinct
     denominators, so the arrangement is degenerate-free by construction.
     """
     if n < 1:
         raise SceneError("need at least 1 curve")
     for attempt in range(200):
-        s = _grounded_candidate(n, random.Random(f"{seed}:{attempt}"), hooks)
+        s = _grounded_candidate(n, random.Random(f"{seed}:{attempt}"))
         try:
             events = compute_arrangement(s)
         except (SceneError, DegeneracyError):
@@ -429,7 +429,7 @@ def gen_grounded(n: int, seed: int, hooks: bool = True) -> StringScene:
     raise SceneError(f"no isolated-curve-free grounded scene for seed {seed}")
 
 
-def _grounded_candidate(n: int, rng: random.Random, hooks: bool) -> StringScene:
+def _grounded_candidate(n: int, rng: random.Random) -> StringScene:
     s = StringScene()
     s.disks["D"] = Disk("D", pt(0, 0), Fraction(1))
     # boundary points on the upper semicircle via the tangent half-angle map
@@ -449,7 +449,7 @@ def _grounded_candidate(n: int, rng: random.Random, hooks: bool) -> StringScene:
         tx = Fraction(2 * reach - n, 1) + Fraction(rank + 1, 4 * n + 5)
         if tx != x0:
             path.append(Point(tx, h1))
-            if hooks and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 h2 = h1 + Fraction(rng.randint(1, 4 * n), (4 * n + 3) ** 2)
                 bx = Fraction(2 * rng.randint(0, n) - n, 1) + \
                     Fraction(rank + 1, 4 * n + 7)

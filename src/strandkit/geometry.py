@@ -116,6 +116,22 @@ def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentInt
     return SegmentIntersection(SegmentIntersection.DISJOINT)
 
 
+def _segment_boxes(points) -> list[tuple]:
+    """Closed bounding box (xlo, ylo, xhi, yhi) of each segment of a polyline."""
+    return [(min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
+            for p, q in zip(points, points[1:])]
+
+
+def _boxes_disjoint(p: tuple, q: tuple) -> bool:
+    """Do two closed boxes miss each other?  Boxes that touch still meet.
+
+    Closed segments whose boxes are disjoint cannot meet, so the exact
+    segment test is skipped for them; touching boxes keep every tangency,
+    overlap and endpoint contact in front of intersect_segments.
+    """
+    return p[2] < q[0] or q[2] < p[0] or p[3] < q[1] or q[3] < p[1]
+
+
 def polyline_self_intersects(points: list[Point]) -> bool:
     """Does the polyline cross, touch, or overlap itself anywhere?
 
@@ -125,8 +141,11 @@ def polyline_self_intersects(points: list[Point]) -> bool:
     n = len(points)
     if len(set(points)) != n:
         return True
+    boxes = _segment_boxes(points)
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
+            if _boxes_disjoint(boxes[i], boxes[j]):
+                continue
             res = intersect_segments(points[i], points[i + 1],
                                      points[j], points[j + 1])
             if res.kind == SegmentIntersection.DISJOINT:

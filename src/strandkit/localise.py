@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arrangement import events_on_curve, intersection_graph
+from .decomp import bounds
 from .errors import CheckFailure, SceneError
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
@@ -67,6 +68,7 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
     sigma: dict = {}
     drawing: dict = {}
     selected_ids = {e.id for e in selection.values()}
+    by_id = events_by_id(events)
     # piece id of the segment of each curve covering a given event position
     piece_at: dict = {}
 
@@ -94,7 +96,7 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
         cid = pid[0]
         kept = []
         for xid in drawing[pid]:
-            e = events_by_id(events)[xid]
+            e = by_id[xid]
             other = e.other(cid)
             opid = piece_at.get((other, xid))
             if opid is None:
@@ -109,7 +111,7 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
             raise CheckFailure(f"R pairs two pieces of curve {c1!r}")
 
     return AuxiliaryInstance(H, pieces, R, sigma, drawing, dict(selection),
-                             events_by_id(events), scene)
+                             by_id, scene)
 
 
 def events_by_id(events: list[CrossingEvent]) -> dict:
@@ -216,7 +218,7 @@ def crossing_census(scene: StringScene, events: list[CrossingEvent],
     for cid in scene.curve_ids():
         count = len(by_curve[cid])
         deg = len({e.other(cid) for e in by_curve[cid]})
-        bound = 2 ** deg * (deg - 1) + 1
+        bound = bounds("localised", {"delta": deg})
         out[cid] = {"count": count, "degree": deg, "bound": bound,
                     "within_bound": count <= bound}
     report = {"curves": out}

@@ -40,7 +40,6 @@ class Planarisation:
     kind: dict                 # vertex -> "endpoint" | "dummy"
     curve_paths: dict          # curve id -> list of vertices (L_gamma)
     events: dict               # event id -> CrossingEvent
-    scene: StringScene
 
     def endpoints(self) -> list:
         return sorted(v for v, k in self.kind.items() if k == "endpoint")
@@ -90,7 +89,7 @@ def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
             g.rotation[e.id] = [a_next, b_prev, a_prev, b_next]
 
     g.check()
-    plan = Planarisation(g, kind, paths, by_id, scene)
+    plan = Planarisation(g, kind, paths, by_id)
     _check_planarisation(plan, events)
     return plan
 

@@ -33,10 +33,6 @@ class Curve:
     def is_geometric(self) -> bool:
         return self.points is not None
 
-    def endpoints(self) -> tuple[Point, Point]:
-        assert self.points is not None
-        return self.points[0], self.points[-1]
-
 
 @dataclass(frozen=True)
 class Disk:

@@ -2,13 +2,15 @@ import importlib
 import json
 import pkgutil
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 import strandkit
 from strandkit.cli import main
-from strandkit.scene import dump_scene
+from strandkit.geometry import pt
+from strandkit.scene import Curve, StringScene, dump_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -163,6 +165,36 @@ def test_oversized_bound_exit_2(capsys):
                     "--params", "r=1000000000", "c=1", "g=0")
     assert code == 2 and rep["kind"] == "invalid-input"
     assert "more than 8192 bits" in rep["error"]
+
+
+def ladder_scene():
+    """a and b horizontal, c vertical across both: c has two smaller-colour
+    neighbours under the colouring below."""
+    s = StringScene()
+    s.curves["a"] = Curve("a", (pt(0, 0), pt(4, 0)))
+    s.curves["b"] = Curve("b", (pt(0, 2), pt(4, 2)))
+    s.curves["c"] = Curve("c", (pt(2, -1), pt(2, 3)))
+    s.validate()
+    return s
+
+
+@pytest.mark.parametrize("command", ["verify", "model", "decomp"])
+def test_huge_colour_weak_diameter_exit_2(capsys, tmp_path, command):
+    scene = tmp_path / "scene.json"
+    dump_scene(ladder_scene(), scene)
+    col = tmp_path / "colouring.json"
+    col.write_text(json.dumps({"a": 1, "b": 2, "c": 16000}))
+    start = time.perf_counter()
+    code = main([command, "--in", str(scene), "--colouring", str(col)])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    report = json.loads(out)
+    assert report["kind"] == "invalid-input"
+    assert "'weak-diameter'" in report["error"]
+    assert "more than 8192 bits" in report["error"]
+    assert "Traceback" not in out + err
+    assert elapsed < 1
 
 
 def count_stage_calls(monkeypatch) -> dict:

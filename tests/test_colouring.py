@@ -3,8 +3,8 @@ import pytest
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import (OrderedColouring, check_ordered,
                                  compute_params, degeneracy, degeneracy_order,
-                                 greedy_colouring, relabel, verify_tdeg,
-                                 weak_diameter_bound)
+                                 greedy_colouring, relabel, verify_tdeg)
+from strandkit.decomp import bounds
 from strandkit.errors import SceneError
 from strandkit.graph import Graph
 
@@ -53,7 +53,7 @@ def test_plus_sign_params(plus_sign, plus_colouring):
     events = compute_arrangement(plus_sign)
     p = compute_params(plus_sign, events, plus_colouring)
     assert (p.t, p.d, p.k) == (2, 1, 1)
-    assert p.r == weak_diameter_bound(2, 1) == 3
+    assert p.r == bounds("weak-diameter", {"t": 2, "k": 1}) == 3
 
 
 def test_multicross_params(abstract_multicross, abstract_colouring):
@@ -64,13 +64,13 @@ def test_multicross_params(abstract_multicross, abstract_colouring):
     assert p.k >= 2
     # largest fragment of m holds 2 distinct higher crossers (c4, c5)
     assert p.d == 2
-    assert p.r == weak_diameter_bound(p.t, p.k)
+    assert p.r == bounds("weak-diameter", {"t": p.t, "k": p.k})
 
 
 def test_weak_diameter_bound_values():
-    assert weak_diameter_bound(2, 1) == 3
-    assert weak_diameter_bound(3, 2) == 15
-    assert weak_diameter_bound(1, 0) == 0
+    assert bounds("weak-diameter", {"t": 2, "k": 1}) == 3
+    assert bounds("weak-diameter", {"t": 3, "k": 2}) == 15
+    assert bounds("weak-diameter", {"t": 1, "k": 0}) == 0
 
 
 def test_verify_tdeg():

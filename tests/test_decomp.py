@@ -6,11 +6,12 @@ from strandkit.colouring import OrderedColouring
 from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               TreeDecomposition, bfs_layering, bounds,
                               exact_treewidth, exact_treewidth_decomposition, grounded_quotient,
-                              ltw_pipeline, merge_layers, minor_lift,
-                              outerstring_decomposition, product_lift,
-                              radius_decomposition, td_to_pace, verify_layering,
+                              ltw_lift, ltw_pipeline, merge_layers, minor_lift,
+                              outerstring_decomposition, radius_decomposition,
+                              shallow_centers, td_to_pace, verify_layering,
                               verify_td)
-from strandkit.errors import SceneError
+from strandkit.errors import CheckFailure, InvariantError, SceneError
+from strandkit.families import gen_grounded
 from strandkit.graph import Graph, eccentricity
 
 
@@ -139,6 +140,48 @@ def test_radius_decomposition_rejects_nonplanar():
 
 # --------------------------------------------------------------- lifts
 
+def product_lift(td: TreeDecomposition, n: int) -> TreeDecomposition:
+    """Reference: a td of H lifted to H x K_n by multiplying every bag by
+    the n copies."""
+    bags = {node: frozenset((v, i) for v in td.bags[node] for i in range(1, n + 1))
+            for node in td.nodes}
+    return TreeDecomposition(list(td.nodes), list(td.edges), bags)
+
+
+def product_minor_lift(td: TreeDecomposition, model) -> TreeDecomposition:
+    """Reference: a product-level td lifted bag by bag through the branch
+    sets' (host vertex, copy) members."""
+    membership: dict = {}
+    for v in sorted(model.mu):
+        for pv in model.mu[v]:
+            membership.setdefault(pv, set()).add(v)
+    bags = {}
+    for node in td.nodes:
+        bag = set()
+        for pv in td.bags[node]:
+            bag |= membership.get(pv, set())
+        bags[node] = frozenset(bag)
+    return TreeDecomposition(list(td.nodes), list(td.edges), bags)
+
+
+def product_ltw_lift(host_td, host_layering, model, r) -> dict:
+    """Reference: the layered-width lift through the product: td and
+    layering multiplied by the copies, blocks read off the product layer of
+    each branch set's center."""
+    prod_td = product_lift(host_td, model.copies)
+    prod_layering = Layering([[(v, i) for v in layer
+                               for i in range(1, model.copies + 1)]
+                              for layer in host_layering.layers])
+    centers = shallow_centers(model, r)
+    td = product_minor_lift(prod_td, model)
+    prod_idx = prod_layering.index()
+    block = {v: prod_idx[centers[v]] // (2 * r + 1) for v in centers}
+    layers: list = [[] for _ in range(max(block.values(), default=0) + 1)]
+    for v in sorted(block):
+        layers[block[v]].append(v)
+    return {"td": td, "layering": Layering(layers)}
+
+
 def test_product_lift():
     g = Graph(vertices="ab", edges=[("a", "b")])
     td = TreeDecomposition([0], [], {0: frozenset("ab")})
@@ -154,10 +197,67 @@ def test_minor_lift_width_bound():
     model = MinorModel({"a": frozenset({("x", 1)}),
                         "b": frozenset({("y", 1), ("y", 2)})}, host, 2)
     host_td = TreeDecomposition([0], [], {0: frozenset("xy")})
-    prod_td = product_lift(host_td, 2)
-    td = minor_lift(prod_td, model)
+    td = minor_lift(host_td, model)
+    assert td == product_minor_lift(product_lift(host_td, 2), model)
     G = Graph(vertices="ab", edges=[("a", "b")])
     assert verify_td(td, G)["valid"]
+
+
+def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
+    scenes = [("plus_sign", plus_sign), ("bigon_scene", bigon_scene)] + \
+        [(f"gen_grounded(12, {s})", gen_grounded(12, s)) for s in range(4)]
+    for name, scene in scenes:
+        p = Pipeline(scene)
+        model, host = p.model, p.model.host
+        root = host.vertices[0]
+        host_td = radius_decomposition(host, root)
+        host_layering = bfs_layering(host, [root])
+        # minor_lift reads only projections; the reference reads copies
+        assert minor_lift(host_td, model) == product_minor_lift(
+            product_lift(host_td, model.copies), model), name
+        # the ltw pipeline emits the td.json and layering.json of the
+        # reference lift, and certifies its layered width once
+        rep = ltw_pipeline(p)
+        ref = product_ltw_lift(host_td, host_layering, model, p.params.r)
+        assert rep["td"].to_json() == ref["td"].to_json(), name
+        assert rep["layering"].to_json() == ref["layering"].to_json(), name
+        assert rep["layered_width"] == merge_layers(
+            ref["td"], ref["layering"])["layered_width"], name
+        assert rep["bound"] == 3 * (4 * p.params.r + 1) * model.copies, name
+        # below the pipeline's r, and with one host vertex per layer, the
+        # lifted layering has several blocks
+        singletons = Layering([[h] for h in host.vertices])
+        for r in range(min(p.params.r, len(host)) + 1):
+            for layering in (host_layering, singletons):
+                try:
+                    ref = product_ltw_lift(host_td, layering, model, r)
+                except CheckFailure:
+                    continue
+                got = ltw_lift(host_td, layering, model, r)
+                assert got["td"].to_json() == ref["td"].to_json(), (name, r)
+                assert got["layering"].to_json() == ref["layering"].to_json(), \
+                    (name, r)
+
+
+def test_outerstring_lift_matches_product_reference(outerstring_scene,
+                                                    outerstring_colouring):
+    for scene, colouring in [(outerstring_scene, outerstring_colouring)] + \
+            [(gen_grounded(12, s), None) for s in range(4)]:
+        p = Pipeline(scene, colouring)
+        quotient, centers = grounded_quotient(p.cp, p.scene)
+        td0 = radius_decomposition(quotient, centers[0])
+        ref = product_minor_lift(product_lift(td0, p.params.d + 1), p.model)
+        assert outerstring_decomposition(p)["td"].to_json() == ref.to_json()
+
+
+def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
+                                                plus_colouring):
+    import strandkit.decomp as decomp
+    real = decomp.bounds
+    monkeypatch.setattr(decomp, "bounds", lambda theorem, params: (
+        0 if theorem == "ltw-shallow" else real(theorem, params)))
+    with pytest.raises(InvariantError, match=r"lifted layered width 2 > 3\(4r\+1\)"):
+        ltw_pipeline(Pipeline(plus_sign, plus_colouring))
 
 
 def test_merge_layers():

@@ -1,5 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
+
+from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import (Point, SegmentIntersection, centroid,
                                 clip_convex, convex_polygon_contains, cross,
                                 intersect_segments, polygon_is_convex_ccw,
@@ -48,6 +52,58 @@ def test_exact_rational_crossing_point():
 def test_polyline_self_intersection():
     assert polyline_self_intersects([pt(0, 0), pt(2, 0), pt(1, 1), pt(1, -1)])
     assert not polyline_self_intersects([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
+
+
+def all_pairs_self_intersects(points) -> bool:
+    """Reference: the exact segment test on every pair of segments."""
+    n = len(points)
+    if len(set(points)) != n:
+        return True
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            res = intersect_segments(points[i], points[i + 1],
+                                     points[j], points[j + 1])
+            if res.kind == SegmentIntersection.DISJOINT:
+                continue
+            if j == i + 1 and res.kind == SegmentIntersection.TOUCH \
+                    and res.point == points[j]:
+                continue
+            return True
+    return False
+
+
+# polylines whose segment boxes meet only on their boundary, or nowhere
+POLYLINE_FIXTURES = {
+    "hinge": ([(0, 0), (2, 0), (2, 2)], False),
+    "acute-hinge": ([(0, 0), (4, 0), (1, 1)], False),
+    "backtrack": ([(0, 0), (2, 0), (1, 0)], True),
+    "t-touch": ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0)], True),
+    "box-corner-miss": ([(0, 0), (2, 1), (5, 1), (3, 0), (2, -1)], False),
+    "far-apart": ([(0, 0), (1, 0), (5, 5), (6, 5)], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYLINE_FIXTURES))
+def test_self_intersection_fixtures(name):
+    points, want = POLYLINE_FIXTURES[name]
+    points = [pt(*q) for q in points]
+    assert polyline_self_intersects(points) == want
+    assert all_pairs_self_intersects(points) == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filtered_self_intersection_matches_all_pairs_reference(seed):
+    """Every curve of two seeded scenes, and every concatenation of two of
+    their curves (which often does self-intersect)."""
+    seen = set()
+    for scene in (gen_grounded(20, seed), gen_random(8, 2, seed)):
+        curves = [list(c.points) for c in scene.curves.values()]
+        polylines = curves + [a + b for a, b in combinations(curves, 2)]
+        for points in polylines:
+            got = polyline_self_intersects(points)
+            assert got == all_pairs_self_intersects(points)
+            seen.add(got)
+    assert seen == {False, True}
 
 
 def test_convexity_predicate():
