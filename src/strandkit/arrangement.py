@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegeneracyError
 from .geometry import (Point, SegmentIntersection, _boxes_disjoint, _segment_boxes,
-                       direction_cross, intersect_segments)
+                       intersect_segments)
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
 
@@ -28,7 +26,7 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     ids = scene.curve_ids()
     boxes = {c: _segment_boxes(scene.curves[c].points) for c in ids}
     hulls = {c: _hull(boxes[c]) for c in ids}
-    raw: dict[tuple[str, str], list[dict]] = {}
+    raw: dict[tuple[str, str], list[tuple]] = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             if _boxes_disjoint(hulls[a], hulls[b]):
@@ -41,43 +39,28 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     # reject triple points: two events from different pairs at one location
     seen: dict[Point, tuple[str, str]] = {}
     for pair in sorted(raw):
-        for hit in raw[pair]:
-            p = hit["point"]
+        for _, _, p, _ in raw[pair]:
             if p in seen and seen[p] != pair:
                 raise DegeneracyError(
                     f"three curves meet at {p}: pairs {seen[p]} and {pair}")
             seen[p] = pair
 
-    events: list[CrossingEvent] = []
-    per_curve: dict[str, list[tuple]] = {c: [] for c in ids}
-    for (a, b) in sorted(raw):
-        hits = sorted(raw[(a, b)], key=lambda h: h["pos_a"])
-        for k, hit in enumerate(hits):
-            ev = CrossingEvent(
-                id=f"x:{a}:{b}:{k}",
-                curve_a=a, curve_b=b,
-                index_in_a=-1, index_in_b=-1,   # filled after global sort
-                chirality=hit["sign"],
-                location=hit["point"],
-            )
-            per_curve[a].append((hit["pos_a"], ev))
-            per_curve[b].append((hit["pos_b"], ev))
-            events.append(ev)
-
-    # arc-sorted positions along each curve give the per-curve indices
-    indexed: dict[str, dict[str, int]] = {}
-    for c in ids:
-        order = sorted(per_curve[c], key=lambda item: item[0])
-        indexed[c] = {ev.id: i for i, (_, ev) in enumerate(order)}
-    final = []
-    for ev in events:
-        final.append(CrossingEvent(
-            id=ev.id, curve_a=ev.curve_a, curve_b=ev.curve_b,
-            index_in_a=indexed[ev.curve_a][ev.id],
-            index_in_b=indexed[ev.curve_b][ev.id],
-            chirality=ev.chirality, location=ev.location))
-    final.sort(key=lambda e: e.id)
-    return final
+    # a pair's crossings are numbered along a; arc positions (segment,
+    # parameter) along each curve give the per-curve indices
+    crossings: dict[str, tuple] = {}
+    along: dict[str, list[tuple]] = {c: [] for c in ids}
+    for (a, b), hits in raw.items():
+        for k, (pos_a, pos_b, p, sign) in enumerate(sorted(hits)):
+            eid = f"x:{a}:{b}:{k}"
+            crossings[eid] = (a, b, p, sign)
+            along[a].append((pos_a, eid))
+            along[b].append((pos_b, eid))
+    index = {(c, eid): k for c in ids
+             for k, (_, eid) in enumerate(sorted(along[c]))}
+    return [CrossingEvent(id=eid, curve_a=a, curve_b=b,
+                          index_in_a=index[(a, eid)], index_in_b=index[(b, eid)],
+                          chirality=sign, location=p)
+            for eid, (a, b, p, sign) in sorted(crossings.items())]
 
 
 def _hull(boxes: list[tuple]) -> tuple:
@@ -87,9 +70,11 @@ def _hull(boxes: list[tuple]) -> tuple:
 
 
 def _curve_pair_crossings(a: Curve, b: Curve, boxes_a: list[tuple],
-                          boxes_b: list[tuple]) -> list[dict]:
+                          boxes_b: list[tuple]) -> list[tuple]:
+    """((i, t), (j, s), point, sign) of each crossing of segment i of a with
+    segment j of b, in segment-pair order; any other contact is an error."""
     hits = []
-    pa, pb = list(a.points), list(b.points)
+    pa, pb = a.points, b.points
     for i in range(len(pa) - 1):
         for j in range(len(pb) - 1):
             if _boxes_disjoint(boxes_a[i], boxes_b[j]):
@@ -104,23 +89,8 @@ def _curve_pair_crossings(a: Curve, b: Curve, boxes_a: list[tuple],
                 raise DegeneracyError(
                     f"curves {a.id!r} and {b.id!r} touch non-transversally at {res.point} "
                     "(tangency, bend crossing, or endpoint on another curve)")
-            p = res.point
-            da = pa[i + 1] - pa[i]
-            db = pb[j + 1] - pb[j]
-            sign = 1 if direction_cross(da, db) > 0 else -1
-            hits.append({
-                "point": p,
-                "sign": sign,
-                "pos_a": (i, _segment_parameter(pa[i], pa[i + 1], p)),
-                "pos_b": (j, _segment_parameter(pb[j], pb[j + 1], p)),
-            })
+            hits.append(((i, res.t), (j, res.s), res.point, res.sign))
     return hits
-
-
-def _segment_parameter(a: Point, b: Point, p: Point) -> Fraction:
-    if b.x != a.x:
-        return (p.x - a.x) / (b.x - a.x)
-    return (p.y - a.y) / (b.y - a.y)
 
 
 def _abstract_arrangement(scene: StringScene) -> list[CrossingEvent]:

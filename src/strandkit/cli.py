@@ -23,8 +23,8 @@ from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                        gen_segment_family)
 from .localise import localise_pipeline
 from .planarise import (check_coloured_planarisation, coloured_to_dot,
-                        coloured_to_json, euler_genus, planarisation_to_dot,
-                        planarisation_to_json, scene_to_svg)
+                        coloured_to_json, endpoint_id, euler_genus,
+                        planarisation_to_dot, planarisation_to_json, scene_to_svg)
 from .product_model import (grounded_distance_check, verify_model,
                             walk_weak_diameter)
 from .scene import StringScene, dumps_canonical, load_scene
@@ -304,7 +304,7 @@ def _cmd_verify(args) -> dict:
 
     scene = p.scene
     if genus == 0 and len(scene.disks) == 1 and scene.grounded_curves():
-        ends = {f"e:{cid}:{scene.curves[cid].grounded[1]}"
+        ends = {endpoint_id(cid, scene.curves[cid].grounded[1])
                 for cid in scene.grounded_curves()}
         if set(scene.grounded_curves()) == set(scene.curve_ids()):
             grounded_distance_check(p.cp, ends)

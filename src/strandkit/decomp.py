@@ -20,7 +20,7 @@ from .errors import CheckFailure, InvariantError, SceneError
 from .embedding import EmbeddedGraph
 from .graph import Graph, bfs_distances, connected_components, eccentricity
 from .planarise import (ColouredPlanarisation, Planarisation,
-                        coloured_planarisation, euler_genus, planarise)
+                        coloured_planarisation, endpoint_id, euler_genus, planarise)
 from .product_model import MinorModel, build_model
 from .scene import StringScene
 
@@ -395,8 +395,9 @@ def radius_decomposition(G: Graph, root) -> TreeDecomposition:
     report = verify_td(td, G)
     if not report["valid"]:
         raise InvariantError(f"radius decomposition invalid: {report['reason']}")
-    if td.width > 3 * r + 1:
-        raise InvariantError(f"radius decomposition width {td.width} > 3r+1 = {3 * r + 1}")
+    bound = bounds("planar-radius-tw", {"r": r})
+    if td.width > bound:
+        raise InvariantError(f"radius decomposition width {td.width} > 3r+1 = {bound}")
     return td
 
 
@@ -559,7 +560,7 @@ def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
         gr = scene.curves[cid].grounded
         if gr is None:
             raise SceneError(f"curve {cid!r} is not grounded")
-        grounded_of[f"e:{cid}:{gr[1]}"] = centers[gr[0]]
+        grounded_of[endpoint_id(cid, gr[1])] = centers[gr[0]]
     out = Graph()
     for w in centers.values():
         out.add_vertex(w)

@@ -366,9 +366,7 @@ def gen_random(n: int, crossings_per_pair: int, seed: int) -> StringScene:
         try:
             scene.validate()
             events = compute_arrangement(scene)
-        except SceneError:
-            continue
-        except Exception:
+        except (SceneError, DegeneracyError):
             continue
         per_pair: dict = {}
         crossing = set()

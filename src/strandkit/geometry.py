@@ -20,12 +20,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def scale(self, s: Fraction) -> "Point":
-        return Point(self.x * s, self.y * s)
-
     def to_json(self) -> list:
         return [[self.x.numerator, self.x.denominator],
                 [self.y.numerator, self.y.denominator]]
@@ -46,33 +40,34 @@ def cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def direction_cross(da: Point, db: Point) -> Fraction:
-    return da.x * db.y - da.y * db.x
-
-
-def collinear(a: Point, b: Point, c: Point) -> bool:
-    return cross(a, b, c) == 0
-
-
-def on_segment(p: Point, a: Point, b: Point) -> bool:
-    """Is p on the closed segment ab?  Assumes nothing about collinearity."""
-    if cross(a, b, p) != 0:
-        return False
+def _in_box(p: Point, a: Point, b: Point) -> bool:
+    """Is p in the closed bounding box of ab?  For p on the line ab, that is
+    p on the closed segment ab."""
     return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
             and min(a.y, b.y) <= p.y <= max(a.y, b.y))
 
 
 class SegmentIntersection:
-    """Classification of how two closed segments meet."""
+    """Classification of how two closed segments meet.
+
+    A PROPER crossing also carries its parameter t on a1a2 and s on b1b2
+    (point = a1 + t (a2 - a1) = b1 + s (b2 - b1)) and the sign of
+    (a2 - a1) x (b2 - b1): +1 when b crosses a from right to left.
+    """
 
     DISJOINT = "disjoint"
     PROPER = "proper"          # transversal crossing in both interiors
     TOUCH = "touch"            # meet at a single point, not interior-interior
     OVERLAP = "overlap"        # collinear with a shared sub-segment
 
-    def __init__(self, kind: str, point: Optional[Point] = None):
+    def __init__(self, kind: str, point: Optional[Point] = None,
+                 t: Optional[Fraction] = None, s: Optional[Fraction] = None,
+                 sign: Optional[int] = None):
         self.kind = kind
         self.point = point
+        self.t = t
+        self.s = s
+        self.sign = sign
 
 
 def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentIntersection:
@@ -84,11 +79,12 @@ def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentInt
 
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
        ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        # proper crossing: solve for the intersection point exactly
-        denom = d1 - d2
-        t = d1 / denom
+        # proper crossing: solve for the intersection point exactly; d3 and
+        # d4 have opposite signs and (a2 - a1) x (b2 - b1) = d4 - d3
+        t = d1 / (d1 - d2)
         p = Point(a1.x + (a2.x - a1.x) * t, a1.y + (a2.y - a1.y) * t)
-        return SegmentIntersection(SegmentIntersection.PROPER, p)
+        return SegmentIntersection(SegmentIntersection.PROPER, p, t,
+                                   d3 / (d3 - d4), 1 if d4 > 0 else -1)
 
     if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
         # collinear: overlap, touch at one point, or disjoint
@@ -102,17 +98,11 @@ def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentInt
             return SegmentIntersection(SegmentIntersection.TOUCH, lo)
         return SegmentIntersection(SegmentIntersection.OVERLAP)
 
-    touches = []
-    if d1 == 0 and on_segment(a1, b1, b2):
-        touches.append(a1)
-    if d2 == 0 and on_segment(a2, b1, b2):
-        touches.append(a2)
-    if d3 == 0 and on_segment(b1, a1, a2):
-        touches.append(b1)
-    if d4 == 0 and on_segment(b2, a1, a2):
-        touches.append(b2)
-    if touches:
-        return SegmentIntersection(SegmentIntersection.TOUCH, touches[0])
+    # d == 0 puts that endpoint on the other segment's line
+    for d, p, q, r in ((d1, a1, b1, b2), (d2, a2, b1, b2),
+                       (d3, b1, a1, a2), (d4, b2, a1, a2)):
+        if d == 0 and _in_box(p, q, r):
+            return SegmentIntersection(SegmentIntersection.TOUCH, p)
     return SegmentIntersection(SegmentIntersection.DISJOINT)
 
 
@@ -141,21 +131,20 @@ def polyline_self_intersects(points: list[Point]) -> bool:
     n = len(points)
     if len(set(points)) != n:
         return True
+    # with distinct points, segments pq and qr meet beyond the hinge q only
+    # when they are collinear and r lies on p's side of q
+    for p, q, r in zip(points, points[1:], points[2:]):
+        if cross(p, q, r) == 0 and \
+                (p.x - q.x) * (r.x - q.x) + (p.y - q.y) * (r.y - q.y) > 0:
+            return True
     boxes = _segment_boxes(points)
     for i in range(n - 1):
-        for j in range(i + 1, n - 1):
+        for j in range(i + 2, n - 1):
             if _boxes_disjoint(boxes[i], boxes[j]):
                 continue
-            res = intersect_segments(points[i], points[i + 1],
-                                     points[j], points[j + 1])
-            if res.kind == SegmentIntersection.DISJOINT:
-                continue
-            if j == i + 1:
-                # adjacent segments: allowed to share the hinge only
-                if res.kind == SegmentIntersection.TOUCH and res.point == points[j]:
-                    continue
+            res = intersect_segments(points[i], points[i + 1], points[j], points[j + 1])
+            if res.kind != SegmentIntersection.DISJOINT:
                 return True
-            return True
     return False
 
 

@@ -68,7 +68,7 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
     sigma: dict = {}
     drawing: dict = {}
     selected_ids = {e.id for e in selection.values()}
-    by_id = events_by_id(events)
+    by_id = {e.id: e for e in events}
     # piece id of the segment of each curve covering a given event position
     piece_at: dict = {}
 
@@ -112,10 +112,6 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
 
     return AuxiliaryInstance(H, pieces, R, sigma, drawing, dict(selection),
                              by_id, scene)
-
-
-def events_by_id(events: list[CrossingEvent]) -> dict:
-    return {e.id: e for e in events}
 
 
 def r_membership_counts(inst: AuxiliaryInstance) -> dict:
@@ -234,20 +230,14 @@ def localise_pipeline(scene: StringScene, events: list[CrossingEvent]) -> dict:
     inst = build_HR(scene, events, selection)
     reduced = bigon_reduce(inst)
     new_scene = reassemble(reduced)
-    new_events = [inst.events[x] for c in new_scene.curves.values()
-                  for x in c.crossings]
-    seen = set()
-    uniq = []
-    for e in sorted(new_events, key=lambda e: e.id):
-        if e.id not in seen:
-            seen.add(e.id)
-            uniq.append(e)
+    new_events = [inst.events[x] for x in
+                  sorted({x for c in new_scene.curves.values() for x in c.crossings})]
     return {
         "instance": inst,
         "reduced": reduced,
         "scene": new_scene,
         "census_before": crossing_census(scene, events),
-        "census_after": crossing_census(new_scene, uniq),
+        "census_after": crossing_census(new_scene, new_events),
         "crossings_before": inst.crossing_count(),
         "crossings_after": reduced.crossing_count(),
     }

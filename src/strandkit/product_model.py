@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError, SceneError
 from .graph import Graph, bfs_distances
-from .planarise import ColouredPlanarisation
+from .planarise import ColouredPlanarisation, endpoint_id
 
 
 @dataclass
@@ -147,7 +147,7 @@ def grounded_distance_check(cp: ColouredPlanarisation, Y) -> int:
     """
     Y = set(Y)
     for cid in sorted(cp.walks):
-        ends = {f"e:{cid}:0", f"e:{cid}:1"}
+        ends = {endpoint_id(cid, 0), endpoint_id(cid, 1)}
         if not ends & Y:
             raise SceneError(f"curve {cid!r} has no endpoint in Y")
     if not Y <= cp.endpoints:

@@ -3,14 +3,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strandkit.arrangement import (compute_arrangement, events_on_curve,
                                    events_to_json, intersection_graph)
 from strandkit.errors import DegeneracyError
 from strandkit.families import gen_grounded, gen_random
-from strandkit.geometry import (Point, SegmentIntersection, direction_cross,
-                                intersect_segments, pt, squared_distance)
+from strandkit.geometry import (Point, SegmentIntersection, intersect_segments,
+                                pt, squared_distance)
 from strandkit.scene import Curve, StringScene
+from test_geometry import DEGENERATE, all_pairs_self_intersects
 
 
 def test_plus_sign_single_crossing(plus_sign):
@@ -127,6 +130,10 @@ def test_deterministic_event_list(bigon_scene):
     assert one == two
 
 
+def direction_cross(da: Point, db: Point) -> Fraction:
+    return da.x * db.y - da.y * db.x
+
+
 def all_pairs_events_json(scene):
     """Unfiltered reference: every segment pair of every curve pair goes to
     intersect_segments.  Ids number a pair's crossings along the smaller
@@ -169,6 +176,40 @@ def test_filtered_arrangement_matches_all_pairs_reference(seed):
     for scene in (gen_random(8, 2, seed), gen_grounded(20, seed)):
         got = json.dumps(events_to_json(compute_arrangement(scene)))
         assert got == json.dumps(all_pairs_events_json(scene))
+
+
+def longest_simple_prefix(points):
+    """The longest prefix of distinct points that is a valid curve."""
+    k = 2
+    while k < len(points) and not all_pairs_self_intersects(points[:k + 1]):
+        k += 1
+    return points[:k]
+
+
+# valid curves on a 4 x 4 integer grid; two of them often touch or overlap
+grid_curves = st.lists(st.builds(pt, st.integers(0, 3), st.integers(0, 3)),
+                       min_size=2, max_size=6, unique=True).map(longest_simple_prefix)
+
+
+@DEGENERATE
+@given(grid_curves, grid_curves)
+def test_arrangement_matches_all_pairs_reference_on_grid(a, b):
+    """A degeneracy error exactly when some segment pair touches or
+    overlaps, else the reference's events."""
+    s = StringScene()
+    s.curves["a"] = Curve("a", tuple(a))
+    s.curves["b"] = Curve("b", tuple(b))
+    s.validate()
+    degenerate = any(
+        intersect_segments(p, q, u, v).kind in (SegmentIntersection.TOUCH,
+                                                SegmentIntersection.OVERLAP)
+        for p, q in zip(a, a[1:]) for u, v in zip(b, b[1:]))
+    if degenerate:
+        with pytest.raises(DegeneracyError):
+            compute_arrangement(s)
+    else:
+        got = json.dumps(events_to_json(compute_arrangement(s)))
+        assert got == json.dumps(all_pairs_events_json(s))
 
 
 # pairs of polylines whose bounding boxes meet only on their boundary

@@ -260,6 +260,12 @@ def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
         ltw_pipeline(Pipeline(plus_sign, plus_colouring))
 
 
+def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
+    monkeypatch.setitem(_BOUNDS, "planar-radius-tw", lambda p: 0)
+    with pytest.raises(InvariantError, match=r"radius decomposition width 3 > 3r\+1 = 0"):
+        radius_decomposition(wheel_graph(8), 8)
+
+
 def test_merge_layers():
     g = grid_graph(2, 4)
     width, td = exact_treewidth_decomposition(g)

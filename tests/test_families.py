@@ -143,6 +143,16 @@ def test_gen_random_deterministic():
     assert dumps_canonical(a.to_json()) == dumps_canonical(b.to_json())
 
 
+def test_gen_random_lets_unexpected_errors_through(monkeypatch):
+    import strandkit.families as families
+
+    def broken(scene):
+        raise RuntimeError("arrangement bug")
+    monkeypatch.setattr(families, "compute_arrangement", broken)
+    with pytest.raises(RuntimeError, match="arrangement bug"):
+        gen_random(4, 1, 0)
+
+
 def test_gen_random_respects_cap():
     for seed in range(5):
         for cap in (1, 2, 3):

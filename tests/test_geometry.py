@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import (Point, SegmentIntersection, centroid,
@@ -14,6 +16,10 @@ def test_proper_crossing():
     res = intersect_segments(pt(0, 0), pt(2, 2), pt(0, 2), pt(2, 0))
     assert res.kind == SegmentIntersection.PROPER
     assert res.point == pt(1, 1)
+    assert (res.t, res.s, res.sign) == (Fraction(1, 2), Fraction(1, 2), -1)
+    res = intersect_segments(pt(0, 0), pt(2, 0), pt(1, -1), pt(1, 3))
+    assert (res.point, res.t, res.s, res.sign) == \
+        (pt(1, 0), Fraction(1, 2), Fraction(1, 4), 1)
 
 
 def test_touch_at_endpoint():
@@ -76,7 +82,9 @@ def all_pairs_self_intersects(points) -> bool:
 POLYLINE_FIXTURES = {
     "hinge": ([(0, 0), (2, 0), (2, 2)], False),
     "acute-hinge": ([(0, 0), (4, 0), (1, 1)], False),
+    "straight-hinge": ([(0, 0), (1, 0), (2, 0)], False),
     "backtrack": ([(0, 0), (2, 0), (1, 0)], True),
+    "backtrack-past-start": ([(1, 0), (2, 0), (0, 0)], True),
     "t-touch": ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0)], True),
     "box-corner-miss": ([(0, 0), (2, 1), (5, 1), (3, 0), (2, -1)], False),
     "far-apart": ([(0, 0), (1, 0), (5, 5), (6, 5)], False),
@@ -104,6 +112,21 @@ def test_filtered_self_intersection_matches_all_pairs_reference(seed):
             assert got == all_pairs_self_intersects(points)
             seen.add(got)
     assert seen == {False, True}
+
+
+DEGENERATE = settings(derandomize=True, database=None, deadline=None,
+                      max_examples=300)
+
+# polylines on a 4 x 4 integer grid, where repeated points, straight hinges,
+# back-tracking, tangencies and collinear overlaps are common
+grid_polylines = st.lists(st.builds(pt, st.integers(0, 3), st.integers(0, 3)),
+                          min_size=2, max_size=6)
+
+
+@DEGENERATE
+@given(grid_polylines)
+def test_self_intersection_matches_all_pairs_reference_on_grid(points):
+    assert polyline_self_intersects(points) == all_pairs_self_intersects(points)
 
 
 def test_convexity_predicate():
