@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import events_on_curve
+from .arrangement import events_by_curve
 from .errors import SceneError
 from .scene import CrossingEvent, StringScene
 
@@ -109,8 +109,7 @@ def compute_params(scene: StringScene, events: list[CrossingEvent],
     check_ordered(colouring, events)
     d = 0
     k = 0
-    for cid in scene.curve_ids():
-        mine = events_on_curve(events, cid)
+    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
         my_colour = phi[cid]
         smaller = {e.other(cid) for e in mine if phi[e.other(cid)] < my_colour}
         k = max(k, len(smaller))

@@ -88,9 +88,8 @@ def verify_td(td: TreeDecomposition, G: Graph) -> dict:
         if seen != sub:
             return {"valid": False, "width": td.width,
                     "reason": f"bags of {v!r} not connected in tree"}
-    bagsets = list(td.bags.values())
     for u, v in G.edge_list():
-        if not any(u in b and v in b for b in bagsets):
+        if set(where[u]).isdisjoint(where[v]):
             return {"valid": False, "width": td.width,
                     "reason": f"edge {u!r}{v!r} uncovered"}
     return {"valid": True, "width": td.width, "reason": None}

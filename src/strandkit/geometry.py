@@ -1,12 +1,18 @@
 """Exact rational plane geometry.
 
-All predicates are decided with fractions.Fraction arithmetic; there is no
-floating point anywhere in a decision path, so equality and orientation are
-exact and deterministic.
+The hot predicates run on Python ints.  A segment, or a whole polyline, is
+scaled by D, the lcm of its coordinate denominators, so its points become
+integer pairs; two segments with different D meet on the lcm of the two.
+Every orientation, box and distance comparison is then an integer one with
+the sign of its rational original.  fractions.Fraction builds the outputs
+(crossing parameters and locations) and classifies the rare degenerate
+contact through intersect_segments.  There is no floating point anywhere in
+a decision path, so equality and orientation are exact and deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -106,20 +112,84 @@ def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentInt
     return SegmentIntersection(SegmentIntersection.DISJOINT)
 
 
-def _segment_boxes(points) -> list[tuple]:
-    """Closed bounding box (xlo, ylo, xhi, yhi) of each segment of a polyline."""
-    return [(min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y))
-            for p, q in zip(points, points[1:])]
+def _common_denominator(points: Iterable[Point]) -> int:
+    """The lcm of every coordinate denominator of points."""
+    return math.lcm(*{q.denominator for p in points for q in (p.x, p.y)})
 
 
-def _boxes_disjoint(p: tuple, q: tuple) -> bool:
-    """Do two closed boxes miss each other?  Boxes that touch still meet.
+def _scaled(points: Iterable[Point], D: int) -> list[tuple[int, int]]:
+    """Each point times D as an integer pair; D is a common denominator."""
+    return [(p.x.numerator * (D // p.x.denominator),
+             p.y.numerator * (D // p.y.denominator)) for p in points]
 
-    Closed segments whose boxes are disjoint cannot meet, so the exact
-    segment test is skipped for them; touching boxes keep every tangency,
-    overlap and endpoint contact in front of intersect_segments.
+
+def _orientations(a1, a2, b1, b2, ma: int = 1, mb: int = 1
+                  ) -> Optional[tuple[int, int, int, int]]:
+    """intersect_segments' d1..d4 for segments of integer points, or None
+    when one segment lies strictly on one side of the other's line, so the
+    closed segments are disjoint.
+
+    a1a2 and b1b2 may be on different scales: a point of a times ma and a
+    point of b times mb are on one.  Each direction stays on its own scale,
+    so d1, d2 come out times one positive factor and d3, d4 times another:
+    their signs and the ratios d1 / (d1 - d2) and d3 / (d3 - d4) are exact.
+    With all four nonzero the segments cross properly; a zero leaves a
+    contact for intersect_segments.
     """
-    return p[2] < q[0] or q[2] < p[0] or p[3] < q[1] or q[3] < p[1]
+    (ax1, ay1), (ax2, ay2) = a1, a2
+    (bx1, by1), (bx2, by2) = b1, b2
+    px, py, qx, qy = ax1 * ma, ay1 * ma, bx1 * mb, by1 * mb
+    bx, by = bx2 - bx1, by2 - by1
+    d1 = bx * (py - qy) - by * (px - qx)
+    d2 = bx * (ay2 * ma - qy) - by * (ax2 * ma - qx)
+    if d1 > 0 < d2 or d1 < 0 > d2:
+        return None
+    ax, ay = ax2 - ax1, ay2 - ay1
+    d3 = ax * (qy - py) - ay * (qx - px)
+    d4 = ax * (by2 * mb - py) - ay * (bx2 * mb - px)
+    if d3 > 0 < d4 or d3 < 0 > d4:
+        return None
+    return d1, d2, d3, d4
+
+
+# The sweep compares segment boxes on the grid of step 2^-_GRID_BITS, rounded
+# outwards: boxes that meet still meet on the grid, so no contact is lost,
+# and the keys stay small integers whatever the denominators.  Boxes less
+# than a step apart become candidates that the exact tests then reject.
+_GRID_BITS = 32
+
+
+def _grid_boxes(points: list[Point]) -> list[tuple[int, int, int, int]]:
+    """(xlo, xhi, ylo, yhi) of the closed box of each segment of a polyline,
+    in grid steps, rounded outwards."""
+    keys = []
+    for p in points:
+        (xn, xd), (yn, yd) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+        keys.append(((xn << _GRID_BITS) // xd, -((-xn << _GRID_BITS) // xd),
+                     (yn << _GRID_BITS) // yd, -((-yn << _GRID_BITS) // yd)))
+    return [(min(p[0], q[0]), max(p[1], q[1]), min(p[2], q[2]), max(p[3], q[3]))
+            for p, q in zip(keys, keys[1:])]
+
+
+def _meeting_boxes(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, int]]:
+    """Index pairs (k, l), k < l, of the closed integer boxes
+    (xlo, xhi, ylo, yhi) that meet, from one sort-and-scan over their
+    x-intervals.
+
+    Boxes that only touch still meet, so every tangency, overlap and
+    endpoint contact stays a candidate; segments whose boxes are disjoint
+    cannot meet.
+    """
+    order = sorted((*box, k) for k, box in enumerate(boxes))
+    pairs = []
+    for m, (_, xhi, ylo, yhi, k) in enumerate(order):
+        for n in range(m + 1, len(order)):
+            xlo2, _, ylo2, yhi2, l = order[n]
+            if xlo2 > xhi:
+                break
+            if ylo2 <= yhi and ylo <= yhi2:
+                pairs.append((k, l) if k < l else (l, k))
+    return pairs
 
 
 def polyline_self_intersects(points: list[Point]) -> bool:
@@ -131,20 +201,24 @@ def polyline_self_intersects(points: list[Point]) -> bool:
     n = len(points)
     if len(set(points)) != n:
         return True
+    P = _scaled(points, _common_denominator(points))
     # with distinct points, segments pq and qr meet beyond the hinge q only
     # when they are collinear and r lies on p's side of q
-    for p, q, r in zip(points, points[1:], points[2:]):
-        if cross(p, q, r) == 0 and \
-                (p.x - q.x) * (r.x - q.x) + (p.y - q.y) * (r.y - q.y) > 0:
+    for (px, py), (qx, qy), (rx, ry) in zip(P, P[1:], P[2:]):
+        if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
+                (px - qx) * (rx - qx) + (py - qy) * (ry - qy) > 0:
             return True
-    boxes = _segment_boxes(points)
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            if _boxes_disjoint(boxes[i], boxes[j]):
-                continue
-            res = intersect_segments(points[i], points[i + 1], points[j], points[j + 1])
-            if res.kind != SegmentIntersection.DISJOINT:
-                return True
+    for k, l in _meeting_boxes(_grid_boxes(points)):
+        if l - k < 2:
+            continue
+        d = _orientations(P[k], P[k + 1], P[l], P[l + 1])
+        if d is None:
+            continue
+        if all(d):
+            return True
+        res = intersect_segments(points[k], points[k + 1], points[l], points[l + 1])
+        if res.kind != SegmentIntersection.DISJOINT:
+            return True
     return False
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrangement import events_on_curve, intersection_graph
+from .arrangement import events_by_curve, intersection_graph
 from .decomp import bounds
 from .errors import CheckFailure, SceneError
 from .graph import Graph
@@ -72,8 +72,7 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
     # piece id of the segment of each curve covering a given event position
     piece_at: dict = {}
 
-    for cid in scene.curve_ids():
-        mine = events_on_curve(events, cid)
+    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
         sel_pos = [i for i, e in enumerate(mine) if e.id in selected_ids]
         sigma[cid] = [mine[i].other(cid) for i in sel_pos]
         for j in range(len(sel_pos) - 1):
@@ -183,8 +182,7 @@ def reassemble(inst: AuxiliaryInstance) -> StringScene:
     events = sorted(inst.events.values(), key=lambda e: e.id)
 
     new = StringScene()
-    for cid in scene.curve_ids():
-        mine = events_on_curve(events, cid)
+    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
         keep = [e.id for e in mine if e.id in selected_ids or e.id in surviving]
         if not keep:
             continue

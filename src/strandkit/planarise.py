@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrangement import events_on_curve
+from .arrangement import events_by_curve
 from .embedding import EmbeddedGraph
 from .errors import InvariantError, SceneError
 from .graph import Graph
@@ -53,8 +53,9 @@ class Planarisation:
 
 def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
     """Build C' with its rotation system (and arc signatures, if twisted)."""
-    for cid in scene.curve_ids():
-        if not any(cid in (e.curve_a, e.curve_b) for e in events):
+    along = events_by_curve(scene.curve_ids(), events)
+    for cid, mine in along.items():
+        if not mine:
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
                              "needs a crossing to be planarised")
 
@@ -63,8 +64,7 @@ def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
     paths: dict = {}
     by_id = {e.id: e for e in events}
 
-    for cid in scene.curve_ids():
-        mine = events_on_curve(events, cid)
+    for cid, mine in along.items():
         path = [endpoint_id(cid, 0)] + [e.id for e in mine] + [endpoint_id(cid, 1)]
         paths[cid] = path
         kind[path[0]] = kind[path[-1]] = "endpoint"

@@ -10,12 +10,14 @@ when the arrangement is computed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import SceneError
-from .geometry import Point, polyline_self_intersects, squared_distance
+from .geometry import (Point, _common_denominator, _scaled, polyline_self_intersects,
+                       squared_distance)
 
 
 @dataclass(frozen=True)
@@ -180,16 +182,18 @@ class StringScene:
 
     def _check_curve_avoids_disk(self, curve: Curve, disk: Disk) -> None:
         grounded_here = curve.grounded is not None and curve.grounded[0] == disk.id
-        pts = list(curve.points)
-        r2 = disk.radius ** 2
+        points = (*curve.points, disk.center)
+        D = math.lcm(_common_denominator(points), disk.radius.denominator)
+        *pts, center = _scaled(points, D)
+        r2 = (disk.radius.numerator * (D // disk.radius.denominator)) ** 2
         if grounded_here:
             end = curve.grounded[1]
-            anchor = pts[0] if end == 0 else pts[-1]
-            if squared_distance(anchor, disk.center) != r2:
+            ax, ay = pts[0] if end == 0 else pts[-1]
+            if (ax - center[0]) ** 2 + (ay - center[1]) ** 2 != r2:
                 raise SceneError(
                     f"curve {curve.id!r}: grounded endpoint not on boundary of disk {disk.id!r}")
         for i in range(len(pts) - 1):
-            if _segment_enters_open_disk(pts[i], pts[i + 1], disk.center, r2):
+            if _segment_enters_open_disk(pts[i], pts[i + 1], center, r2):
                 raise SceneError(
                     f"curve {curve.id!r} enters interior of disk {disk.id!r}")
 
@@ -235,6 +239,8 @@ class StringScene:
             scene = StringScene()
             for entry in data.get("curves", []):
                 cid = entry["id"]
+                if not isinstance(cid, str):
+                    raise SceneError(f"curve id {cid!r} is not a string")
                 if cid in scene.curves:
                     raise SceneError(f"duplicate curve id {cid!r}")
                 points = None
@@ -243,6 +249,10 @@ class StringScene:
                     points = tuple(Point.from_json(p) for p in entry["points"])
                 if "crossings" in entry:
                     crossings = tuple(entry["crossings"])
+                    for x in crossings:
+                        if not isinstance(x, str):
+                            raise SceneError(
+                                f"curve {cid!r}: crossing id {x!r} is not a string")
                 grounded = None
                 if "grounded" in entry:
                     grounded = (entry["grounded"]["disk"], int(entry["grounded"]["end"]))
@@ -250,6 +260,8 @@ class StringScene:
                 scene.curves[cid] = Curve(cid, points, crossings, grounded, twists)
             for entry in data.get("disks", []):
                 did = entry["id"]
+                if not isinstance(did, str):
+                    raise SceneError(f"disk id {did!r} is not a string")
                 if did in scene.disks:
                     raise SceneError(f"duplicate disk id {did!r}")
                 center = radius = boundary = None
@@ -270,16 +282,22 @@ class StringScene:
         return scene
 
 
-def _segment_enters_open_disk(a: Point, b: Point, center: Point, r2: Fraction) -> bool:
-    """Does the closed segment ab meet the open disk around center?"""
-    d = b - a
-    len2 = d.x * d.x + d.y * d.y
-    if len2 == 0:
-        return squared_distance(a, center) < r2
-    t = ((center.x - a.x) * d.x + (center.y - a.y) * d.y) / len2
-    t = max(Fraction(0), min(Fraction(1), t))
-    closest = Point(a.x + d.x * t, a.y + d.y * t)
-    return squared_distance(closest, center) < r2
+def _segment_enters_open_disk(a: tuple[int, int], b: tuple[int, int],
+                              c: tuple[int, int], r2: int) -> bool:
+    """Does the closed segment ab meet the open disk of squared radius r2
+    around c?  Integer points, so no division: with w = c - a and d = b - a,
+    the closest point of ab is a when w.d <= 0, b when w.d >= |d|^2, and
+    otherwise at squared distance |w|^2 - (w.d)^2 / |d|^2 from c."""
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    dx, dy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+    dot = wx * dx + wy * dy
+    w2 = wx * wx + wy * wy
+    if dot <= 0:
+        return w2 < r2
+    len2 = dx * dx + dy * dy
+    if dot >= len2:
+        return (cx - bx) ** 2 + (cy - by) ** 2 < r2
+    return w2 * len2 - dot * dot < r2 * len2
 
 
 def load_scene(path) -> StringScene:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strandkit.arrangement import (compute_arrangement, events_on_curve,
+from strandkit.arrangement import (compute_arrangement, events_by_curve,
                                    events_to_json, intersection_graph)
 from strandkit.errors import DegeneracyError
 from strandkit.families import gen_grounded, gen_random
@@ -81,7 +81,7 @@ def test_chirality_flips_with_direction():
 def test_abstract_arrangement(abstract_multicross):
     events = compute_arrangement(abstract_multicross)
     assert len(events) == 9
-    mine = events_on_curve(events, "m")
+    mine = events_by_curve(abstract_multicross.curve_ids(), events)["m"]
     assert [e.other("m") for e in mine] == \
         ["c4", "c5", "c1", "c4", "c2", "c4", "c5", "c1", "c2"]
     g = intersection_graph(abstract_multicross, events)
@@ -90,7 +90,7 @@ def test_abstract_arrangement(abstract_multicross):
 
 def test_events_on_curve_arc_order(bigon_scene):
     events = compute_arrangement(bigon_scene)
-    mine = events_on_curve(events, "u")
+    mine = events_by_curve(bigon_scene.curve_ids(), events)["u"]
     assert [e.other("u") for e in mine] == ["w1", "v", "v", "v", "v", "w2"]
 
 
@@ -134,27 +134,52 @@ def direction_cross(da: Point, db: Point) -> Fraction:
     return da.x * db.y - da.y * db.x
 
 
+def box(p, q):
+    return min(p.x, q.x), min(p.y, q.y), max(p.x, q.x), max(p.y, q.y)
+
+
 def all_pairs_events_json(scene):
-    """Unfiltered reference: every segment pair of every curve pair goes to
-    intersect_segments.  Ids number a pair's crossings along the smaller
-    curve; per-curve indices are arc order (segment, distance from its
-    start)."""
+    """Reference: every segment pair of every curve pair goes to
+    intersect_segments, except pairs whose closed Fraction bounding boxes
+    are disjoint, which cannot meet.  Ids number a pair's crossings along
+    the smaller curve; per-curve indices are arc order (segment, distance
+    from its start).  The first touch or overlap in (curve pair, segment
+    pair) order raises its DegeneracyError; then two pairs crossing at one
+    point raise."""
     ids = scene.curve_ids()
     hits = {}
+    boxes = {c: [box(p, q) for p, q in zip(scene.curves[c].points,
+                                           scene.curves[c].points[1:])]
+             for c in ids}
     for a, b in combinations(ids, 2):
         pa, pb = scene.curves[a].points, scene.curves[b].points
-        for i in range(len(pa) - 1):
-            for j in range(len(pb) - 1):
+        for i, ba in enumerate(boxes[a]):
+            for j, bb in enumerate(boxes[b]):
+                if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:
+                    continue
                 res = intersect_segments(pa[i], pa[i + 1], pb[j], pb[j + 1])
-                assert res.kind in (SegmentIntersection.DISJOINT,
-                                    SegmentIntersection.PROPER)
                 if res.kind == SegmentIntersection.DISJOINT:
                     continue
+                if res.kind == SegmentIntersection.OVERLAP:
+                    raise DegeneracyError(
+                        f"curves {a!r} and {b!r} share a collinear piece")
+                if res.kind == SegmentIntersection.TOUCH:
+                    raise DegeneracyError(
+                        f"curves {a!r} and {b!r} touch non-transversally at "
+                        f"{res.point} (tangency, bend crossing, or endpoint "
+                        "on another curve)")
                 p = res.point
                 sign = direction_cross(pa[i + 1] - pa[i], pb[j + 1] - pb[j])
                 hits.setdefault((a, b), []).append(
                     ((i, squared_distance(pa[i], p)),
                      (j, squared_distance(pb[j], p)), p, 1 if sign > 0 else -1))
+    seen = {}
+    for pair in sorted(hits):
+        for _, _, p, _ in hits[pair]:
+            if p in seen and seen[p] != pair:
+                raise DegeneracyError(
+                    f"three curves meet at {p}: pairs {seen[p]} and {pair}")
+            seen[p] = pair
     events = {}
     along = {c: [] for c in ids}
     for (a, b), pair_hits in hits.items():
@@ -171,11 +196,65 @@ def all_pairs_events_json(scene):
     return [events[eid] for eid in sorted(events)]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_filtered_arrangement_matches_all_pairs_reference(seed):
-    for scene in (gen_random(8, 2, seed), gen_grounded(20, seed)):
+def outcome(arrangement, scene):
+    """JSON of an arrangement's events, or its DegeneracyError text."""
+    try:
+        return json.dumps(arrangement(scene))
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+def kernel_events_json(scene):
+    return events_to_json(compute_arrangement(scene))
+
+
+REFERENCE_SCENES = {
+    **{str(seed): lambda seed=seed: (gen_random(8, 2, seed), gen_grounded(20, seed))
+       for seed in range(4)},
+    "random-24-3-0": lambda: (gen_random(24, 3, 0),),
+    "grounded-48-0": lambda: (gen_grounded(48, 0),),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_SCENES))
+def test_filtered_arrangement_matches_all_pairs_reference(case):
+    for scene in REFERENCE_SCENES[case]():
         got = json.dumps(events_to_json(compute_arrangement(scene)))
         assert got == json.dumps(all_pairs_events_json(scene))
+
+
+# scenes with degeneracies in several curve pairs: the sweep meets the ones
+# at small x first, so the first error must not depend on the sweep order
+SEVERAL_DEGENERACIES = {
+    # (a, b) touches at (18, 0) on segment pair (0, 0) and at (9, -10) on
+    # (2, 2); (c, d) overlaps at small x
+    "touches-and-overlap": ({
+        "a": [(20, 0), (16, 0), (16, -10), (8, -10)],
+        "b": [(18, 0), (18, 5), (9, 5), (9, -10)],
+        "c": [(0, 20), (4, 20)],
+        "d": [(2, 20), (6, 20)],
+    }, f"curves 'a' and 'b' touch non-transversally at {pt(18, 0)} "
+       "(tangency, bend crossing, or endpoint on another curve)"),
+    # a triple point of (e, f, g) at small x and an overlap of (p, q)
+    "triple-point-and-overlap": ({
+        "e": [(-2, 0), (2, 0)],
+        "f": [(0, -2), (0, 2)],
+        "g": [(-2, -2), (2, 2)],
+        "p": [(10, 1), (14, 1)],
+        "q": [(12, 1), (16, 1)],
+    }, "curves 'p' and 'q' share a collinear piece"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_DEGENERACIES))
+def test_first_degeneracy_matches_all_pairs_reference(name):
+    curves, error = SEVERAL_DEGENERACIES[name]
+    s = StringScene()
+    for cid, points in curves.items():
+        s.curves[cid] = Curve(cid, tuple(pt(*q) for q in points))
+    s.validate()
+    assert outcome(kernel_events_json, s) == \
+        outcome(all_pairs_events_json, s) == error
 
 
 def longest_simple_prefix(points):
@@ -194,22 +273,12 @@ grid_curves = st.lists(st.builds(pt, st.integers(0, 3), st.integers(0, 3)),
 @DEGENERATE
 @given(grid_curves, grid_curves)
 def test_arrangement_matches_all_pairs_reference_on_grid(a, b):
-    """A degeneracy error exactly when some segment pair touches or
-    overlaps, else the reference's events."""
+    """The reference's degeneracy error, text included, or its events."""
     s = StringScene()
     s.curves["a"] = Curve("a", tuple(a))
     s.curves["b"] = Curve("b", tuple(b))
     s.validate()
-    degenerate = any(
-        intersect_segments(p, q, u, v).kind in (SegmentIntersection.TOUCH,
-                                                SegmentIntersection.OVERLAP)
-        for p, q in zip(a, a[1:]) for u, v in zip(b, b[1:]))
-    if degenerate:
-        with pytest.raises(DegeneracyError):
-            compute_arrangement(s)
-    else:
-        got = json.dumps(events_to_json(compute_arrangement(s)))
-        assert got == json.dumps(all_pairs_events_json(s))
+    assert outcome(kernel_events_json, s) == outcome(all_pairs_events_json, s)
 
 
 # pairs of polylines whose bounding boxes meet only on their boundary

@@ -254,6 +254,16 @@ MALFORMED = {
         {**scene, "disks": [{**scene["disks"][0],
                              "boundary": [["a", 0], ["b", 0], ["a", 0]]}]},
         None), "boundary entry ['a', 0] repeats"),
+    "non-string-curve-id": (lambda scene: (
+        {**scene, "curves": scene["curves"] + [{**scene["curves"][1], "id": 1}]},
+        None), "curve id 1 is not a string"),
+    "non-string-disk-id": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "id": ["D"]}]},
+        None), "disk id ['D'] is not a string"),
+    "non-string-crossing-id": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": [["x"]]}, {"id": "b", "crossings": ["x"]}],
+         "chirality": {"x": 1}}, None),
+        "curve 'a': crossing id ['x'] is not a string"),
     "boundary-unhashable-id": (lambda scene: (
         {**scene, "disks": [{**scene["disks"][0], "boundary": [[["a"], 0]]}]},
         None), "boundary entry [['a'], 0] is not a curve end grounded"),

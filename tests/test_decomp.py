@@ -12,7 +12,7 @@ from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               verify_td)
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
-from strandkit.graph import Graph, eccentricity
+from strandkit.graph import Graph, connected_components, eccentricity
 
 
 def grid_graph(rows, cols):
@@ -93,6 +93,67 @@ def test_verify_td_detects_violations():
     cyclic = TreeDecomposition([0, 1], [(0, 1), (1, 0)],
                                {0: frozenset("ab"), 1: frozenset("bc")})
     assert not verify_td(cyclic, g)["valid"]
+
+
+def scan_verify_td(td, G):
+    """Reference: verify_td with its old edge-coverage scan, which tests each
+    edge against every bag."""
+    verts = G.vertices
+    if sorted(td.bags) != sorted(td.nodes):
+        return {"valid": False, "width": td.width, "reason": "bags/nodes mismatch"}
+    tree = Graph(vertices=td.nodes, edges=td.edges)
+    if len(td.nodes) != len(tree) or (td.nodes and len(connected_components(tree)) != 1):
+        return {"valid": False, "width": td.width, "reason": "tree not connected"}
+    if len(td.edges) != max(len(td.nodes) - 1, 0):
+        return {"valid": False, "width": td.width, "reason": "tree has a cycle"}
+    where: dict = {v: [] for v in verts}
+    for n in td.nodes:
+        for v in td.bags[n]:
+            if v not in where:
+                return {"valid": False, "width": td.width,
+                        "reason": f"bag vertex {v!r} not in G"}
+            where[v].append(n)
+    for v in verts:
+        if not where[v]:
+            return {"valid": False, "width": td.width, "reason": f"vertex {v!r} uncovered"}
+        sub = set(where[v])
+        start = next(iter(sub))
+        seen = {start}
+        stack = [start]
+        while stack:
+            n = stack.pop()
+            for m in tree.adj[n]:
+                if m in sub and m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        if seen != sub:
+            return {"valid": False, "width": td.width,
+                    "reason": f"bags of {v!r} not connected in tree"}
+    bagsets = list(td.bags.values())
+    for u, v in G.edge_list():
+        if not any(u in b and v in b for b in bagsets):
+            return {"valid": False, "width": td.width,
+                    "reason": f"edge {u!r}{v!r} uncovered"}
+    return {"valid": True, "width": td.width, "reason": None}
+
+
+def test_verify_td_edge_coverage_matches_bag_scan():
+    """Delete each vertex from each bag of a pipeline decomposition in turn:
+    every verdict, reason text included, is the bag scan's."""
+    p = Pipeline(gen_grounded(6, 1))
+    G = p.graph
+    reasons = set()
+    for td in (ltw_pipeline(p)["td"], outerstring_decomposition(p)["td"]):
+        assert verify_td(td, G) == scan_verify_td(td, G) == \
+            {"valid": True, "width": td.width, "reason": None}
+        for n in td.nodes:
+            for v in sorted(td.bags[n]):
+                bags = {**td.bags, n: td.bags[n] - {v}}
+                broken = TreeDecomposition(td.nodes, td.edges, bags)
+                got = verify_td(broken, G)
+                assert got == scan_verify_td(broken, G)
+                reasons.add(got["reason"].split()[0] if got["reason"] else None)
+    assert reasons == {"edge", "vertex", "bags", None}
 
 
 def test_bfs_layering_valid():

@@ -1,11 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strandkit.errors import SceneError
-from strandkit.geometry import Point, pt
-from strandkit.scene import (Curve, Disk, StringScene, dumps_canonical,
-                             perturb)
+from strandkit.geometry import Point, _common_denominator, _scaled, pt, squared_distance
+from strandkit.scene import (Curve, Disk, StringScene, _segment_enters_open_disk,
+                             dumps_canonical, perturb)
+from test_arrangement import BOX_TOUCH_FIXTURES
+from test_geometry import DEGENERATE
 
 
 def test_geometric_scene_roundtrip(plus_sign):
@@ -88,3 +93,68 @@ def test_perturb_keeps_grounded_endpoints(outerstring_scene):
         end = outerstring_scene.curves[cid].grounded[1]
         idx = 0 if end == 0 else -1
         assert p.curves[cid].points[idx] == outerstring_scene.curves[cid].points[idx]
+
+
+def fraction_enters_open_disk(a, b, center, r2):
+    """Reference: the Fraction test the scene validator used to run, through
+    the clamped projection of center onto ab."""
+    d = b - a
+    len2 = d.x * d.x + d.y * d.y
+    if len2 == 0:
+        return squared_distance(a, center) < r2
+    t = ((center.x - a.x) * d.x + (center.y - a.y) * d.y) / len2
+    t = max(Fraction(0), min(Fraction(1), t))
+    closest = Point(a.x + d.x * t, a.y + d.y * t)
+    return squared_distance(closest, center) < r2
+
+
+def integer_enters_open_disk(a, b, center, radius):
+    D = math.lcm(_common_denominator([a, b, center]), radius.denominator)
+    ia, ib, ic = _scaled([a, b, center], D)
+    return _segment_enters_open_disk(ia, ib, ic, (radius * D) ** 2)
+
+
+def disk_cases():
+    """(a, b, center, radius): segments of the touching-box fixtures against
+    disks around their points; segments tangent to a disk in their interior,
+    at an end, and crossing it; segments ending on a disk's boundary."""
+    for a, b, at in BOX_TOUCH_FIXTURES.values():
+        points = [pt(*q) for q in a + b]
+        for p, q in zip(points, points[1:]):
+            for c in points + [pt(*at)]:
+                for r in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)):
+                    yield p, q, c, r
+    # (3, 4) / 5 and (4, -3) / 5 are unit vectors; (3/2, 2) is inside (0, 0)(3, 4)
+    mid, normal = pt(Fraction(3, 2), 2), pt(Fraction(4, 5), Fraction(-3, 5))
+    for r in (Fraction(1, 3), Fraction(1), Fraction(7, 3)):
+        for slack in (Fraction(-1, 10**6), Fraction(0), Fraction(1, 10**6)):
+            c = Point(mid.x + normal.x * r, mid.y + normal.y * r)
+            yield pt(0, 0), pt(3, 4), c, r + slack
+            yield pt(0, 0), pt(3, 4), Point(-normal.x * r, -normal.y * r), r + slack
+            yield pt(3, 4), pt(3, 4), Point(3 + normal.x * r, 4 + normal.y * r), r + slack
+    for ux, uy in ((1, 0), (Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))):
+        c, r = pt(Fraction(1, 3), -2), Fraction(3, 2)
+        on = Point(c.x + ux * r, c.y + uy * r)
+        for dx, dy in ((ux, uy), (-ux, -uy), (-uy, ux), (ux - uy, uy + ux), (ux + uy, uy - ux)):
+            yield on, Point(on.x + dx, on.y + dy), c, r
+            yield Point(on.x + dx, on.y + dy), on, c, r
+
+
+def test_integer_disk_test_matches_fraction_reference():
+    verdicts = set()
+    for a, b, c, r in disk_cases():
+        want = fraction_enters_open_disk(a, b, c, r * r)
+        assert integer_enters_open_disk(a, b, c, r) == want, (a, b, c, r)
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+grid_point = st.builds(lambda x, y, d: Point(Fraction(x, d), Fraction(y, d)),
+                       st.integers(-6, 6), st.integers(-6, 6), st.sampled_from([1, 2, 5]))
+
+
+@DEGENERATE
+@given(grid_point, grid_point, grid_point,
+       st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 5])))
+def test_integer_disk_test_matches_fraction_reference_on_grid(a, b, c, r):
+    assert integer_enters_open_disk(a, b, c, r) == fraction_enters_open_disk(a, b, c, r * r)
