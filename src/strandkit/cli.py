@@ -9,6 +9,7 @@ failure (a certified bound or invariant was violated), 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,9 @@ def main(argv=None) -> int:
     return 0 if report.get("ok", True) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The subcommand parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="strandkit",
         description="certified combinatorial structure of curve arrangements")

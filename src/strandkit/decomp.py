@@ -338,16 +338,9 @@ def radius_decomposition(G: Graph, root) -> TreeDecomposition:
         raise SceneError("empty graph")
     if len(verts) == 1:
         return TreeDecomposition([1], [], {1: frozenset(verts)})
-    if len(connected_components(G)) != 1:
-        raise SceneError("radius decomposition needs a connected graph")
-    r = eccentricity(G, root)
-
-    emb = _planar_embedding(verts, G.edge_list())
-    if emb.euler_genus() != 0:
-        raise InvariantError("embedding is not plane")
-    _triangulate(emb)
-
     parent = _bfs_parents(G, root)
+    if len(parent) != len(G):
+        raise SceneError("radius decomposition needs a connected graph")
 
     def root_path(v):
         path = []
@@ -356,7 +349,15 @@ def radius_decomposition(G: Graph, root) -> TreeDecomposition:
             v = parent[v]
         return path
 
-    faces = emb.trace_faces_oriented()
+    # BFS discovers vertices by depth, so the last one is the farthest
+    r = len(root_path(next(reversed(parent)))) - 1
+
+    emb = _planar_embedding(verts, G.edge_list())
+    if emb.euler_genus() != 0:
+        raise InvariantError("embedding is not plane")
+    _triangulate(emb)
+
+    faces = emb.trace_faces()
     bags = {}
     for fi, face in enumerate(faces):
         corners = sorted({emb.dart_tail(d) for d in face})
@@ -440,33 +441,23 @@ def _planar_embedding(verts, edges) -> EmbeddedGraph:
 
 
 def _triangulate(g: EmbeddedGraph) -> None:
-    """Chord faces until every face has at most 3 distinct corners."""
+    """Chord faces until every face has at most 3 distinct corners.
+
+    Each face F of the simple plane host is traced once and chorded from
+    corner 0 to corner 2 (corner 3 when corner 2 is corner 0 again).  The
+    split-off part has at most 3 corners; the rest, [chord] + F[j:], starts
+    at the chord dart placed just before F[0], so it is the next face in
+    trace order and is chorded the same way.
+    """
+    if any(s != 1 for s in g.signature.values()):
+        raise InvariantError("oriented tracing needs all signatures +1")
     serial = 0
-    while True:
-        target = None
-        for face in g.trace_faces_oriented():
-            corners = [g.dart_tail(d) for d in face]
-            if len(set(corners)) > 3:
-                target = (face, corners)
-                break
-        if target is None:
-            return
-        face, corners = target
-        L = len(face)
-        found = None
-        for i in range(L):
-            for j in range(i + 2, L):
-                if i == 0 and j == L - 1:
-                    continue
-                if corners[i] != corners[j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            raise InvariantError("face with >3 distinct corners but no chord slot")
-        serial += 1
-        g.add_chord(face, found[0], found[1], ("chord", serial))
+    for face in g.trace_faces():
+        while len({g.dart_tail(d) for d in face}) > 3:
+            j = 3 if g.dart_tail(face[2]) == g.dart_tail(face[0]) else 2
+            serial += 1
+            g.add_chord(face, 0, j, ("chord", serial))
+            face = [(("chord", serial), 0)] + face[j:]
 
 
 # ------------------------------------------------------------------------ lifts

@@ -85,74 +85,36 @@ class EmbeddedGraph:
 
     # ------------------------------------------------------------ traversal
 
-    def _succ(self, v, dart: Dart, step: int) -> Dart:
-        rot = self.rotation[v]
-        i = rot.index(dart)
-        return rot[(i + step) % len(rot)]
-
-    def _next_state(self, state):
-        dart, orient = state
-        v = self.dart_head(dart)
-        orient = orient * self.signature[dart[0]]
-        step = 1 if orient == 1 else -1
-        return (self._succ(v, reverse(dart), step), orient)
-
-    def _mirror(self, state):
-        dart, orient = state
-        return (reverse(dart), -orient * self.signature[dart[0]])
-
     def trace_faces(self) -> list[list[Dart]]:
         """Face boundary walks, one representative per face.
 
-        Each face appears once; for orientation-preserving faces the mirror
-        traversal is suppressed.  Works for loops, parallel edges, and
-        signature -1 edges.
+        A walk is an orbit of (dart, orientation) states.  Starts are taken
+        at each dart in rotation order, every orientation +1 start before any
+        -1 start, and the mirror traversal of each traced face is suppressed.
+        On an all-positive embedding every dart lies on exactly one face, so
+        (e, 0) and (e, 1) name the two sides of e.  Works for loops, parallel
+        edges, and signature -1 edges.
         """
-        states = set()
-        for v in self.rotation:
-            for d in self.rotation[v]:
-                states.add((d, 1))
-                states.add((d, -1))
+        slot = {d: (rot, i) for rot in self.rotation.values()
+                for i, d in enumerate(rot)}
+        sig = self.signature
         faces = []
         seen = set()
-        for start in sorted(states, key=lambda s: (repr(s[0]), s[1])):
-            if start in seen:
-                continue
-            orbit = []
-            s = start
-            while True:
-                orbit.append(s)
-                seen.add(s)
-                s = self._next_state(s)
-                if s == start:
-                    break
-            # suppress the mirror traversal of the same face
-            for st in orbit:
-                seen.add(self._mirror(st))
-            faces.append([d for d, _ in orbit])
-        return faces
-
-    def trace_faces_oriented(self) -> list[list[Dart]]:
-        """Face walks of an all-positive-signature embedding.
-
-        Orbits of darts at fixed orientation +1: every dart appears in
-        exactly one face, so (e, 0) and (e, 1) name the two sides of e.
-        """
-        if any(s != 1 for s in self.signature.values()):
-            raise InvariantError("oriented tracing needs all signatures +1")
-        faces = []
-        seen = set()
-        for v in self.rotation:
-            for d0 in self.rotation[v]:
-                if d0 in seen:
+        for orient0 in (1, -1):
+            for d0 in slot:   # every dart, in rotation order
+                if (d0, orient0) in seen:
                     continue
                 face = []
-                d = d0
+                d, orient = d0, orient0
                 while True:
                     face.append(d)
-                    seen.add(d)
-                    d = self._succ(self.dart_head(d), reverse(d), 1)
-                    if d == d0:
+                    back = reverse(d)
+                    seen.add((d, orient))
+                    orient *= sig[d[0]]
+                    seen.add((back, -orient))  # the mirror state
+                    rot, i = slot[back]
+                    d = rot[(i + orient) % len(rot)]
+                    if d == d0 and orient == orient0:
                         break
                 faces.append(face)
         return faces
@@ -189,13 +151,13 @@ class EmbeddedGraph:
     # ----------------------------------------------------------- operations
 
     def flip_vertex(self, v) -> None:
-        """Local orientation flip: reverses rotation, toggles incident signatures."""
-        self.rotation[v] = list(reversed(self.rotation[v]))
-        for eid, (a, b) in self.edge_ends.items():
-            if a == v or b == v:
-                if a == v and b == v:
-                    continue  # loop: both flips cancel
-                self.signature[eid] = -self.signature[eid]
+        """Local orientation flip: reverses rotation, toggles incident signatures.
+
+        A loop at v lists both of its darts here, so its signature flips twice.
+        """
+        self.rotation[v] = rot = self.rotation[v][::-1]
+        for eid, _ in rot:
+            self.signature[eid] = -self.signature[eid]
 
     def contract_edge(self, eid) -> None:
         """Contract a non-loop edge, keeping the embedding on the same surface.
@@ -219,9 +181,9 @@ class EmbeddedGraph:
         del self.edge_ends[eid]
         del self.signature[eid]
         self.edge_label.pop(eid, None)
-        for other, (a, b) in list(self.edge_ends.items()):
-            if a == v or b == v:
-                self.edge_ends[other] = (u if a == v else a, u if b == v else b)
+        for other, _ in spliced:
+            a, b = self.edge_ends[other]
+            self.edge_ends[other] = (u if a == v else a, u if b == v else b)
 
     def delete_vertex(self, v) -> None:
         for d in list(self.rotation[v]):

@@ -279,10 +279,11 @@ def check_coloured_planarisation(plan: Planarisation, cp: ColouredPlanarisation)
 
     # exactly one curve gamma with phi(gamma) = level(x) and x in W_gamma,
     # and L_gamma contains the whole fibre
+    walk_sets = {cid: set(walk) for cid, walk in cp.walks.items()}
     for x in sorted(cp.level):
         if x in cp.endpoints:
             continue
-        witnesses = [cid for cid, walk in cp.walks.items()
+        witnesses = [cid for cid, walk in walk_sets.items()
                      if cp.phi[cid] == cp.level[x] and x in walk]
         if len(witnesses) != 1:
             raise InvariantError(f"vertex {x!r}: {len(witnesses)} level-defining curves")
@@ -304,7 +305,7 @@ def check_coloured_planarisation(plan: Planarisation, cp: ColouredPlanarisation)
     for e in plan.events.values():
         crossing_pairs.add((e.curve_a, e.curve_b))
     for a, b in sorted(crossing_pairs):
-        if not set(cp.walks[a]) & set(cp.walks[b]):
+        if walk_sets[a].isdisjoint(walk_sets[b]):
             raise InvariantError(f"curves {a!r}, {b!r} cross but walks are disjoint")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import pkgutil
@@ -152,6 +153,27 @@ def test_reports_byte_identical(capsys, scene_file, tmp_path):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, *a: (
+        parsers.append(self) or real(self, *a)))
+    assert run(capsys, "bounds", "--theorem", "planar-outerstring",
+               "--params", "t=3", "d=2") == (0, {"command": "bounds",
+                                                 "theorem": "planar-outerstring",
+                                                 "params": {"d": 2, "t": 3},
+                                                 "value": 23})
+    code, rep = run(capsys, "bounds", "--theorem", "planar-outerstring")
+    assert code == 2 and rep["kind"] == "invalid-input"
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["bounds"])
+        assert info.value.code == 2
+        assert "the following arguments are required: --theorem" in \
+            capsys.readouterr().err
+    assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
 
 
 def test_negative_bound_parameter_exit_2(capsys):

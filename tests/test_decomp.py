@@ -10,6 +10,7 @@ from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               outerstring_decomposition, radius_decomposition,
                               shallow_centers, td_to_pace, verify_layering,
                               verify_td)
+from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, connected_components, eccentricity
@@ -197,6 +198,46 @@ def test_radius_decomposition_tree_and_cycle():
 def test_radius_decomposition_rejects_nonplanar():
     with pytest.raises(SceneError):
         radius_decomposition(complete_graph(5), 0)
+
+
+def test_radius_decomposition_rejects_disconnected():
+    two_paths = Graph(vertices=range(4), edges=[(0, 1), (2, 3)])
+    with pytest.raises(SceneError, match="^radius decomposition needs a connected graph$"):
+        radius_decomposition(two_paths, 0)
+
+
+def test_radius_decomposition_r_is_root_eccentricity(monkeypatch):
+    seen = []
+    real = _BOUNDS["planar-radius-tw"]
+    monkeypatch.setitem(_BOUNDS, "planar-radius-tw",
+                        lambda p: seen.append(p["r"]) or real(p))
+    path = Graph(vertices=range(5), edges=[(i, i + 1) for i in range(4)])
+    cases = [(wheel_graph(8), 8), (wheel_graph(8), 0), (grid_graph(4, 4), (0, 0)),
+             (grid_graph(4, 4), (1, 2)), (path, 0), (path, 2)]
+    for g, root in cases:
+        radius_decomposition(g, root)
+    assert seen == [eccentricity(g, root) for g, root in cases]
+
+
+def test_radius_decomposition_traces_faces_at_most_three_times(monkeypatch):
+    """The chords do not re-trace the host: one trace for the genus, one to
+    triangulate and one for the bags, however many chords there are."""
+    traces = []
+    chords = []
+    for name in [n for n in vars(EmbeddedGraph) if n.startswith("trace_faces")]:
+        real = getattr(EmbeddedGraph, name)
+        monkeypatch.setattr(EmbeddedGraph, name, lambda self, real=real: (
+            traces.append(1) or real(self)))
+    real_chord = EmbeddedGraph.add_chord
+    monkeypatch.setattr(EmbeddedGraph, "add_chord", lambda self, *a: (
+        chords.append(1) or real_chord(self, *a)))
+    for s in range(3):
+        host = Pipeline(gen_grounded(20, s)).model.host
+        traces.clear()
+        chords.clear()
+        radius_decomposition(host, host.vertices[0])
+        assert len(chords) > 3
+        assert len(traces) <= 3
 
 
 # --------------------------------------------------------------- lifts

@@ -1,7 +1,12 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strandkit.decomp import _triangulate
 from strandkit.embedding import EmbeddedGraph, reverse
 from strandkit.errors import InvariantError
+from strandkit.graph import connected_components
 
 
 def square_embedding() -> EmbeddedGraph:
@@ -103,7 +108,7 @@ def test_oriented_faces_partition_darts():
     g.add_edge("diag", 0, 2)
     g.rotation[0] = [("e0", 0), ("diag", 0), ("e3", 1)]
     g.rotation[2] = [("e2", 0), ("diag", 1), ("e1", 1)]
-    faces = g.trace_faces_oriented()
+    faces = g.trace_faces()
     darts = [d for f in faces for d in f]
     assert len(darts) == 2 * g.edge_count()
     assert len(set(darts)) == len(darts)
@@ -113,18 +118,18 @@ def test_oriented_faces_partition_darts():
 def test_oriented_tracing_requires_positive_signatures():
     g = square_embedding()
     g.signature["e2"] = -1
-    with pytest.raises(InvariantError):
-        g.trace_faces_oriented()
+    with pytest.raises(InvariantError, match="all signatures"):
+        _triangulate(g)
 
 
 def test_add_chord_splits_face():
     g = square_embedding()
-    faces = g.trace_faces_oriented()
+    faces = g.trace_faces()
     face = max(faces, key=len)
     g.add_chord(face, 0, 2, "chord")
     g.check()
     assert g.euler_genus() == 0
-    assert len(g.trace_faces_oriented()) == 3
+    assert len(g.trace_faces()) == 3
 
 
 def test_reverse_dart():
@@ -139,3 +144,255 @@ def test_delete_vertex_and_edge():
     g.delete_vertex(2)
     assert 2 not in g.rotation
     assert g.edge_count() == 1
+
+
+# ------------------------------------------------------------------- oracles
+# The earlier face tracers, chord loop and edits, kept to test the one-pass
+# tracer, the one-pass triangulation and the local edits against.
+
+def oracle_succ(g, v, dart, step):
+    rot = g.rotation[v]
+    return rot[(rot.index(dart) + step) % len(rot)]
+
+
+def oracle_next_state(g, state):
+    dart, orient = state
+    orient = orient * g.signature[dart[0]]
+    return (oracle_succ(g, g.dart_head(dart), reverse(dart), orient), orient)
+
+
+def oracle_mirror(g, state):
+    dart, orient = state
+    return (reverse(dart), -orient * g.signature[dart[0]])
+
+
+def oracle_trace_faces(g):
+    states = set()
+    for v in g.rotation:
+        for d in g.rotation[v]:
+            states.add((d, 1))
+            states.add((d, -1))
+    faces = []
+    seen = set()
+    for start in sorted(states, key=lambda s: (repr(s[0]), s[1])):
+        if start in seen:
+            continue
+        orbit = []
+        s = start
+        while True:
+            orbit.append(s)
+            seen.add(s)
+            s = oracle_next_state(g, s)
+            if s == start:
+                break
+        for st_ in orbit:
+            seen.add(oracle_mirror(g, st_))
+        faces.append([d for d, _ in orbit])
+    return faces
+
+
+def oracle_trace_faces_oriented(g):
+    if any(s != 1 for s in g.signature.values()):
+        raise InvariantError("oriented tracing needs all signatures +1")
+    faces = []
+    seen = set()
+    for v in g.rotation:
+        for d0 in g.rotation[v]:
+            if d0 in seen:
+                continue
+            face = []
+            d = d0
+            while True:
+                face.append(d)
+                seen.add(d)
+                d = oracle_succ(g, g.dart_head(d), reverse(d), 1)
+                if d == d0:
+                    break
+            faces.append(face)
+    return faces
+
+
+def oracle_euler_genus(g):
+    comps = connected_components(g.simple_graph())
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    v_count = [0] * len(comps)
+    e_count = [0] * len(comps)
+    f_count = [0] * len(comps)
+    for v in g.rotation:
+        v_count[comp_of[v]] += 1
+    for u, _ in g.edge_ends.values():
+        e_count[comp_of[u]] += 1
+    for face in oracle_trace_faces(g):
+        f_count[comp_of[g.dart_tail(face[0])]] += 1
+    for i in range(len(comps)):
+        if e_count[i] == 0:
+            f_count[i] = 1
+    return sum(2 - v_count[i] + e_count[i] - f_count[i] for i in range(len(comps)))
+
+
+def oracle_flip_vertex(g, v):
+    g.rotation[v] = list(reversed(g.rotation[v]))
+    for eid, (a, b) in g.edge_ends.items():
+        if a == v or b == v:
+            if a == v and b == v:
+                continue
+            g.signature[eid] = -g.signature[eid]
+
+
+def oracle_contract_edge(g, eid):
+    u, v = g.edge_ends[eid]
+    if u == v:
+        raise InvariantError(f"cannot contract loop {eid!r}")
+    if g.signature[eid] == -1:
+        oracle_flip_vertex(g, v)
+    rot_u = g.rotation[u]
+    rot_v = g.rotation[v]
+    iu = rot_u.index((eid, 0))
+    iv = rot_v.index((eid, 1))
+    g.rotation[u] = rot_u[:iu] + rot_v[iv + 1:] + rot_v[:iv] + rot_u[iu + 1:]
+    del g.rotation[v]
+    del g.edge_ends[eid]
+    del g.signature[eid]
+    g.edge_label.pop(eid, None)
+    for other, (a, b) in list(g.edge_ends.items()):
+        if a == v or b == v:
+            g.edge_ends[other] = (u if a == v else a, u if b == v else b)
+
+
+def oracle_triangulate(g):
+    """Re-trace every face after each chord; chord the first face with more
+    than 3 distinct corners at its first admissible corner pair."""
+    serial = 0
+    while True:
+        target = None
+        for face in oracle_trace_faces_oriented(g):
+            corners = [g.dart_tail(d) for d in face]
+            if len(set(corners)) > 3:
+                target = (face, corners)
+                break
+        if target is None:
+            return
+        face, corners = target
+        L = len(face)
+        found = None
+        for i in range(L):
+            for j in range(i + 2, L):
+                if i == 0 and j == L - 1:
+                    continue
+                if corners[i] != corners[j]:
+                    found = (i, j)
+                    break
+            if found:
+                break
+        serial += 1
+        g.add_chord(face, found[0], found[1], ("chord", serial))
+
+
+def state(g):
+    """Everything an embedding holds, dict insertion order included."""
+    return (list(g.edge_ends.items()), list(g.signature.items()),
+            list(g.rotation.items()), list(g.edge_label.items()))
+
+
+@st.composite
+def signed_rotation_systems(draw, all_positive=False):
+    """Rotation systems on up to 6 vertices with loops and parallel edges."""
+    n = draw(st.integers(1, 6))
+    g = EmbeddedGraph()
+    for v in range(n):
+        g.add_vertex(v)
+    for k in range(draw(st.integers(0, 10))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        sig = 1 if all_positive else draw(st.sampled_from([1, -1]))
+        g.add_edge(f"e{k}", u, v, sig, label=k)
+    for v in range(n):
+        g.rotation[v] = list(draw(st.permutations(g.rotation[v])))
+    return g
+
+
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@ORACLE
+@given(signed_rotation_systems(), st.lists(st.tuples(st.booleans(), st.integers(0, 99)),
+                                           max_size=8))
+def test_tracer_and_edits_match_oracle(g, ops):
+    """Face count, Euler genus and every edit agree with the earlier code."""
+    ref = g.copy()
+
+    def agree():
+        g.check()
+        assert state(g) == state(ref)
+        assert len(g.trace_faces()) == len(oracle_trace_faces(ref))
+        assert g.euler_genus() == oracle_euler_genus(ref)
+
+    agree()
+    for flip, k in ops:
+        if flip:
+            v = sorted(g.rotation)[k % len(g.rotation)]
+            g.flip_vertex(v)
+            oracle_flip_vertex(ref, v)
+        else:
+            edges = [e for e, (a, b) in g.edge_ends.items() if a != b]
+            if not edges:
+                continue
+            eid = edges[k % len(edges)]
+            g.contract_edge(eid)
+            oracle_contract_edge(ref, eid)
+        agree()
+
+
+@ORACLE
+@given(signed_rotation_systems(all_positive=True))
+def test_trace_faces_matches_oriented_oracle(g):
+    assert g.trace_faces() == oracle_trace_faces_oriented(g)
+
+
+def networkx_embedding(n, edges):
+    """A plane rotation system of a planar graph, by networkx's LR test."""
+    ng = nx.Graph()
+    ng.add_nodes_from(range(n))
+    ng.add_edges_from(edges)
+    ok, pe = nx.check_planarity(ng)
+    assert ok
+    g = EmbeddedGraph()
+    for v in range(n):
+        g.add_vertex(v)
+    for u, v in edges:
+        g.add_edge(("e", u, v), u, v)
+    for v in range(n):
+        g.rotation[v] = [(("e", v, w), 0) if v < w else (("e", w, v), 1)
+                         for w in pe.neighbors_cw_order(v)]
+    g.check()
+    return g
+
+
+@st.composite
+def planar_graphs(draw):
+    """A random spanning tree plus the extra edges that keep it planar:
+    trees, graphs with cut vertices and dense planar graphs all occur."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # u < v
+    ng = nx.Graph(edges)
+    ng.add_nodes_from(range(n))
+    for _ in range(draw(st.integers(0, 3 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u == v or ng.has_edge(u, v):
+            continue
+        ng.add_edge(u, v)
+        if nx.check_planarity(ng)[0]:
+            edges.append((min(u, v), max(u, v)))
+        else:
+            ng.remove_edge(u, v)
+    return networkx_embedding(n, edges)
+
+
+@ORACLE
+@given(planar_graphs())
+def test_triangulate_matches_oracle(g):
+    ref = g.copy()
+    _triangulate(g)
+    oracle_triangulate(ref)
+    assert state(g) == state(ref)
+    assert all(len({g.dart_tail(d) for d in f}) <= 3 for f in g.trace_faces())

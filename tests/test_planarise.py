@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from strandkit.arrangement import compute_arrangement
 from strandkit.colouring import OrderedColouring
-from strandkit.errors import SceneError
+from strandkit.decomp import Pipeline
+from strandkit.errors import InvariantError, SceneError
+from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.planarise import (check_coloured_planarisation,
                                  coloured_planarisation, coloured_to_json,
@@ -134,3 +138,82 @@ def test_emitters(plus_sign, plus_colouring):
 def test_svg_needs_geometry(abstract_multicross):
     with pytest.raises(SceneError):
         scene_to_svg(abstract_multicross)
+
+
+def oracle_check_coloured_planarisation(plan, cp):
+    """The checker before it built each walk's vertex set once."""
+    fibres: dict = {}
+    for v, x in cp.psi.items():
+        fibres.setdefault(x, set()).add(v)
+    if sum(len(f) for f in fibres.values()) != len(plan.kind):
+        raise InvariantError("psi fibres do not cover V(C')")
+    for x, fibre in fibres.items():
+        if x in cp.endpoints:
+            if fibre != {x}:
+                raise InvariantError(f"endpoint fibre of {x!r} not a singleton")
+        elif fibre != set(cp.sections[x]):
+            raise InvariantError(f"fibre of {x!r} is not its section")
+    for x in sorted(cp.level):
+        if x in cp.endpoints:
+            continue
+        witnesses = [cid for cid, walk in cp.walks.items()
+                     if cp.phi[cid] == cp.level[x] and x in walk]
+        if len(witnesses) != 1:
+            raise InvariantError(f"vertex {x!r}: {len(witnesses)} level-defining curves")
+        if not set(cp.sections[x]) <= set(plan.curve_paths[witnesses[0]]):
+            raise InvariantError(f"fibre of {x!r} escapes L of {witnesses[0]!r}")
+    for cid, walk in cp.walks.items():
+        for i in range(len(walk) - 1):
+            if cp.level[walk[i]] == cp.phi[cid] == cp.level[walk[i + 1]]:
+                raise InvariantError(
+                    f"walk of {cid!r}: consecutive level-{cp.phi[cid]} vertices "
+                    f"{walk[i]!r}, {walk[i + 1]!r}")
+    crossing_pairs = set()
+    for e in plan.events.values():
+        crossing_pairs.add((e.curve_a, e.curve_b))
+    for a, b in sorted(crossing_pairs):
+        if not set(cp.walks[a]) & set(cp.walks[b]):
+            raise InvariantError(f"curves {a!r}, {b!r} cross but walks are disjoint")
+
+
+def check_outcome(check, plan, cp):
+    try:
+        check(plan, cp)
+    except InvariantError as exc:
+        return str(exc)
+    return "ok"
+
+
+def corrupted_copies(plan, cp):
+    """cp with a vertex moved into a walk, with a wrong level, and with the
+    walks of a crossing pair made disjoint."""
+    inner = sorted(set(cp.level) - cp.endpoints)
+    for cid in sorted(cp.walks):
+        for x in inner[::5]:
+            walk = [y for y in cp.walks[cid] if y != x]
+            for i in (1, len(walk) // 2):
+                yield replace(cp, walks={**cp.walks, cid: walk[:i] + [x] + walk[i:]})
+    for x in inner:
+        for level in (cp.level[x] - 1, cp.level[x] + 1):
+            yield replace(cp, level={**cp.level, x: level})
+    for e in plan.events.values():
+        a, b = e.curve_a, e.curve_b
+        walk_b = [y for y in cp.walks[b] if y not in set(cp.walks[a])]
+        yield replace(cp, walks={**cp.walks, b: walk_b})
+
+
+# a word from each outcome: a clean pass and each walk clause's error
+CHECK_KINDS = ("ok", "level-defining", "escapes", "consecutive", "disjoint")
+
+
+def test_walk_sets_check_matches_oracle(abstract_multicross, abstract_colouring):
+    outcomes = set()
+    cases = [(abstract_multicross, abstract_colouring)] + \
+        [(gen_grounded(12, s), None) for s in range(2)]
+    for scene, colouring in cases:
+        p = Pipeline(scene, colouring)
+        for bad in corrupted_copies(p.plan, p.cp):
+            got = check_outcome(check_coloured_planarisation, p.plan, bad)
+            assert got == check_outcome(oracle_check_coloured_planarisation, p.plan, bad)
+            outcomes.update(k for k in CHECK_KINDS if k in got)
+    assert outcomes == set(CHECK_KINDS)
