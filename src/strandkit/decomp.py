@@ -18,7 +18,8 @@ from .colouring import (ColouringParams, OrderedColouring, check_ordered,
                         compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
 from .embedding import EmbeddedGraph
-from .graph import Graph, bfs_distances, connected_components, eccentricity
+from .graph import (Graph, ball_masks, bfs_distances, connected_components,
+                    eccentricity)
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, euler_genus, planarise)
 from .product_model import MinorModel, build_model
@@ -65,31 +66,27 @@ def verify_td(td: TreeDecomposition, G: Graph) -> dict:
         return {"valid": False, "width": td.width, "reason": "tree not connected"}
     if len(td.edges) != max(len(td.nodes) - 1, 0):
         return {"valid": False, "width": td.width, "reason": "tree has a cycle"}
-    where: dict = {v: [] for v in verts}
+    where: dict = {v: set() for v in verts}
     for n in td.nodes:
         for v in td.bags[n]:
             if v not in where:
                 return {"valid": False, "width": td.width,
                         "reason": f"bag vertex {v!r} not in G"}
-            where[v].append(n)
+            where[v].add(n)
+    # The tree is a spanning tree by now, so the nodes whose bags hold v
+    # induce a forest, connected iff it has one edge fewer than nodes.
+    inside = dict.fromkeys(verts, 0)
+    for a, b in td.edges:
+        for v in frozenset(td.bags[a]).intersection(td.bags[b]):
+            inside[v] += 1
     for v in verts:
         if not where[v]:
             return {"valid": False, "width": td.width, "reason": f"vertex {v!r} uncovered"}
-        sub = set(where[v])
-        start = next(iter(sub))
-        seen = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in tree.adj[n]:
-                if m in sub and m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        if seen != sub:
+        if len(where[v]) - inside[v] != 1:
             return {"valid": False, "width": td.width,
                     "reason": f"bags of {v!r} not connected in tree"}
     for u, v in G.edge_list():
-        if set(where[u]).isdisjoint(where[v]):
+        if where[u].isdisjoint(where[v]):
             return {"valid": False, "width": td.width,
                     "reason": f"edge {u!r}{v!r} uncovered"}
     return {"valid": True, "width": td.width, "reason": None}
@@ -620,19 +617,25 @@ def shallow_centers(model: MinorModel, r: int) -> dict:
     come from the host, without building the product: two vertices with
     distinct host coordinates are at the host distance of those
     coordinates, and two distinct copies of one host vertex are adjacent.
+    The host balls of radius r around all branch-set vertices come from one
+    ball_masks run, which stops at its fixpoint when that comes first.
     """
-    host_dist: dict = {}
+    hosts = sorted({h for branch in model.mu.values() for h, _ in branch})
+    bit = {h: i for i, h in enumerate(hosts)}
+    masks: dict = {}
+    if r >= 0:
+        for k, masks, _ in ball_masks(model.host, hosts):
+            if k >= r:
+                break
     centers = {}
     for v in sorted(model.mu):
         branch = sorted(model.mu[v])
+        need = 0
+        for h, _ in branch:
+            need |= 1 << bit[h]
         for c in branch:
-            h = c[0]
-            if h not in host_dist:
-                host_dist[h] = bfs_distances(model.host, [h])
-            dist = host_dist[h]
-            worst = max(int(b != c) if b[0] == h else dist.get(b[0], r + 1)
-                        for b in branch)
-            if worst <= r:
+            # a second copy of c's host vertex is at distance 1
+            if masks.get(c[0], 0) & need == need and (r >= 1 or len(branch) == 1):
                 centers[v] = c
                 break
         else:

@@ -96,6 +96,41 @@ def bfs_distances(g: Graph, sources: Iterable) -> dict:
     return dist
 
 
+def ball_masks(g: Graph, sources: list):
+    """Bit-parallel balls of growing radius around every source at once.
+
+    Bit i of a mask stands for sources[i].  Yields (k, masks, grown) for
+    k = 0, 1, 2, ...: masks[v] has bit i set iff v is within distance k of
+    sources[i], and grown lists the vertices whose mask changed at step k
+    (the sources at k = 0).  masks is one dict, updated in place.  A step
+    ORs into each neighbour the masks that grew at the step before; a mask
+    that did not grow is already held by every neighbour.  The generator
+    ends after the last step that grows a mask, so the last masks yielded
+    are the fixpoint: the balls of every radius from that k on.
+    """
+    adj = g.adj
+    masks = dict.fromkeys(adj, 0)
+    for i, s in enumerate(sources):
+        masks[s] |= 1 << i
+    grown = list(dict.fromkeys(sources))
+    k = 0
+    while grown:
+        yield k, masks, grown
+        incoming: dict = {}
+        get = incoming.get
+        for w in grown:
+            m = masks[w]
+            for v in adj[w]:
+                incoming[v] = get(v, 0) | m
+        grown = []
+        for v, m in incoming.items():
+            old = masks[v]
+            if m | old != old:
+                masks[v] = m | old
+                grown.append(v)
+        k += 1
+
+
 def connected_components(g: Graph) -> list[list]:
     seen: set = set()
     comps = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, SceneError
-from .graph import Graph, bfs_distances
+from .graph import Graph, ball_masks, bfs_distances
 from .planarise import ColouredPlanarisation, endpoint_id
 
 
@@ -121,23 +121,45 @@ def walk_weak_diameter(cp: ColouredPlanarisation, params) -> dict:
     Endpoint vertices have degree 1, so distances between non-endpoint
     vertices are the same whether or not E_C is present; the value is
     asserted against the bound r = (2k+1) sum k^j.
+
+    The balls around all inner walk vertices grow together (ball_masks); a
+    walk's diameter is the first radius at which each of its vertices
+    reaches all of them.  A walk still short of that at the fixpoint is
+    disconnected.
     """
     g = cp.graph()
-    out = {}
+    bit: dict = {}
+    need: dict = {}
+    short: dict = {}              # curve id -> inner vertices not yet covering
+    walks_at: dict = {}
     for cid in sorted(cp.walks):
-        inner = sorted(set(cp.walks[cid]) - cp.endpoints)
-        diam = 0
-        for x in inner:
-            dist = bfs_distances(g, [x])
-            for y in inner:
-                if y not in dist:
-                    raise InvariantError(f"walk of {cid!r} disconnected in C^phi")
-                diam = max(diam, dist[y])
-        if diam > params.r:
+        inner = set(cp.walks[cid]) - cp.endpoints
+        m = 0
+        for x in sorted(inner):
+            m |= 1 << bit.setdefault(x, len(bit))
+            walks_at.setdefault(x, []).append(cid)
+        need[cid] = m
+        short[cid] = inner
+    diam = {cid: 0 for cid, inner in short.items() if not inner}
+    pending = len(short) - len(diam)
+    for k, masks, grown in ball_masks(g, list(bit)):
+        for x in grown:
+            for cid in walks_at.get(x, ()):
+                left = short[cid]
+                if x in left and masks[x] & need[cid] == need[cid]:
+                    left.discard(x)
+                    if not left:
+                        diam[cid] = k
+                        pending -= 1
+        if not pending:
+            break
+    for cid in sorted(cp.walks):
+        if cid not in diam:
+            raise InvariantError(f"walk of {cid!r} disconnected in C^phi")
+        if diam[cid] > params.r:
             raise InvariantError(
-                f"walk weak diameter of {cid!r} is {diam} > r = {params.r}")
-        out[cid] = diam
-    return out
+                f"walk weak diameter of {cid!r} is {diam[cid]} > r = {params.r}")
+    return {cid: diam[cid] for cid in sorted(cp.walks)}
 
 
 def grounded_distance_check(cp: ColouredPlanarisation, Y) -> int:

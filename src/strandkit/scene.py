@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import SceneError
@@ -320,8 +321,45 @@ def dump_scene(scene: StringScene, path) -> None:
 
 
 def dumps_canonical(obj) -> str:
-    """Byte-stable JSON used for every emitted report."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Byte-stable JSON used for every emitted report.
+
+    The text is json.dumps(obj, sort_keys=True, indent=2) + "\n", written
+    directly: json.dumps falls back to its pure-Python chunk generator once
+    an indent is set.  Values may be str, int, bool, None, list, tuple or
+    dict with str keys; anything else raises TypeError.
+    """
+    return _canonical(obj, "\n") + "\n"
+
+
+def _canonical(obj, indent: str) -> str:
+    """One value at the given newline-plus-indent, tested in json's order."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join([_canonical(v, inner) for v in obj])
+                + indent + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _canonical(value, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def perturb(scene: StringScene, seed: int, magnitude: Fraction = Fraction(1, 1000)) -> StringScene:

@@ -97,8 +97,8 @@ def test_verify_td_detects_violations():
 
 
 def scan_verify_td(td, G):
-    """Reference: verify_td with its old edge-coverage scan, which tests each
-    edge against every bag."""
+    """Reference: verify_td with its old searches: a DFS over the tree for
+    each vertex's bags, and each edge tested against every bag."""
     verts = G.vertices
     if sorted(td.bags) != sorted(td.nodes):
         return {"valid": False, "width": td.width, "reason": "bags/nodes mismatch"}
@@ -155,6 +155,35 @@ def test_verify_td_edge_coverage_matches_bag_scan():
                 assert got == scan_verify_td(broken, G)
                 reasons.add(got["reason"].split()[0] if got["reason"] else None)
     assert reasons == {"edge", "vertex", "bags", None}
+
+
+def test_verify_td_subtree_count_matches_tree_search():
+    """Pipeline decompositions at 20 curves, intact and corrupted: a vertex
+    dropped from a middle bag, a tree edge missing, and a vertex added to a
+    bag away from its subtree.  Every verdict and reason is the oracle's."""
+    reasons = set()
+    for seed in range(2):
+        p = Pipeline(gen_grounded(20, seed))
+        G = p.graph
+        for td in (ltw_pipeline(p)["td"], outerstring_decomposition(p)["td"]):
+            cases = [td, TreeDecomposition(td.nodes, td.edges[1:], td.bags)]
+            tree = Graph(vertices=td.nodes, edges=td.edges)
+            middle = [n for n in td.nodes if tree.degree(n) > 1]
+            for n in middle[:6]:
+                for v in sorted(td.bags[n])[:2]:
+                    cases.append(TreeDecomposition(
+                        td.nodes, td.edges, {**td.bags, n: td.bags[n] - {v}}))
+            leaves = [n for n in td.nodes if tree.degree(n) == 1]
+            for v in G.vertices[:6]:
+                far = [n for n in leaves if v not in td.bags[n]]
+                if far:
+                    cases.append(TreeDecomposition(
+                        td.nodes, td.edges, {**td.bags, far[-1]: td.bags[far[-1]] | {v}}))
+            for case in cases:
+                got = verify_td(case, G)
+                assert got == scan_verify_td(case, G)
+                reasons.add(got["reason"].split()[0] if got["reason"] else None)
+    assert reasons == {None, "tree", "bags"}
 
 
 def test_bfs_layering_valid():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -7,7 +8,7 @@ from strandkit.colouring import compute_params
 from strandkit.decomp import Pipeline, shallow_centers
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
-from strandkit.graph import Graph, bfs_distances
+from strandkit.graph import Graph, ball_masks, bfs_distances
 from strandkit.planarise import coloured_planarisation, planarise
 from strandkit.product_model import (MinorModel, build_model,
                                      grounded_distance_check,
@@ -196,3 +197,146 @@ def test_outerstring_fixture_distances(outerstring_scene, outerstring_colouring)
     assert verify_model(model, G)["valid"]
     ends = {f"e:{cid}:0" for cid in outerstring_scene.curve_ids()}
     assert grounded_distance_check(cp, ends) <= params.t - 1
+
+
+# ------------------------------------------- per-source BFS distance oracles
+
+def bfs_walk_weak_diameter(cp, params) -> dict:
+    """Reference: walk_weak_diameter with a full BFS of C^phi from every
+    inner walk vertex."""
+    g = cp.graph()
+    out = {}
+    for cid in sorted(cp.walks):
+        inner = sorted(set(cp.walks[cid]) - cp.endpoints)
+        diam = 0
+        for x in inner:
+            dist = bfs_distances(g, [x])
+            for y in inner:
+                if y not in dist:
+                    raise InvariantError(f"walk of {cid!r} disconnected in C^phi")
+                diam = max(diam, dist[y])
+        if diam > params.r:
+            raise InvariantError(
+                f"walk weak diameter of {cid!r} is {diam} > r = {params.r}")
+        out[cid] = diam
+    return out
+
+
+def bfs_shallow_centers(model: MinorModel, r: int) -> dict:
+    """Reference: shallow_centers with one host BFS per candidate center."""
+    host_dist: dict = {}
+    centers = {}
+    for v in sorted(model.mu):
+        branch = sorted(model.mu[v])
+        for c in branch:
+            h = c[0]
+            if h not in host_dist:
+                host_dist[h] = bfs_distances(model.host, [h])
+            dist = host_dist[h]
+            worst = max(int(b != c) if b[0] == h else dist.get(b[0], r + 1)
+                        for b in branch)
+            if worst <= r:
+                centers[v] = c
+                break
+        else:
+            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
+    return centers
+
+
+def same_outcome(fast, slow, *args):
+    """fast(*args) returns what slow(*args) returns, or raises the same
+    exception type with the same text."""
+    try:
+        want = slow(*args)
+    except (InvariantError, CheckFailure) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            fast(*args)
+        return None
+    assert fast(*args) == want
+    return want
+
+
+def test_ball_masks_are_bfs_balls():
+    """Each yielded k holds the radius-k balls; the last one is the fixpoint."""
+    path = Graph(vertices=range(7), edges=[(i, i + 1) for i in range(5)])
+    grid = Graph(edges=[((i, j), (i + di, j + dj)) for i in range(4)
+                        for j in range(4) for di, dj in ((0, 1), (1, 0))
+                        if i + di < 4 and j + dj < 4])
+    for g in (path, grid, Graph()):
+        sources = g.vertices[::2]
+        dist = [bfs_distances(g, [s]) for s in sources]
+        ecc = max((max(d.values()) for d in dist), default=-1)
+        ks = []
+        for k, masks, grown in ball_masks(g, sources):
+            ks.append(k)
+            for v in g.vertices:
+                want = sum(1 << i for i, d in enumerate(dist) if d.get(v, k + 1) <= k)
+                assert masks[v] == want
+            assert grown and all(v in masks for v in grown)
+        assert ks == list(range(ecc + 1))
+
+
+@pytest.mark.parametrize("n", [6, 12, 24, 48])
+def test_distance_checks_match_bfs_oracles(n):
+    for seed in range(3):
+        p = Pipeline(gen_grounded(n, seed))
+        diam = same_outcome(walk_weak_diameter, bfs_walk_weak_diameter,
+                            p.cp, p.params)
+        assert diam is not None
+        width = max(diam.values())
+        for r in sorted({0, 1, 2, width, 2 * width + 1, p.params.r}):
+            same_outcome(shallow_centers, bfs_shallow_centers, p.model, r)
+
+
+def test_distance_checks_match_bfs_oracles_abstract(
+        abstract_multicross, abstract_colouring, plus_sign, plus_colouring):
+    for scene, colouring in ((abstract_multicross, abstract_colouring),
+                             (plus_sign, plus_colouring)):
+        _, cp, params, _ = pipeline(scene, colouring)
+        assert same_outcome(walk_weak_diameter, bfs_walk_weak_diameter,
+                            cp, params) is not None
+        model = build_model(cp, params)
+        for r in range(-1, len(model.host) + 1):
+            same_outcome(shallow_centers, bfs_shallow_centers, model, r)
+    # two copies of one host vertex are at distance 1; an unreachable copy
+    # is at no finite distance
+    host = Graph(vertices="xyz", edges=[("x", "y")])
+    model = MinorModel({"a": frozenset({("x", 1), ("x", 2)}),
+                        "b": frozenset({("y", 1), ("x", 3)}),
+                        "c": frozenset({("z", 1)}), "d": frozenset({("z", 2), ("x", 4)})},
+                       host, 4)
+    for r in range(-1, 3):
+        same_outcome(shallow_centers, bfs_shallow_centers,
+                     MinorModel({v: model.mu[v] for v in "abc"}, host, 4), r)
+        same_outcome(shallow_centers, bfs_shallow_centers, model, r)
+
+
+def test_walk_weak_diameter_corrupted_matches_oracle():
+    """A walk split into two components, r below the true diameter, and both
+    at once: the first curve in sorted order fails, with the oracle's text."""
+    p = Pipeline(gen_grounded(12, 0))
+    cp, params = p.cp, p.params
+    diam = walk_weak_diameter(cp, params)
+    cids = sorted(cp.walks)
+    widest = max(cids, key=lambda c: diam[c])
+
+    def split(*walk_ids):
+        emb = cp.embedding.copy()
+        walks = dict(cp.walks)
+        for i, cid in enumerate(walk_ids):
+            emb.add_vertex(f"island{i}")
+            walks[cid] = list(walks[cid]) + [f"island{i}"]
+        return dataclasses.replace(cp, embedding=emb, walks=walks)
+
+    lowered = type(params)(params.t, params.d, params.k, diam[widest] - 1)
+    cases = [(split(cids[-1]), params), (split(cids[-1], cids[1]), params),
+             (cp, lowered), (split(cids[-1]), lowered)]
+    texts = []
+    for bad_cp, bad_params in cases:
+        with pytest.raises(InvariantError) as info:
+            bfs_walk_weak_diameter(bad_cp, bad_params)
+        texts.append(str(info.value))
+        same_outcome(walk_weak_diameter, bfs_walk_weak_diameter, bad_cp, bad_params)
+    assert texts[0] == f"walk of {cids[-1]!r} disconnected in C^phi"
+    assert texts[1] == f"walk of {cids[1]!r} disconnected in C^phi"
+    assert texts[2].startswith("walk weak diameter of ")

@@ -1,8 +1,9 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandkit.errors import SceneError
@@ -78,6 +79,32 @@ def test_canonical_dump_is_stable(plus_sign):
     b = dumps_canonical(StringScene.from_json(plus_sign.to_json()).to_json())
     assert a == b
     assert a.endswith("\n")
+
+
+# Text with non-ASCII (lone surrogates too), quotes, backslashes and
+# control characters; ints past 64 bits; empty and nested containers.
+json_text = st.text(st.characters(codec=None, exclude_categories=())
+                    | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€'),
+                    max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_text
+    | st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(json_text, kids, max_size=4),
+    max_leaves=24)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(json_values)
+def test_dumps_canonical_is_json_dumps(value):
+    assert dumps_canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: 2}, {"a": {None: 1}},
+                                   {"a": {True: 1}}, {1, 2}, Fraction(1, 2)])
+def test_dumps_canonical_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        dumps_canonical(value)
 
 
 def test_perturb_deterministic(plus_sign):
