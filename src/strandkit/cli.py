@@ -24,7 +24,7 @@ from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                        gen_segment_family)
 from .localise import localise_pipeline
 from .planarise import (check_coloured_planarisation, coloured_to_dot,
-                        coloured_to_json, endpoint_id, euler_genus,
+                        coloured_to_json, endpoint_id,
                         planarisation_to_dot, planarisation_to_json, scene_to_svg)
 from .product_model import (grounded_distance_check, verify_model,
                             walk_weak_diameter)
@@ -168,7 +168,7 @@ def _cmd_planarise(args) -> dict:
     report = {"command": "planarise",
               "vertices": len(plan.embedding.rotation),
               "edges": plan.embedding.edge_count(),
-              "genus": euler_genus(plan)}
+              "genus": plan.embedding.euler_genus()}
     colouring = _colouring(args, p)
     cp = p.cp
     check_coloured_planarisation(plan, cp)

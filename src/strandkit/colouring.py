@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .arrangement import events_by_curve
 from .errors import SceneError
-from .scene import CrossingEvent, StringScene
+from .scene import CrossingEvent, StringScene, _json_int
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,8 @@ class OrderedColouring:
     def from_json(data: dict) -> "OrderedColouring":
         if not isinstance(data, dict):
             raise SceneError("colouring JSON must be an object of curve id -> colour")
-        try:
-            phi = {str(cid): int(col) for cid, col in data.items()}
-        except TypeError as exc:
-            raise SceneError(f"malformed colouring JSON: {exc}") from exc
+        phi = {str(cid): _json_int(col, f"colour of {cid!r}")
+               for cid, col in data.items()}
         for cid, col in phi.items():
             if col < 1:
                 raise SceneError(f"colour of {cid!r} must be >= 1, got {col}")

@@ -18,10 +18,9 @@ from .colouring import (ColouringParams, OrderedColouring, check_ordered,
                         compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
 from .embedding import EmbeddedGraph
-from .graph import (Graph, ball_masks, bfs_distances, connected_components,
-                    eccentricity)
+from .graph import Graph, ball_masks, bfs_tree, connected_components
 from .planarise import (ColouredPlanarisation, Planarisation,
-                        coloured_planarisation, endpoint_id, euler_genus, planarise)
+                        coloured_planarisation, endpoint_id, planarise)
 from .product_model import MinorModel, build_model
 from .scene import StringScene
 
@@ -94,7 +93,7 @@ def verify_td(td: TreeDecomposition, G: Graph) -> dict:
 
 def verify_layering(layering: Layering, G: Graph) -> dict:
     idx = layering.index()
-    if sorted(idx) != G.vertices:
+    if sorted(idx) != G.vertices or sum(map(len, layering.layers)) != len(idx):
         return {"valid": False, "reason": "layers are not a partition of V(G)"}
     for u, v in G.edge_list():
         if abs(idx[u] - idx[v]) > 1:
@@ -103,16 +102,17 @@ def verify_layering(layering: Layering, G: Graph) -> dict:
     return {"valid": True, "reason": None}
 
 
-def bfs_layering(G: Graph, roots) -> Layering:
-    verts = G.vertices
-    dist = bfs_distances(G, roots)
-    missing = [v for v in verts if v not in dist]
-    if missing:
-        raise SceneError(f"vertex {missing[0]!r} unreachable from the roots")
-    layers: list = [[] for _ in range(max(dist.values()) + 1)]
-    for v in verts:
-        layers[dist[v]].append(v)
-    return Layering(layers)
+def bfs_layering(parent: dict) -> Layering:
+    """The vertices of a BFS tree (graph.bfs_tree) by depth, each layer
+    sorted."""
+    depth: dict = {}
+    layers: list = []
+    for v, p in parent.items():
+        depth[v] = d = 0 if p is None else depth[p] + 1
+        if d == len(layers):
+            layers.append([])
+        layers[d].append(v)
+    return Layering([sorted(layer) for layer in layers])
 
 
 # ------------------------------------------------------- exact treewidth oracle
@@ -322,22 +322,38 @@ def _join_decompositions(parts: list) -> TreeDecomposition:
 
 # ---------------------------------------------------- planar radius -> treewidth
 
-def radius_decomposition(G: Graph, root) -> TreeDecomposition:
+def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
     """Tree decomposition of a connected planar graph, width <= 3r + 1.
 
-    r is the eccentricity of the root.  Construction: planar embedding,
-    triangulate every face down to <= 3 distinct corners, BFS tree from the
-    root, one bag per face (union of the corners' root paths), and the dual
-    spanning tree induced by non-BFS-tree edges as the decomposition tree.
+    parent is a BFS tree of G (graph.bfs_tree), and r is the eccentricity
+    of its root.  Construction: planar embedding, triangulate every face
+    down to <= 3 distinct corners, one bag per face (union of the corners'
+    root paths), and the dual spanning tree induced by non-BFS-tree edges
+    as the decomposition tree.
     """
     verts = G.vertices
     if not verts:
         raise SceneError("empty graph")
     if len(verts) == 1:
         return TreeDecomposition([1], [], {1: frozenset(verts)})
-    parent = _bfs_parents(G, root)
     if len(parent) != len(G):
         raise SceneError("radius decomposition needs a connected graph")
+    # each tree edge is an edge of G, parents come before their children,
+    # and no edge of G joins depths more than one apart: so each depth is
+    # the distance from the root, and the largest is r
+    adj = G.adj
+    depth: dict = {}
+    for v, p in parent.items():
+        if p is None and not depth and v in adj:
+            depth[v] = 0
+        elif p in depth and v in adj[p]:
+            depth[v] = depth[p] + 1
+        else:
+            break
+    if len(depth) != len(G) or any(depth[u] - depth[w] > 1
+                                   for u in adj for w in adj[u]):
+        raise InvariantError("radius decomposition needs a BFS tree of the graph")
+    r = max(depth.values())
 
     def root_path(v):
         path = []
@@ -345,9 +361,6 @@ def radius_decomposition(G: Graph, root) -> TreeDecomposition:
             path.append(v)
             v = parent[v]
         return path
-
-    # BFS discovers vertices by depth, so the last one is the farthest
-    r = len(root_path(next(reversed(parent)))) - 1
 
     emb = _planar_embedding(verts, G.edge_list())
     if emb.euler_genus() != 0:
@@ -396,19 +409,6 @@ def radius_decomposition(G: Graph, root) -> TreeDecomposition:
     if td.width > bound:
         raise InvariantError(f"radius decomposition width {td.width} > 3r+1 = {bound}")
     return td
-
-
-def _bfs_parents(g: Graph, root) -> dict:
-    from collections import deque
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(g.adj[v]):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return parent
 
 
 def _planar_embedding(verts, edges) -> EmbeddedGraph:
@@ -521,7 +521,7 @@ class Pipeline:
 
     @cached_property
     def genus(self) -> int:
-        return euler_genus(self.cp)
+        return self.cp.embedding.euler_genus()
 
     @cached_property
     def params(self) -> ColouringParams:
@@ -538,7 +538,7 @@ def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
     """C^phi_0: per disk, identify the grounded endpoints into a center w_i
     and delete the remaining endpoint vertices.  Returns (graph, centers).
     """
-    g = cp.graph()
+    g = cp.graph
     centers = {}
     for did in sorted(scene.disks):
         centers[did] = f"w:{did}"
@@ -579,12 +579,12 @@ def outerstring_decomposition(p: Pipeline) -> dict:
     t, d = p.params.t, p.params.d
 
     quotient, centers = grounded_quotient(p.cp, p.scene)
-    w = centers[0]
-    ecc = eccentricity(quotient, w)
+    tree = bfs_tree(quotient, centers[0])
+    ecc = len(bfs_layering(tree).layers) - 1
     if ecc > t - 1:
         raise InvariantError(f"quotient radius {ecc} exceeds t-1 = {t - 1}")
 
-    td0 = radius_decomposition(quotient, w)
+    td0 = radius_decomposition(quotient, tree)
     td = minor_lift(td0, p.model)
     report = verify_td(td, p.graph)
     if not report["valid"]:
@@ -667,19 +667,20 @@ def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
 def ltw_pipeline(p: Pipeline) -> dict:
     """End-to-end layered-width certificate for a genus-0 scene.
 
-    Builds the model in (C^phi - E_C) x K_{d+1}, decomposes the host by
-    radius from its smallest vertex, lifts td and layering through the model,
-    and returns the lifted pair with its layered width, asserted against
+    Builds the model in (C^phi - E_C) x K_{d+1}, takes one BFS tree of the
+    host from its smallest vertex, decomposes the host by radius and layers
+    it by depth in that tree, lifts td and layering through the model, and
+    returns the lifted pair with its layered width, asserted against
     3(4r+1)(d+1).
     """
     genus, params, model = p.genus, p.params, p.model
     host = model.host
-    if len(connected_components(host)) != 1:
+    tree = bfs_tree(host, host.vertices[0])
+    if len(tree) != len(host):
         raise SceneError("ltw pipeline needs a connected crossing structure")
     if genus != 0:
         raise SceneError(f"ltw pipeline needs genus 0, got {genus}")
-    root = host.vertices[0]
-    lifted = ltw_lift(radius_decomposition(host, root), bfs_layering(host, [root]),
+    lifted = ltw_lift(radius_decomposition(host, tree), bfs_layering(tree),
                       model, params.r)
     bound = bounds("ltw-shallow", {"r": params.r, "d": params.d, "g": genus})
     if lifted["layered_width"] > bound:

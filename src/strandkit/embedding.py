@@ -121,15 +121,24 @@ class EmbeddedGraph:
 
     def euler_genus(self) -> int:
         """Sum over components of 2 - V + E - F."""
-        from .graph import connected_components
-        comp_of = {}
-        comps = connected_components(self.simple_graph())
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        v_count = [0] * len(comps)
-        e_count = [0] * len(comps)
-        f_count = [0] * len(comps)
+        # components numbered in the order of their smallest vertices
+        comp_of: dict = {}
+        n = 0
+        for v0 in sorted(self.rotation):
+            if v0 in comp_of:
+                continue
+            comp_of[v0] = n
+            stack = [v0]
+            while stack:
+                for d in self.rotation[stack.pop()]:
+                    w = self.dart_head(d)
+                    if w not in comp_of:
+                        comp_of[w] = n
+                        stack.append(w)
+            n += 1
+        v_count = [0] * n
+        e_count = [0] * n
+        f_count = [0] * n
         for v in self.rotation:
             v_count[comp_of[v]] += 1
         for eid, (u, _) in self.edge_ends.items():
@@ -137,11 +146,11 @@ class EmbeddedGraph:
         for face in self.trace_faces():
             f_count[comp_of[self.dart_tail(face[0])]] += 1
         # an isolated vertex is a sphere with one face
-        for i, comp in enumerate(comps):
+        for i in range(n):
             if e_count[i] == 0:
                 f_count[i] = 1
         total = 0
-        for i in range(len(comps)):
+        for i in range(n):
             genus = 2 - v_count[i] + e_count[i] - f_count[i]
             if genus < 0:
                 raise InvariantError(f"inconsistent face trace in component {i}")

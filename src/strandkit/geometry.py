@@ -54,26 +54,17 @@ def _in_box(p: Point, a: Point, b: Point) -> bool:
 
 
 class SegmentIntersection:
-    """Classification of how two closed segments meet.
-
-    A PROPER crossing also carries its parameter t on a1a2 and s on b1b2
-    (point = a1 + t (a2 - a1) = b1 + s (b2 - b1)) and the sign of
-    (a2 - a1) x (b2 - b1): +1 when b crosses a from right to left.
-    """
+    """Classification of how two closed segments meet, with the meeting
+    point of a PROPER crossing or a TOUCH."""
 
     DISJOINT = "disjoint"
     PROPER = "proper"          # transversal crossing in both interiors
     TOUCH = "touch"            # meet at a single point, not interior-interior
     OVERLAP = "overlap"        # collinear with a shared sub-segment
 
-    def __init__(self, kind: str, point: Optional[Point] = None,
-                 t: Optional[Fraction] = None, s: Optional[Fraction] = None,
-                 sign: Optional[int] = None):
+    def __init__(self, kind: str, point: Optional[Point] = None):
         self.kind = kind
         self.point = point
-        self.t = t
-        self.s = s
-        self.sign = sign
 
 
 def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentIntersection:
@@ -85,12 +76,10 @@ def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentInt
 
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
        ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        # proper crossing: solve for the intersection point exactly; d3 and
-        # d4 have opposite signs and (a2 - a1) x (b2 - b1) = d4 - d3
+        # proper crossing: solve for the intersection point exactly
         t = d1 / (d1 - d2)
         p = Point(a1.x + (a2.x - a1.x) * t, a1.y + (a2.y - a1.y) * t)
-        return SegmentIntersection(SegmentIntersection.PROPER, p, t,
-                                   d3 / (d3 - d4), 1 if d4 > 0 else -1)
+        return SegmentIntersection(SegmentIntersection.PROPER, p)
 
     if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
         # collinear: overlap, touch at one point, or disjoint

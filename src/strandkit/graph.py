@@ -32,10 +32,6 @@ class Graph:
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def remove_vertex(self, v) -> None:
-        for u in self.adj.pop(v, set()):
-            self.adj[u].discard(v)
-
     @property
     def vertices(self) -> list:
         return sorted(self.adj)
@@ -60,17 +56,11 @@ class Graph:
     def __len__(self) -> int:
         return len(self.adj)
 
-    def copy(self) -> "Graph":
-        g = Graph()
-        g.adj = {v: set(ns) for v, ns in self.adj.items()}
-        return g
-
     def subgraph(self, keep: Iterable) -> "Graph":
+        """The subgraph induced by keep, as a new graph."""
         keep = set(keep)
-        g = Graph(vertices=sorted(keep))
-        for u, v in self.edge_list():
-            if u in keep and v in keep:
-                g.add_edge(u, v)
+        g = Graph()
+        g.adj = {v: self.adj.get(v, set()) & keep for v in sorted(keep)}
         return g
 
     def max_degree(self) -> int:
@@ -94,6 +84,24 @@ def bfs_distances(g: Graph, sources: Iterable) -> dict:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def bfs_tree(g: Graph, root) -> dict:
+    """The BFS tree of g from root, as a parent map; the root maps to None.
+
+    Neighbours are visited in sorted order.  Keys come in discovery order,
+    so by depth, each parent before its children.  Vertices unreachable
+    from root are absent.
+    """
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(g.adj[v]):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
 def ball_masks(g: Graph, sources: list):

@@ -12,11 +12,11 @@ honestly whether the 2^d (d-1) + 1 per-curve bound is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arrangement import events_by_curve, intersection_graph
 from .decomp import bounds
-from .errors import CheckFailure, SceneError
+from .errors import CheckFailure
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
 

@@ -18,6 +18,7 @@ asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arrangement import events_by_curve
 from .embedding import EmbeddedGraph
@@ -46,9 +47,6 @@ class Planarisation:
 
     def dummies(self) -> list:
         return sorted(v for v, k in self.kind.items() if k == "dummy")
-
-    def graph(self) -> Graph:
-        return self.embedding.simple_graph()
 
 
 def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
@@ -110,8 +108,6 @@ def _check_planarisation(plan: Planarisation, events: list[CrossingEvent]) -> No
 @dataclass(frozen=True)
 class Fragment:
     """Maximal piece of a curve between crossings with smaller-colour curves."""
-    curve: str
-    index: int
     path: tuple            # subpath of L_gamma, including its end vertices
     interior: tuple        # crossing ids strictly inside the fragment
 
@@ -122,13 +118,9 @@ class Fragment:
         return list(self.path[1:-1])
 
 
-def _phi_of(colouring) -> dict:
-    return getattr(colouring, "phi", colouring)
-
-
 def fragments(plan: Planarisation, colouring, curve_id: str) -> list[Fragment]:
     """Fragments of a curve in arc order under an ordered colouring."""
-    phi = _phi_of(colouring)
+    phi = colouring.phi
     if curve_id not in plan.curve_paths:
         raise SceneError(f"unknown curve {curve_id!r}")
     path = plan.curve_paths[curve_id]
@@ -150,7 +142,7 @@ def fragments(plan: Planarisation, colouring, curve_id: str) -> list[Fragment]:
     for fi in range(len(bounds) - 1):
         sub = path[bounds[fi]:bounds[fi + 1] + 1]
         interior = tuple(v for v in sub[1:-1] if plan.kind[v] == "dummy")
-        out.append(Fragment(curve_id, fi, tuple(sub), interior))
+        out.append(Fragment(tuple(sub), interior))
     return out
 
 
@@ -172,10 +164,11 @@ class ColouredPlanarisation:
     walks: dict                # curve id -> walk W_gamma
     endpoints: set             # E_C inside C^phi
     sections: dict             # representative -> list of C' vertices (fibre)
-    section_curve: dict        # representative -> owning curve id
     phi: dict = field(default_factory=dict)
 
+    @cached_property
     def graph(self) -> Graph:
+        """The simple graph of C^phi, built on first use; read-only."""
         return self.embedding.simple_graph()
 
 
@@ -187,7 +180,7 @@ def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisat
     contracts.  The embedding is contracted edge by edge, which preserves the
     surface, so Euler genus can still be read off the result.
     """
-    phi = dict(_phi_of(colouring))
+    phi = dict(colouring.phi)
     secs: dict = {}
     sec_curve: dict = {}
     owner: dict = {}
@@ -237,7 +230,7 @@ def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisat
     cp = ColouredPlanarisation(
         embedding=g, level=level, psi=psi, walks=walks,
         endpoints={v for v, k in plan.kind.items() if k == "endpoint"},
-        sections=secs, section_curve=sec_curve, phi=phi)
+        sections=secs, phi=phi)
     _check_contraction(plan, cp)
     return cp
 
@@ -307,11 +300,6 @@ def check_coloured_planarisation(plan: Planarisation, cp: ColouredPlanarisation)
     for a, b in sorted(crossing_pairs):
         if walk_sets[a].isdisjoint(walk_sets[b]):
             raise InvariantError(f"curves {a!r}, {b!r} cross but walks are disjoint")
-
-
-def euler_genus(obj) -> int:
-    """Euler genus of a (coloured) planarisation's embedding."""
-    return obj.embedding.euler_genus()
 
 
 # ------------------------------------------------------------------ emitters
@@ -384,7 +372,7 @@ def scene_to_svg(scene: StringScene, colouring=None, highlight: str | None = Non
     """
     if not scene.is_geometric:
         raise SceneError("SVG emission needs a geometric scene")
-    phi = _phi_of(colouring) if colouring is not None else {}
+    phi = colouring.phi if colouring is not None else {}
     pts = [p for c in scene.curves.values() for p in c.points]
     xs = [float(p.x) for p in pts]
     ys = [float(p.y) for p in pts]

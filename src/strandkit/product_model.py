@@ -39,10 +39,7 @@ class MinorModel:
 
 
 def host_without_endpoints(cp: ColouredPlanarisation) -> Graph:
-    g = cp.graph()
-    for v in sorted(cp.endpoints):
-        g.remove_vertex(v)
-    return g
+    return cp.graph.subgraph(set(cp.graph.adj) - cp.endpoints)
 
 
 def build_model(cp: ColouredPlanarisation, params) -> MinorModel:
@@ -127,7 +124,7 @@ def walk_weak_diameter(cp: ColouredPlanarisation, params) -> dict:
     reaches all of them.  A walk still short of that at the fixpoint is
     disconnected.
     """
-    g = cp.graph()
+    g = cp.graph
     bit: dict = {}
     need: dict = {}
     short: dict = {}              # curve id -> inner vertices not yet covering
@@ -174,7 +171,7 @@ def grounded_distance_check(cp: ColouredPlanarisation, Y) -> int:
             raise SceneError(f"curve {cid!r} has no endpoint in Y")
     if not Y <= cp.endpoints:
         raise SceneError("Y contains non-endpoint vertices")
-    g = cp.graph()
+    g = cp.graph
     dist = bfs_distances(g, Y)
     t = max(cp.phi.values())
     worst = 0

@@ -69,9 +69,6 @@ class CrossingEvent:
     def other(self, curve_id: str) -> str:
         return self.curve_b if curve_id == self.curve_a else self.curve_a
 
-    def index_on(self, curve_id: str) -> int:
-        return self.index_in_a if curve_id == self.curve_a else self.index_in_b
-
 
 @dataclass
 class StringScene:
@@ -256,8 +253,10 @@ class StringScene:
                                 f"curve {cid!r}: crossing id {x!r} is not a string")
                 grounded = None
                 if "grounded" in entry:
-                    grounded = (entry["grounded"]["disk"], int(entry["grounded"]["end"]))
-                twists = tuple(int(i) for i in entry.get("twists", ()))
+                    grounded = (entry["grounded"]["disk"], _json_int(
+                        entry["grounded"]["end"], f"curve {cid!r}: grounded end"))
+                twists = tuple(_json_int(i, f"curve {cid!r}: twist index")
+                               for i in entry.get("twists", ()))
                 scene.curves[cid] = Curve(cid, points, crossings, grounded, twists)
             for entry in data.get("disks", []):
                 did = entry["id"]
@@ -271,16 +270,24 @@ class StringScene:
                     rn, rd = entry["radius"]
                     radius = Fraction(rn, rd)
                 if "boundary" in entry:
-                    boundary = tuple((c, int(e)) for c, e in entry["boundary"])
+                    boundary = tuple((c, _json_int(e, f"disk {did!r}: boundary end"))
+                                     for c, e in entry["boundary"])
                 scene.disks[did] = Disk(did, center, radius, boundary)
             chirality = data.get("chirality", {})
             if not isinstance(chirality, dict):
                 raise SceneError("chirality must be an object of crossing id -> sign")
             for k, v in chirality.items():
-                scene.chirality[k] = int(v)
+                scene.chirality[k] = _json_int(v, f"chirality of {k!r}")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
         return scene
+
+
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; a bool, float or string is invalid."""
+    if type(value) is not int:
+        raise SceneError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _segment_enters_open_disk(a: tuple[int, int], b: tuple[int, int],

@@ -26,7 +26,7 @@ from strandkit.families import (certify_grid_disk, certify_segment_family,
                                 gen_random, gen_random_convex,
                                 gen_rectangle_family, gen_segment_family,
                                 ktt_minor_model)
-from strandkit.graph import Graph, eccentricity
+from strandkit.graph import Graph, bfs_tree, eccentricity
 from strandkit.localise import localise_pipeline
 from strandkit.planarise import (check_coloured_planarisation,
                                  coloured_planarisation, planarise)
@@ -151,7 +151,7 @@ def test_criterion_5_radius_decomposition():
     for seed in range(100):
         n = 6 + seed % 15
         g, root = random_planar_graph(n, seed)
-        td = radius_decomposition(g, root)
+        td = radius_decomposition(g, bfs_tree(g, root))
         assert verify_td(td, g)["valid"]
         assert td.width <= 3 * eccentricity(g, root) + 1
 
@@ -159,7 +159,7 @@ def test_criterion_5_radius_decomposition():
     for i in range(8):
         wheel.add_edge(i, (i + 1) % 8)
         wheel.add_edge(i, 8)
-    td = radius_decomposition(wheel, 8)
+    td = radius_decomposition(wheel, bfs_tree(wheel, 8))
     assert exact_treewidth(wheel) <= td.width
 
     grid = Graph()
@@ -169,7 +169,7 @@ def test_criterion_5_radius_decomposition():
                 grid.add_edge((i, j), (i + 1, j))
             if j + 1 < 4:
                 grid.add_edge((i, j), (i, j + 1))
-    td = radius_decomposition(grid, (0, 0))
+    td = radius_decomposition(grid, bfs_tree(grid, (0, 0)))
     assert exact_treewidth(grid) <= td.width
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import strandkit
 from strandkit.cli import main
+from strandkit.embedding import EmbeddedGraph
 from strandkit.geometry import pt
 from strandkit.scene import Curve, StringScene, dump_scene
 
@@ -219,26 +220,34 @@ def test_huge_colour_weak_diameter_exit_2(capsys, tmp_path, command):
     assert elapsed < 1
 
 
+def patch_everywhere(monkeypatch, home: str, name: str, make) -> None:
+    """Replace strandkit.<home>.<name> by make(original) at every strandkit
+    module that binds it."""
+    original = getattr(importlib.import_module(f"strandkit.{home}"), name)
+    wrapper = make(original)
+    for info in pkgutil.iter_modules(strandkit.__path__):
+        mod = importlib.import_module(f"strandkit.{info.name}")
+        if vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 def count_stage_calls(monkeypatch) -> dict:
     """Count calls of the stage builders, patched at every strandkit module
     that binds them."""
-    modules = [importlib.import_module(f"strandkit.{info.name}")
-               for info in pkgutil.iter_modules(strandkit.__path__)]
     calls = {}
     for home, name in [("arrangement", "compute_arrangement"),
                        ("planarise", "planarise"),
                        ("planarise", "coloured_planarisation"),
                        ("colouring", "compute_params")]:
-        original = getattr(importlib.import_module(f"strandkit.{home}"), name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def make(original, _name=name):
+            def counted(*args, **kwargs):
+                calls[_name] += 1
+                return original(*args, **kwargs)
+            return counted
 
         calls[name] = 0
-        for mod in modules:
-            if vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, counted)
+        patch_everywhere(monkeypatch, home, name, make)
     return calls
 
 
@@ -251,6 +260,66 @@ def test_each_stage_built_once(capsys, monkeypatch, grounded_file, tmp_path,
     assert code == 0
     assert calls == {"compute_arrangement": 1, "planarise": 1,
                      "coloured_planarisation": 1, "compute_params": 1}
+
+
+def record_searches(monkeypatch) -> dict:
+    """Record every graph search as (graph, sorted sources), every simple
+    graph built from an embedding as the embedding, the embedding of each
+    C^phi, and the (graph, BFS tree) of each radius decomposition.  Graphs
+    are kept alive, so their ids stay distinct."""
+    rec = {"bfs": [], "builds": [], "cphi": [], "radius": []}
+
+    def one_source(original):           # bfs_tree(g, root)
+        return lambda g, root: rec["bfs"].append((g, (root,))) or original(g, root)
+
+    def many_sources(original):         # bfs_distances, ball_masks (g, sources)
+        def search(g, sources):
+            sources = list(sources)
+            rec["bfs"].append((g, tuple(sorted(set(sources)))))
+            return original(g, sources)
+        return search
+
+    def cphi(original):
+        def build(*args):
+            cp = original(*args)
+            rec["cphi"].append(cp.embedding)
+            return cp
+        return build
+
+    patch_everywhere(monkeypatch, "graph", "bfs_tree", one_source)
+    patch_everywhere(monkeypatch, "graph", "bfs_distances", many_sources)
+    patch_everywhere(monkeypatch, "graph", "ball_masks", many_sources)
+    patch_everywhere(monkeypatch, "planarise", "coloured_planarisation", cphi)
+    patch_everywhere(monkeypatch, "decomp", "radius_decomposition",
+                     lambda original: lambda g, tree: (
+                         rec["radius"].append((g, tree)) or original(g, tree)))
+    real = EmbeddedGraph.simple_graph
+    monkeypatch.setattr(EmbeddedGraph, "simple_graph", lambda self: (
+        rec["builds"].append(self) or real(self)))
+    return rec
+
+
+@pytest.mark.parametrize("command", ["decomp", "outerstring", "verify", "model"])
+def test_each_search_made_once(capsys, monkeypatch, grounded_file, tmp_path,
+                               command):
+    """One search per graph and sources.  The host root in decomp and the
+    disk centre w in outerstring and verify are searched from once: the
+    connectivity check, the layering, the quotient radius and the radius
+    decomposition all read that one BFS tree.  The simple graph of C^phi is
+    built once, and no other graph is built from an embedding."""
+    rec = record_searches(monkeypatch)
+    out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
+    code, _ = run(capsys, command, "--in", grounded_file, *out)
+    assert code == 0
+    searches = [(id(g), sources) for g, sources in rec["bfs"]]
+    assert len(searches) == len(set(searches))
+    assert len(rec["radius"]) == (command != "model")
+    for g, tree in rec["radius"]:
+        root = next(iter(tree))
+        assert tree[root] is None and len(g) > 1
+        assert [s for h, s in rec["bfs"] if h is g and len(s) == 1] == [(root,)]
+    assert len(rec["cphi"]) == 1
+    assert [e is rec["cphi"][0] for e in rec["builds"]] == [True]
 
 
 # case -> (scene JSON, colouring JSON or None) from a valid scene JSON, and
@@ -289,6 +358,32 @@ MALFORMED = {
     "boundary-unhashable-id": (lambda scene: (
         {**scene, "disks": [{**scene["disks"][0], "boundary": [[["a"], 0]]}]},
         None), "boundary entry [['a'], 0] is not a curve end grounded"),
+    # integer fields take JSON integers only: no bool, float or string
+    "colour-float": (lambda scene: (scene, {"a": 1.9, "b": 2, "c": 1}),
+                     "colour of 'a' must be an integer, got 1.9"),
+    "colour-string": (lambda scene: (scene, {"a": 1, "b": "2", "c": 1}),
+                      "colour of 'b' must be an integer, got '2'"),
+    "colour-bool": (lambda scene: (scene, {"a": True, "b": 2, "c": True}),
+                    "colour of 'a' must be an integer, got True"),
+    "grounded-end-float": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "D", "end": 0.7}},
+                             *scene["curves"][1:]]}, None),
+        "curve 'a': grounded end must be an integer, got 0.7"),
+    "grounded-end-string": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "D", "end": "0"}},
+                             *scene["curves"][1:]]}, None),
+        "curve 'a': grounded end must be an integer, got '0'"),
+    "boundary-end-float": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "boundary": [["a", 0.0]]}]},
+        None), "disk 'D': boundary end must be an integer, got 0.0"),
+    "twist-float": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x"], "twists": [0.5]},
+                    {"id": "b", "crossings": ["x"]}], "chirality": {"x": 1}}, None),
+        "curve 'a': twist index must be an integer, got 0.5"),
+    "chirality-float": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x"]}, {"id": "b", "crossings": ["x"]}],
+         "chirality": {"x": 1.0}}, None),
+        "chirality of 'x' must be an integer, got 1.0"),
 }
 
 

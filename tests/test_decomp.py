@@ -13,7 +13,8 @@ from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
 from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
-from strandkit.graph import Graph, connected_components, eccentricity
+from strandkit.graph import (Graph, bfs_distances, bfs_tree, connected_components,
+                             eccentricity)
 
 
 def grid_graph(rows, cols):
@@ -186,18 +187,38 @@ def test_verify_td_subtree_count_matches_tree_search():
     assert reasons == {None, "tree", "bags"}
 
 
+def distance_layering(G: Graph, roots) -> Layering:
+    """Reference: the layers of G by BFS distance from the roots."""
+    dist = bfs_distances(G, roots)
+    layers: list = [[] for _ in range(max(dist.values()) + 1)]
+    for v in G.vertices:
+        layers[dist[v]].append(v)
+    return Layering(layers)
+
+
 def test_bfs_layering_valid():
     g = grid_graph(3, 3)
-    lay = bfs_layering(g, [(0, 0)])
+    lay = bfs_layering(bfs_tree(g, (0, 0)))
     assert verify_layering(lay, g)["valid"]
     assert len(lay.layers) == 5
+    for g, root in [(g, (1, 1)), (wheel_graph(8), 0), (wheel_graph(8), 8),
+                    (complete_graph(5), 3), (Graph(vertices=[7]), 7)]:
+        assert bfs_layering(bfs_tree(g, root)) == distance_layering(g, [root])
+
+
+def test_verify_layering_rejects_a_repeated_vertex():
+    g = Graph(vertices="ab", edges=[("a", "b")])
+    assert verify_layering(Layering([["a"], ["b"], ["a"]]), g) == {
+        "valid": False, "reason": "layers are not a partition of V(G)"}
+    assert verify_layering(Layering([["a", "a"], ["b"]]), g)["valid"] is False
+    assert verify_layering(Layering([["a"], ["b"]]), g)["valid"]
 
 
 # ----------------------------------------------------- radius decomposition
 
 def test_radius_decomposition_wheel():
     g = wheel_graph(8)
-    td = radius_decomposition(g, 8)
+    td = radius_decomposition(g, bfs_tree(g, 8))
     assert verify_td(td, g)["valid"]
     r = eccentricity(g, 8)
     assert td.width <= 3 * r + 1
@@ -207,7 +228,7 @@ def test_radius_decomposition_wheel():
 def test_radius_decomposition_grid():
     g = grid_graph(4, 4)
     root = (0, 0)
-    td = radius_decomposition(g, root)
+    td = radius_decomposition(g, bfs_tree(g, root))
     assert verify_td(td, g)["valid"]
     assert td.width <= 3 * eccentricity(g, root) + 1
     assert td.width >= exact_treewidth(g)
@@ -216,23 +237,46 @@ def test_radius_decomposition_grid():
 def test_radius_decomposition_tree_and_cycle():
     tree = Graph(vertices=range(7),
                  edges=[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-    td = radius_decomposition(tree, 0)
+    td = radius_decomposition(tree, bfs_tree(tree, 0))
     assert verify_td(td, tree)["valid"]
     cycle = Graph(vertices=range(5), edges=[(i, (i + 1) % 5) for i in range(5)])
-    td = radius_decomposition(cycle, 0)
+    td = radius_decomposition(cycle, bfs_tree(cycle, 0))
     assert verify_td(td, cycle)["valid"]
     assert td.width <= 3 * 2 + 1
 
 
 def test_radius_decomposition_rejects_nonplanar():
     with pytest.raises(SceneError):
-        radius_decomposition(complete_graph(5), 0)
+        radius_decomposition(complete_graph(5), bfs_tree(complete_graph(5), 0))
 
 
 def test_radius_decomposition_rejects_disconnected():
     two_paths = Graph(vertices=range(4), edges=[(0, 1), (2, 3)])
     with pytest.raises(SceneError, match="^radius decomposition needs a connected graph$"):
-        radius_decomposition(two_paths, 0)
+        radius_decomposition(two_paths, bfs_tree(two_paths, 0))
+
+
+def test_radius_decomposition_rejects_a_tree_that_is_not_bfs():
+    """A spanning tree that is not a BFS tree of G would understate or
+    overstate r; each is refused."""
+    cycle = Graph(vertices=range(6), edges=[(i, (i + 1) % 6) for i in range(6)])
+    path = Graph(vertices=range(3), edges=[(0, 1), (1, 2)])
+    bad = [
+        (cycle, {i: (i - 1 if i else None) for i in range(6)}),  # DFS path
+        (cycle, {0: None, 1: 0, 5: 0, 2: 1, 3: 2, 4: 3}),   # 4 the long way round
+        (path, {0: None, 2: 1, 1: 0}),                     # child before parent
+        (path, {0: None, 1: 0, 2: 0}),                     # 02 is not an edge
+        (path, {0: None, 1: 0, 2: None}),                  # two roots
+        (path, {0: None, 1: 0, 9: 1}),                     # 9 is not a vertex
+    ]
+    for g, parent in bad:
+        assert len(parent) == len(g)
+        with pytest.raises(InvariantError,
+                           match="^radius decomposition needs a BFS tree of the graph$"):
+            radius_decomposition(g, parent)
+    for g in (cycle, path):
+        for root in g.vertices:
+            assert verify_td(radius_decomposition(g, bfs_tree(g, root)), g)["valid"]
 
 
 def test_radius_decomposition_r_is_root_eccentricity(monkeypatch):
@@ -244,7 +288,7 @@ def test_radius_decomposition_r_is_root_eccentricity(monkeypatch):
     cases = [(wheel_graph(8), 8), (wheel_graph(8), 0), (grid_graph(4, 4), (0, 0)),
              (grid_graph(4, 4), (1, 2)), (path, 0), (path, 2)]
     for g, root in cases:
-        radius_decomposition(g, root)
+        radius_decomposition(g, bfs_tree(g, root))
     assert seen == [eccentricity(g, root) for g, root in cases]
 
 
@@ -264,7 +308,7 @@ def test_radius_decomposition_traces_faces_at_most_three_times(monkeypatch):
         host = Pipeline(gen_grounded(20, s)).model.host
         traces.clear()
         chords.clear()
-        radius_decomposition(host, host.vertices[0])
+        radius_decomposition(host, bfs_tree(host, host.vertices[0]))
         assert len(chords) > 3
         assert len(traces) <= 3
 
@@ -341,8 +385,8 @@ def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
         p = Pipeline(scene)
         model, host = p.model, p.model.host
         root = host.vertices[0]
-        host_td = radius_decomposition(host, root)
-        host_layering = bfs_layering(host, [root])
+        host_td = radius_decomposition(host, bfs_tree(host, root))
+        host_layering = distance_layering(host, [root])
         # minor_lift reads only projections; the reference reads copies
         assert minor_lift(host_td, model) == product_minor_lift(
             product_lift(host_td, model.copies), model), name
@@ -376,9 +420,11 @@ def test_outerstring_lift_matches_product_reference(outerstring_scene,
             [(gen_grounded(12, s), None) for s in range(4)]:
         p = Pipeline(scene, colouring)
         quotient, centers = grounded_quotient(p.cp, p.scene)
-        td0 = radius_decomposition(quotient, centers[0])
+        td0 = radius_decomposition(quotient, bfs_tree(quotient, centers[0]))
         ref = product_minor_lift(product_lift(td0, p.params.d + 1), p.model)
-        assert outerstring_decomposition(p)["td"].to_json() == ref.to_json()
+        rep = outerstring_decomposition(p)
+        assert rep["td"].to_json() == ref.to_json()
+        assert rep["quotient_radius"] == eccentricity(quotient, centers[0])
 
 
 def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
@@ -394,13 +440,13 @@ def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
 def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
     monkeypatch.setitem(_BOUNDS, "planar-radius-tw", lambda p: 0)
     with pytest.raises(InvariantError, match=r"radius decomposition width 3 > 3r\+1 = 0"):
-        radius_decomposition(wheel_graph(8), 8)
+        radius_decomposition(wheel_graph(8), bfs_tree(wheel_graph(8), 8))
 
 
 def test_merge_layers():
     g = grid_graph(2, 4)
     width, td = exact_treewidth_decomposition(g)
-    lay = bfs_layering(g, [(0, 0)])
+    lay = bfs_layering(bfs_tree(g, (0, 0)))
     rep = merge_layers(td, lay)
     assert rep["layered_width"] >= 1
     assert rep["width_bound"] >= width

@@ -10,7 +10,7 @@ from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.planarise import (check_coloured_planarisation,
                                  coloured_planarisation, coloured_to_json,
-                                 euler_genus, fragments, planarisation_to_dot,
+                                 fragments, planarisation_to_dot,
                                  planarisation_to_json, planarise,
                                  scene_to_svg, sections)
 from strandkit.scene import Curve, StringScene
@@ -24,7 +24,7 @@ def test_plus_sign_planarisation(plus_sign):
     assert plan.dummies() == ["x:h:v:0"]
     assert len(plan.endpoints()) == 4
     assert plan.curve_paths["h"] == ["e:h:0", "x:h:v:0", "e:h:1"]
-    assert euler_genus(plan) == 0
+    assert plan.embedding.euler_genus() == 0
 
 
 def test_isolated_curve_rejected():
@@ -69,7 +69,7 @@ def test_plus_sign_coloured_equals_planarisation(plus_sign, plus_colouring):
     assert cp.walks["h"] == ["e:h:0", "x:h:v:0", "e:h:1"]
     assert cp.walks["v"] == ["e:v:0", "x:h:v:0", "e:v:1"]
     check_coloured_planarisation(plan, cp)
-    assert euler_genus(cp) == 0
+    assert cp.embedding.euler_genus() == 0
 
 
 def test_multicross_fragments_and_sections(abstract_multicross, abstract_colouring):
@@ -100,12 +100,13 @@ def test_contraction_counts(abstract_multicross, abstract_colouring):
 def test_twisted_arc_raises_genus(abstract_multicross):
     events = compute_arrangement(abstract_multicross)
     plain = planarise(abstract_multicross, events)
-    base = euler_genus(plain)
+    base = plain.embedding.euler_genus()
     m = abstract_multicross.curves["m"]
     abstract_multicross.curves["m"] = Curve("m", None, m.crossings, twists=(4,))
     abstract_multicross.validate()
     twisted = planarise(abstract_multicross, events)
-    assert euler_genus(twisted) != base or euler_genus(twisted) % 2 != base % 2
+    genus = twisted.embedding.euler_genus()
+    assert genus != base or genus % 2 != base % 2
 
 
 def test_double_crossing_twist_genus():
@@ -115,10 +116,10 @@ def test_double_crossing_twist_genus():
     s.chirality = {"x0": 1, "x1": -1}
     s.validate()
     events = compute_arrangement(s)
-    assert euler_genus(planarise(s, events)) == 0
+    assert planarise(s, events).embedding.euler_genus() == 0
     s.curves["a"] = Curve("a", None, ("x0", "x1"), twists=(1,))
     twisted = planarise(s, compute_arrangement(s))
-    assert euler_genus(twisted) == 1
+    assert twisted.embedding.euler_genus() == 1
 
 
 def test_emitters(plus_sign, plus_colouring):

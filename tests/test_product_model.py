@@ -204,7 +204,7 @@ def test_outerstring_fixture_distances(outerstring_scene, outerstring_colouring)
 def bfs_walk_weak_diameter(cp, params) -> dict:
     """Reference: walk_weak_diameter with a full BFS of C^phi from every
     inner walk vertex."""
-    g = cp.graph()
+    g = cp.graph
     out = {}
     for cid in sorted(cp.walks):
         inner = sorted(set(cp.walks[cid]) - cp.endpoints)
