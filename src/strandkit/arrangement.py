@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, eq, itemgetter
 
 from .errors import DegeneracyError
 from .geometry import (Point, SegmentIntersection, _common_denominator, _grid_boxes,
@@ -32,17 +32,22 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     # each segment is on its own integer scale D, and a pair of segments
     # meets on the lcm of their two: a scene-wide lcm would grow with every
     # curve's denominators, and so would the cost of every product with it
-    segments: list = []         # (integer endpoints, D)
+    segments: list = []         # (integer endpoints, D, first point)
     owner: list = []            # (curve index, segment index)
     boxes: list = []
     for c, points in enumerate(curves):
         for i, pq in enumerate(zip(points, points[1:])):
             D = _common_denominator(pq)
-            segments.append((_scaled(pq, D), D))
+            segments.append((_scaled(pq, D), D, pq[0]))
             owner.append((c, i))
         boxes += _grid_boxes(points)
 
-    hits = []          # (a, b, i, j, position on a, on b, location, sign), a < b
+    # (a, b, i, j, arc key on a, t on a, arc key on b, t on b, x, y, sign)
+    # with a < b.  A parameter t is an integer pair n / den with n, den > 0,
+    # and the arc key of the point at t on segment i is
+    # (i << 64) + floor(t 2^64), so keys order a curve's points like (i, t)
+    # wherever they differ
+    hits = []
     contacts = []      # (a, b, i, j) with a zero orientation
     for k, l in _meeting_boxes(boxes):
         (a, i), (b, j) = owner[k], owner[l]
@@ -50,8 +55,8 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
             continue
         if a > b:
             a, i, b, j, k, l = b, j, a, i, l, k
-        (a1, a2), Da = segments[k]
-        (b1, b2), Db = segments[l]
+        (a1, a2), Da, pa = segments[k]
+        (b1, b2), Db, pb = segments[l]
         D = math.lcm(Da, Db)
         d = _orientations(a1, a2, b1, b2, D // Da, D // Db)
         if d is None:
@@ -60,15 +65,28 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
         if not (d1 and d2 and d3 and d4):
             contacts.append((a, b, i, j))
             continue
-        # proper crossing at a1 + t (a2 - a1), t = d1 / (d1 - d2); d3 and d4
-        # have opposite signs and (a2 - a1) x (b2 - b1) has the sign of d4
-        t = Fraction(d1, d1 - d2)
-        tn, den = t.numerator, t.denominator * Da
+        # proper crossing at a1 + t (a2 - a1) = b1 + s (b2 - b1): d1 and d2
+        # have opposite signs, so t = |d1| / (|d1| + |d2|), and s likewise;
+        # (a2 - a1) x (b2 - b1) has the sign of d4
+        tn, sn = abs(d1), abs(d3)
+        td, sd = tn + abs(d2), sn + abs(d4)
+        # a coordinate in which either segment is constant is that segment's
+        # own Fraction, whatever the size of its denominator
         (x1, y1), (x2, y2) = a1, a2
-        p = Point(Fraction(x1 * t.denominator + tn * (x2 - x1), den),
-                  Fraction(y1 * t.denominator + tn * (y2 - y1), den))
-        hits.append((a, b, i, j, _arc_position(i, t),
-                     _arc_position(j, Fraction(d3, d3 - d4)), p, 1 if d4 > 0 else -1))
+        if x1 == x2:
+            x = pa.x
+        elif b1[0] == b2[0]:
+            x = pb.x
+        else:
+            x = Fraction(x1 * td + tn * (x2 - x1), td * Da)
+        if y1 == y2:
+            y = pa.y
+        elif b1[1] == b2[1]:
+            y = pb.y
+        else:
+            y = Fraction(y1 * td + tn * (y2 - y1), td * Da)
+        hits.append((a, b, i, j, (i << 64) + (tn << 64) // td, tn, td,
+                     (j << 64) + (sn << 64) // sd, sn, sd, x, y, 1 if d4 > 0 else -1))
 
     # intersect_segments classifies each contact on the original points; in
     # all-pairs order (a, b, i, j) the first degeneracy raised is the one an
@@ -84,41 +102,52 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
                 f"curves {ids[a]!r} and {ids[b]!r} touch non-transversally at {res.point} "
                 "(tangency, bend crossing, or endpoint on another curve)")
 
-    # reject triple points: two events from different pairs at one location
-    hits.sort(key=lambda h: h[:4])
-    seen: dict[Point, tuple[str, str]] = {}
-    raw: dict[tuple[str, str], list[tuple]] = {}
-    for a, b, _, _, pos_a, pos_b, p, sign in hits:
+    # per hit [k, index along a, index along b], filled in by one walk along
+    # each curve; a pair's crossings are numbered k = 0, 1, ... along a
+    slots = [[0, 0, 0] for _ in hits]
+    along: list = [[] for _ in ids]
+    for h, (a, b, _, _, ka, tn, td, kb, sn, sd, *_) in enumerate(hits):
+        along[a].append((ka, h, 1, tn, td))
+        along[b].append((kb, h, 2, sn, sd))
+    for arc in along:
+        arc.sort()
+        keys = list(map(itemgetter(0), arc))
+        if any(map(eq, keys, keys[1:])):
+            # crossings on one segment that agree in t to 64 bits are ordered
+            # exactly.  Two at the same t are one point of this curve, where
+            # two other curves cross it (one pair crosses at most once per
+            # point, as both curves are simple): a triple point, and every
+            # triple point shows up so on each of its curves
+            exact = sorted((e[0], Fraction(e[3], e[4]), e) for e in arc)
+            if any(p[:2] == q[:2] for p, q in zip(exact, exact[1:])):
+                _raise_triple_point(ids, hits)
+            arc = [e for _, _, e in exact]
+        count: dict = {}
+        for position, (_, h, side, _, _) in enumerate(arc):
+            slot = slots[h]
+            slot[side] = position
+            if side == 1:
+                b = hits[h][1]
+                slot[0] = count.get(b, 0)
+                count[b] = slot[0] + 1
+    events = [CrossingEvent(f"x:{ids[a]}:{ids[b]}:{k}", ids[a], ids[b],
+                            index_in_a, index_in_b, sign, Point(x, y))
+              for (a, b, *_, x, y, sign), (k, index_in_a, index_in_b) in zip(hits, slots)]
+    events.sort(key=attrgetter("id"))
+    return events
+
+
+def _raise_triple_point(ids: list[str], hits: list[tuple]) -> None:
+    """Raise for the first hit, in (a, b, i, j) order, at the location of
+    an earlier hit of another curve pair."""
+    seen: dict = {}
+    for a, b, *_, x, y, _ in sorted(hits, key=itemgetter(0, 1, 2, 3)):
         pair = (ids[a], ids[b])
-        first = seen.setdefault(p, pair)
+        first = seen.setdefault(
+            (x.numerator, x.denominator, y.numerator, y.denominator), pair)
         if first != pair:
             raise DegeneracyError(
-                f"three curves meet at {p}: pairs {first} and {pair}")
-        raw.setdefault(pair, []).append((pos_a, pos_b, p, sign))
-
-    # a pair's crossings are numbered along a; arc positions (segment,
-    # parameter) along each curve give the per-curve indices
-    crossings: dict[str, tuple] = {}
-    along: dict[str, list[tuple]] = {c: [] for c in ids}
-    for (a, b), pair_hits in raw.items():
-        for k, (pos_a, pos_b, p, sign) in enumerate(sorted(pair_hits)):
-            eid = f"x:{a}:{b}:{k}"
-            crossings[eid] = (a, b, p, sign)
-            along[a].append((pos_a, eid))
-            along[b].append((pos_b, eid))
-    index = {(c, eid): k for c in ids
-             for k, (_, eid) in enumerate(sorted(along[c]))}
-    return [CrossingEvent(id=eid, curve_a=a, curve_b=b,
-                          index_in_a=index[(a, eid)], index_in_b=index[(b, eid)],
-                          chirality=sign, location=p)
-            for eid, (a, b, p, sign) in sorted(crossings.items())]
-
-
-def _arc_position(segment: int, t: Fraction) -> tuple:
-    """Sort key of the point at parameter t on a segment, ordered like
-    (segment, t): floor(t 2^64) comes before t, so two Fractions are only
-    compared when they agree to 64 bits."""
-    return segment, (t.numerator << 64) // t.denominator, t
+                f"three curves meet at {Point(x, y)}: pairs {first} and {pair}")
 
 
 def _abstract_arrangement(scene: StringScene) -> list[CrossingEvent]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .arrangement import events_by_curve
 from .errors import SceneError
-from .scene import CrossingEvent, StringScene, _json_int
+from .geometry import _json_int
+from .scene import CrossingEvent, StringScene
 
 
 @dataclass(frozen=True)

@@ -363,16 +363,15 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
         return path
 
     emb = _planar_embedding(verts, G.edge_list())
-    if emb.euler_genus() != 0:
-        raise InvariantError("embedding is not plane")
     _triangulate(emb)
-
     faces = emb.trace_faces()
+    # chords keep V - E + F, and G is connected: plane iff it is 2
+    if len(emb.rotation) - len(emb.edge_ends) + len(faces) != 2:
+        raise InvariantError("embedding is not plane")
     bags = {}
     for fi, face in enumerate(faces):
-        corners = sorted({emb.dart_tail(d) for d in face})
         bag = set()
-        for c in corners:
+        for c in {emb.edge_ends[eid][side] for eid, side in face}:
             bag.update(root_path(c))
         bags[fi + 1] = frozenset(bag)
 
@@ -383,15 +382,12 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
             face_of[d] = fi + 1
 
     tree_pairs = {tuple(sorted((v, p))) for v, p in parent.items() if p is not None}
-    chosen = {}
-    for eid in sorted(emb.edge_ends, key=repr):
-        pair = tuple(sorted(emb.edge_ends[eid]))
-        if pair in tree_pairs and pair not in chosen:
-            chosen[pair] = eid
+    chosen = set()     # tree pairs, each taken by its first edge in repr order
     dual_edges = []
     for eid in sorted(emb.edge_ends, key=repr):
         pair = tuple(sorted(emb.edge_ends[eid]))
-        if chosen.get(pair) == eid:
+        if pair in tree_pairs and pair not in chosen:
+            chosen.add(pair)
             continue
         f1 = face_of[(eid, 0)]
         f2 = face_of[(eid, 1)]
@@ -449,8 +445,9 @@ def _triangulate(g: EmbeddedGraph) -> None:
     if any(s != 1 for s in g.signature.values()):
         raise InvariantError("oriented tracing needs all signatures +1")
     serial = 0
+    ends = g.edge_ends
     for face in g.trace_faces():
-        while len({g.dart_tail(d) for d in face}) > 3:
+        while len({ends[eid][side] for eid, side in face}) > 3:
             j = 3 if g.dart_tail(face[2]) == g.dart_tail(face[0]) else 2
             serial += 1
             g.add_chord(face, 0, j, ("chord", serial))

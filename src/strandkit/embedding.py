@@ -6,8 +6,9 @@ v -> u listed at v.  Loops contribute both darts to the same rotation.
 Signatures of -1 mark orientation-reversing edges, so non-orientable
 embeddings (odd Euler genus) are representable.
 
-Faces are traced as orbits of oriented darts; the Euler genus follows from
-Euler's formula per connected component.
+Faces are traced as orbits: of darts when every signature is +1, of (dart,
+orientation) states otherwise.  The Euler genus follows from Euler's formula
+per connected component.
 """
 
 from __future__ import annotations
@@ -68,33 +69,53 @@ class EmbeddedGraph:
 
     def simple_graph(self):
         from .graph import Graph
-        g = Graph(vertices=self.vertices())
-        for eid, (u, v) in self.edge_ends.items():
-            if u != v:
-                g.add_edge(u, v)
-        return g
+        return Graph(self.vertices(), self.edge_ends.values())
 
     def check(self) -> None:
         darts = [d for v in self.rotation for d in self.rotation[v]]
         if len(darts) != len(set(darts)) or len(darts) != 2 * len(self.edge_ends):
             raise InvariantError("rotation system does not list each dart exactly once")
+        ends = self.edge_ends
         for v, rot in self.rotation.items():
-            for d in rot:
-                if self.dart_tail(d) != v:
-                    raise InvariantError(f"dart {d} listed at wrong vertex {v!r}")
+            for eid, side in rot:
+                if ends[eid][side] != v:
+                    raise InvariantError(f"dart {(eid, side)} listed at wrong vertex {v!r}")
 
     # ------------------------------------------------------------ traversal
 
     def trace_faces(self) -> list[list[Dart]]:
         """Face boundary walks, one representative per face.
 
-        A walk is an orbit of (dart, orientation) states.  Starts are taken
-        at each dart in rotation order, every orientation +1 start before any
-        -1 start, and the mirror traversal of each traced face is suppressed.
-        On an all-positive embedding every dart lies on exactly one face, so
-        (e, 0) and (e, 1) name the two sides of e.  Works for loops, parallel
-        edges, and signature -1 edges.
+        On an all-positive embedding a face is an orbit of the permutation
+        d -> the dart after reverse(d) in its rotation, and every dart lies
+        on exactly one face, so (e, 0) and (e, 1) name the two sides of e.
+        Faces start at each dart not yet traced, in rotation order.  With a
+        signature -1 edge, _trace_signed_faces walks (dart, orientation)
+        states instead.  Works for loops and parallel edges.
         """
+        if -1 in self.signature.values():
+            return self._trace_signed_faces()
+        # after[reverse(d)] is the dart after d in its rotation
+        after = {}
+        for rot in self.rotation.values():
+            for (eid, side), d in zip(rot, rot[1:] + rot[:1]):
+                after[eid, 1 - side] = d
+        faces = []
+        for rot in self.rotation.values():
+            for d in rot:
+                if d in after:   # not yet traced
+                    face = []
+                    while d in after:
+                        face.append(d)
+                        d = after.pop(d)
+                    faces.append(face)
+        return faces
+
+    def _trace_signed_faces(self) -> list[list[Dart]]:
+        """trace_faces for signed embeddings: a walk is an orbit of (dart,
+        orientation) states.  Starts are taken at each dart in rotation
+        order, every orientation +1 start before any -1 start, and the
+        mirror traversal of each traced face is suppressed."""
         slot = {d: (rot, i) for rot in self.rotation.values()
                 for i, d in enumerate(rot)}
         sig = self.signature
@@ -121,6 +142,10 @@ class EmbeddedGraph:
 
     def euler_genus(self) -> int:
         """Sum over components of 2 - V + E - F."""
+        neighbours: dict = {v: [] for v in self.rotation}
+        for u, v in self.edge_ends.values():
+            neighbours[u].append(v)
+            neighbours[v].append(u)
         # components numbered in the order of their smallest vertices
         comp_of: dict = {}
         n = 0
@@ -130,8 +155,7 @@ class EmbeddedGraph:
             comp_of[v0] = n
             stack = [v0]
             while stack:
-                for d in self.rotation[stack.pop()]:
-                    w = self.dart_head(d)
+                for w in neighbours[stack.pop()]:
                     if w not in comp_of:
                         comp_of[w] = n
                         stack.append(w)
@@ -141,7 +165,7 @@ class EmbeddedGraph:
         f_count = [0] * n
         for v in self.rotation:
             v_count[comp_of[v]] += 1
-        for eid, (u, _) in self.edge_ends.items():
+        for u, _ in self.edge_ends.values():
             e_count[comp_of[u]] += 1
         for face in self.trace_faces():
             f_count[comp_of[self.dart_tail(face[0])]] += 1

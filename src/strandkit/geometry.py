@@ -4,10 +4,12 @@ The hot predicates run on Python ints.  A segment, or a whole polyline, is
 scaled by D, the lcm of its coordinate denominators, so its points become
 integer pairs; two segments with different D meet on the lcm of the two.
 Every orientation, box and distance comparison is then an integer one with
-the sign of its rational original.  fractions.Fraction builds the outputs
-(crossing parameters and locations) and classifies the rare degenerate
-contact through intersect_segments.  There is no floating point anywhere in
-a decision path, so equality and orientation are exact and deterministic.
+the sign of its rational original.  The arrangement orders crossings along
+a curve by integer arc keys and reuses a segment's own coordinate where the
+segment is constant in it; fractions.Fraction builds the other crossing
+coordinates and classifies the rare degenerate contact through
+intersect_segments.  There is no floating point anywhere in a decision path,
+so equality and orientation are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
+
+from .errors import SceneError
 
 
 @dataclass(frozen=True, order=True)
@@ -33,7 +37,16 @@ class Point:
     @staticmethod
     def from_json(obj) -> "Point":
         (xn, xd), (yn, yd) = obj
+        for value in (xn, xd, yn, yd):
+            _json_int(value, "point coordinate")
         return Point(Fraction(xn, xd), Fraction(yn, yd))
+
+
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; a bool, float or string is invalid."""
+    if type(value) is not int:
+        raise SceneError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def pt(x, y) -> Point:
@@ -187,10 +200,11 @@ def polyline_self_intersects(points: list[Point]) -> bool:
     Consecutive segments sharing exactly their common vertex are fine;
     anything else (repeated points, back-tracking, crossings) is not.
     """
-    n = len(points)
-    if len(set(points)) != n:
-        return True
+    # scaling is injective, so repeated points repeat as integer pairs,
+    # which hash without Fraction's modular inverse
     P = _scaled(points, _common_denominator(points))
+    if len(set(P)) != len(P):
+        return True
     # with distinct points, segments pq and qr meet beyond the hinge q only
     # when they are collinear and r lies on p's side of q
     for (px, py), (qx, qy), (rx, ry) in zip(P, P[1:], P[2:]):

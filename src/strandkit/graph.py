@@ -15,11 +15,11 @@ class Graph:
     """Undirected simple graph as dict-of-sets."""
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
-        self.adj: dict = {}
-        for v in vertices:
-            self.add_vertex(v)
+        adj = self.adj = {v: set() for v in vertices}
         for u, v in edges:
-            self.add_edge(u, v)
+            if u != v:
+                adj.setdefault(u, set()).add(v)
+                adj.setdefault(v, set()).add(u)
 
     def add_vertex(self, v) -> None:
         self.adj.setdefault(v, set())

@@ -61,6 +61,7 @@ def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
     kind: dict = {}
     paths: dict = {}
     by_id = {e.id: e for e in events}
+    edge_ids: dict = {}        # curve id -> ids of the edges of its path
 
     for cid, mine in along.items():
         path = [endpoint_id(cid, 0)] + [e.id for e in mine] + [endpoint_id(cid, 1)]
@@ -69,18 +70,19 @@ def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
         for e in mine:
             kind[e.id] = "dummy"
         twists = set(scene.curves[cid].twists)
-        for i in range(len(path) - 1):
+        edge_ids[cid] = eids = [_edge_id(cid, i) for i in range(len(path) - 1)]
+        for i, eid in enumerate(eids):
             sig = -1 if i in twists else 1
-            g.add_edge(_edge_id(cid, i), path[i], path[i + 1], sig=sig, label=cid)
+            g.add_edge(eid, path[i], path[i + 1], sig=sig, label=cid)
 
     # rotation at each dummy follows the chirality sign: with a the lex-smaller
     # curve, +1 means [a-next, b-next, a-prev, b-prev] (counter-clockwise when
     # a heads east and b north), -1 the mirror order
     for e in events:
-        a, b = e.curve_a, e.curve_b
+        ea, eb = edge_ids[e.curve_a], edge_ids[e.curve_b]
         ja, jb = e.index_in_a, e.index_in_b
-        a_prev, a_next = (_edge_id(a, ja), 1), (_edge_id(a, ja + 1), 0)
-        b_prev, b_next = (_edge_id(b, jb), 1), (_edge_id(b, jb + 1), 0)
+        a_prev, a_next = (ea[ja], 1), (ea[ja + 1], 0)
+        b_prev, b_next = (eb[jb], 1), (eb[jb + 1], 0)
         if e.chirality == 1:
             g.rotation[e.id] = [a_next, b_next, a_prev, b_prev]
         else:

@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .errors import SceneError
-from .geometry import (Point, _common_denominator, _scaled, polyline_self_intersects,
-                       squared_distance)
+from .geometry import (Point, _common_denominator, _json_int, _scaled,
+                       polyline_self_intersects, squared_distance)
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,8 @@ class StringScene:
                 if "center" in entry:
                     center = Point.from_json(entry["center"])
                     rn, rd = entry["radius"]
-                    radius = Fraction(rn, rd)
+                    radius = Fraction(_json_int(rn, f"disk {did!r}: radius"),
+                                      _json_int(rd, f"disk {did!r}: radius"))
                 if "boundary" in entry:
                     boundary = tuple((c, _json_int(e, f"disk {did!r}: boundary end"))
                                      for c, e in entry["boundary"])
@@ -281,13 +282,6 @@ class StringScene:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SceneError(f"malformed scene JSON: {exc}") from exc
         return scene
-
-
-def _json_int(value, what: str) -> int:
-    """value if it is a JSON integer; a bool, float or string is invalid."""
-    if type(value) is not int:
-        raise SceneError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _segment_enters_open_disk(a: tuple[int, int], b: tuple[int, int],

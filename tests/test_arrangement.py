@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,9 +11,10 @@ from strandkit.arrangement import (compute_arrangement, events_by_curve,
                                    events_to_json, intersection_graph)
 from strandkit.errors import DegeneracyError
 from strandkit.families import gen_grounded, gen_random
-from strandkit.geometry import (Point, SegmentIntersection, intersect_segments,
-                                pt, squared_distance)
-from strandkit.scene import Curve, StringScene
+from strandkit.geometry import (Point, SegmentIntersection, _common_denominator,
+                                _grid_boxes, _meeting_boxes, _orientations, _scaled,
+                                intersect_segments, pt, squared_distance)
+from strandkit.scene import CrossingEvent, Curve, StringScene
 from test_geometry import DEGENERATE, all_pairs_self_intersects
 
 
@@ -302,3 +304,174 @@ def test_touching_boxes_still_tested(name):
     assert str(info.value) == (
         f"curves 'a' and 'b' touch non-transversally at {pt(*at)} "
         "(tangency, bend crossing, or endpoint on another curve)")
+
+
+def reference_hit_loop(scene):
+    """The earlier arrangement: Fraction parameters and locations for every
+    crossing, Point-keyed triple-point check, (segment, floor, Fraction) arc
+    positions and an index dict over (curve, event id)."""
+    ids = scene.curve_ids()
+    curves = [scene.curves[c].points for c in ids]
+    segments = []
+    owner = []
+    boxes = []
+    for c, points in enumerate(curves):
+        for i, pq in enumerate(zip(points, points[1:])):
+            D = _common_denominator(pq)
+            segments.append((_scaled(pq, D), D))
+            owner.append((c, i))
+        boxes += _grid_boxes(points)
+
+    def arc_position(segment, t):
+        return segment, (t.numerator << 64) // t.denominator, t
+
+    hits = []
+    contacts = []
+    for k, l in _meeting_boxes(boxes):
+        (a, i), (b, j) = owner[k], owner[l]
+        if a == b:
+            continue
+        if a > b:
+            a, i, b, j, k, l = b, j, a, i, l, k
+        (a1, a2), Da = segments[k]
+        (b1, b2), Db = segments[l]
+        D = math.lcm(Da, Db)
+        d = _orientations(a1, a2, b1, b2, D // Da, D // Db)
+        if d is None:
+            continue
+        d1, d2, d3, d4 = d
+        if not (d1 and d2 and d3 and d4):
+            contacts.append((a, b, i, j))
+            continue
+        t = Fraction(d1, d1 - d2)
+        tn, den = t.numerator, t.denominator * Da
+        (x1, y1), (x2, y2) = a1, a2
+        p = Point(Fraction(x1 * t.denominator + tn * (x2 - x1), den),
+                  Fraction(y1 * t.denominator + tn * (y2 - y1), den))
+        hits.append((a, b, i, j, arc_position(i, t),
+                     arc_position(j, Fraction(d3, d3 - d4)), p, 1 if d4 > 0 else -1))
+
+    for a, b, i, j in sorted(contacts):
+        pa, pb = curves[a], curves[b]
+        res = intersect_segments(pa[i], pa[i + 1], pb[j], pb[j + 1])
+        if res.kind == SegmentIntersection.OVERLAP:
+            raise DegeneracyError(
+                f"curves {ids[a]!r} and {ids[b]!r} share a collinear piece")
+        if res.kind == SegmentIntersection.TOUCH:
+            raise DegeneracyError(
+                f"curves {ids[a]!r} and {ids[b]!r} touch non-transversally at {res.point} "
+                "(tangency, bend crossing, or endpoint on another curve)")
+
+    hits.sort(key=lambda h: h[:4])
+    seen = {}
+    raw = {}
+    for a, b, _, _, pos_a, pos_b, p, sign in hits:
+        pair = (ids[a], ids[b])
+        first = seen.setdefault(p, pair)
+        if first != pair:
+            raise DegeneracyError(
+                f"three curves meet at {p}: pairs {first} and {pair}")
+        raw.setdefault(pair, []).append((pos_a, pos_b, p, sign))
+
+    crossings = {}
+    along = {c: [] for c in ids}
+    for (a, b), pair_hits in raw.items():
+        for k, (pos_a, pos_b, p, sign) in enumerate(sorted(pair_hits)):
+            eid = f"x:{a}:{b}:{k}"
+            crossings[eid] = (a, b, p, sign)
+            along[a].append((pos_a, eid))
+            along[b].append((pos_b, eid))
+    index = {(c, eid): k for c in ids
+             for k, (_, eid) in enumerate(sorted(along[c]))}
+    return [CrossingEvent(id=eid, curve_a=a, curve_b=b,
+                          index_in_a=index[(a, eid)], index_in_b=index[(b, eid)],
+                          chirality=sign, location=p)
+            for eid, (a, b, p, sign) in sorted(crossings.items())]
+
+
+def events_or_error(arrangement, scene):
+    """An arrangement's CrossingEvents, locations included, or its
+    DegeneracyError text."""
+    try:
+        return arrangement(scene)
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+HIT_LOOP_SCENES = {
+    **{f"grounded-{n}-{s}": lambda n=n, s=s: gen_grounded(n, s)
+       for n in (6, 20, 24) for s in range(4)},
+    "grounded-48-0": lambda: gen_grounded(48, 0),
+    **{f"random-10-2-{s}": lambda s=s: gen_random(10, 2, s) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("case", list(HIT_LOOP_SCENES))
+def test_hit_loop_matches_reference(case):
+    scene = HIT_LOOP_SCENES[case]()
+    events = compute_arrangement(scene)
+    assert events and events == reference_hit_loop(scene)
+
+
+@DEGENERATE
+@given(grid_curves, grid_curves, grid_curves)
+def test_hit_loop_matches_reference_on_grid(a, b, c):
+    """Three grid polylines: tangencies, overlaps, triple points and plain
+    crossings, with reused and computed coordinates mixed."""
+    s = StringScene()
+    for cid, points in zip("abc", (a, b, c)):
+        s.curves[cid] = Curve(cid, tuple(points))
+    s.validate()
+    assert events_or_error(compute_arrangement, s) == \
+        events_or_error(reference_hit_loop, s)
+
+
+def scene_of(curves):
+    s = StringScene()
+    for cid, points in curves.items():
+        s.curves[cid] = Curve(cid, tuple(Point(Fraction(x), Fraction(y))
+                                          for x, y in points))
+    s.validate()
+    return s
+
+
+def test_crossings_agreeing_to_64_bits_are_ordered_exactly():
+    """Crossings at x = 1/2 + 2^-70 and 1/2 + 2^-69 on a unit segment agree
+    in t to 64 bits whichever way the segment runs, so their order comes
+    from the exact comparison: for two curves and for one curve crossing
+    twice.  Run right to left, the segment meets them against the sweep's
+    x order."""
+    lo, hi = Fraction(1, 2) + Fraction(1, 2 ** 70), Fraction(1, 2) + Fraction(1, 2 ** 69)
+    for t, u in ((lo, hi), (1 - lo, 1 - hi)):
+        assert (t.numerator << 64) // t.denominator == \
+            (u.numerator << 64) // u.denominator
+    for h in ([(0, 0), (1, 0)], [(1, 0), (0, 0)]):
+        for first, second in ((lo, hi), (hi, lo)):
+            scenes = [
+                scene_of({"h": h, "u": [(first, -1), (first, 1)],
+                          "v": [(second, 1), (second, -1)]}),
+                scene_of({"h": h, "z": [(first, 1), (first, -1),
+                                        (second, -1), (second, 1)]}),
+            ]
+            for s in scenes:
+                events = compute_arrangement(s)
+                assert events == reference_hit_loop(s)
+                along_h = sorted(events, key=lambda e: e.index_in_a)
+                xs = [e.location.x for e in along_h]
+                assert xs == sorted(xs, reverse=h[0][0] == 1)
+                if len(s.curves) == 2:   # one pair: ids count along h
+                    assert [e.id for e in along_h] == ["x:h:z:0", "x:h:z:1"]
+
+
+def test_triple_point_on_axis_parallel_segments_with_large_denominators():
+    """Two of the three crossings at one point reuse the horizontal's y and
+    the vertical's x; the third computes x: all three must key alike."""
+    px = Fraction(1, 2 ** 89 - 1)
+    py = Fraction(3, 2 ** 127 - 1)
+    s = scene_of({"a": [(px - 1, py), (px + 1, py)],
+                  "b": [(px, py - 1), (px, py + 1)],
+                  "c": [(px - 1, py - 1), (px + 1, py + 1)]})
+    error = f"three curves meet at {Point(px, py)}: pairs ('a', 'b') and ('a', 'c')"
+    assert outcome(kernel_events_json, s) == outcome(all_pairs_events_json, s) == error
+    assert events_or_error(reference_hit_loop, s) == error
+

@@ -380,6 +380,24 @@ MALFORMED = {
         {"curves": [{"id": "a", "crossings": ["x"], "twists": [0.5]},
                     {"id": "b", "crossings": ["x"]}], "chirality": {"x": 1}}, None),
         "curve 'a': twist index must be an integer, got 0.5"),
+    # a bool is no integer in a coordinate or radius either, even where it
+    # would load as the same value
+    "point-numerator-bool": (lambda scene: (
+        {**scene, "curves": [scene["curves"][0], {**scene["curves"][1], "points": [
+            [[False, 1], [True, 1]], *scene["curves"][1]["points"][1:]]},
+            *scene["curves"][2:]]}, None),
+        "point coordinate must be an integer, got False"),
+    "point-denominator-bool": (lambda scene: (
+        {**scene, "curves": [scene["curves"][0], {**scene["curves"][1], "points": [
+            scene["curves"][1]["points"][0], [[0, True], [3, 2]],
+            *scene["curves"][1]["points"][2:]]}, *scene["curves"][2:]]}, None),
+        "point coordinate must be an integer, got True"),
+    "radius-numerator-bool": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "radius": [True, 1]}]}, None),
+        "disk 'D': radius must be an integer, got True"),
+    "radius-denominator-bool": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "radius": [1, True]}]}, None),
+        "disk 'D': radius must be an integer, got True"),
     "chirality-float": (lambda scene: (
         {"curves": [{"id": "a", "crossings": ["x"]}, {"id": "b", "crossings": ["x"]}],
          "chirality": {"x": 1.0}}, None),

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from strandkit import decomp
 from strandkit.colouring import OrderedColouring
 from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               TreeDecomposition, bfs_layering, bounds,
@@ -250,6 +251,23 @@ def test_radius_decomposition_rejects_nonplanar():
         radius_decomposition(complete_graph(5), bfs_tree(complete_graph(5), 0))
 
 
+def test_radius_decomposition_rejects_a_non_plane_embedding(monkeypatch):
+    """The face trace after triangulating certifies V - E + F = 2: a
+    toroidal rotation system of K4 is refused."""
+    def toroidal_k4(verts, edges):
+        g = EmbeddedGraph()
+        for eid, (u, v) in zip("abcdef", [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]):
+            g.add_edge(eid, u, v)
+        g.rotation[3] = [("e", 1), ("d", 1), ("f", 1)]
+        assert g.euler_genus() == 2
+        return g
+
+    monkeypatch.setattr(decomp, "_planar_embedding", toroidal_k4)
+    k4 = complete_graph(4)
+    with pytest.raises(InvariantError, match="^embedding is not plane$"):
+        radius_decomposition(k4, bfs_tree(k4, 0))
+
+
 def test_radius_decomposition_rejects_disconnected():
     two_paths = Graph(vertices=range(4), edges=[(0, 1), (2, 3)])
     with pytest.raises(SceneError, match="^radius decomposition needs a connected graph$"):
@@ -293,8 +311,8 @@ def test_radius_decomposition_r_is_root_eccentricity(monkeypatch):
 
 
 def test_radius_decomposition_traces_faces_at_most_three_times(monkeypatch):
-    """The chords do not re-trace the host: one trace for the genus, one to
-    triangulate and one for the bags, however many chords there are."""
+    """The chords do not re-trace the host: one trace to triangulate and one
+    for the plane check and the bags, however many chords there are."""
     traces = []
     chords = []
     for name in [n for n in vars(EmbeddedGraph) if n.startswith("trace_faces")]:
@@ -310,7 +328,7 @@ def test_radius_decomposition_traces_faces_at_most_three_times(monkeypatch):
         chords.clear()
         radius_decomposition(host, bfs_tree(host, host.vertices[0]))
         assert len(chords) > 3
-        assert len(traces) <= 3
+        assert len(traces) == 2
 
 
 # --------------------------------------------------------------- lifts

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandkit.decomp import _triangulate
+from strandkit.decomp import Pipeline, _planar_embedding, _triangulate
 from strandkit.embedding import EmbeddedGraph, reverse
 from strandkit.errors import InvariantError
+from strandkit.families import gen_grounded
 from strandkit.graph import connected_components
 
 
@@ -343,10 +344,70 @@ def test_tracer_and_edits_match_oracle(g, ops):
         agree()
 
 
+def reference_trace_faces(g):
+    """The signed tracer, the one tracer of every embedding before the
+    all-positive orbit path: orbits of (dart, orientation) states, starts in
+    rotation order with every +1 start before any -1 start, mirror states
+    suppressed."""
+    slot = {d: (rot, i) for rot in g.rotation.values() for i, d in enumerate(rot)}
+    faces = []
+    seen = set()
+    for orient0 in (1, -1):
+        for d0 in slot:
+            if (d0, orient0) in seen:
+                continue
+            face = []
+            d, orient = d0, orient0
+            while True:
+                face.append(d)
+                back = reverse(d)
+                seen.add((d, orient))
+                orient *= g.signature[d[0]]
+                seen.add((back, -orient))
+                rot, i = slot[back]
+                d = rot[(i + orient) % len(rot)]
+                if d == d0 and orient == orient0:
+                    break
+            faces.append(face)
+    return faces
+
+
 @ORACLE
 @given(signed_rotation_systems(all_positive=True))
 def test_trace_faces_matches_oriented_oracle(g):
-    assert g.trace_faces() == oracle_trace_faces_oriented(g)
+    assert g.trace_faces() == oracle_trace_faces_oriented(g) == reference_trace_faces(g)
+
+
+def pipeline_embeddings(seed):
+    """C', C^phi and the triangulated host embedding of gen_grounded(20, seed)."""
+    p = Pipeline(gen_grounded(20, seed))
+    host = p.model.host
+    triangulated = _planar_embedding(host.vertices, host.edge_list())
+    _triangulate(triangulated)
+    return {"cprime": p.plan.embedding, "cphi": p.cp.embedding,
+            "triangulated-host": triangulated}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_faces_matches_oriented_oracle_on_pipeline_embeddings(seed):
+    for name, g in pipeline_embeddings(seed).items():
+        assert all(s == 1 for s in g.signature.values()), name
+        faces = g.trace_faces()
+        assert faces == oracle_trace_faces_oriented(g) == reference_trace_faces(g), name
+        # one -1 edge sends the embedding to the signed tracer
+        signed = g.copy()
+        eid = sorted(signed.edge_ends, key=repr)[seed]
+        signed.signature[eid] = -1
+        assert signed.trace_faces() == reference_trace_faces(signed), name
+
+
+@ORACLE
+@given(signed_rotation_systems(all_positive=True), st.integers(0, 99))
+def test_trace_faces_with_one_negative_edge_matches_signed_tracer(g, k):
+    if not g.edge_ends:
+        return
+    g.signature[sorted(g.edge_ends)[k % len(g.edge_ends)]] = -1
+    assert g.trace_faces() == reference_trace_faces(g)
 
 
 def networkx_embedding(n, edges):
