@@ -125,26 +125,3 @@ def compute_params(scene: StringScene, events: list[CrossingEvent],
     from .decomp import bounds   # decomp imports this module
     t = colouring.t
     return ColouringParams(t, d, k, bounds("weak-diameter", {"t": t, "k": k}))
-
-
-def verify_tdeg(G, colouring: OrderedColouring, d: int) -> dict:
-    """Is the colouring (t, d)-degenerate on G?
-
-    Every vertex must have at most d neighbours of strictly greater colour.
-    """
-    adj = G.adj
-    phi = colouring.phi
-    for v in sorted(adj):
-        higher = sum(1 for u in adj[v] if phi[u] > phi[v])
-        if higher > d:
-            return {"valid": False, "counterexample": v, "higher_neighbours": higher}
-    return {"valid": True, "counterexample": None}
-
-
-def relabel(colouring: OrderedColouring, perm: dict) -> OrderedColouring:
-    """Apply a colour permutation (old -> new); must be a bijection."""
-    used = set(colouring.phi.values())
-    if sorted(perm) != sorted(used) or len(set(perm.values())) != len(perm):
-        raise SceneError("relabelling is not a bijection on the used colours")
-    phi = {cid: perm[col] for cid, col in colouring.phi.items()}
-    return OrderedColouring(phi, max(phi.values(), default=0))

@@ -502,9 +502,12 @@ class Pipeline:
         if colouring is None:
             colouring = greedy_colouring(self.graph, degeneracy_order(self.graph)[::-1])
         else:
-            missing = set(self.scene.curve_ids()) - set(colouring.phi)
-            if missing:
-                raise SceneError(f"colouring misses curves {sorted(missing)}")
+            curves, named = set(self.scene.curves), set(colouring.phi)
+            if curves - named:
+                raise SceneError(f"colouring misses curves {sorted(curves - named)}")
+            if named - curves:
+                raise SceneError("colouring names curves not in the scene "
+                                 f"{sorted(named - curves)}")
         check_ordered(colouring, self.events)
         return colouring
 

@@ -60,10 +60,6 @@ class EmbeddedGraph:
         u, v = self.edge_ends[dart[0]]
         return u if dart[1] == 0 else v
 
-    def dart_head(self, dart: Dart):
-        u, v = self.edge_ends[dart[0]]
-        return v if dart[1] == 0 else u
-
     def degree(self, v) -> int:
         return len(self.rotation[v])
 

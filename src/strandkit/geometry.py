@@ -15,20 +15,16 @@ so equality and orientation are exact and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import SceneError
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
+    """A point with exact rational coordinates; ordered by (x, y)."""
     x: Fraction
     y: Fraction
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
 
     def to_json(self) -> list:
         return [[self.x.numerator, self.x.denominator],

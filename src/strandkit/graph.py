@@ -44,9 +44,6 @@ class Graph:
                     out.append((u, v))
         return out
 
-    def has_edge(self, u, v) -> bool:
-        return v in self.adj.get(u, ())
-
     def degree(self, v) -> int:
         return len(self.adj[v])
 

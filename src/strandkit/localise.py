@@ -113,15 +113,6 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
                              by_id, scene)
 
 
-def r_membership_counts(inst: AuxiliaryInstance) -> dict:
-    """How many R-pairs each piece participates in (the delta_e audit)."""
-    counts = {pid: 0 for pid in inst.pieces}
-    for pair in inst.R:
-        for pid in pair:
-            counts[pid] += 1
-    return counts
-
-
 def bigon_reduce(inst: AuxiliaryInstance) -> AuxiliaryInstance:
     """Remove empty bigons until none remain.
 

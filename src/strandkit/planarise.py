@@ -275,14 +275,19 @@ def check_coloured_planarisation(plan: Planarisation, cp: ColouredPlanarisation)
     # exactly one curve gamma with phi(gamma) = level(x) and x in W_gamma,
     # and L_gamma contains the whole fibre
     walk_sets = {cid: set(walk) for cid, walk in cp.walks.items()}
+    walks_at: dict = {}        # vertex -> the curves whose walks visit it
+    for cid, walk in walk_sets.items():
+        for x in walk:
+            walks_at.setdefault(x, []).append(cid)
+    path_sets = {cid: set(path) for cid, path in plan.curve_paths.items()}
     for x in sorted(cp.level):
         if x in cp.endpoints:
             continue
-        witnesses = [cid for cid, walk in walk_sets.items()
-                     if cp.phi[cid] == cp.level[x] and x in walk]
+        witnesses = [cid for cid in walks_at.get(x, ())
+                     if cp.phi[cid] == cp.level[x]]
         if len(witnesses) != 1:
             raise InvariantError(f"vertex {x!r}: {len(witnesses)} level-defining curves")
-        if not set(cp.sections[x]) <= set(plan.curve_paths[witnesses[0]]):
+        if not path_sets[witnesses[0]].issuperset(cp.sections[x]):
             raise InvariantError(f"fibre of {x!r} escapes L of {witnesses[0]!r}")
 
     # no two own-level vertices consecutive in a walk

@@ -2,11 +2,12 @@
 
 The model sends each curve's vertex to the branch set
 mu(v) = {(x, lambda_x(v)) : x in W_v \\ E_C} where lambda_x injectively
-assigns copies to the curves whose walks visit x.  The checkers are
-independent of the builder: verify_model re-derives all three model clauses
-by direct graph search, and the distance checks measure BFS distances on the
-coloured planarisation itself.  The product is never materialised: adjacency
-in it is decided from the host by MinorModel.product_adjacent.
+assigns copies to the curves whose walks visit x; build_model asserts that
+each projection is W_v \\ E_C.  The checkers are independent of the builder.
+verify_model checks the model clauses on host projections, which the
+definition of the strong product allows; the product is never materialised.
+The distance checks measure BFS distances on the coloured planarisation
+itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError, SceneError
-from .graph import Graph, ball_masks, bfs_distances
+from .graph import Graph, ball_masks, bfs_distances, connected_components
 from .planarise import ColouredPlanarisation, endpoint_id
 
 
@@ -23,13 +24,6 @@ class MinorModel:
     mu: dict              # target vertex -> frozenset of (host vertex, copy)
     host: Graph           # the host graph (first coordinate)
     copies: int           # size of the clique factor
-
-    def product_adjacent(self, a, b) -> bool:
-        """Adjacency in host x K_copies (strong product)."""
-        (ha, ca), (hb, cb) = a, b
-        if ha == hb:
-            return ca != cb
-        return self.host.has_edge(ha, hb)
 
     def projection(self, v) -> set:
         return {h for h, _ in self.mu[v]}
@@ -69,7 +63,14 @@ def build_model(cp: ColouredPlanarisation, params) -> MinorModel:
 
 
 def verify_model(model: MinorModel, G: Graph) -> dict:
-    """Check the three model clauses independently of the builder."""
+    """Check the model clauses independently of the builder.
+
+    In host x K_c, (h, c) and (h', c') are adjacent iff h = h' and c != c',
+    or hh' is a host edge.  So a branch set is connected iff its projection
+    is connected in the host, and two disjoint branch sets touch iff their
+    projections meet or a host edge joins them.  A first coordinate that is
+    not a host vertex has no host edges.
+    """
     mu = model.mu
     verts = G.vertices
     if sorted(mu) != verts:
@@ -85,31 +86,20 @@ def verify_model(model: MinorModel, G: Graph) -> dict:
                 return {"valid": False, "violated_clause": "disjoint",
                         "detail": f"{pv} in mu({seen[pv]!r}) and mu({v!r})"}
             seen[pv] = v
+    host = model.host
+    proj = {v: model.projection(v) for v in verts}
     for v in verts:
-        if not _connected_in_product(model, mu[v]):
+        if len(connected_components(host.subgraph(proj[v]))) != 1:
             return {"valid": False, "violated_clause": "connected", "detail": v}
+    # the closed host neighbourhood of each projection
+    reach = {v: proj[v].union(*(host.adj.get(h, ()) for h in proj[v]))
+             for v in verts}
     for v in verts:
         for w in G.neighbours(v):
-            if w <= v:
-                continue
-            if not any(model.product_adjacent(a, b) for a in mu[v] for b in mu[w]):
+            if w > v and reach[v].isdisjoint(proj[w]):
                 return {"valid": False, "violated_clause": "edge-coverage",
                         "detail": f"{v}{w}"}
     return {"valid": True, "violated_clause": None, "detail": None}
-
-
-def _connected_in_product(model: MinorModel, branch: frozenset) -> bool:
-    branch = set(branch)
-    start = min(branch)
-    stack = [start]
-    seen = {start}
-    while stack:
-        a = stack.pop()
-        for b in branch - seen:
-            if model.product_adjacent(a, b):
-                seen.add(b)
-                stack.append(b)
-    return seen == branch
 
 
 def walk_weak_diameter(cp: ColouredPlanarisation, params) -> dict:

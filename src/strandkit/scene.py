@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SceneError
 from .geometry import (Point, _common_denominator, _json_int, _scaled,
@@ -50,8 +50,7 @@ class Disk:
         return self.center is not None
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(NamedTuple):
     """One transversal crossing between two distinct curves.
 
     curve_a is always the lexicographically smaller curve id.  chirality is
@@ -361,34 +360,3 @@ def _canonical(obj, indent: str) -> str:
             items.append(encode_basestring_ascii(key) + ": " + _canonical(value, inner))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def perturb(scene: StringScene, seed: int, magnitude: Fraction = Fraction(1, 1000)) -> StringScene:
-    """Deterministically jitter polyline points of a geometric scene.
-
-    Endpoints grounded on a disk are left in place.  The caller is expected to
-    re-validate and re-run the arrangement; perturbation is an explicit,
-    auditable preprocessing step, never applied implicitly.
-    """
-    import random
-    rng = random.Random(seed)
-    new_curves: dict[str, Curve] = {}
-    for cid in sorted(scene.curves):
-        c = scene.curves[cid]
-        if c.points is None:
-            new_curves[cid] = c
-            continue
-        pts = list(c.points)
-        fixed = set()
-        if c.grounded is not None:
-            fixed.add(0 if c.grounded[1] == 0 else len(pts) - 1)
-        out = []
-        for i, p in enumerate(pts):
-            if i in fixed:
-                out.append(p)
-            else:
-                dx = Fraction(rng.randint(-999, 999), 999) * magnitude
-                dy = Fraction(rng.randint(-999, 999), 999) * magnitude
-                out.append(Point(p.x + dx, p.y + dy))
-        new_curves[cid] = Curve(cid, tuple(out), None, c.grounded)
-    return StringScene(new_curves, dict(scene.disks), dict(scene.chirality))

@@ -17,7 +17,7 @@ import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import (OrderedColouring, compute_params,
-                                 degeneracy_order, greedy_colouring, relabel)
+                                 degeneracy_order, greedy_colouring)
 from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
                               outerstring_decomposition, radius_decomposition,
                               verify_td)
@@ -33,6 +33,7 @@ from strandkit.planarise import (check_coloured_planarisation,
 from strandkit.product_model import (build_model, grounded_distance_check,
                                      verify_model, walk_weak_diameter)
 from strandkit.scene import dumps_canonical
+from test_colouring import relabel
 
 
 def colourings_for(g):

@@ -132,8 +132,9 @@ def test_deterministic_event_list(bigon_scene):
     assert one == two
 
 
-def direction_cross(da: Point, db: Point) -> Fraction:
-    return da.x * db.y - da.y * db.x
+def direction_cross(a1: Point, a2: Point, b1: Point, b2: Point) -> Fraction:
+    """(a2 - a1) x (b2 - b1)."""
+    return (a2.x - a1.x) * (b2.y - b1.y) - (a2.y - a1.y) * (b2.x - b1.x)
 
 
 def box(p, q):
@@ -171,7 +172,7 @@ def all_pairs_events_json(scene):
                         f"{res.point} (tangency, bend crossing, or endpoint "
                         "on another curve)")
                 p = res.point
-                sign = direction_cross(pa[i + 1] - pa[i], pb[j + 1] - pb[j])
+                sign = direction_cross(pa[i], pa[i + 1], pb[j], pb[j + 1])
                 hits.setdefault((a, b), []).append(
                     ((i, squared_distance(pa[i], p)),
                      (j, squared_distance(pb[j], p)), p, 1 if sign > 0 else -1))

@@ -402,16 +402,22 @@ MALFORMED = {
         {"curves": [{"id": "a", "crossings": ["x"]}, {"id": "b", "crossings": ["x"]}],
          "chirality": {"x": 1.0}}, None),
         "chirality of 'x' must be an integer, got 1.0"),
+    # a colouring names only curves of the scene, on every subcommand that
+    # reads one; the third entry is the subcommand (default verify)
+    **{f"colouring-unknown-curve-{command}": (
+        lambda scene: (scene, {"a": 1, "b": 2, "c": 1, "zz": 7}),
+        "colouring names curves not in the scene ['zz']", command)
+       for command in ("decomp", "model", "outerstring", "planarise", "verify")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(capsys, tmp_path, outerstring_scene, case):
-    make, error = MALFORMED[case]
+    make, error, *command = MALFORMED[case]
     scene, colouring = make(outerstring_scene.to_json())
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))
-    argv = ["verify", "--in", str(path)]
+    argv = [*(command or ["verify"]), "--in", str(path)]
     if colouring is not None:
         col = tmp_path / "colouring.json"
         col.write_text(json.dumps(colouring))

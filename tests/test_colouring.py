@@ -3,10 +3,33 @@ import pytest
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import (OrderedColouring, check_ordered,
                                  compute_params, degeneracy, degeneracy_order,
-                                 greedy_colouring, relabel, verify_tdeg)
+                                 greedy_colouring)
 from strandkit.decomp import bounds
 from strandkit.errors import SceneError
 from strandkit.graph import Graph
+
+
+def verify_tdeg(G, colouring: OrderedColouring, d: int) -> dict:
+    """Is the colouring (t, d)-degenerate on G?
+
+    Every vertex must have at most d neighbours of strictly greater colour.
+    """
+    adj = G.adj
+    phi = colouring.phi
+    for v in sorted(adj):
+        higher = sum(1 for u in adj[v] if phi[u] > phi[v])
+        if higher > d:
+            return {"valid": False, "counterexample": v, "higher_neighbours": higher}
+    return {"valid": True, "counterexample": None}
+
+
+def relabel(colouring: OrderedColouring, perm: dict) -> OrderedColouring:
+    """Apply a colour permutation (old -> new); must be a bijection."""
+    used = set(colouring.phi.values())
+    if sorted(perm) != sorted(used) or len(set(perm.values())) != len(perm):
+        raise SceneError("relabelling is not a bijection on the used colours")
+    phi = {cid: perm[col] for cid, col in colouring.phi.items()}
+    return OrderedColouring(phi, max(phi.values(), default=0))
 
 
 def path_graph(n):

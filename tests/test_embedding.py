@@ -151,6 +151,11 @@ def test_delete_vertex_and_edge():
 # The earlier face tracers, chord loop and edits, kept to test the one-pass
 # tracer, the one-pass triangulation and the local edits against.
 
+def dart_head(g, dart):
+    u, v = g.edge_ends[dart[0]]
+    return v if dart[1] == 0 else u
+
+
 def oracle_succ(g, v, dart, step):
     rot = g.rotation[v]
     return rot[(rot.index(dart) + step) % len(rot)]
@@ -159,7 +164,7 @@ def oracle_succ(g, v, dart, step):
 def oracle_next_state(g, state):
     dart, orient = state
     orient = orient * g.signature[dart[0]]
-    return (oracle_succ(g, g.dart_head(dart), reverse(dart), orient), orient)
+    return (oracle_succ(g, dart_head(g, dart), reverse(dart), orient), orient)
 
 
 def oracle_mirror(g, state):
@@ -206,7 +211,7 @@ def oracle_trace_faces_oriented(g):
             while True:
                 face.append(d)
                 seen.add(d)
-                d = oracle_succ(g, g.dart_head(d), reverse(d), 1)
+                d = oracle_succ(g, dart_head(g, d), reverse(d), 1)
                 if d == d0:
                     break
             faces.append(face)

@@ -1,7 +1,16 @@
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.localise import (bigon_reduce, build_HR, crossing_census,
-                                localise_pipeline, r_membership_counts,
-                                reassemble, select_crossings)
+                                localise_pipeline, reassemble,
+                                select_crossings)
+
+
+def r_membership_counts(inst) -> dict:
+    """How many R-pairs each piece participates in (the delta_e audit)."""
+    counts = {pid: 0 for pid in inst.pieces}
+    for pair in inst.R:
+        for pid in pair:
+            counts[pid] += 1
+    return counts
 
 
 def test_select_one_per_pair(bigon_scene):

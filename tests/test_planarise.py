@@ -142,7 +142,8 @@ def test_svg_needs_geometry(abstract_multicross):
 
 
 def oracle_check_coloured_planarisation(plan, cp):
-    """The checker before it built each walk's vertex set once."""
+    """The checker before it indexed the walks by vertex: it scans every
+    walk at every vertex for the level-defining curve."""
     fibres: dict = {}
     for v, x in cp.psi.items():
         fibres.setdefault(x, set()).add(v)
@@ -218,3 +219,11 @@ def test_walk_sets_check_matches_oracle(abstract_multicross, abstract_colouring)
             assert got == check_outcome(oracle_check_coloured_planarisation, p.plan, bad)
             outcomes.update(k for k in CHECK_KINDS if k in got)
     assert outcomes == set(CHECK_KINDS)
+
+
+@pytest.mark.parametrize("n", [6, 20, 24, 48])
+def test_walk_index_check_matches_oracle(n):
+    for seed in range(3):
+        p = Pipeline(gen_grounded(n, seed))
+        assert check_outcome(check_coloured_planarisation, p.plan, p.cp) == "ok"
+        assert check_outcome(oracle_check_coloured_planarisation, p.plan, p.cp) == "ok"

@@ -158,6 +158,118 @@ def test_verify_model_violated_clauses():
                            host2, 1)
     assert verify_model(uncovered, G)["violated_clause"] == "edge-coverage"
 
+    for model in (ok, missing, empty, shared, split, uncovered):
+        assert verify_model(model, G) == pairwise_verify_model(model, G)
+
+
+# ------------------------------------------- pairwise product-vertex oracle
+
+def product_adjacent(model: MinorModel, a, b) -> bool:
+    """Adjacency in host x K_copies (strong product)."""
+    (ha, ca), (hb, cb) = a, b
+    if ha == hb:
+        return ca != cb
+    return hb in model.host.adj.get(ha, ())
+
+
+def connected_in_product(model: MinorModel, branch: frozenset) -> bool:
+    branch = set(branch)
+    start = min(branch)
+    stack = [start]
+    seen = {start}
+    while stack:
+        a = stack.pop()
+        for b in branch - seen:
+            if product_adjacent(model, a, b):
+                seen.add(b)
+                stack.append(b)
+    return seen == branch
+
+
+def pairwise_verify_model(model: MinorModel, G: Graph) -> dict:
+    """Reference: verify_model deciding connectivity and edge coverage on
+    pairs of product vertices."""
+    mu = model.mu
+    verts = G.vertices
+    if sorted(mu) != verts:
+        return {"valid": False, "violated_clause": "domain",
+                "detail": "branch sets do not cover V(G) exactly"}
+    for v in verts:
+        if not mu[v]:
+            return {"valid": False, "violated_clause": "non-empty", "detail": v}
+    seen: dict = {}
+    for v in verts:
+        for pv in mu[v]:
+            if pv in seen:
+                return {"valid": False, "violated_clause": "disjoint",
+                        "detail": f"{pv} in mu({seen[pv]!r}) and mu({v!r})"}
+            seen[pv] = v
+    for v in verts:
+        if not connected_in_product(model, mu[v]):
+            return {"valid": False, "violated_clause": "connected", "detail": v}
+    for v in verts:
+        for w in G.neighbours(v):
+            if w <= v:
+                continue
+            if not any(product_adjacent(model, a, b) for a in mu[v] for b in mu[w]):
+                return {"valid": False, "violated_clause": "edge-coverage",
+                        "detail": f"{v}{w}"}
+    return {"valid": True, "violated_clause": None, "detail": None}
+
+
+@pytest.mark.parametrize("n", [6, 20, 24, 48])
+def test_verify_model_matches_pairwise_oracle(n):
+    for seed in range(3):
+        p = Pipeline(gen_grounded(n, seed))
+        got = verify_model(p.model, p.graph)
+        assert got == pairwise_verify_model(p.model, p.graph)
+        assert got["valid"]
+
+
+def corrupted_models(model: MinorModel, G: Graph):
+    """(clause, model) pairs: verify_model's first violated clause on each
+    model is the named one."""
+    mu, host = model.mu, model.host
+    verts = G.vertices
+    v, w = G.edge_list()[0]
+    spare = model.copies + 1           # a copy index no branch set uses
+
+    def with_mu(**changes):
+        return MinorModel({**mu, **changes}, host, model.copies)
+
+    yield "domain", MinorModel({u: mu[u] for u in verts[1:]}, host, model.copies)
+    yield "non-empty", with_mu(**{v: frozenset()})
+    yield "disjoint", with_mu(**{w: mu[w] | {min(mu[v])}})
+    # a product vertex over a host vertex that neither lies in nor touches
+    # the projection of mu(v)
+    proj = model.projection(v)
+    near = proj.union(*(host.adj[h] for h in proj))
+    far = min(set(host.adj) - near)
+    yield "connected", with_mu(**{v: mu[v] | {(far, spare)}})
+    # one product vertex left of mu(v), too far from a neighbour's set
+    x, h = next((x, h) for x in verts for h in sorted(model.projection(x))
+                if any(model.projection(u).isdisjoint(host.adj[h] | {h})
+                       for u in G.neighbours(x)))
+    yield "edge-coverage", with_mu(**{x: frozenset({(h, spare)})})
+    # host vertices missing from the host: alone, in two copies, and
+    # beside a host vertex
+    yield "edge-coverage", with_mu(**{v: frozenset({("ghost", 1)})})
+    yield "edge-coverage", with_mu(**{v: frozenset({("ghost", 1), ("ghost", 2)})})
+    yield "connected", with_mu(**{v: mu[v] | {("ghost", spare)}})
+
+
+def test_verify_model_corrupted_matches_pairwise_oracle():
+    clauses = []
+    for n, seed in ((12, 0), (20, 1)):
+        p = Pipeline(gen_grounded(n, seed))
+        for clause, bad in corrupted_models(p.model, p.graph):
+            got = verify_model(bad, p.graph)
+            assert got == pairwise_verify_model(bad, p.graph)
+            assert got["violated_clause"] == clause
+            clauses.append(clause)
+    assert set(clauses) == {"domain", "non-empty", "disjoint", "connected",
+                            "edge-coverage"}
+
 
 def test_walk_weak_diameter(plus_sign, plus_colouring):
     _, cp, params, _ = pipeline(plus_sign, plus_colouring)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from strandkit.errors import SceneError
 from strandkit.geometry import Point, _common_denominator, _scaled, pt, squared_distance
-from strandkit.scene import (Curve, Disk, StringScene, _segment_enters_open_disk,
-                             dumps_canonical, perturb)
+from strandkit.scene import (CrossingEvent, Curve, Disk, StringScene,
+                             _segment_enters_open_disk, dumps_canonical)
 from test_arrangement import BOX_TOUCH_FIXTURES
 from test_geometry import DEGENERATE
 
@@ -107,6 +108,59 @@ def test_dumps_canonical_refuses_other_types(value):
         dumps_canonical(value)
 
 
+def perturb(scene: StringScene, seed: int, magnitude: Fraction = Fraction(1, 1000)) -> StringScene:
+    """Deterministically jitter polyline points of a geometric scene.
+
+    Endpoints grounded on a disk are left in place.
+    """
+    rng = random.Random(seed)
+    new_curves: dict[str, Curve] = {}
+    for cid in sorted(scene.curves):
+        c = scene.curves[cid]
+        if c.points is None:
+            new_curves[cid] = c
+            continue
+        pts = list(c.points)
+        fixed = set()
+        if c.grounded is not None:
+            fixed.add(0 if c.grounded[1] == 0 else len(pts) - 1)
+        out = []
+        for i, p in enumerate(pts):
+            if i in fixed:
+                out.append(p)
+            else:
+                dx = Fraction(rng.randint(-999, 999), 999) * magnitude
+                dy = Fraction(rng.randint(-999, 999), 999) * magnitude
+                out.append(Point(p.x + dx, p.y + dy))
+        new_curves[cid] = Curve(cid, tuple(out), None, c.grounded)
+    return StringScene(new_curves, dict(scene.disks), dict(scene.chirality))
+
+
+def test_point_and_event_values():
+    """repr, equality, hash and order of Point and CrossingEvent, pinned:
+    error texts print them."""
+    p = Point(Fraction(1, 2), Fraction(-3))
+    assert repr(p) == str(p) == "Point(x=Fraction(1, 2), y=Fraction(-3, 1))"
+    assert p == Point(Fraction(2, 4), Fraction(-3)) and p != pt(1, -3)
+    assert hash(p) == hash(Point(Fraction(2, 4), Fraction(-3))) \
+        == hash((Fraction(1, 2), Fraction(-3)))
+    third = Point(Fraction(1, 3), Fraction(7))
+    assert sorted([pt(1, 0), pt(0, 5), third, pt(0, -1)]) == \
+        [pt(0, -1), pt(0, 5), third, pt(1, 0)]
+    assert pt(0, 5) < third < p and not p < p
+    e = CrossingEvent("x:a:b:0", "a", "b", 0, 1, -1, p)
+    assert repr(e) == str(e) == (
+        "CrossingEvent(id='x:a:b:0', curve_a='a', curve_b='b', index_in_a=0, "
+        "index_in_b=1, chirality=-1, location=Point(x=Fraction(1, 2), "
+        "y=Fraction(-3, 1)))")
+    same = CrossingEvent("x:a:b:0", "a", "b", 0, 1, -1, pt(Fraction(1, 2), -3))
+    assert e == same and hash(e) == hash(same)
+    assert e != CrossingEvent("x:a:b:0", "a", "b", 0, 1, 1, p)
+    bare = CrossingEvent(id="x", curve_a="a", curve_b="b", index_in_a=0,
+                         index_in_b=2, chirality=1)
+    assert bare.location is None and bare.other("a") == "b" and bare.other("b") == "a"
+
+
 def test_perturb_deterministic(plus_sign):
     p1 = perturb(plus_sign, seed=7)
     p2 = perturb(plus_sign, seed=7)
@@ -125,13 +179,13 @@ def test_perturb_keeps_grounded_endpoints(outerstring_scene):
 def fraction_enters_open_disk(a, b, center, r2):
     """Reference: the Fraction test the scene validator used to run, through
     the clamped projection of center onto ab."""
-    d = b - a
-    len2 = d.x * d.x + d.y * d.y
+    dx, dy = b.x - a.x, b.y - a.y
+    len2 = dx * dx + dy * dy
     if len2 == 0:
         return squared_distance(a, center) < r2
-    t = ((center.x - a.x) * d.x + (center.y - a.y) * d.y) / len2
+    t = ((center.x - a.x) * dx + (center.y - a.y) * dy) / len2
     t = max(Fraction(0), min(Fraction(1), t))
-    closest = Point(a.x + d.x * t, a.y + d.y * t)
+    closest = Point(a.x + dx * t, a.y + dy * t)
     return squared_distance(closest, center) < r2
 
 
