@@ -1,11 +1,12 @@
-"""Ordered colourings of curve sets and the parameters t, d, k, r.
+"""Ordered colourings of curve sets, the colour cut, and the parameters t, d, k, r.
 
 An ordered t-colouring assigns colours {1..t} so that no two crossing curves
-share a colour; the *order* of colours matters downstream (fragments are cut
-at smaller-colour crossings).  The parameters:
+share a colour.  The colour cut (`colour_sections`) cuts a curve at its
+crossings with smaller-coloured curves into sections, the non-empty runs of
+crossings between cuts, each contracted to a point in C^phi.  The parameters:
 
-  d  max, over curves gamma and fragments alpha of gamma, of the number of
-     distinct higher-colour curves crossing alpha (fragment-local),
+  d  max, over curves gamma and sections of gamma, of the number of
+     distinct higher-colour curves crossing the section,
   k  max, over curves gamma, of the number of distinct smaller-colour curves
      crossing gamma,
   r  (2k + 1) * sum_{j=0}^{t-2} k^j, the walk weak-diameter bound, read
@@ -101,27 +102,43 @@ def check_ordered(colouring: OrderedColouring, events: list[CrossingEvent]) -> N
                 f"colour {colouring.phi[e.curve_a]}")
 
 
+def colour_sections(curve_id: str, crossings: list[CrossingEvent],
+                    phi: dict) -> tuple[list[range], set]:
+    """The colour cut of a curve, given its crossings in arc order.
+
+    Returns the sections, the maximal non-empty runs of crossings with
+    larger-coloured curves, as ranges of positions in `crossings`, and the
+    set of smaller-coloured curves that cut the curve.
+    """
+    my_colour = phi[curve_id]
+    runs, cuts, start = [], set(), 0
+    for i, e in enumerate(crossings):
+        other = e.other(curve_id)
+        if phi[other] == my_colour:
+            raise SceneError(
+                f"not an ordered colouring: curves {curve_id!r} and {other!r} "
+                f"cross and share colour {my_colour}")
+        if phi[other] < my_colour:
+            if i > start:
+                runs.append(range(start, i))
+            start = i + 1
+            cuts.add(other)
+    if len(crossings) > start:
+        runs.append(range(start, len(crossings)))
+    return runs, cuts
+
+
 def compute_params(scene: StringScene, events: list[CrossingEvent],
                    colouring: OrderedColouring) -> ColouringParams:
-    """Exact d, k, r by enumeration over fragments and curves."""
+    """Exact d, k, r from the colour cut of every curve."""
     phi = colouring.phi
-    check_ordered(colouring, events)
     d = 0
     k = 0
     for cid, mine in events_by_curve(scene.curve_ids(), events).items():
-        my_colour = phi[cid]
-        smaller = {e.other(cid) for e in mine if phi[e.other(cid)] < my_colour}
-        k = max(k, len(smaller))
-        # split the event sequence into fragments at smaller-colour crossings
-        frag: set = set()
-        for e in mine:
-            other = e.other(cid)
-            if phi[other] < my_colour:
-                d = max(d, len(frag))
-                frag = set()
-            else:
-                frag.add(other)
-        d = max(d, len(frag))
+        runs, cuts = colour_sections(cid, mine, phi)
+        k = max(k, len(cuts))
+        for run in runs:
+            d = max(d, len({mine[i].other(cid) for i in run}))
     from .decomp import bounds   # decomp imports this module
     t = colouring.t
     return ColouringParams(t, d, k, bounds("weak-diameter", {"t": t, "k": k}))

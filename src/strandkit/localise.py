@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .arrangement import events_by_curve, intersection_graph
 from .decomp import bounds
-from .errors import CheckFailure
+from .errors import CheckFailure, SceneError
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
 
@@ -163,9 +163,9 @@ def reassemble(inst: AuxiliaryInstance) -> StringScene:
 
     The new scene is abstract: each alpha_u's crossing sequence keeps the
     selected crossings plus the surviving unselected ones, in arc order.
-    The intersection graph must be isomorphic to the original one under the
-    identity on curve ids (checked; failure means the drawing was not a weak
-    realisation).
+    The curve set and the intersection graph must be those of the original
+    scene under the identity on curve ids (checked; failure means the drawing
+    was not a weak realisation).
     """
     scene = inst.scene
     surviving = {x for xs in inst.drawing.values() for x in xs}
@@ -181,6 +181,9 @@ def reassemble(inst: AuxiliaryInstance) -> StringScene:
     for e in events:
         if e.id in selected_ids or e.id in surviving:
             new.chirality[e.id] = e.chirality
+    lost = sorted(set(scene.curves) - set(new.curves))
+    if lost:
+        raise CheckFailure(f"reassembled scene lost curves {lost}")
     new.validate()
 
     new_events = [e for e in events
@@ -214,7 +217,13 @@ def crossing_census(scene: StringScene, events: list[CrossingEvent],
 
 
 def localise_pipeline(scene: StringScene, events: list[CrossingEvent]) -> dict:
-    """select -> build -> bigon-reduce -> reassemble, with before/after census."""
+    """select -> build -> bigon-reduce -> reassemble, with before/after census,
+    on a scene whose every curve crosses another (SceneError otherwise)."""
+    crossed = {c for e in events for c in (e.curve_a, e.curve_b)}
+    for cid in scene.curve_ids():
+        if cid not in crossed:
+            raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
+                             "needs a crossing to be localised")
     selection = select_crossings(scene, events)
     inst = build_HR(scene, events, selection)
     reduced = bigon_reduce(inst)

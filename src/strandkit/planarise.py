@@ -1,13 +1,13 @@
-"""Planarisation of a scene, fragments/sections/levels, and the coloured
-planarisation with its contraction map and per-curve walks.
+"""Planarisation of a scene, and the coloured planarisation with its levels,
+contraction map and per-curve walks.
 
 The planarisation C' replaces every crossing by a degree-4 dummy vertex and
 adds the curve endpoints as degree-1 vertices; each curve gamma contributes a
-path L_gamma.  Under an ordered colouring, curves split into fragments at
-crossings with smaller-coloured curves; the interior of each fragment's
-subpath (when it has >= 3 vertices) is a section.  Contracting every section
-to a point yields the coloured planarisation with contraction map psi and
-walks W_gamma = psi(L_gamma) with consecutive duplicates merged.
+path L_gamma.  Under an ordered colouring, the colour cut
+(colouring.colour_sections) splits the dummies of L_gamma into sections at
+crossings with smaller-coloured curves.  Contracting every section to a
+point yields the coloured planarisation with contraction map psi and walks
+W_gamma = psi(L_gamma) with consecutive duplicates merged.
 
 Note on walks: if two curves cross, their walks share a vertex.  The
 converse fails: two non-crossing curves that both cross the same section of
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arrangement import events_by_curve
+from .colouring import colour_sections
 from .embedding import EmbeddedGraph
 from .errors import InvariantError, SceneError
 from .graph import Graph
@@ -41,9 +42,6 @@ class Planarisation:
     kind: dict                 # vertex -> "endpoint" | "dummy"
     curve_paths: dict          # curve id -> list of vertices (L_gamma)
     events: dict               # event id -> CrossingEvent
-
-    def endpoints(self) -> list:
-        return sorted(v for v, k in self.kind.items() if k == "endpoint")
 
     def dummies(self) -> list:
         return sorted(v for v, k in self.kind.items() if k == "dummy")
@@ -107,57 +105,6 @@ def _check_planarisation(plan: Planarisation, events: list[CrossingEvent]) -> No
             raise InvariantError(f"vertex {v!r} has degree {g.degree(v)}, expected {want}")
 
 
-@dataclass(frozen=True)
-class Fragment:
-    """Maximal piece of a curve between crossings with smaller-colour curves."""
-    path: tuple            # subpath of L_gamma, including its end vertices
-    interior: tuple        # crossing ids strictly inside the fragment
-
-    def section(self):
-        """Interior of the subpath, or None when it has < 3 vertices."""
-        if len(self.path) < 3:
-            return None
-        return list(self.path[1:-1])
-
-
-def fragments(plan: Planarisation, colouring, curve_id: str) -> list[Fragment]:
-    """Fragments of a curve in arc order under an ordered colouring."""
-    phi = colouring.phi
-    if curve_id not in plan.curve_paths:
-        raise SceneError(f"unknown curve {curve_id!r}")
-    path = plan.curve_paths[curve_id]
-    my_colour = phi[curve_id]
-    # positions in the path where a smaller-coloured curve crosses
-    cuts = []
-    for i, v in enumerate(path):
-        if plan.kind[v] != "dummy":
-            continue
-        other = plan.events[v].other(curve_id)
-        if phi[other] == my_colour:
-            raise SceneError(
-                f"not an ordered colouring: curves {curve_id!r} and {other!r} "
-                f"cross and share colour {my_colour}")
-        if phi[other] < my_colour:
-            cuts.append(i)
-    out = []
-    bounds = [0] + cuts + [len(path) - 1]
-    for fi in range(len(bounds) - 1):
-        sub = path[bounds[fi]:bounds[fi + 1] + 1]
-        interior = tuple(v for v in sub[1:-1] if plan.kind[v] == "dummy")
-        out.append(Fragment(tuple(sub), interior))
-    return out
-
-
-def sections(plan: Planarisation, colouring, curve_id: str) -> list[list]:
-    """Sections of L_gamma: fragment subpath interiors with >= 1 vertex."""
-    out = []
-    for frag in fragments(plan, colouring, curve_id):
-        sec = frag.section()
-        if sec is not None:
-            out.append(sec)
-    return out
-
-
 @dataclass
 class ColouredPlanarisation:
     embedding: EmbeddedGraph   # multigraph, for genus
@@ -184,13 +131,16 @@ def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisat
     """
     phi = dict(colouring.phi)
     secs: dict = {}
-    sec_curve: dict = {}
+    sec_at: dict = {}          # representative -> (curve id, position on L)
     owner: dict = {}
     for cid in sorted(plan.curve_paths):
-        for sec in sections(plan, colouring, cid):
+        path = plan.curve_paths[cid]
+        runs, _ = colour_sections(cid, [plan.events[v] for v in path[1:-1]], phi)
+        for run in runs:
+            sec = path[run.start + 1:run.stop + 1]
             rep = sec[0]
-            secs[rep] = list(sec)
-            sec_curve[rep] = cid
+            secs[rep] = sec
+            sec_at[rep] = (cid, run.start + 1)
             for v in sec:
                 if v in owner:
                     raise InvariantError(
@@ -205,9 +155,7 @@ def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisat
     psi = {v: v for v in plan.kind}
     for rep in sorted(secs):
         sec = secs[rep]
-        cid = sec_curve[rep]
-        path = plan.curve_paths[cid]
-        pos = path.index(sec[0])
+        cid, pos = sec_at[rep]
         for off in range(len(sec) - 1):
             g.contract_edge(_edge_id(cid, pos + off))
         for v in sec:
@@ -218,7 +166,7 @@ def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisat
         if plan.kind.get(v) == "endpoint":
             level[v] = 0
         else:
-            level[v] = phi[sec_curve[v]]
+            level[v] = phi[sec_at[v][0]]
 
     walks = {}
     for cid in sorted(plan.curve_paths):
@@ -369,13 +317,11 @@ _SVG_PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",
                 "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#ff7f0e"]
 
 
-def scene_to_svg(scene: StringScene, colouring=None, highlight: str | None = None,
-                 plan: Planarisation | None = None) -> str:
+def scene_to_svg(scene: StringScene, colouring=None) -> str:
     """Presentation-only SVG of a geometric scene.
 
-    Curves are coloured by their colour class when a colouring is given; the
-    highlighted curve's fragments alternate dash patterns so sections are
-    visible.  Never parsed back.
+    Curves are coloured by their colour class when a colouring is given.
+    Never parsed back.
     """
     if not scene.is_geometric:
         raise SceneError("SVG emission needs a geometric scene")
@@ -405,16 +351,8 @@ def scene_to_svg(scene: StringScene, colouring=None, highlight: str | None = Non
     for cid in scene.curve_ids():
         c = scene.curves[cid]
         colour = _SVG_PALETTE[(phi.get(cid, 1) - 1) % len(_SVG_PALETTE)]
-        width = 3 if cid == highlight else 1.5
         path = " ".join(f"{sx(p):.1f},{sy(p):.1f}" for p in c.points)
         out.append(f'<polyline points="{path}" fill="none" stroke="{colour}" '
-                   f'stroke-width="{width}"><title>{cid}</title></polyline>')
-    if highlight is not None and plan is not None and colouring is not None:
-        for frag in fragments(plan, colouring, highlight):
-            for v in frag.interior:
-                loc = plan.events[v].location
-                if loc is not None:
-                    out.append(f'<circle cx="{sx(loc):.1f}" cy="{sy(loc):.1f}" '
-                               f'r="4" fill="black"/>')
+                   f'stroke-width="1.5"><title>{cid}</title></polyline>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -322,6 +322,11 @@ def test_each_search_made_once(capsys, monkeypatch, grounded_file, tmp_path,
     assert [e is rec["cphi"][0] for e in rec["builds"]] == [True]
 
 
+def segment(cid: str, p: tuple, q: tuple) -> dict:
+    """The JSON of a straight curve between two integer points."""
+    return {"id": cid, "points": [[[x, 1], [y, 1]] for x, y in (p, q)]}
+
+
 # case -> (scene JSON, colouring JSON or None) from a valid scene JSON, and
 # the error it must report
 MALFORMED = {
@@ -408,6 +413,15 @@ MALFORMED = {
         lambda scene: (scene, {"a": 1, "b": 2, "c": 1, "zz": 7}),
         "colouring names curves not in the scene ['zz']", command)
        for command in ("decomp", "model", "outerstring", "planarise", "verify")},
+    # localise emits an abstract scene, which cannot hold a curve that
+    # crosses nothing
+    "isolated-curve-localise": (lambda scene: (
+        {"curves": [segment("a", (-1, 0), (1, 0)), segment("b", (0, -1), (0, 1)),
+                    segment("c", (5, 5), (6, 5))]}, None),
+        "curve 'c' crosses no other curve", "localise"),
+    "no-crossing-localise": (lambda scene: (
+        {"curves": [segment("a", (-1, 0), (1, 0)), segment("b", (-1, 1), (1, 1))]},
+        None), "curve 'a' crosses no other curve", "localise"),
 }
 
 

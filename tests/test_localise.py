@@ -1,7 +1,12 @@
+import pytest
+
 from strandkit.arrangement import compute_arrangement, intersection_graph
+from strandkit.errors import CheckFailure, SceneError
+from strandkit.geometry import pt
 from strandkit.localise import (bigon_reduce, build_HR, crossing_census,
                                 localise_pipeline, reassemble,
                                 select_crossings)
+from strandkit.scene import Curve, StringScene
 
 
 def r_membership_counts(inst) -> dict:
@@ -60,6 +65,30 @@ def test_reassemble_preserves_graph(bigon_scene):
     old = intersection_graph(bigon_scene, events).edge_list()
     new_events = compute_arrangement(new_scene)
     assert intersection_graph(new_scene, new_events).edge_list() == old
+
+
+def plus_and_far() -> StringScene:
+    """a and b cross once; c crosses nothing."""
+    s = StringScene()
+    s.curves["a"] = Curve("a", (pt(-1, 0), pt(1, 0)))
+    s.curves["b"] = Curve("b", (pt(0, -1), pt(0, 1)))
+    s.curves["c"] = Curve("c", (pt(5, 5), pt(6, 5)))
+    s.validate()
+    return s
+
+
+def test_reassemble_keeps_every_curve():
+    s = plus_and_far()
+    events = compute_arrangement(s)
+    inst = build_HR(s, events, select_crossings(s, events))
+    with pytest.raises(CheckFailure, match=r"lost curves \['c'\]"):
+        reassemble(inst)
+
+
+def test_pipeline_rejects_isolated_curve():
+    s = plus_and_far()
+    with pytest.raises(SceneError, match="curve 'c' crosses no other curve"):
+        localise_pipeline(s, compute_arrangement(s))
 
 
 def test_census(bigon_scene):

@@ -1,19 +1,82 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from strandkit.arrangement import compute_arrangement
-from strandkit.colouring import OrderedColouring
+from strandkit.colouring import (OrderedColouring, colour_sections,
+                                 compute_params)
 from strandkit.decomp import Pipeline
 from strandkit.errors import InvariantError, SceneError
-from strandkit.families import gen_grounded
+from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import pt
-from strandkit.planarise import (check_coloured_planarisation,
+from strandkit.planarise import (Planarisation, check_coloured_planarisation,
                                  coloured_planarisation, coloured_to_json,
-                                 fragments, planarisation_to_dot,
-                                 planarisation_to_json, planarise,
-                                 scene_to_svg, sections)
+                                 planarisation_to_dot, planarisation_to_json,
+                                 planarise, scene_to_svg)
 from strandkit.scene import Curve, StringScene
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """Maximal piece of a curve between crossings with smaller-colour curves."""
+    path: tuple            # subpath of L_gamma, including its end vertices
+    interior: tuple        # crossing ids strictly inside the fragment
+
+    def section(self):
+        """Interior of the subpath, or None when it has < 3 vertices."""
+        if len(self.path) < 3:
+            return None
+        return list(self.path[1:-1])
+
+
+def fragments(plan: Planarisation, colouring, curve_id: str) -> list[Fragment]:
+    """Fragments of a curve in arc order under an ordered colouring: the
+    walk over the path of C' that the colour cut replaced, kept as its
+    oracle."""
+    phi = colouring.phi
+    if curve_id not in plan.curve_paths:
+        raise SceneError(f"unknown curve {curve_id!r}")
+    path = plan.curve_paths[curve_id]
+    my_colour = phi[curve_id]
+    # positions in the path where a smaller-coloured curve crosses
+    cuts = []
+    for i, v in enumerate(path):
+        if plan.kind[v] != "dummy":
+            continue
+        other = plan.events[v].other(curve_id)
+        if phi[other] == my_colour:
+            raise SceneError(
+                f"not an ordered colouring: curves {curve_id!r} and {other!r} "
+                f"cross and share colour {my_colour}")
+        if phi[other] < my_colour:
+            cuts.append(i)
+    out = []
+    bounds = [0] + cuts + [len(path) - 1]
+    for fi in range(len(bounds) - 1):
+        sub = path[bounds[fi]:bounds[fi + 1] + 1]
+        interior = tuple(v for v in sub[1:-1] if plan.kind[v] == "dummy")
+        out.append(Fragment(tuple(sub), interior))
+    return out
+
+
+def sections(plan: Planarisation, colouring, curve_id: str) -> list[list]:
+    """Sections of L_gamma: fragment subpath interiors with >= 1 vertex."""
+    out = []
+    for frag in fragments(plan, colouring, curve_id):
+        sec = frag.section()
+        if sec is not None:
+            out.append(sec)
+    return out
+
+
+def cut_of(plan, colouring, curve_id):
+    """The colour cut of a curve read off C': its sections as lists of
+    vertices of L_gamma, and the number of its fragments."""
+    path = plan.curve_paths[curve_id]
+    crossings = [plan.events[v] for v in path[1:-1]]
+    runs, _ = colour_sections(curve_id, crossings, colouring.phi)
+    cut_count = len(crossings) - sum(len(run) for run in runs)
+    return [path[run.start + 1:run.stop + 1] for run in runs], cut_count + 1
 
 
 def test_plus_sign_planarisation(plus_sign):
@@ -22,7 +85,7 @@ def test_plus_sign_planarisation(plus_sign):
     assert len(plan.embedding.rotation) == 5
     assert plan.embedding.edge_count() == 4
     assert plan.dummies() == ["x:h:v:0"]
-    assert len(plan.endpoints()) == 4
+    assert sum(k == "endpoint" for k in plan.kind.values()) == 4
     assert plan.curve_paths["h"] == ["e:h:0", "x:h:v:0", "e:h:1"]
     assert plan.embedding.euler_genus() == 0
 
@@ -41,21 +104,25 @@ def test_isolated_curve_rejected():
 def test_plus_sign_fragments(plus_sign, plus_colouring):
     events = compute_arrangement(plus_sign)
     plan = planarise(plus_sign, events)
-    fr_h = fragments(plan, plus_colouring, "h")
-    assert len(fr_h) == 1
-    assert fr_h[0].path == ("e:h:0", "x:h:v:0", "e:h:1")
-    assert sections(plan, plus_colouring, "h") == [["x:h:v:0"]]
-    fr_v = fragments(plan, plus_colouring, "v")
-    assert len(fr_v) == 2           # cut at the crossing with smaller colour
-    assert sections(plan, plus_colouring, "v") == []
+    secs_h, count_h = cut_of(plan, plus_colouring, "h")
+    assert count_h == 1
+    assert plan.curve_paths["h"] == ["e:h:0", "x:h:v:0", "e:h:1"]
+    assert secs_h == [["x:h:v:0"]]
+    secs_v, count_v = cut_of(plan, plus_colouring, "v")
+    assert count_v == 2             # cut at the crossing with smaller colour
+    assert secs_v == []
+    assert colour_sections("v", [plan.events["x:h:v:0"]],
+                           plus_colouring.phi) == ([], {"h"})
 
 
 def test_same_colour_crossing_rejected(plus_sign):
     events = compute_arrangement(plus_sign)
     plan = planarise(plus_sign, events)
     bad = OrderedColouring({"h": 1, "v": 1}, 1)
-    with pytest.raises(SceneError):
-        fragments(plan, bad, "h")
+    with pytest.raises(SceneError, match="not an ordered colouring"):
+        coloured_planarisation(plan, bad)
+    with pytest.raises(SceneError, match="not an ordered colouring"):
+        compute_params(plus_sign, events, bad)
 
 
 def test_plus_sign_coloured_equals_planarisation(plus_sign, plus_colouring):
@@ -75,10 +142,9 @@ def test_plus_sign_coloured_equals_planarisation(plus_sign, plus_colouring):
 def test_multicross_fragments_and_sections(abstract_multicross, abstract_colouring):
     events = compute_arrangement(abstract_multicross)
     plan = planarise(abstract_multicross, events)
-    fr = fragments(plan, abstract_colouring, "m")
+    secs, count = cut_of(plan, abstract_colouring, "m")
     # cuts at the four crossings with colours 1 and 2
-    assert len(fr) == 5
-    secs = sections(plan, abstract_colouring, "m")
+    assert count == 5
     assert sorted(len(s) for s in secs) == [1, 2, 2]
     cp = coloured_planarisation(plan, abstract_colouring)
     check_coloured_planarisation(plan, cp)
@@ -132,13 +198,54 @@ def test_emitters(plus_sign, plus_colouring):
     assert cj["walks"]["h"] == cp.walks["h"]
     dot = planarisation_to_dot(plan)
     assert dot.startswith("graph") and "x:h:v:0" in dot
-    svg = scene_to_svg(plus_sign, plus_colouring, highlight="h", plan=plan)
+    svg = scene_to_svg(plus_sign, plus_colouring)
     assert svg.startswith("<svg") and "polyline" in svg
 
 
 def test_svg_needs_geometry(abstract_multicross):
     with pytest.raises(SceneError):
         scene_to_svg(abstract_multicross)
+
+
+def oracle_params(plan, colouring) -> tuple:
+    """d and k from the oracle's fragments: the most distinct larger-coloured
+    curves inside one fragment, and the most distinct smaller-coloured
+    curves that cut one curve."""
+    phi = colouring.phi
+    d = k = 0
+    for cid in sorted(plan.curve_paths):
+        frags = fragments(plan, colouring, cid)
+        for frag in frags:
+            d = max(d, len({plan.events[v].other(cid) for v in frag.interior}))
+        cuts = [frag.path[-1] for frag in frags[:-1]]
+        assert all(phi[plan.events[v].other(cid)] < phi[cid] for v in cuts)
+        k = max(k, len({plan.events[v].other(cid) for v in cuts}))
+    return d, k
+
+
+def assert_cut_matches_oracle(scene, colouring):
+    p = Pipeline(scene, colouring)
+    want = {sec[0]: sec for cid in sorted(p.plan.curve_paths)
+            for sec in sections(p.plan, p.colouring, cid)}
+    assert list(p.cp.sections.items()) == list(want.items())
+    assert (p.params.d, p.params.k) == oracle_params(p.plan, p.colouring)
+
+
+def test_colour_cut_matches_fragment_oracle():
+    scenes = [gen_grounded(n, s) for n in (6, 20, 24, 48) for s in range(3)]
+    for scene in scenes + [gen_random(10, 2, s) for s in range(3)]:
+        assert_cut_matches_oracle(scene, None)
+
+
+def test_colour_cut_matches_fragment_oracle_on_fixtures(
+        abstract_multicross, abstract_colouring, bigon_scene, outerstring_scene,
+        outerstring_colouring, plus_sign, plus_colouring):
+    for scene, colouring in [(abstract_multicross, abstract_colouring),
+                             (abstract_multicross, None),
+                             (bigon_scene, None),
+                             (outerstring_scene, outerstring_colouring),
+                             (plus_sign, plus_colouring)]:
+        assert_cut_matches_oracle(scene, colouring)
 
 
 def oracle_check_coloured_planarisation(plan, cp):
