@@ -131,12 +131,13 @@ def _parse_params(tokens: list) -> dict:
 
 
 def _colouring(args, p: Pipeline) -> OrderedColouring:
-    """p's colouring stage.  A --colouring file is read here, not up front,
-    so that errors of the scene's earlier stages are reported before errors
-    of the file."""
+    """p's colouring stage, checked to be ordered by reading p's colour cut.
+    A --colouring file is read here, not up front, so that errors of the
+    scene's earlier stages are reported before errors of the file."""
     p.events
     if getattr(args, "colouring", None):
         p.given = OrderedColouring.from_json(json.loads(Path(args.colouring).read_text()))
+    p.cut
     return p.colouring
 
 
@@ -217,8 +218,7 @@ def _cmd_decomp(args) -> dict:
     report = {"command": "decomp", "width": td.width,
               "layered_width": result["layered_width"],
               "layered_width_bound": result["bound"],
-              "genus": result["genus"],
-              "params": result["params"].to_json()}
+              "genus": p.genus, "params": p.params.to_json()}
     if len(p.graph) <= 16:
         report["exact_treewidth"] = exact_treewidth(p.graph)
     return report
@@ -233,14 +233,14 @@ def _cmd_outerstring(args) -> dict:
     if "td" in _formats(args):
         _write(args, "td.td", td_to_pace(td, p.graph))
     return {"command": "outerstring", "width": result["width"],
-            "bound": result["bound"], "ok": result["valid"],
+            "bound": result["bound"], "ok": True,
             "t": result["t"], "d": result["d"],
             "quotient_radius": result["quotient_radius"]}
 
 
 def _cmd_localise(args) -> dict:
     p = Pipeline(load_scene(args.inp))
-    result = localise_pipeline(p.scene, p.events)
+    result = localise_pipeline(p)
     _write_json(args, "instance.json", result["instance"].to_json())
     _write_json(args, "reduced.json", result["reduced"].to_json())
     _write_json(args, "scene.json", result["scene"].to_json())
@@ -291,7 +291,7 @@ def _cmd_verify(args) -> dict:
     p = Pipeline(load_scene(args.inp))
     checks: dict = {}
 
-    _colouring(args, p)        # the stage checks the colouring is ordered
+    _colouring(args, p)        # reads p.cut, which checks the colouring is ordered
     checks["ordered-colouring"] = True
     params = p.params
 

@@ -3,7 +3,8 @@
 An ordered t-colouring assigns colours {1..t} so that no two crossing curves
 share a colour.  The colour cut (`colour_sections`) cuts a curve at its
 crossings with smaller-coloured curves into sections, the non-empty runs of
-crossings between cuts, each contracted to a point in C^phi.  The parameters:
+crossings between cuts, each contracted to a point in C^phi; cutting every
+curve is also the check that the colouring is ordered.  The parameters:
 
   d  max, over curves gamma and sections of gamma, of the number of
      distinct higher-colour curves crossing the section,
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import events_by_curve
 from .errors import SceneError
 from .geometry import _json_int
-from .scene import CrossingEvent, StringScene
+from .scene import CrossingEvent
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,6 @@ def degeneracy(G) -> int:
     return max((sum(1 for u in adj[v] if pos[u] > pos[v]) for v in order), default=0)
 
 
-def check_ordered(colouring: OrderedColouring, events: list[CrossingEvent]) -> None:
-    for e in events:
-        if colouring.phi[e.curve_a] == colouring.phi[e.curve_b]:
-            raise SceneError(
-                f"curves {e.curve_a!r} and {e.curve_b!r} cross but share "
-                f"colour {colouring.phi[e.curve_a]}")
-
-
 def colour_sections(curve_id: str, crossings: list[CrossingEvent],
                     phi: dict) -> tuple[list[range], set]:
     """The colour cut of a curve, given its crossings in arc order.
@@ -128,14 +120,13 @@ def colour_sections(curve_id: str, crossings: list[CrossingEvent],
     return runs, cuts
 
 
-def compute_params(scene: StringScene, events: list[CrossingEvent],
-                   colouring: OrderedColouring) -> ColouringParams:
-    """Exact d, k, r from the colour cut of every curve."""
-    phi = colouring.phi
+def compute_params(colouring: OrderedColouring, along: dict,
+                   cut: dict) -> ColouringParams:
+    """Exact d, k, r from each curve's crossings (along) and their cut."""
     d = 0
     k = 0
-    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
-        runs, cuts = colour_sections(cid, mine, phi)
+    for cid, (runs, cuts) in cut.items():
+        mine = along[cid]
         k = max(k, len(cuts))
         for run in runs:
             d = max(d, len({mine[i].other(cid) for i in run}))

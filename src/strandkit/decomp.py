@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arrangement import compute_arrangement, intersection_graph
-from .colouring import (ColouringParams, OrderedColouring, check_ordered,
+from .arrangement import compute_arrangement, events_by_curve, intersection_graph
+from .colouring import (ColouringParams, OrderedColouring, colour_sections,
                         compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
 from .embedding import EmbeddedGraph
@@ -477,10 +477,12 @@ def minor_lift(td: TreeDecomposition, model: MinorModel) -> TreeDecomposition:
 class Pipeline:
     """The certified chain of one scene, each stage built on first use, once.
 
-    scene -> events -> intersection graph -> ordered colouring -> C' (plan)
-    -> C^phi (cp) -> genus and parameters t, d, k, r -> minor model.  The
-    colouring stage takes `given`, checked against the scene, or when that
-    is None colours greedily on the reverse degeneracy order of the
+    scene -> events -> arc order along each curve (along) -> intersection
+    graph -> colouring -> colour cut of each curve (cut, which rejects a
+    colouring that is not ordered) -> C' (plan) -> C^phi (cp) -> genus and
+    parameters t, d, k, r -> minor model.
+    The colouring stage takes `given`, checked against the scene, or when
+    that is None colours greedily on the reverse degeneracy order of the
     intersection graph.
     """
 
@@ -491,6 +493,10 @@ class Pipeline:
     @cached_property
     def events(self) -> list:
         return compute_arrangement(self.scene)
+
+    @cached_property
+    def along(self) -> dict:
+        return events_by_curve(self.scene.curve_ids(), self.events)
 
     @cached_property
     def graph(self) -> Graph:
@@ -508,16 +514,20 @@ class Pipeline:
             if named - curves:
                 raise SceneError("colouring names curves not in the scene "
                                  f"{sorted(named - curves)}")
-        check_ordered(colouring, self.events)
         return colouring
 
     @cached_property
+    def cut(self) -> dict:
+        phi = self.colouring.phi
+        return {cid: colour_sections(cid, mine, phi) for cid, mine in self.along.items()}
+
+    @cached_property
     def plan(self) -> Planarisation:
-        return planarise(self.scene, self.events)
+        return planarise(self.scene, self.events, self.along)
 
     @cached_property
     def cp(self) -> ColouredPlanarisation:
-        return coloured_planarisation(self.plan, self.colouring)
+        return coloured_planarisation(self.plan, self.colouring, self.cut)
 
     @cached_property
     def genus(self) -> int:
@@ -525,7 +535,7 @@ class Pipeline:
 
     @cached_property
     def params(self) -> ColouringParams:
-        return compute_params(self.scene, self.events, self.colouring)
+        return compute_params(self.colouring, self.along, self.cut)
 
     @cached_property
     def model(self) -> MinorModel:
@@ -573,9 +583,8 @@ def outerstring_decomposition(p: Pipeline) -> dict:
     if len(p.scene.disks) != 1:
         raise SceneError(f"outerstring pipeline needs exactly 1 disk, "
                          f"got {len(p.scene.disks)}")
-    genus = p.genus
-    if genus != 0:
-        raise SceneError(f"outerstring pipeline needs genus 0, got {genus}")
+    if p.genus != 0:
+        raise SceneError(f"outerstring pipeline needs genus 0, got {p.genus}")
     t, d = p.params.t, p.params.d
 
     quotient, centers = grounded_quotient(p.cp, p.scene)
@@ -592,8 +601,8 @@ def outerstring_decomposition(p: Pipeline) -> dict:
     bound = bounds("planar-outerstring", {"t": t, "d": d})
     if td.width > bound:
         raise InvariantError(f"outerstring width {td.width} > bound {bound}")
-    return {"td": td, "width": td.width, "bound": bound, "valid": True,
-            "t": t, "d": d, "genus": genus, "quotient_radius": ecc}
+    return {"td": td, "width": td.width, "bound": bound, "t": t, "d": d,
+            "quotient_radius": ecc}
 
 
 def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:
@@ -692,8 +701,6 @@ def ltw_pipeline(p: Pipeline) -> dict:
     lrep = verify_layering(lifted["layering"], p.graph)
     if not lrep["valid"]:
         raise InvariantError(f"lifted layering invalid: {lrep['reason']}")
-    lifted["params"] = params
-    lifted["genus"] = genus
     lifted["bound"] = bound
     return lifted
 

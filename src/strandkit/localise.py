@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import events_by_curve, intersection_graph
-from .decomp import bounds
+from .arrangement import intersection_graph
+from .decomp import Pipeline, bounds
 from .errors import CheckFailure, SceneError
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
@@ -58,7 +58,7 @@ class AuxiliaryInstance:
         }
 
 
-def build_HR(scene: StringScene, events: list[CrossingEvent],
+def build_HR(scene: StringScene, along: dict,
              selection: dict) -> AuxiliaryInstance:
     """The auxiliary instance with its inherited combinatorial drawing."""
     H = Graph()
@@ -68,11 +68,11 @@ def build_HR(scene: StringScene, events: list[CrossingEvent],
     sigma: dict = {}
     drawing: dict = {}
     selected_ids = {e.id for e in selection.values()}
-    by_id = {e.id: e for e in events}
+    by_id = {e.id: e for mine in along.values() for e in mine}
     # piece id of the segment of each curve covering a given event position
     piece_at: dict = {}
 
-    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
+    for cid, mine in along.items():
         sel_pos = [i for i, e in enumerate(mine) if e.id in selected_ids]
         sigma[cid] = [mine[i].other(cid) for i in sel_pos]
         for j in range(len(sel_pos) - 1):
@@ -158,8 +158,9 @@ def bigon_reduce(inst: AuxiliaryInstance) -> AuxiliaryInstance:
     return out
 
 
-def reassemble(inst: AuxiliaryInstance) -> StringScene:
-    """Concatenate each curve's pieces into a new curve alpha_u.
+def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
+    """Concatenate each curve's pieces, read along the original curve, into
+    a new curve alpha_u.
 
     The new scene is abstract: each alpha_u's crossing sequence keeps the
     selected crossings plus the surviving unselected ones, in arc order.
@@ -173,7 +174,7 @@ def reassemble(inst: AuxiliaryInstance) -> StringScene:
     events = sorted(inst.events.values(), key=lambda e: e.id)
 
     new = StringScene()
-    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
+    for cid, mine in along.items():
         keep = [e.id for e in mine if e.id in selected_ids or e.id in surviving]
         if not keep:
             continue
@@ -195,47 +196,38 @@ def reassemble(inst: AuxiliaryInstance) -> StringScene:
     return new
 
 
-def crossing_census(scene: StringScene, events: list[CrossingEvent],
-                    delta: int | None = None) -> dict:
+def crossing_census(along: dict) -> dict:
     """Per-curve crossing involvement vs the localisation bound."""
-    by_curve: dict = {cid: [] for cid in scene.curve_ids()}
-    for e in events:
-        by_curve[e.curve_a].append(e)
-        by_curve[e.curve_b].append(e)
     out = {}
-    for cid in scene.curve_ids():
-        count = len(by_curve[cid])
-        deg = len({e.other(cid) for e in by_curve[cid]})
+    for cid, mine in along.items():
+        count = len(mine)
+        deg = len({e.other(cid) for e in mine})
         bound = bounds("localised", {"delta": deg})
         out[cid] = {"count": count, "degree": deg, "bound": bound,
                     "within_bound": count <= bound}
-    report = {"curves": out}
-    if delta is not None:
-        report["delta"] = delta
-        report["is_delta_string"] = all(c["count"] <= delta for c in out.values())
-    return report
+    return {"curves": out}
 
 
-def localise_pipeline(scene: StringScene, events: list[CrossingEvent]) -> dict:
+def localise_pipeline(p: Pipeline) -> dict:
     """select -> build -> bigon-reduce -> reassemble, with before/after census,
     on a scene whose every curve crosses another (SceneError otherwise)."""
-    crossed = {c for e in events for c in (e.curve_a, e.curve_b)}
-    for cid in scene.curve_ids():
-        if cid not in crossed:
+    along = p.along
+    for cid, mine in along.items():
+        if not mine:
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
                              "needs a crossing to be localised")
-    selection = select_crossings(scene, events)
-    inst = build_HR(scene, events, selection)
+    selection = select_crossings(p.scene, p.events)
+    inst = build_HR(p.scene, along, selection)
     reduced = bigon_reduce(inst)
-    new_scene = reassemble(reduced)
-    new_events = [inst.events[x] for x in
-                  sorted({x for c in new_scene.curves.values() for x in c.crossings})]
+    new_scene = reassemble(reduced, along)
     return {
         "instance": inst,
         "reduced": reduced,
         "scene": new_scene,
-        "census_before": crossing_census(scene, events),
-        "census_after": crossing_census(new_scene, new_events),
+        "census_before": crossing_census(along),
+        "census_after": crossing_census(
+            {cid: [inst.events[x] for x in c.crossings]
+             for cid, c in new_scene.curves.items()}),
         "crossings_before": inst.crossing_count(),
         "crossings_after": reduced.crossing_count(),
     }

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .arrangement import events_by_curve
-from .colouring import colour_sections
 from .embedding import EmbeddedGraph
 from .errors import InvariantError, SceneError
 from .graph import Graph
@@ -47,9 +45,9 @@ class Planarisation:
         return sorted(v for v, k in self.kind.items() if k == "dummy")
 
 
-def planarise(scene: StringScene, events: list[CrossingEvent]) -> Planarisation:
+def planarise(scene: StringScene, events: list[CrossingEvent],
+              along: dict) -> Planarisation:
     """Build C' with its rotation system (and arc signatures, if twisted)."""
-    along = events_by_curve(scene.curve_ids(), events)
     for cid, mine in along.items():
         if not mine:
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
@@ -121,13 +119,15 @@ class ColouredPlanarisation:
         return self.embedding.simple_graph()
 
 
-def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisation:
+def coloured_planarisation(plan: Planarisation, colouring,
+                           cut: dict) -> ColouredPlanarisation:
     """Contract every section of C' to a single vertex.
 
-    The representative of a section is its first vertex along the curve, so
-    single-vertex sections keep their ids and C^phi = C' when nothing
-    contracts.  The embedding is contracted edge by edge, which preserves the
-    surface, so Euler genus can still be read off the result.
+    The sections are the runs of each curve's cut, indexing path[1:-1] of
+    L_gamma.  The representative of a section is its first vertex along the
+    curve, so single-vertex sections keep their ids and C^phi = C' when
+    nothing contracts.  The embedding is contracted edge by edge, which
+    preserves the surface, so Euler genus can still be read off the result.
     """
     phi = dict(colouring.phi)
     secs: dict = {}
@@ -135,8 +135,7 @@ def coloured_planarisation(plan: Planarisation, colouring) -> ColouredPlanarisat
     owner: dict = {}
     for cid in sorted(plan.curve_paths):
         path = plan.curve_paths[cid]
-        runs, _ = colour_sections(cid, [plan.events[v] for v in path[1:-1]], phi)
-        for run in runs:
+        for run in cut[cid][0]:
             sec = path[run.start + 1:run.stop + 1]
             rep = sec[0]
             secs[rep] = sec

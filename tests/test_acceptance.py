@@ -16,8 +16,7 @@ import networkx as nx
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
-from strandkit.colouring import (OrderedColouring, compute_params,
-                                 degeneracy_order, greedy_colouring)
+from strandkit.colouring import degeneracy_order, greedy_colouring
 from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
                               outerstring_decomposition, radius_decomposition,
                               verify_td)
@@ -28,8 +27,7 @@ from strandkit.families import (certify_grid_disk, certify_segment_family,
                                 ktt_minor_model)
 from strandkit.graph import Graph, bfs_tree, eccentricity
 from strandkit.localise import localise_pipeline
-from strandkit.planarise import (check_coloured_planarisation,
-                                 coloured_planarisation, planarise)
+from strandkit.planarise import check_coloured_planarisation
 from strandkit.product_model import (build_model, grounded_distance_check,
                                      verify_model, walk_weak_diameter)
 from strandkit.scene import dumps_canonical
@@ -74,10 +72,9 @@ def test_criterion_1_lemma_suite(random_corpus):
     t0 = time.monotonic()
     for scene, events in random_corpus:
         g = intersection_graph(scene, events)
-        plan = planarise(scene, events)
         for colouring in colourings_for(g):
-            cp = coloured_planarisation(plan, colouring)
-            check_coloured_planarisation(plan, cp)
+            p = Pipeline(scene, colouring)
+            check_coloured_planarisation(p.plan, p.cp)
     assert time.monotonic() - t0 < 60
 
 
@@ -85,11 +82,10 @@ def test_criterion_2_model_validity(random_corpus):
     """build_model passes verify_model; projections equal W minus E_C."""
     for scene, events in random_corpus:
         g = intersection_graph(scene, events)
-        plan = planarise(scene, events)
         for colouring in colourings_for(g):
-            cp = coloured_planarisation(plan, colouring)
-            params = compute_params(scene, events, colouring)
-            model = build_model(cp, params)
+            p = Pipeline(scene, colouring)
+            cp = p.cp
+            model = build_model(cp, p.params)
             assert verify_model(model, g)["valid"]
             for cid in g.vertices:
                 assert model.projection(cid) == set(cp.walks[cid]) - cp.endpoints
@@ -99,18 +95,15 @@ def test_criterion_3_distance_bounds(random_corpus, grounded_corpus):
     """Walk weak diameters within r; grounded distances within t - 1."""
     for scene, events in random_corpus:
         g = intersection_graph(scene, events)
-        plan = planarise(scene, events)
         for colouring in colourings_for(g):
-            cp = coloured_planarisation(plan, colouring)
-            params = compute_params(scene, events, colouring)
+            p = Pipeline(scene, colouring)
+            cp, params = p.cp, p.params
             diam = walk_weak_diameter(cp, params)    # asserts <= r internally
             assert max(diam.values()) <= params.r
     for scene in grounded_corpus:
-        events = compute_arrangement(scene)
-        g = intersection_graph(scene, events)
-        plan = planarise(scene, events)
+        g = Pipeline(scene).graph
         colouring = colourings_for(g)[0]
-        cp = coloured_planarisation(plan, colouring)
+        cp = Pipeline(scene, colouring).cp
         ends = {f"e:{cid}:0" for cid in scene.curve_ids()}
         assert grounded_distance_check(cp, ends) <= colouring.t - 1
 
@@ -267,7 +260,7 @@ def test_criterion_8_convex_crossing_cap():
 def test_criterion_9_localise(random_corpus):
     """Reassembly preserves the intersection graph; censuses are honest."""
     for scene, events in random_corpus:
-        rep = localise_pipeline(scene, events)
+        rep = localise_pipeline(Pipeline(scene))
         old = intersection_graph(scene, events).edge_list()
         new_events = compute_arrangement(rep["scene"])
         assert intersection_graph(rep["scene"], new_events).edge_list() == old
@@ -297,7 +290,7 @@ def _bundle() -> str:
         parts.append(dumps_canonical(colouring.to_json()))
         parts.append(dumps_canonical(rep["td"].to_json()))
         parts.append(dumps_canonical(
-            localise_pipeline(scene, events)["instance"].to_json()))
+            localise_pipeline(Pipeline(scene))["instance"].to_json()))
     for seed in (0, 1):
         parts.append(dumps_canonical(gen_random(6, 2, seed).to_json()))
     return "".join(parts)

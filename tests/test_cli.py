@@ -11,6 +11,7 @@ import pytest
 import strandkit
 from strandkit.cli import main
 from strandkit.embedding import EmbeddedGraph
+from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.scene import Curve, StringScene, dump_scene
 
@@ -236,6 +237,8 @@ def count_stage_calls(monkeypatch) -> dict:
     that binds them."""
     calls = {}
     for home, name in [("arrangement", "compute_arrangement"),
+                       ("arrangement", "events_by_curve"),
+                       ("colouring", "colour_sections"),
                        ("planarise", "planarise"),
                        ("planarise", "coloured_planarisation"),
                        ("colouring", "compute_params")]:
@@ -251,15 +254,44 @@ def count_stage_calls(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.parametrize("command", ["decomp", "outerstring", "verify", "model"])
+# subcommand -> its --format and the Pipeline stages it reads besides the
+# arrangement
+SCENE_COMMANDS = {
+    "arrange": ("json,dot", set()),
+    "planarise": ("json,dot,svg", {"along", "cut", "plan", "cp"}),
+    "colour": (None, {"along", "cut", "params"}),
+    "model": (None, {"along", "cut", "plan", "cp", "params"}),
+    "decomp": ("json,td", {"along", "cut", "plan", "cp", "params"}),
+    "outerstring": ("json,td", {"along", "cut", "plan", "cp", "params"}),
+    "localise": (None, {"along"}),
+    "verify": (None, {"along", "cut", "plan", "cp", "params"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCENE_COMMANDS))
 def test_each_stage_built_once(capsys, monkeypatch, grounded_file, tmp_path,
                                command):
-    calls = count_stage_calls(monkeypatch)
-    out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
-    code, _ = run(capsys, command, "--in", grounded_file, *out)
-    assert code == 0
-    assert calls == {"compute_arrangement": 1, "planarise": 1,
-                     "coloured_planarisation": 1, "compute_params": 1}
+    """Each op builds each stage it reads once: one arrangement, one arc
+    order along every curve, and one colour cut per curve."""
+    fmt, stages = SCENE_COMMANDS[command]
+    big = tmp_path / "grounded20.json"
+    dump_scene(gen_grounded(20, 1), big)
+    for path, curves in [(grounded_file, 3), (str(big), 20)]:
+        calls = count_stage_calls(monkeypatch)
+        argv = [command, "--in", path]
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "o")]
+        if fmt:
+            argv += ["--format", fmt]
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"compute_arrangement": 1,
+                         "events_by_curve": int("along" in stages),
+                         "colour_sections": curves * ("cut" in stages),
+                         "planarise": int("plan" in stages),
+                         "coloured_planarisation": int("cp" in stages),
+                         "compute_params": int("params" in stages)}
+        monkeypatch.undo()
 
 
 def record_searches(monkeypatch) -> dict:
@@ -412,6 +444,13 @@ MALFORMED = {
     **{f"colouring-unknown-curve-{command}": (
         lambda scene: (scene, {"a": 1, "b": 2, "c": 1, "zz": 7}),
         "colouring names curves not in the scene ['zz']", command)
+       for command in ("decomp", "model", "outerstring", "planarise", "verify")},
+    # the colour cut rejects a colouring under which two crossing curves
+    # share a colour, naming both
+    **{f"colouring-same-colour-{command}": (
+        lambda scene: (scene, {"a": 1, "b": 1, "c": 2}),
+        "not an ordered colouring: curves 'a' and 'b' cross and share colour 1",
+        command)
        for command in ("decomp", "model", "outerstring", "planarise", "verify")},
     # localise emits an abstract scene, which cannot hold a curve that
     # crosses nothing

@@ -1,10 +1,9 @@
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
-from strandkit.colouring import (OrderedColouring, check_ordered,
-                                 compute_params, degeneracy, degeneracy_order,
-                                 greedy_colouring)
-from strandkit.decomp import bounds
+from strandkit.colouring import (OrderedColouring, degeneracy,
+                                 degeneracy_order, greedy_colouring)
+from strandkit.decomp import Pipeline, bounds
 from strandkit.errors import SceneError
 from strandkit.graph import Graph
 
@@ -30,6 +29,16 @@ def relabel(colouring: OrderedColouring, perm: dict) -> OrderedColouring:
         raise SceneError("relabelling is not a bijection on the used colours")
     phi = {cid: perm[col] for cid, col in colouring.phi.items()}
     return OrderedColouring(phi, max(phi.values(), default=0))
+
+
+def check_ordered(colouring: OrderedColouring, events) -> None:
+    """No two crossing curves share a colour: the check the colour cut
+    replaced, kept as its oracle."""
+    for e in events:
+        if colouring.phi[e.curve_a] == colouring.phi[e.curve_b]:
+            raise SceneError(
+                f"curves {e.curve_a!r} and {e.curve_b!r} cross but share "
+                f"colour {colouring.phi[e.curve_a]}")
 
 
 def path_graph(n):
@@ -66,22 +75,26 @@ def test_degeneracy_order_min_degree_first():
 
 
 def test_check_ordered(plus_sign, plus_colouring):
+    """The cut stage accepts and rejects what the oracle does."""
     events = compute_arrangement(plus_sign)
     check_ordered(plus_colouring, events)
-    with pytest.raises(SceneError):
-        check_ordered(OrderedColouring({"h": 2, "v": 2}, 2), events)
+    assert Pipeline(plus_sign, plus_colouring).cut == {"h": ([range(0, 1)], set()),
+                                                       "v": ([], {"h"})}
+    bad = OrderedColouring({"h": 2, "v": 2}, 2)
+    with pytest.raises(SceneError, match="'h' and 'v' cross but share colour 2"):
+        check_ordered(bad, events)
+    with pytest.raises(SceneError, match="'h' and 'v' cross and share colour 2"):
+        Pipeline(plus_sign, bad).cut
 
 
 def test_plus_sign_params(plus_sign, plus_colouring):
-    events = compute_arrangement(plus_sign)
-    p = compute_params(plus_sign, events, plus_colouring)
+    p = Pipeline(plus_sign, plus_colouring).params
     assert (p.t, p.d, p.k) == (2, 1, 1)
     assert p.r == bounds("weak-diameter", {"t": 2, "k": 1}) == 3
 
 
 def test_multicross_params(abstract_multicross, abstract_colouring):
-    events = compute_arrangement(abstract_multicross)
-    p = compute_params(abstract_multicross, events, abstract_colouring)
+    p = Pipeline(abstract_multicross, abstract_colouring).params
     assert p.t == 5
     # m has 2 distinct smaller-colour crossers (c1, c2)
     assert p.k >= 2

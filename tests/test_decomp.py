@@ -473,11 +473,7 @@ def test_merge_layers():
 # ------------------------------------------------------- pipelines
 
 def test_grounded_quotient(outerstring_scene, outerstring_colouring):
-    from strandkit.arrangement import compute_arrangement
-    from strandkit.planarise import coloured_planarisation, planarise
-    events = compute_arrangement(outerstring_scene)
-    plan = planarise(outerstring_scene, events)
-    cp = coloured_planarisation(plan, outerstring_colouring)
+    cp = Pipeline(outerstring_scene, outerstring_colouring).cp
     q, centers = grounded_quotient(cp, outerstring_scene)
     assert centers == ["w:D"]
     assert eccentricity(q, "w:D") <= outerstring_colouring.t - 1
@@ -485,11 +481,11 @@ def test_grounded_quotient(outerstring_scene, outerstring_colouring):
 
 def test_outerstring_decomposition(outerstring_scene, outerstring_colouring):
     rep = outerstring_decomposition(Pipeline(outerstring_scene, outerstring_colouring))
-    assert rep["valid"]
+    g = Graph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c")])
+    assert verify_td(rep["td"], g)["valid"]
     assert rep["t"] == 2
     assert rep["width"] <= rep["bound"] == bounds(
         "planar-outerstring", {"t": rep["t"], "d": rep["d"]})
-    g = Graph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c")])
     assert rep["width"] >= exact_treewidth(g) == 1
 
 
@@ -499,9 +495,11 @@ def test_outerstring_needs_one_disk(plus_sign, plus_colouring):
 
 
 def test_ltw_pipeline(plus_sign, plus_colouring):
-    rep = ltw_pipeline(Pipeline(plus_sign, plus_colouring))
-    assert rep["layered_width"] <= rep["bound"]
-    assert rep["genus"] == 0
+    p = Pipeline(plus_sign, plus_colouring)
+    rep = ltw_pipeline(p)
+    assert rep["layered_width"] <= rep["bound"] == bounds(
+        "ltw-shallow", {"r": p.params.r, "d": p.params.d, "g": p.genus})
+    assert p.genus == 0
     assert rep["td"].width >= 0
 
 

@@ -1,12 +1,19 @@
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
+from strandkit.decomp import Pipeline
 from strandkit.errors import CheckFailure, SceneError
 from strandkit.geometry import pt
 from strandkit.localise import (bigon_reduce, build_HR, crossing_census,
                                 localise_pipeline, reassemble,
                                 select_crossings)
 from strandkit.scene import Curve, StringScene
+
+
+def instance(scene):
+    """The scene's pipeline and its auxiliary instance."""
+    p = Pipeline(scene)
+    return p, build_HR(scene, p.along, select_crossings(scene, p.events))
 
 
 def r_membership_counts(inst) -> dict:
@@ -27,8 +34,7 @@ def test_select_one_per_pair(bigon_scene):
 
 
 def test_build_HR_structure(bigon_scene):
-    events = compute_arrangement(bigon_scene)
-    inst = build_HR(bigon_scene, events, select_crossings(bigon_scene, events))
+    _, inst = instance(bigon_scene)
     assert inst.H.vertices == [("u", "v"), ("u", "w1"), ("u", "w2"), ("v", "z")]
     assert sorted(inst.pieces) == [("u", 0), ("u", 1), ("v", 0)]
     assert inst.R == {frozenset({("u", 1), ("v", 0)})}
@@ -39,16 +45,14 @@ def test_build_HR_structure(bigon_scene):
 
 
 def test_r_membership_counts(bigon_scene):
-    events = compute_arrangement(bigon_scene)
-    inst = build_HR(bigon_scene, events, select_crossings(bigon_scene, events))
+    _, inst = instance(bigon_scene)
     counts = r_membership_counts(inst)
     assert counts[("u", 1)] == 1 and counts[("v", 0)] == 1
     assert counts[("u", 0)] == 0
 
 
 def test_bigon_reduce(bigon_scene):
-    events = compute_arrangement(bigon_scene)
-    inst = build_HR(bigon_scene, events, select_crossings(bigon_scene, events))
+    _, inst = instance(bigon_scene)
     reduced = bigon_reduce(inst)
     assert reduced.crossing_count() == 1
     left = [x for xs in reduced.drawing.values() for x in xs]
@@ -56,13 +60,12 @@ def test_bigon_reduce(bigon_scene):
 
 
 def test_reassemble_preserves_graph(bigon_scene):
-    events = compute_arrangement(bigon_scene)
-    inst = build_HR(bigon_scene, events, select_crossings(bigon_scene, events))
+    p, inst = instance(bigon_scene)
     reduced = bigon_reduce(inst)
-    new_scene = reassemble(reduced)
+    new_scene = reassemble(reduced, p.along)
     assert new_scene.curves["u"].crossings == \
         ("x:u:w1:0", "x:u:v:0", "x:u:v:3", "x:u:w2:0")
-    old = intersection_graph(bigon_scene, events).edge_list()
+    old = p.graph.edge_list()
     new_events = compute_arrangement(new_scene)
     assert intersection_graph(new_scene, new_events).edge_list() == old
 
@@ -78,39 +81,35 @@ def plus_and_far() -> StringScene:
 
 
 def test_reassemble_keeps_every_curve():
-    s = plus_and_far()
-    events = compute_arrangement(s)
-    inst = build_HR(s, events, select_crossings(s, events))
+    p, inst = instance(plus_and_far())
     with pytest.raises(CheckFailure, match=r"lost curves \['c'\]"):
-        reassemble(inst)
+        reassemble(inst, p.along)
 
 
 def test_pipeline_rejects_isolated_curve():
     s = plus_and_far()
     with pytest.raises(SceneError, match="curve 'c' crosses no other curve"):
-        localise_pipeline(s, compute_arrangement(s))
+        localise_pipeline(Pipeline(s))
 
 
 def test_census(bigon_scene):
-    events = compute_arrangement(bigon_scene)
-    census = crossing_census(bigon_scene, events)
+    census = crossing_census(Pipeline(bigon_scene).along)
     u = census["curves"]["u"]
     assert u == {"count": 6, "degree": 3, "bound": 17, "within_bound": True}
     z = census["curves"]["z"]
     assert z == {"count": 1, "degree": 1, "bound": 1, "within_bound": True}
 
 
-def test_census_delta_flag(plus_sign):
-    events = compute_arrangement(plus_sign)
-    census = crossing_census(plus_sign, events, delta=1)
-    assert census["is_delta_string"]
-    census = crossing_census(plus_sign, events, delta=0)
-    assert not census["is_delta_string"]
+def test_census_after_reads_the_new_scene(bigon_scene):
+    """The census after reassembly equals the census of the reassembled
+    scene's own arrangement."""
+    rep = localise_pipeline(Pipeline(bigon_scene))
+    assert rep["census_after"] == crossing_census(Pipeline(rep["scene"]).along)
+    assert rep["census_after"]["curves"]["u"]["count"] == 4
 
 
 def test_pipeline_reduces(bigon_scene):
-    events = compute_arrangement(bigon_scene)
-    rep = localise_pipeline(bigon_scene, events)
+    rep = localise_pipeline(Pipeline(bigon_scene))
     assert rep["crossings_before"] == 3
     assert rep["crossings_after"] == 1
     after = rep["census_after"]["curves"]
@@ -121,8 +120,7 @@ def test_pipeline_reduces(bigon_scene):
 
 
 def test_pipeline_plus_sign_roundtrip(plus_sign):
-    events = compute_arrangement(plus_sign)
-    rep = localise_pipeline(plus_sign, events)
+    rep = localise_pipeline(Pipeline(plus_sign))
     assert rep["crossings_before"] == rep["crossings_after"] == 0
     assert rep["census_after"]["curves"]["h"]["count"] == 1
     assert sorted(rep["scene"].curves) == ["h", "v"]
@@ -131,10 +129,10 @@ def test_pipeline_plus_sign_roundtrip(plus_sign):
 def test_pipeline_on_random_scenes():
     from strandkit.families import gen_random
     for seed in range(5):
-        scene = gen_random(6, 3, seed)
-        events = compute_arrangement(scene)
-        rep = localise_pipeline(scene, events)
+        p = Pipeline(gen_random(6, 3, seed))
+        rep = localise_pipeline(p)
         assert rep["crossings_after"] <= rep["crossings_before"]
-        old = intersection_graph(scene, events).edge_list()
+        assert rep["census_after"] == crossing_census(Pipeline(rep["scene"]).along)
+        old = p.graph.edge_list()
         new_events = compute_arrangement(rep["scene"])
         assert intersection_graph(rep["scene"], new_events).edge_list() == old

@@ -2,18 +2,18 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from strandkit.arrangement import compute_arrangement
-from strandkit.colouring import (OrderedColouring, colour_sections,
-                                 compute_params)
-from strandkit.decomp import Pipeline
+from strandkit.arrangement import events_by_curve
+from strandkit.colouring import (ColouringParams, OrderedColouring,
+                                 colour_sections)
+from strandkit.decomp import Pipeline, bounds
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import pt
 from strandkit.planarise import (Planarisation, check_coloured_planarisation,
-                                 coloured_planarisation, coloured_to_json,
-                                 planarisation_to_dot, planarisation_to_json,
-                                 planarise, scene_to_svg)
+                                 coloured_to_json, planarisation_to_dot,
+                                 planarisation_to_json, scene_to_svg)
 from strandkit.scene import Curve, StringScene
+from test_colouring import check_ordered
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def cut_of(plan, colouring, curve_id):
 
 
 def test_plus_sign_planarisation(plus_sign):
-    events = compute_arrangement(plus_sign)
-    plan = planarise(plus_sign, events)
+    plan = Pipeline(plus_sign).plan
     assert len(plan.embedding.rotation) == 5
     assert plan.embedding.edge_count() == 4
     assert plan.dummies() == ["x:h:v:0"]
@@ -96,14 +95,12 @@ def test_isolated_curve_rejected():
     s.curves["b"] = Curve("b", (pt(0, -1), pt(0, 1)))
     s.curves["far"] = Curve("far", (pt(9, 9), pt(10, 9)))
     s.validate()
-    events = compute_arrangement(s)
     with pytest.raises(SceneError, match="curve 'far' crosses no other curve"):
-        planarise(s, events)
+        Pipeline(s).plan
 
 
 def test_plus_sign_fragments(plus_sign, plus_colouring):
-    events = compute_arrangement(plus_sign)
-    plan = planarise(plus_sign, events)
+    plan = Pipeline(plus_sign).plan
     secs_h, count_h = cut_of(plan, plus_colouring, "h")
     assert count_h == 1
     assert plan.curve_paths["h"] == ["e:h:0", "x:h:v:0", "e:h:1"]
@@ -116,19 +113,18 @@ def test_plus_sign_fragments(plus_sign, plus_colouring):
 
 
 def test_same_colour_crossing_rejected(plus_sign):
-    events = compute_arrangement(plus_sign)
-    plan = planarise(plus_sign, events)
     bad = OrderedColouring({"h": 1, "v": 1}, 1)
-    with pytest.raises(SceneError, match="not an ordered colouring"):
-        coloured_planarisation(plan, bad)
-    with pytest.raises(SceneError, match="not an ordered colouring"):
-        compute_params(plus_sign, events, bad)
+    for stage in ("cut", "cp", "params", "model"):
+        p = Pipeline(plus_sign, bad)
+        assert p.colouring is bad and p.plan
+        with pytest.raises(SceneError, match="not an ordered colouring: "
+                           "curves 'h' and 'v' cross and share colour 1"):
+            getattr(p, stage)
 
 
 def test_plus_sign_coloured_equals_planarisation(plus_sign, plus_colouring):
-    events = compute_arrangement(plus_sign)
-    plan = planarise(plus_sign, events)
-    cp = coloured_planarisation(plan, plus_colouring)
+    p = Pipeline(plus_sign, plus_colouring)
+    plan, cp = p.plan, p.cp
     # single-vertex sections keep their ids: C^phi = C'
     assert sorted(cp.embedding.rotation) == sorted(plan.embedding.rotation)
     assert cp.level["x:h:v:0"] == 1
@@ -140,22 +136,21 @@ def test_plus_sign_coloured_equals_planarisation(plus_sign, plus_colouring):
 
 
 def test_multicross_fragments_and_sections(abstract_multicross, abstract_colouring):
-    events = compute_arrangement(abstract_multicross)
-    plan = planarise(abstract_multicross, events)
+    p = Pipeline(abstract_multicross, abstract_colouring)
+    plan = p.plan
     secs, count = cut_of(plan, abstract_colouring, "m")
     # cuts at the four crossings with colours 1 and 2
     assert count == 5
     assert sorted(len(s) for s in secs) == [1, 2, 2]
-    cp = coloured_planarisation(plan, abstract_colouring)
+    cp = p.cp
     check_coloured_planarisation(plan, cp)
     # walk of m never exceeds level 3 and alternates away from own level
     assert all(cp.level[x] <= 3 for x in cp.walks["m"])
 
 
 def test_contraction_counts(abstract_multicross, abstract_colouring):
-    events = compute_arrangement(abstract_multicross)
-    plan = planarise(abstract_multicross, events)
-    cp = coloured_planarisation(plan, abstract_colouring)
+    p = Pipeline(abstract_multicross, abstract_colouring)
+    plan, cp = p.plan, p.cp
     shrunk = sum(len(s) - 1 for s in cp.sections.values())
     assert len(plan.kind) - len(cp.embedding.rotation) == shrunk
     # psi fixes endpoints and maps each section onto its representative
@@ -164,13 +159,12 @@ def test_contraction_counts(abstract_multicross, abstract_colouring):
 
 
 def test_twisted_arc_raises_genus(abstract_multicross):
-    events = compute_arrangement(abstract_multicross)
-    plain = planarise(abstract_multicross, events)
+    plain = Pipeline(abstract_multicross).plan
     base = plain.embedding.euler_genus()
     m = abstract_multicross.curves["m"]
     abstract_multicross.curves["m"] = Curve("m", None, m.crossings, twists=(4,))
     abstract_multicross.validate()
-    twisted = planarise(abstract_multicross, events)
+    twisted = Pipeline(abstract_multicross).plan
     genus = twisted.embedding.euler_genus()
     assert genus != base or genus % 2 != base % 2
 
@@ -181,17 +175,15 @@ def test_double_crossing_twist_genus():
     s.curves["b"] = Curve("b", None, ("x0", "x1"))
     s.chirality = {"x0": 1, "x1": -1}
     s.validate()
-    events = compute_arrangement(s)
-    assert planarise(s, events).embedding.euler_genus() == 0
+    assert Pipeline(s).plan.embedding.euler_genus() == 0
     s.curves["a"] = Curve("a", None, ("x0", "x1"), twists=(1,))
-    twisted = planarise(s, compute_arrangement(s))
+    twisted = Pipeline(s).plan
     assert twisted.embedding.euler_genus() == 1
 
 
 def test_emitters(plus_sign, plus_colouring):
-    events = compute_arrangement(plus_sign)
-    plan = planarise(plus_sign, events)
-    cp = coloured_planarisation(plan, plus_colouring)
+    p = Pipeline(plus_sign, plus_colouring)
+    plan, cp = p.plan, p.cp
     pj = planarisation_to_json(plan)
     assert {v["id"] for v in pj["vertices"]} == set(plan.kind)
     cj = coloured_to_json(cp)
@@ -223,12 +215,41 @@ def oracle_params(plan, colouring) -> tuple:
     return d, k
 
 
+def oracle_compute_params(scene, events, colouring) -> ColouringParams:
+    """t, d, k, r from the events, each curve split into fragments at its
+    smaller-colour crossings: the pass before the colour cut, after the
+    ordering check that the cut replaced."""
+    phi = colouring.phi
+    check_ordered(colouring, events)
+    d = 0
+    k = 0
+    for cid, mine in events_by_curve(scene.curve_ids(), events).items():
+        my_colour = phi[cid]
+        smaller = {e.other(cid) for e in mine if phi[e.other(cid)] < my_colour}
+        k = max(k, len(smaller))
+        frag: set = set()
+        for e in mine:
+            other = e.other(cid)
+            if phi[other] < my_colour:
+                d = max(d, len(frag))
+                frag = set()
+            else:
+                frag.add(other)
+        d = max(d, len(frag))
+    t = colouring.t
+    return ColouringParams(t, d, k, bounds("weak-diameter", {"t": t, "k": k}))
+
+
 def assert_cut_matches_oracle(scene, colouring):
     p = Pipeline(scene, colouring)
+    # the cut's positions index path[1:-1] of each L_gamma
+    for cid, path in p.plan.curve_paths.items():
+        assert path[1:-1] == [e.id for e in p.along[cid]]
     want = {sec[0]: sec for cid in sorted(p.plan.curve_paths)
             for sec in sections(p.plan, p.colouring, cid)}
     assert list(p.cp.sections.items()) == list(want.items())
     assert (p.params.d, p.params.k) == oracle_params(p.plan, p.colouring)
+    assert p.params == oracle_compute_params(scene, p.events, p.colouring)
 
 
 def test_colour_cut_matches_fragment_oracle():

@@ -3,13 +3,10 @@ import re
 
 import pytest
 
-from strandkit.arrangement import compute_arrangement, intersection_graph
-from strandkit.colouring import compute_params
 from strandkit.decomp import Pipeline, shallow_centers
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, ball_masks, bfs_distances
-from strandkit.planarise import coloured_planarisation, planarise
 from strandkit.product_model import (MinorModel, build_model,
                                      grounded_distance_check,
                                      host_without_endpoints,
@@ -17,11 +14,8 @@ from strandkit.product_model import (MinorModel, build_model,
 
 
 def pipeline(scene, colouring):
-    events = compute_arrangement(scene)
-    plan = planarise(scene, events)
-    cp = coloured_planarisation(plan, colouring)
-    params = compute_params(scene, events, colouring)
-    return events, cp, params, intersection_graph(scene, events)
+    p = Pipeline(scene, colouring)
+    return p.events, p.cp, p.params, p.graph
 
 
 # -------------------------------------------- materialised strong product oracle
