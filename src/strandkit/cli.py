@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .arrangement import events_to_json
 from .colouring import OrderedColouring
-from .decomp import (Pipeline, bounds, exact_treewidth, ltw_pipeline,
-                     outerstring_decomposition, td_to_pace)
+from .decomp import Pipeline, bounds, exact_treewidth, td_to_pace
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
 from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                        gen_random, gen_random_convex, gen_rectangle_family,
@@ -209,7 +208,7 @@ def _cmd_model(args) -> dict:
 def _cmd_decomp(args) -> dict:
     p = Pipeline(load_scene(args.inp))
     _colouring(args, p)
-    result = ltw_pipeline(p)
+    result = p.ltw
     td = result["td"]
     _write_json(args, "td.json", td.to_json())
     _write_json(args, "layering.json", result["layering"].to_json())
@@ -227,14 +226,14 @@ def _cmd_decomp(args) -> dict:
 def _cmd_outerstring(args) -> dict:
     p = Pipeline(load_scene(args.inp))
     _colouring(args, p)
-    result = outerstring_decomposition(p)
+    result = p.outerstring
     td = result["td"]
     _write_json(args, "td.json", td.to_json())
     if "td" in _formats(args):
         _write(args, "td.td", td_to_pace(td, p.graph))
-    return {"command": "outerstring", "width": result["width"],
+    return {"command": "outerstring", "width": td.width,
             "bound": result["bound"], "ok": True,
-            "t": result["t"], "d": result["d"],
+            "t": p.params.t, "d": p.params.d,
             "quotient_radius": result["quotient_radius"]}
 
 
@@ -306,14 +305,12 @@ def _cmd_verify(args) -> dict:
     checks["walk-weak-diameter"] = True
 
     scene = p.scene
-    if genus == 0 and len(scene.disks) == 1 and scene.grounded_curves():
-        ends = {endpoint_id(cid, scene.curves[cid].grounded[1])
-                for cid in scene.grounded_curves()}
-        if set(scene.grounded_curves()) == set(scene.curve_ids()):
-            grounded_distance_check(p.cp, ends)
-            checks["grounded-distance"] = True
-            outerstring_decomposition(p)
-            checks["outerstring"] = True
+    if genus == 0 and len(scene.disks) == 1 and scene.grounded_curves() == scene.curve_ids():
+        grounded_distance_check(p.cp, {endpoint_id(cid, scene.curves[cid].grounded[1])
+                                       for cid in scene.curve_ids()})
+        checks["grounded-distance"] = True
+        p.outerstring
+        checks["outerstring"] = True
 
     ok = all(checks.values())
     return {"command": "verify", "ok": ok, "checks": checks,

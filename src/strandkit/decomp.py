@@ -1,5 +1,5 @@
-"""Tree decompositions, layerings, the staged pipeline of a scene, and the
-outerstring and layered-width pipelines built on it.
+"""Tree decompositions, layerings, and the staged pipeline of a scene, whose
+last stages are the outerstring and layered-width certificates.
 
 Constructions here are certified: every emitted decomposition is re-checked
 by verify_td (independent of how it was built), and pipeline widths are
@@ -213,14 +213,7 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
 
 
 def _is_clique(mask: int, nbr: list) -> bool:
-    m = mask
-    while m:
-        bit = m & -m
-        m ^= bit
-        v = bit.bit_length() - 1
-        if (mask & ~(1 << v)) & ~nbr[v]:
-            return False
-    return True
+    return not any(mask & ~bit & ~nbr[bit.bit_length() - 1] for bit in _bits(mask))
 
 
 def _min_fill_order(n: int, nbr: list) -> list:
@@ -233,20 +226,12 @@ def _min_fill_order(n: int, nbr: list) -> list:
             if not alive & (1 << v):
                 continue
             ns = adj[v] & alive
-            fill = 0
-            m = ns
-            while m:
-                bit = m & -m
-                m ^= bit
-                u = bit.bit_length() - 1
-                fill += bin(ns & ~adj[u] & ~(1 << u)).count("1")
+            fill = sum(bin(ns & ~adj[bit.bit_length() - 1] & ~bit).count("1")
+                       for bit in _bits(ns))
             if best_fill is None or fill < best_fill:
                 best_v, best_fill = v, fill
         ns = adj[best_v] & alive
-        m = ns
-        while m:
-            bit = m & -m
-            m ^= bit
+        for bit in _bits(ns):
             adj[bit.bit_length() - 1] |= ns & ~bit
         alive &= ~(1 << best_v)
         order.append(best_v)
@@ -273,10 +258,7 @@ def _td_from_elimination(verts: list, idx: dict, nbr: list, order: list) -> Tree
         ns = adj[v] & alive & ~(1 << v)
         cliques[v] = ns
         bags[v] = ns | (1 << v)
-        m = ns
-        while m:
-            bit = m & -m
-            m ^= bit
+        for bit in _bits(ns):
             adj[bit.bit_length() - 1] |= ns & ~bit
         alive &= ~(1 << v)
     nodes = list(range(1, n + 1))
@@ -284,8 +266,7 @@ def _td_from_elimination(verts: list, idx: dict, nbr: list, order: list) -> Tree
     for i, v in enumerate(order):
         ns = cliques[v]
         if ns:
-            succ = min((elim_pos[u.bit_length() - 1] for u in _bits(ns)),
-                       key=lambda p: p)
+            succ = min(elim_pos[u.bit_length() - 1] for u in _bits(ns))
             edges.append((i + 1, succ + 1))
         elif i + 1 < n:
             edges.append((i + 1, i + 2))
@@ -480,7 +461,8 @@ class Pipeline:
     scene -> events -> arc order along each curve (along) -> intersection
     graph -> colouring -> colour cut of each curve (cut, which rejects a
     colouring that is not ordered) -> C' (plan) -> C^phi (cp) -> genus and
-    parameters t, d, k, r -> minor model.
+    parameters t, d, k, r -> minor model -> the layered-width certificate
+    (ltw) and, for a grounded one-disk scene, the outerstring one.
     The colouring stage takes `given`, checked against the scene, or when
     that is None colours greedily on the reverse degeneracy order of the
     intersection graph.
@@ -541,68 +523,89 @@ class Pipeline:
     def model(self) -> MinorModel:
         return build_model(self.cp, self.params)
 
+    @cached_property
+    def ltw(self) -> dict:
+        """Layered-width certificate for a genus-0 scene.
 
-# --------------------------------------------------------- outerstring pipeline
+        Builds the model in (C^phi - E_C) x K_{d+1}, takes one BFS tree of
+        the host from its smallest vertex, decomposes the host by radius and
+        layers it by depth in that tree, lifts td and layering through the
+        model, and returns the lifted pair with its layered width, asserted
+        against 3(4r+1)(d+1).
+        """
+        genus, params, model = self.genus, self.params, self.model
+        host = model.host
+        tree = bfs_tree(host, host.vertices[0])
+        if len(tree) != len(host):
+            raise SceneError("ltw pipeline needs a connected crossing structure")
+        if genus != 0:
+            raise SceneError(f"ltw pipeline needs genus 0, got {genus}")
+        lifted = ltw_lift(radius_decomposition(host, tree), bfs_layering(tree),
+                          model, params.r)
+        bound = bounds("ltw-shallow", {"r": params.r, "d": params.d, "g": genus})
+        if lifted["layered_width"] > bound:
+            raise InvariantError(f"lifted layered width {lifted['layered_width']} "
+                                 f"> 3(4r+1)(d+1) = {bound}")
+        report = verify_td(lifted["td"], self.graph)
+        if not report["valid"]:
+            raise InvariantError(f"lifted td invalid: {report['reason']}")
+        lrep = verify_layering(lifted["layering"], self.graph)
+        if not lrep["valid"]:
+            raise InvariantError(f"lifted layering invalid: {lrep['reason']}")
+        lifted["bound"] = bound
+        return lifted
+
+    @cached_property
+    def outerstring(self) -> dict:
+        """Treewidth certificate for a grounded one-disk scene.
+
+        C^phi -> quotient C^phi_0 (radius <= t-1 from the disk center) ->
+        radius decomposition -> bag lift through the minor model's
+        projection.  Width asserted <= (3t-1)(d+1)-1.
+        """
+        if len(self.scene.disks) != 1:
+            raise SceneError(f"outerstring pipeline needs exactly 1 disk, "
+                             f"got {len(self.scene.disks)}")
+        if self.genus != 0:
+            raise SceneError(f"outerstring pipeline needs genus 0, got {self.genus}")
+        t, d = self.params.t, self.params.d
+
+        quotient, w = grounded_quotient(self.cp, self.scene)
+        tree = bfs_tree(quotient, w)
+        ecc = len(bfs_layering(tree).layers) - 1
+        if ecc > t - 1:
+            raise InvariantError(f"quotient radius {ecc} exceeds t-1 = {t - 1}")
+
+        td = minor_lift(radius_decomposition(quotient, tree), self.model)
+        report = verify_td(td, self.graph)
+        if not report["valid"]:
+            raise InvariantError(f"outerstring td invalid: {report['reason']}")
+        bound = bounds("planar-outerstring", {"t": t, "d": d})
+        if td.width > bound:
+            raise InvariantError(f"outerstring width {td.width} > bound {bound}")
+        return {"td": td, "bound": bound, "quotient_radius": ecc}
+
+
+# --------------------------------------------------------- outerstring quotient
 
 def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
-    """C^phi_0: per disk, identify the grounded endpoints into a center w_i
-    and delete the remaining endpoint vertices.  Returns (graph, centers).
+    """C^phi_0 of a one-disk scene: identify the grounded endpoints into the
+    disk's center w and delete the remaining endpoint vertices.  Returns
+    (graph, w).
     """
-    g = cp.graph
-    centers = {}
-    for did in sorted(scene.disks):
-        centers[did] = f"w:{did}"
-    grounded_of: dict = {}
+    w = f"w:{next(iter(scene.disks))}"
+    grounded = set()
     for cid in scene.curve_ids():
         gr = scene.curves[cid].grounded
         if gr is None:
             raise SceneError(f"curve {cid!r} is not grounded")
-        grounded_of[endpoint_id(cid, gr[1])] = centers[gr[0]]
-    out = Graph()
-    for w in centers.values():
-        out.add_vertex(w)
-    for v in g.vertices:
-        if v not in cp.endpoints:
-            out.add_vertex(v)
-    for u, v in g.edge_list():
-        uu = grounded_of.get(u, u)
-        vv = grounded_of.get(v, v)
-        if uu in cp.endpoints or vv in cp.endpoints:
-            continue   # edge to a deleted (ungrounded) endpoint
-        out.add_edge(uu, vv)
-    return out, sorted(centers.values())
-
-
-def outerstring_decomposition(p: Pipeline) -> dict:
-    """Constructed treewidth certificate for a grounded one-disk scene.
-
-    Pipeline: coloured planarisation -> quotient C^phi_0 (radius <= t-1 from
-    the disk center) -> radius decomposition -> bag lift through the minor
-    model's projection.  Width asserted <= (3t-1)(d+1)-1.
-    """
-    if len(p.scene.disks) != 1:
-        raise SceneError(f"outerstring pipeline needs exactly 1 disk, "
-                         f"got {len(p.scene.disks)}")
-    if p.genus != 0:
-        raise SceneError(f"outerstring pipeline needs genus 0, got {p.genus}")
-    t, d = p.params.t, p.params.d
-
-    quotient, centers = grounded_quotient(p.cp, p.scene)
-    tree = bfs_tree(quotient, centers[0])
-    ecc = len(bfs_layering(tree).layers) - 1
-    if ecc > t - 1:
-        raise InvariantError(f"quotient radius {ecc} exceeds t-1 = {t - 1}")
-
-    td0 = radius_decomposition(quotient, tree)
-    td = minor_lift(td0, p.model)
-    report = verify_td(td, p.graph)
-    if not report["valid"]:
-        raise InvariantError(f"outerstring td invalid: {report['reason']}")
-    bound = bounds("planar-outerstring", {"t": t, "d": d})
-    if td.width > bound:
-        raise InvariantError(f"outerstring width {td.width} > bound {bound}")
-    return {"td": td, "width": td.width, "bound": bound, "t": t, "d": d,
-            "quotient_radius": ecc}
+        grounded.add(endpoint_id(cid, gr[1]))
+    deleted = cp.endpoints - grounded
+    image = dict.fromkeys(grounded, w)
+    out = Graph([w] + [v for v in cp.graph.vertices if v not in cp.endpoints],
+                [(image.get(u, u), image.get(v, v)) for u, v in cp.graph.edge_list()
+                 if u not in deleted and v not in deleted])
+    return out, w
 
 
 def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:
@@ -671,38 +674,6 @@ def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
     layering = Layering(layers)
     lw = merge_layers(td, layering)["layered_width"]
     return {"td": td, "layering": layering, "layered_width": lw}
-
-
-def ltw_pipeline(p: Pipeline) -> dict:
-    """End-to-end layered-width certificate for a genus-0 scene.
-
-    Builds the model in (C^phi - E_C) x K_{d+1}, takes one BFS tree of the
-    host from its smallest vertex, decomposes the host by radius and layers
-    it by depth in that tree, lifts td and layering through the model, and
-    returns the lifted pair with its layered width, asserted against
-    3(4r+1)(d+1).
-    """
-    genus, params, model = p.genus, p.params, p.model
-    host = model.host
-    tree = bfs_tree(host, host.vertices[0])
-    if len(tree) != len(host):
-        raise SceneError("ltw pipeline needs a connected crossing structure")
-    if genus != 0:
-        raise SceneError(f"ltw pipeline needs genus 0, got {genus}")
-    lifted = ltw_lift(radius_decomposition(host, tree), bfs_layering(tree),
-                      model, params.r)
-    bound = bounds("ltw-shallow", {"r": params.r, "d": params.d, "g": genus})
-    if lifted["layered_width"] > bound:
-        raise InvariantError(f"lifted layered width {lifted['layered_width']} "
-                             f"> 3(4r+1)(d+1) = {bound}")
-    report = verify_td(lifted["td"], p.graph)
-    if not report["valid"]:
-        raise InvariantError(f"lifted td invalid: {report['reason']}")
-    lrep = verify_layering(lifted["layering"], p.graph)
-    if not lrep["valid"]:
-        raise InvariantError(f"lifted layering invalid: {lrep['reason']}")
-    lifted["bound"] = bound
-    return lifted
 
 
 # ------------------------------------------------------------- bound arithmetic

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantError
+from .graph import Graph
 
 Dart = tuple  # (edge_id, side)
 
@@ -63,8 +64,7 @@ class EmbeddedGraph:
     def degree(self, v) -> int:
         return len(self.rotation[v])
 
-    def simple_graph(self):
-        from .graph import Graph
+    def simple_graph(self) -> Graph:
         return Graph(self.vertices(), self.edge_ends.values())
 
     def check(self) -> None:

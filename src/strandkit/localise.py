@@ -21,7 +21,7 @@ from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
 
 
-def select_crossings(scene: StringScene, events: list[CrossingEvent]) -> dict:
+def select_crossings(events: list[CrossingEvent]) -> dict:
     """One crossing per curve pair: the first along the lex-smaller curve."""
     best: dict = {}
     for e in events:
@@ -216,7 +216,7 @@ def localise_pipeline(p: Pipeline) -> dict:
         if not mine:
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
                              "needs a crossing to be localised")
-    selection = select_crossings(p.scene, p.events)
+    selection = select_crossings(p.events)
     inst = build_HR(p.scene, along, selection)
     reduced = bigon_reduce(inst)
     new_scene = reassemble(reduced, along)

@@ -284,32 +284,24 @@ def coloured_to_json(cp: ColouredPlanarisation) -> dict:
     }
 
 
-def _dot(vertices: list[str], edges: list[tuple]) -> str:
+def _dot(g: EmbeddedGraph, attr) -> str:
+    """DOT text of g: each vertex with the attribute text attr(v), each edge
+    in id order with its label."""
     lines = ["graph {"]
-    lines.extend(vertices)
-    lines.extend(f'  "{u}" -- "{v}"{attr};' for u, v, attr in edges)
+    lines.extend(f'  "{v}" [{attr(v)}];' for v in g.vertices())
+    for eid in sorted(g.edge_ends):
+        u, v = g.edge_ends[eid]
+        lines.append(f'  "{u}" -- "{v}" [label="{g.edge_label.get(eid, "")}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def planarisation_to_dot(plan: Planarisation) -> str:
-    g = plan.embedding
-    verts = [f'  "{v}" [kind="{plan.kind[v]}"];' for v in g.vertices()]
-    edges = []
-    for eid in sorted(g.edge_ends):
-        u, v = g.edge_ends[eid]
-        edges.append((u, v, f' [label="{g.edge_label.get(eid, "")}"]'))
-    return _dot(verts, edges)
+    return _dot(plan.embedding, lambda v: f'kind="{plan.kind[v]}"')
 
 
 def coloured_to_dot(cp: ColouredPlanarisation) -> str:
-    g = cp.embedding
-    verts = [f'  "{v}" [level={cp.level[v]}];' for v in g.vertices()]
-    edges = []
-    for eid in sorted(g.edge_ends):
-        u, v = g.edge_ends[eid]
-        edges.append((u, v, f' [label="{g.edge_label.get(eid, "")}"]'))
-    return _dot(verts, edges)
+    return _dot(cp.embedding, lambda v: f"level={cp.level[v]}")
 
 
 _SVG_PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",

@@ -245,6 +245,9 @@ class StringScene:
                 if "points" in entry:
                     points = tuple(Point.from_json(p) for p in entry["points"])
                 if "crossings" in entry:
+                    if not isinstance(entry["crossings"], list):
+                        raise SceneError(f"curve {cid!r}: crossings must be a "
+                                         "list of crossing ids")
                     crossings = tuple(entry["crossings"])
                     for x in crossings:
                         if not isinstance(x, str):
@@ -252,7 +255,11 @@ class StringScene:
                                 f"curve {cid!r}: crossing id {x!r} is not a string")
                 grounded = None
                 if "grounded" in entry:
-                    grounded = (entry["grounded"]["disk"], _json_int(
+                    disk = entry["grounded"]["disk"]
+                    if not isinstance(disk, str):
+                        raise SceneError(
+                            f"curve {cid!r}: grounded disk id {disk!r} is not a string")
+                    grounded = (disk, _json_int(
                         entry["grounded"]["end"], f"curve {cid!r}: grounded end"))
                 twists = tuple(_json_int(i, f"curve {cid!r}: twist index")
                                for i in entry.get("twists", ()))

@@ -18,8 +18,7 @@ import pytest
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import degeneracy_order, greedy_colouring
 from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
-                              outerstring_decomposition, radius_decomposition,
-                              verify_td)
+                              radius_decomposition, verify_td)
 from strandkit.families import (certify_grid_disk, certify_segment_family,
                                 convex_to_drawing, gen_grid_disk, gen_grounded,
                                 gen_random, gen_random_convex,
@@ -115,12 +114,13 @@ def test_criterion_4_outerstring_width(grounded_corpus):
         events = compute_arrangement(scene)
         g = intersection_graph(scene, events)
         colouring = colourings_for(g)[0]
-        rep = outerstring_decomposition(Pipeline(scene, colouring))
-        assert verify_td(rep["td"], g)["valid"]
-        assert rep["width"] <= bounds(
-            "planar-outerstring", {"t": rep["t"], "d": rep["d"]})
+        p = Pipeline(scene, colouring)
+        td = p.outerstring["td"]
+        assert verify_td(td, g)["valid"]
+        assert td.width <= bounds(
+            "planar-outerstring", {"t": p.params.t, "d": p.params.d})
         if len(g) <= 14:
-            assert rep["width"] >= exact_treewidth(g)
+            assert td.width >= exact_treewidth(g)
     assert time.monotonic() - t0 < 300
 
 
@@ -285,7 +285,7 @@ def _bundle() -> str:
         events = compute_arrangement(scene)
         g = intersection_graph(scene, events)
         colouring = colourings_for(g)[0]
-        rep = outerstring_decomposition(Pipeline(scene, colouring))
+        rep = Pipeline(scene, colouring).outerstring
         parts.append(dumps_canonical(scene.to_json()))
         parts.append(dumps_canonical(colouring.to_json()))
         parts.append(dumps_canonical(rep["td"].to_json()))

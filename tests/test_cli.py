@@ -392,6 +392,19 @@ MALFORMED = {
         {"curves": [{"id": "a", "crossings": [["x"]]}, {"id": "b", "crossings": ["x"]}],
          "chirality": {"x": 1}}, None),
         "curve 'a': crossing id ['x'] is not a string"),
+    # a grounded disk id is a string, like every other id
+    **{f"grounded-disk-{kind}-{command}": (lambda scene, disk=disk: (
+        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": disk, "end": 0}},
+                             *scene["curves"][1:]]}, None),
+        f"curve 'a': grounded disk id {disk!r} is not a string", command)
+       for kind, disk in (("list", ["D"]), ("object", {"id": "D"}))
+       for command in ("arrange", "verify")},
+    # a crossing sequence is a list, never a string split into characters
+    **{f"crossings-string-{command}": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": "xy"}, {"id": "b", "crossings": ["x", "y"]}],
+         "chirality": {"x": 1, "y": -1}}, None),
+        "curve 'a': crossings must be a list of crossing ids", command)
+       for command in ("arrange", "verify")},
     "boundary-unhashable-id": (lambda scene: (
         {**scene, "disks": [{**scene["disks"][0], "boundary": [[["a"], 0]]}]},
         None), "boundary entry [['a'], 0] is not a curve end grounded"),
@@ -481,6 +494,48 @@ def test_malformed_input_exit_2(capsys, tmp_path, outerstring_scene, case):
     report = json.loads(out)
     assert report["kind"] == "invalid-input" and error in report["error"]
     assert "Traceback" not in out + err
+
+
+def without_grounding(curve: dict) -> dict:
+    return {k: v for k, v in curve.items() if k != "grounded"}
+
+
+# scenes outside the outerstring certificate's preconditions, with the error
+# of each
+NOT_OUTERSTRING = {
+    "no-disk": (lambda scene: {
+        "curves": [without_grounding(c) for c in scene["curves"]], "disks": []},
+        "outerstring pipeline needs exactly 1 disk, got 0"),
+    "two-disks": (lambda scene: {
+        **scene, "disks": scene["disks"] + [
+            {"id": "E", "center": [[10, 1], [10, 1]], "radius": [1, 1]}]},
+        "outerstring pipeline needs exactly 1 disk, got 2"),
+    "ungrounded-curve": (lambda scene: {
+        **scene, "curves": [scene["curves"][0], without_grounding(scene["curves"][1]),
+                            scene["curves"][2]]},
+        "curve 'b' is not grounded"),
+    # two curves crossing twice, one arc of a twisted: a projective plane
+    "genus-1": (lambda scene: {
+        "curves": [{"id": "a", "crossings": ["x0", "x1"], "twists": [1],
+                    "grounded": {"disk": "D", "end": 0}},
+                   {"id": "b", "crossings": ["x0", "x1"],
+                    "grounded": {"disk": "D", "end": 0}}],
+        "disks": [{"id": "D"}], "chirality": {"x0": 1, "x1": 1}},
+        "outerstring pipeline needs genus 0, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_OUTERSTRING))
+def test_outerstring_preconditions(capsys, tmp_path, outerstring_scene, case):
+    """outerstring refuses each scene with exit 2 and its message; verify
+    passes it and skips the outerstring check."""
+    make, error = NOT_OUTERSTRING[case]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(make(outerstring_scene.to_json())))
+    code, rep = run(capsys, "outerstring", "--in", str(path))
+    assert code == 2 and rep == {"error": error, "kind": "invalid-input"}
+    code, rep = run(capsys, "verify", "--in", str(path))
+    assert code == 0 and rep["ok"] and "outerstring" not in rep["checks"]
 
 
 def test_readme_scene_example_verifies(capsys, tmp_path):

@@ -7,8 +7,7 @@ from strandkit.colouring import OrderedColouring
 from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               TreeDecomposition, bfs_layering, bounds,
                               exact_treewidth, exact_treewidth_decomposition, grounded_quotient,
-                              ltw_lift, ltw_pipeline, merge_layers, minor_lift,
-                              outerstring_decomposition, radius_decomposition,
+                              ltw_lift, merge_layers, minor_lift, radius_decomposition,
                               shallow_centers, td_to_pace, verify_layering,
                               verify_td)
 from strandkit.embedding import EmbeddedGraph
@@ -146,7 +145,7 @@ def test_verify_td_edge_coverage_matches_bag_scan():
     p = Pipeline(gen_grounded(6, 1))
     G = p.graph
     reasons = set()
-    for td in (ltw_pipeline(p)["td"], outerstring_decomposition(p)["td"]):
+    for td in (p.ltw["td"], p.outerstring["td"]):
         assert verify_td(td, G) == scan_verify_td(td, G) == \
             {"valid": True, "width": td.width, "reason": None}
         for n in td.nodes:
@@ -167,7 +166,7 @@ def test_verify_td_subtree_count_matches_tree_search():
     for seed in range(2):
         p = Pipeline(gen_grounded(20, seed))
         G = p.graph
-        for td in (ltw_pipeline(p)["td"], outerstring_decomposition(p)["td"]):
+        for td in (p.ltw["td"], p.outerstring["td"]):
             cases = [td, TreeDecomposition(td.nodes, td.edges[1:], td.bags)]
             tree = Graph(vertices=td.nodes, edges=td.edges)
             middle = [n for n in td.nodes if tree.degree(n) > 1]
@@ -410,7 +409,7 @@ def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
             product_lift(host_td, model.copies), model), name
         # the ltw pipeline emits the td.json and layering.json of the
         # reference lift, and certifies its layered width once
-        rep = ltw_pipeline(p)
+        rep = p.ltw
         ref = product_ltw_lift(host_td, host_layering, model, p.params.r)
         assert rep["td"].to_json() == ref["td"].to_json(), name
         assert rep["layering"].to_json() == ref["layering"].to_json(), name
@@ -437,12 +436,12 @@ def test_outerstring_lift_matches_product_reference(outerstring_scene,
     for scene, colouring in [(outerstring_scene, outerstring_colouring)] + \
             [(gen_grounded(12, s), None) for s in range(4)]:
         p = Pipeline(scene, colouring)
-        quotient, centers = grounded_quotient(p.cp, p.scene)
-        td0 = radius_decomposition(quotient, bfs_tree(quotient, centers[0]))
+        quotient, w = grounded_quotient(p.cp, p.scene)
+        td0 = radius_decomposition(quotient, bfs_tree(quotient, w))
         ref = product_minor_lift(product_lift(td0, p.params.d + 1), p.model)
-        rep = outerstring_decomposition(p)
+        rep = p.outerstring
         assert rep["td"].to_json() == ref.to_json()
-        assert rep["quotient_radius"] == eccentricity(quotient, centers[0])
+        assert rep["quotient_radius"] == eccentricity(quotient, w)
 
 
 def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
@@ -452,7 +451,7 @@ def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
     monkeypatch.setattr(decomp, "bounds", lambda theorem, params: (
         0 if theorem == "ltw-shallow" else real(theorem, params)))
     with pytest.raises(InvariantError, match=r"lifted layered width 2 > 3\(4r\+1\)"):
-        ltw_pipeline(Pipeline(plus_sign, plus_colouring))
+        Pipeline(plus_sign, plus_colouring).ltw
 
 
 def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
@@ -474,29 +473,31 @@ def test_merge_layers():
 
 def test_grounded_quotient(outerstring_scene, outerstring_colouring):
     cp = Pipeline(outerstring_scene, outerstring_colouring).cp
-    q, centers = grounded_quotient(cp, outerstring_scene)
-    assert centers == ["w:D"]
+    q, w = grounded_quotient(cp, outerstring_scene)
+    assert w == "w:D"
     assert eccentricity(q, "w:D") <= outerstring_colouring.t - 1
 
 
 def test_outerstring_decomposition(outerstring_scene, outerstring_colouring):
-    rep = outerstring_decomposition(Pipeline(outerstring_scene, outerstring_colouring))
+    p = Pipeline(outerstring_scene, outerstring_colouring)
+    rep = p.outerstring
+    assert sorted(rep) == ["bound", "quotient_radius", "td"]   # no copies of p
     g = Graph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c")])
     assert verify_td(rep["td"], g)["valid"]
-    assert rep["t"] == 2
-    assert rep["width"] <= rep["bound"] == bounds(
-        "planar-outerstring", {"t": rep["t"], "d": rep["d"]})
-    assert rep["width"] >= exact_treewidth(g) == 1
+    assert p.params.t == 2
+    assert rep["td"].width <= rep["bound"] == bounds(
+        "planar-outerstring", {"t": p.params.t, "d": p.params.d})
+    assert rep["td"].width >= exact_treewidth(g) == 1
 
 
 def test_outerstring_needs_one_disk(plus_sign, plus_colouring):
     with pytest.raises(SceneError):
-        outerstring_decomposition(Pipeline(plus_sign, plus_colouring))
+        Pipeline(plus_sign, plus_colouring).outerstring
 
 
 def test_ltw_pipeline(plus_sign, plus_colouring):
     p = Pipeline(plus_sign, plus_colouring)
-    rep = ltw_pipeline(p)
+    rep = p.ltw
     assert rep["layered_width"] <= rep["bound"] == bounds(
         "ltw-shallow", {"r": p.params.r, "d": p.params.d, "g": p.genus})
     assert p.genus == 0
@@ -509,7 +510,7 @@ def test_ltw_pipeline_multicross(bigon_scene):
     events = compute_arrangement(bigon_scene)
     g = intersection_graph(bigon_scene, events)
     col = greedy_colouring(g, degeneracy_order(g)[::-1])
-    rep = ltw_pipeline(Pipeline(bigon_scene, col))
+    rep = Pipeline(bigon_scene, col).ltw
     assert rep["layered_width"] <= rep["bound"]
 
 

@@ -13,7 +13,7 @@ from strandkit.scene import Curve, StringScene
 def instance(scene):
     """The scene's pipeline and its auxiliary instance."""
     p = Pipeline(scene)
-    return p, build_HR(scene, p.along, select_crossings(scene, p.events))
+    return p, build_HR(scene, p.along, select_crossings(p.events))
 
 
 def r_membership_counts(inst) -> dict:
@@ -27,7 +27,7 @@ def r_membership_counts(inst) -> dict:
 
 def test_select_one_per_pair(bigon_scene):
     events = compute_arrangement(bigon_scene)
-    sel = select_crossings(bigon_scene, events)
+    sel = select_crossings(events)
     assert sorted(sel) == [("u", "v"), ("u", "w1"), ("u", "w2"), ("v", "z")]
     # the first crossing along the lex-smaller curve wins
     assert sel[("u", "v")].id == "x:u:v:0"
