@@ -17,7 +17,7 @@ from .arrangement import compute_arrangement, events_by_curve, intersection_grap
 from .colouring import (ColouringParams, OrderedColouring, colour_sections,
                         compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
-from .embedding import EmbeddedGraph
+from .embedding import EmbeddedGraph, planar_embedding
 from .graph import Graph, ball_masks, bfs_tree, connected_components
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, planarise)
@@ -343,7 +343,7 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
             v = parent[v]
         return path
 
-    emb = _planar_embedding(verts, G.edge_list())
+    emb = planar_embedding(G)
     _triangulate(emb)
     faces = emb.trace_faces()
     # chords keep V - E + F, and G is connected: plane iff it is 2
@@ -386,32 +386,6 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
     if td.width > bound:
         raise InvariantError(f"radius decomposition width {td.width} > 3r+1 = {bound}")
     return td
-
-
-def _planar_embedding(verts, edges) -> EmbeddedGraph:
-    import networkx as nx
-    ng = nx.Graph()
-    ng.add_nodes_from(verts)
-    ng.add_edges_from(edges)
-    ok, pe = nx.check_planarity(ng)
-    if not ok:
-        raise SceneError("graph is not planar")
-    g = EmbeddedGraph()
-    key = {}
-    for u, v in edges:
-        key[(u, v)] = key[(v, u)] = ("e", u, v)
-    for u, v in edges:
-        g.edge_ends[("e", u, v)] = (u, v)
-        g.signature[("e", u, v)] = 1
-    for v in verts:
-        rot = []
-        for w in pe.neighbors_cw_order(v):
-            eid = key[(v, w)]
-            side = 0 if g.edge_ends[eid][0] == v else 1
-            rot.append((eid, side))
-        g.rotation[v] = rot
-    g.check()
-    return g
 
 
 def _triangulate(g: EmbeddedGraph) -> None:

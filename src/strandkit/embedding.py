@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantError
+from .errors import InvariantError, SceneError
 from .graph import Graph
 
 Dart = tuple  # (edge_id, side)
@@ -254,3 +254,256 @@ class EmbeddedGraph:
         g.rotation = {v: list(r) for v, r in self.rotation.items()}
         g.edge_label = dict(self.edge_label)
         return g
+
+
+# ------------------------------------------------------ left-right planarity
+# planar_embedding follows networkx 3.6's check_planarity (the Left-Right
+# Planarity Test of U. Brandes, 2009) step by step, so every rotation it
+# returns is the one networkx returns on the same vertex and edge order.
+# networkx is distributed under the 3-clause BSD licence:
+#   Copyright (c) 2004-2025, NetworkX Developers
+#   Aric Hagberg <hagberg@lanl.gov>, Dan Schult <dschult@colgate.edu>,
+#   Pieter Swart <swart@lanl.gov>.  All rights reserved.
+#
+#   Redistribution and use in source and binary forms, with or without
+#   modification, are permitted provided that the following conditions are met:
+#   * Redistributions of source code must retain the above copyright notice,
+#     this list of conditions and the following disclaimer.
+#   * Redistributions in binary form must reproduce the above copyright
+#     notice, this list of conditions and the following disclaimer in the
+#     documentation and/or other materials provided with the distribution.
+#   * Neither the name of the NetworkX Developers nor the names of its
+#     contributors may be used to endorse or promote products derived from
+#     this software without specific prior written permission.
+#
+#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS "AS
+#   IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT LIMITED TO,
+#   THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR A PARTICULAR
+#   PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT OWNER OR
+#   CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL, SPECIAL,
+#   EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT LIMITED TO,
+#   PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE, DATA, OR
+#   PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY THEORY OF
+#   LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT (INCLUDING
+#   NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS
+#   SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+def planar_embedding(g: Graph) -> EmbeddedGraph:
+    """A plane rotation system of the simple graph g, by the left-right test.
+
+    Edge ("e", u, v), u < v, has its dart 0 at u.  Raises SceneError if g
+    is not planar.  The four phases (DFS orientation, testing, signs,
+    embedding) are networkx's; a conflict pair is a list [left low, left
+    high, right low, right high] of oriented edges, each pair a new list.
+    """
+    verts = g.vertices
+    edges = g.edge_list()
+    if len(verts) > 2 and len(edges) > 3 * len(verts) - 6:
+        raise SceneError("graph is not planar")
+    # lowpt: oriented edge -> height of its lowest return point; out: each
+    # vertex's oriented edges in orientation order
+    height, parent_edge, lowpt, lowpt2, nesting = {}, {}, {}, {}, {}
+    out: dict = {v: [] for v in verts}
+    roots = []
+
+    # orientation: an iterative DFS over sorted neighbour lists
+    adjs = {v: sorted(g.adj[v]) for v in verts}
+    ind = dict.fromkeys(verts, 0)
+    resumed = set()
+    for root in verts:
+        if root in height:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge.get(v)
+            for w in adjs[v][ind[v]:]:
+                vw = (v, w)
+                if vw not in resumed:
+                    if vw in lowpt or (w, v) in lowpt:
+                        ind[v] += 1
+                        continue
+                    out[v].append(w)
+                    lowpt[vw] = lowpt2[vw] = height[v]
+                    if w not in height:   # tree edge
+                        parent_edge[w] = vw
+                        height[w] = height[v] + 1
+                        stack += [v, w]
+                        resumed.add(vw)
+                        break
+                    lowpt[vw] = height[w]   # back edge
+                nesting[vw] = 2 * lowpt[vw] + (lowpt2[vw] < height[v])
+                if e is not None:
+                    if lowpt[vw] < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                        lowpt[e] = lowpt[vw]
+                    elif lowpt[vw] > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], lowpt[vw])
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                ind[v] += 1
+
+    # testing: a stack of conflict pairs
+    ordered = {v: sorted(out[v], key=lambda w: nesting[v, w]) for v in verts}
+    ref, side, stack_bottom, lowpt_edge = {}, {}, {}, {}
+    S: list = []
+
+    def conflicting(low, high, b) -> bool:
+        return not (low is None and high is None) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei, e) -> bool:
+        P = [None, None, None, None]
+        while True:   # merge the return edges of ei into P's right interval
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[:] = Q[2:] + Q[:2]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is stack_bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into P's left
+        while conflicting(*S[-1][:2], ei) or conflicting(*S[-1][2:], ei):
+            Q = S.pop()
+            if conflicting(*Q[2:], ei):
+                Q[:] = Q[2:] + Q[:2]
+            if conflicting(*Q[2:], ei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [None, None, None, None]:
+            S.append(P)
+        return True
+
+    def lowest(P) -> int:   # the lowest lowpoint of P's non-empty intervals
+        return min(lowpt[P[i]] for i in (0, 2) if (P[i], P[i + 1]) != (None, None))
+
+    def remove_back_edges(e) -> None:
+        u = e[0]
+        while S and lowest(S[-1]) == height[u]:   # pairs returning to u
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:   # trim the next pair's intervals
+            P = S[-1]
+            while P[1] is not None and P[1][1] == u:
+                P[1] = ref.get(P[1])
+            if P[1] is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and P[3][1] == u:
+                P[3] = ref.get(P[3])
+            if P[3] is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        if lowpt[e] < height[u]:   # e's side is that of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+
+    ind = dict.fromkeys(verts, 0)
+    resumed = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge.get(v)
+            for w in ordered[v][ind[v]:]:
+                ei = (v, w)
+                if ei not in resumed:
+                    stack_bottom[ei] = S[-1] if S else None
+                    if ei == parent_edge.get(w):   # tree edge
+                        stack += [v, w]
+                        resumed.add(ei)
+                        break
+                    lowpt_edge[ei] = ei   # back edge
+                    S.append([None, None, ei, ei])
+                if lowpt[ei] < height[v]:
+                    if w == ordered[v][0]:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        raise SceneError("graph is not planar")
+                ind[v] += 1
+            else:   # v is done
+                if e is not None:
+                    remove_back_edges(e)
+
+    # signs: each side is relative to its ref chain's; resolve and compress
+    for e0 in nesting:
+        chain, pending = e0, []
+        while ref.get(chain) is not None:
+            pending.append(chain)
+            ref[chain], chain = None, ref[chain]
+        s = side.get(chain, 1)
+        for e in reversed(pending):
+            s = side[e] = side.get(e, 1) * s
+        nesting[e0] *= side.get(e0, 1)
+
+    # embedding: v's neighbours in clockwise cyclic order, from leftmost[v]
+    rotation: dict = {v: [] for v in verts}
+    leftmost: dict = {}
+
+    def add_half_edge(v, w, cw=None, ccw=None) -> None:
+        rot = rotation[v]
+        if ccw is not None:
+            rot.insert(rot.index(ccw) + 1, w)
+        elif cw is not None:
+            rot.insert(rot.index(cw), w)
+            if cw == leftmost[v]:
+                leftmost[v] = w
+        else:   # v's first neighbour
+            rot.append(w)
+            leftmost[v] = w
+
+    for v in verts:
+        ordered[v] = sorted(out[v], key=lambda w: nesting[v, w])
+        prev = None
+        for w in ordered[v]:
+            add_half_edge(v, w, ccw=prev)
+            prev = w
+    ind = dict.fromkeys(verts, 0)
+    left_ref: dict = {}
+    right_ref: dict = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in ordered[v][ind[v]:]:
+                ind[v] += 1
+                ei = (v, w)
+                if ei == parent_edge.get(w):   # tree edge: v goes leftmost at w
+                    add_half_edge(w, v, cw=leftmost.get(w))
+                    left_ref[v] = right_ref[v] = w
+                    stack += [v, w]
+                    break
+                if side.get(ei, 1) == 1:
+                    add_half_edge(w, v, ccw=right_ref[w])
+                else:
+                    add_half_edge(w, v, cw=left_ref[w])
+                    left_ref[w] = v
+
+    ends = {("e", u, v): (u, v) for u, v in edges}
+    emb = EmbeddedGraph(ends, dict.fromkeys(ends, 1))
+    for v in verts:
+        rot = rotation[v]
+        i = rot.index(leftmost[v]) if rot else 0
+        emb.rotation[v] = [(("e", v, w), 0) if v < w else (("e", w, v), 1)
+                           for w in rot[i:] + rot[:i]]
+    emb.check()
+    return emb

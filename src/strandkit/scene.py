@@ -108,6 +108,9 @@ class StringScene:
         if any(c.is_geometric for c in self.curves.values()) and \
            any(not c.is_geometric for c in self.curves.values()):
             raise SceneError("mixed geometric/abstract curves are not supported")
+        if any(c.is_geometric for c in self.curves.values()) and \
+           any(not d.is_geometric for d in self.disks.values()):
+            raise SceneError("geometric curves with an abstract disk are not supported")
         self._validate_disks()
         self._validate_boundaries()
 

@@ -1,8 +1,11 @@
 import argparse
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -294,6 +297,34 @@ def test_each_stage_built_once(capsys, monkeypatch, grounded_file, tmp_path,
         monkeypatch.undo()
 
 
+def test_runs_without_networkx(tmp_path):
+    """networkx is a test dependency only: with it unimportable, every scene
+    subcommand and bounds exit 0 on gen_grounded(12, 1)."""
+    script = f"""
+import sys
+sys.modules["networkx"] = None
+from strandkit.cli import main
+from strandkit.families import gen_grounded
+from strandkit.scene import dump_scene
+dump_scene(gen_grounded(12, 1), {str(tmp_path / "scene.json")!r})
+codes = {{}}
+for command, fmt in {dict((c, f) for c, (f, _) in SCENE_COMMANDS.items())!r}.items():
+    argv = [command, "--in", {str(tmp_path / "scene.json")!r}]
+    if command != "verify":
+        argv += ["--out", {str(tmp_path)!r} + "/" + command]
+    codes[command] = main(argv + (["--format", fmt] if fmt else []))
+codes["bounds"] = main(["bounds", "--theorem", "planar-outerstring",
+                        "--params", "t=3", "d=2"])
+print(codes, file=sys.stderr)
+sys.exit(any(codes.values()))
+"""
+    src = str(Path(strandkit.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+
+
 def record_searches(monkeypatch) -> dict:
     """Record every graph search as (graph, sorted sources), every simple
     graph built from an embedding as the embedding, the embedding of each
@@ -465,6 +496,14 @@ MALFORMED = {
         "not an ordered colouring: curves 'a' and 'b' cross and share colour 1",
         command)
        for command in ("decomp", "model", "outerstring", "planarise", "verify")},
+    # a geometric curve is grounded on a disk with a centre and a radius:
+    # a plus sign far from any disk, "grounded" on an abstract one
+    **{f"geometric-curves-abstract-disk-{command}": (lambda scene: (
+        {"curves": [{**segment("a", (9, 10), (11, 10)), "grounded": {"disk": "D", "end": 0}},
+                    {**segment("b", (10, 9), (10, 11)), "grounded": {"disk": "D", "end": 0}}],
+         "disks": [{"id": "D"}]}, None),
+        "geometric curves with an abstract disk are not supported", command)
+       for command in ("outerstring", "verify")},
     # localise emits an abstract scene, which cannot hold a curve that
     # crosses nothing
     "isolated-curve-localise": (lambda scene: (

@@ -253,7 +253,7 @@ def test_radius_decomposition_rejects_nonplanar():
 def test_radius_decomposition_rejects_a_non_plane_embedding(monkeypatch):
     """The face trace after triangulating certifies V - E + F = 2: a
     toroidal rotation system of K4 is refused."""
-    def toroidal_k4(verts, edges):
+    def toroidal_k4(graph):
         g = EmbeddedGraph()
         for eid, (u, v) in zip("abcdef", [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]):
             g.add_edge(eid, u, v)
@@ -261,7 +261,7 @@ def test_radius_decomposition_rejects_a_non_plane_embedding(monkeypatch):
         assert g.euler_genus() == 2
         return g
 
-    monkeypatch.setattr(decomp, "_planar_embedding", toroidal_k4)
+    monkeypatch.setattr(decomp, "planar_embedding", toroidal_k4)
     k4 = complete_graph(4)
     with pytest.raises(InvariantError, match="^embedding is not plane$"):
         radius_decomposition(k4, bfs_tree(k4, 0))

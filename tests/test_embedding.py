@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strandkit.decomp import Pipeline, _planar_embedding, _triangulate
-from strandkit.embedding import EmbeddedGraph, reverse
-from strandkit.errors import InvariantError
+from networkx.algorithms.planarity import ConflictPair
+
+from strandkit.decomp import Pipeline, _triangulate, grounded_quotient
+from strandkit.embedding import EmbeddedGraph, planar_embedding, reverse
+from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded
-from strandkit.graph import connected_components
+from strandkit.graph import Graph, connected_components
 
 
 def square_embedding() -> EmbeddedGraph:
@@ -386,8 +388,7 @@ def test_trace_faces_matches_oriented_oracle(g):
 def pipeline_embeddings(seed):
     """C', C^phi and the triangulated host embedding of gen_grounded(20, seed)."""
     p = Pipeline(gen_grounded(20, seed))
-    host = p.model.host
-    triangulated = _planar_embedding(host.vertices, host.edge_list())
+    triangulated = planar_embedding(p.model.host)
     _triangulate(triangulated)
     return {"cprime": p.plan.embedding, "cphi": p.cp.embedding,
             "triangulated-host": triangulated}
@@ -462,3 +463,58 @@ def test_triangulate_matches_oracle(g):
     oracle_triangulate(ref)
     assert state(g) == state(ref)
     assert all(len({g.dart_tail(d) for d in f}) <= 3 for f in g.trace_faces())
+
+
+def networkx_rotations(graph: Graph):
+    """Each vertex's neighbours in networkx's clockwise order, networkx run
+    on the sorted vertex and edge lists; None if it finds graph non-planar."""
+    ng = nx.Graph()
+    ng.add_nodes_from(graph.vertices)
+    ng.add_edges_from(graph.edge_list())
+    ok, pe = nx.check_planarity(ng)
+    return {v: list(pe.neighbors_cw_order(v)) for v in graph.vertices} if ok else None
+
+
+def rotations(g: EmbeddedGraph) -> dict:
+    return {v: [g.edge_ends[eid][1 - side] for eid, side in rot]
+            for v, rot in g.rotation.items()}
+
+
+def assert_networkx_defaults_empty():
+    """networkx's ConflictPair() shares its default intervals between calls;
+    a run that filled one would change every later networkx answer, so the
+    oracle's answers are networkx's own only while both stay empty."""
+    assert all(i.low is None and i.high is None
+               for i in ConflictPair.__init__.__defaults__)
+
+
+@pytest.mark.parametrize("n", [6, 12, 20, 24, 48])
+def test_planar_embedding_matches_networkx_on_grounded_hosts(n):
+    """The ltw host C^phi - E_C and the grounded quotient C^phi_0 of each
+    gen_grounded(n, s) get networkx's rotations."""
+    for s in range(4):
+        p = Pipeline(gen_grounded(n, s))
+        for graph in (p.model.host, grounded_quotient(p.cp, p.scene)[0]):
+            g = planar_embedding(graph)
+            assert rotations(g) == networkx_rotations(graph), (n, s)
+            assert g.euler_genus() == 0
+    assert_networkx_defaults_empty()
+
+
+@ORACLE
+@given(planar_graphs())
+def test_planar_embedding_matches_networkx(g):
+    graph = g.simple_graph()
+    assert rotations(planar_embedding(graph)) == networkx_rotations(graph)
+    assert_networkx_defaults_empty()
+
+
+def test_planar_embedding_rejects_k5_and_k33():
+    k5 = Graph(range(5), [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    k33 = Graph(range(6), [(u, v) for u in range(3) for v in range(3, 6)])
+    # K5 has 10 > 3 * 5 - 6 edges; K3,3 passes that count and fails on a
+    # conflict pair of the testing phase
+    for graph in (k5, k33):
+        assert networkx_rotations(graph) is None
+        with pytest.raises(SceneError, match="^graph is not planar$"):
+            planar_embedding(graph)
