@@ -23,10 +23,9 @@ from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                        gen_segment_family)
 from .localise import localise_pipeline
 from .planarise import (check_coloured_planarisation, coloured_to_dot,
-                        coloured_to_json, endpoint_id,
-                        planarisation_to_dot, planarisation_to_json, scene_to_svg)
-from .product_model import (grounded_distance_check, verify_model,
-                            walk_weak_diameter)
+                        coloured_to_json, planarisation_to_dot,
+                        planarisation_to_json, scene_to_svg)
+from .product_model import verify_model, walk_weak_diameter
 from .scene import StringScene, dumps_canonical, load_scene
 
 
@@ -167,8 +166,7 @@ def _cmd_planarise(args) -> dict:
         _write(args, "planarisation.dot", planarisation_to_dot(plan))
     report = {"command": "planarise",
               "vertices": len(plan.embedding.rotation),
-              "edges": plan.embedding.edge_count(),
-              "genus": plan.embedding.euler_genus()}
+              "edges": plan.embedding.edge_count()}
     colouring = _colouring(args, p)
     cp = p.cp
     check_coloured_planarisation(plan, cp)
@@ -177,8 +175,9 @@ def _cmd_planarise(args) -> dict:
         _write(args, "coloured.dot", coloured_to_dot(cp))
     if "svg" in fmts and p.scene.is_geometric:
         _write(args, "scene.svg", scene_to_svg(p.scene, colouring))
+    # contract_edge keeps the surface, so C' and C^phi have one genus
     report["coloured_vertices"] = len(cp.embedding.rotation)
-    report["coloured_genus"] = p.genus
+    report["genus"] = report["coloured_genus"] = p.genus
     return report
 
 
@@ -306,10 +305,8 @@ def _cmd_verify(args) -> dict:
 
     scene = p.scene
     if genus == 0 and len(scene.disks) == 1 and scene.grounded_curves() == scene.curve_ids():
-        grounded_distance_check(p.cp, {endpoint_id(cid, scene.curves[cid].grounded[1])
-                                       for cid in scene.curve_ids()})
+        p.outerstring          # checks the grounded distance, then the width
         checks["grounded-distance"] = True
-        p.outerstring
         checks["outerstring"] = True
 
     ok = all(checks.values())

@@ -17,6 +17,7 @@ curve is also the check that the colouring is ordered.  The parameters:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import SceneError
@@ -73,25 +74,23 @@ def greedy_colouring(G, order) -> OrderedColouring:
 def degeneracy_order(G) -> list:
     """Repeated minimum-degree removal; ties broken by smallest vertex id.
 
-    The reverse order has back-degree at most the degeneracy of G.
+    A heap holds (degree, id) for every remaining vertex; an entry whose
+    degree has since fallen is skipped when popped.  The reverse order has
+    back-degree at most the degeneracy of G.
     """
     adj = {v: set(ns) for v, ns in G.adj.items()}
+    heap = [(len(ns), v) for v, ns in adj.items()]
+    heapq.heapify(heap)
     order = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if v not in adj or deg != len(adj[v]):
+            continue
         order.append(v)
-        for u in adj[v]:
+        for u in adj.pop(v):
             adj[u].discard(v)
-        del adj[v]
+            heapq.heappush(heap, (len(adj[u]), u))
     return order
-
-
-def degeneracy(G) -> int:
-    """Max back-degree along the reverse degeneracy order."""
-    order = degeneracy_order(G)
-    pos = {v: i for i, v in enumerate(order)}
-    adj = G.adj
-    return max((sum(1 for u in adj[v] if pos[u] > pos[v]) for v in order), default=0)
 
 
 def colour_sections(curve_id: str, crossings: list[CrossingEvent],

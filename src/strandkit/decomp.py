@@ -17,11 +17,11 @@ from .arrangement import compute_arrangement, events_by_curve, intersection_grap
 from .colouring import (ColouringParams, OrderedColouring, colour_sections,
                         compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
-from .embedding import EmbeddedGraph, planar_embedding
+from .embedding import EmbeddedGraph, euler_genus, planar_embedding
 from .graph import Graph, ball_masks, bfs_tree, connected_components
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, planarise)
-from .product_model import MinorModel, build_model
+from .product_model import MinorModel, build_model, grounded_distance_check
 from .scene import StringScene
 
 
@@ -487,7 +487,7 @@ class Pipeline:
 
     @cached_property
     def genus(self) -> int:
-        return self.cp.embedding.euler_genus()
+        return euler_genus(self.cp.embedding, self.cp.graph)
 
     @cached_property
     def params(self) -> ColouringParams:
@@ -533,9 +533,12 @@ class Pipeline:
     def outerstring(self) -> dict:
         """Treewidth certificate for a grounded one-disk scene.
 
-        C^phi -> quotient C^phi_0 (radius <= t-1 from the disk center) ->
-        radius decomposition -> bag lift through the minor model's
-        projection.  Width asserted <= (3t-1)(d+1)-1.
+        C^phi -> quotient C^phi_0 -> radius decomposition -> bag lift
+        through the minor model's projection.  Width asserted
+        <= (3t-1)(d+1)-1.  The quotient radius, the distance in C^phi from
+        the grounded endpoints, comes from grounded_distance_check (<= t-1);
+        it is the disk center's eccentricity in C^phi_0, as every endpoint
+        has degree 1.
         """
         if len(self.scene.disks) != 1:
             raise SceneError(f"outerstring pipeline needs exactly 1 disk, "
@@ -544,20 +547,17 @@ class Pipeline:
             raise SceneError(f"outerstring pipeline needs genus 0, got {self.genus}")
         t, d = self.params.t, self.params.d
 
-        quotient, w = grounded_quotient(self.cp, self.scene)
-        tree = bfs_tree(quotient, w)
-        ecc = len(bfs_layering(tree).layers) - 1
-        if ecc > t - 1:
-            raise InvariantError(f"quotient radius {ecc} exceeds t-1 = {t - 1}")
-
-        td = minor_lift(radius_decomposition(quotient, tree), self.model)
+        quotient, w, grounded = grounded_quotient(self.cp, self.scene)
+        radius = grounded_distance_check(self.cp, grounded)
+        td = minor_lift(radius_decomposition(quotient, bfs_tree(quotient, w)),
+                        self.model)
         report = verify_td(td, self.graph)
         if not report["valid"]:
             raise InvariantError(f"outerstring td invalid: {report['reason']}")
         bound = bounds("planar-outerstring", {"t": t, "d": d})
         if td.width > bound:
             raise InvariantError(f"outerstring width {td.width} > bound {bound}")
-        return {"td": td, "bound": bound, "quotient_radius": ecc}
+        return {"td": td, "bound": bound, "quotient_radius": radius}
 
 
 # --------------------------------------------------------- outerstring quotient
@@ -565,7 +565,7 @@ class Pipeline:
 def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
     """C^phi_0 of a one-disk scene: identify the grounded endpoints into the
     disk's center w and delete the remaining endpoint vertices.  Returns
-    (graph, w).
+    (graph, w, the grounded endpoints).
     """
     w = f"w:{next(iter(scene.disks))}"
     grounded = set()
@@ -579,7 +579,7 @@ def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
     out = Graph([w] + [v for v in cp.graph.vertices if v not in cp.endpoints],
                 [(image.get(u, u), image.get(v, v)) for u, v in cp.graph.edge_list()
                  if u not in deleted and v not in deleted])
-    return out, w
+    return out, w, grounded
 
 
 def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:

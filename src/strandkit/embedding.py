@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantError, SceneError
-from .graph import Graph
+from .graph import Graph, connected_components
 
 Dart = tuple  # (edge_id, side)
 
@@ -136,47 +136,6 @@ class EmbeddedGraph:
                 faces.append(face)
         return faces
 
-    def euler_genus(self) -> int:
-        """Sum over components of 2 - V + E - F."""
-        neighbours: dict = {v: [] for v in self.rotation}
-        for u, v in self.edge_ends.values():
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        # components numbered in the order of their smallest vertices
-        comp_of: dict = {}
-        n = 0
-        for v0 in sorted(self.rotation):
-            if v0 in comp_of:
-                continue
-            comp_of[v0] = n
-            stack = [v0]
-            while stack:
-                for w in neighbours[stack.pop()]:
-                    if w not in comp_of:
-                        comp_of[w] = n
-                        stack.append(w)
-            n += 1
-        v_count = [0] * n
-        e_count = [0] * n
-        f_count = [0] * n
-        for v in self.rotation:
-            v_count[comp_of[v]] += 1
-        for u, _ in self.edge_ends.values():
-            e_count[comp_of[u]] += 1
-        for face in self.trace_faces():
-            f_count[comp_of[self.dart_tail(face[0])]] += 1
-        # an isolated vertex is a sphere with one face
-        for i in range(n):
-            if e_count[i] == 0:
-                f_count[i] = 1
-        total = 0
-        for i in range(n):
-            genus = 2 - v_count[i] + e_count[i] - f_count[i]
-            if genus < 0:
-                raise InvariantError(f"inconsistent face trace in component {i}")
-            total += genus
-        return total
-
     # ----------------------------------------------------------- operations
 
     def flip_vertex(self, v) -> None:
@@ -254,6 +213,32 @@ class EmbeddedGraph:
         g.rotation = {v: list(r) for v, r in self.rotation.items()}
         g.edge_label = dict(self.edge_label)
         return g
+
+
+def euler_genus(g: EmbeddedGraph, simple: Graph) -> int:
+    """Sum over the components of g of 2 - V + E - F.
+
+    simple is g's simple graph (g.simple_graph()), whose components are g's.
+    The faces of g are traced once.
+    """
+    comps = connected_components(simple)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    v_count = [len(comp) for comp in comps]
+    e_count = [0] * len(comps)
+    f_count = [0] * len(comps)
+    for u, _ in g.edge_ends.values():
+        e_count[comp_of[u]] += 1
+    for face in g.trace_faces():
+        f_count[comp_of[g.dart_tail(face[0])]] += 1
+    total = 0
+    for i in range(len(comps)):
+        # an isolated vertex is a sphere with one face
+        faces = f_count[i] if e_count[i] else 1
+        genus = 2 - v_count[i] + e_count[i] - faces
+        if genus < 0:
+            raise InvariantError(f"inconsistent face trace in component {i}")
+        total += genus
+    return total
 
 
 # ------------------------------------------------------ left-right planarity

@@ -1,9 +1,10 @@
-"""Example-family generators and their property certifiers.
+"""Example-family generators.
 
 Convex scenes give 1-bend drawings with the 2*Delta^2 per-edge crossing
-bound; the grid+dominant-disk and segment families realise the claimed
-degeneracy/radius/minor properties, each certified by direct computation;
-random generators back the property-test corpus (deterministic per seed).
+bound, certified when drawn; the grid+dominant-disk and segment families
+realise the claimed degeneracy/radius/minor properties, which the test
+suite certifies by direct computation; random generators back the
+property-test corpus (deterministic per seed).
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import compute_arrangement, intersection_graph
-from .colouring import degeneracy
+from .arrangement import compute_arrangement
 from .errors import CheckFailure, DegeneracyError, SceneError
 from .geometry import (Point, centroid, clip_convex, convex_polygon_contains,
                        cross, intersect_segments, polygon_is_convex_ccw, pt,
                        SegmentIntersection)
-from .graph import Graph, graph_radius
-from .product_model import MinorModel, verify_model
+from .graph import Graph
 from .scene import Curve, Disk, StringScene
 
 
@@ -207,25 +206,6 @@ def gen_grid_disk(t: int) -> ConvexScene:
     return ConvexScene(sets)
 
 
-def certify_grid_disk(cs: ConvexScene, t: int) -> dict:
-    """Degeneracy, radius, and grid-vs-dominant structure of the scene."""
-    g = cs.graph()
-    want = set()
-    for i in range(t):
-        for j in range(t):
-            if i + 1 < t:
-                want.add((f"d:{i}:{j}", f"d:{i+1}:{j}"))
-            if j + 1 < t:
-                want.add((f"d:{i}:{j}", f"d:{i}:{j+1}"))
-            want.add((f"d:{i}:{j}", "dom"))
-    got = {tuple(sorted(e)) for e in g.edge_list()}
-    structure = got == {tuple(sorted(e)) for e in want}
-    grid_part = g.subgraph(v for v in g.vertices if v != "dom")
-    return {"vertices": len(g), "structure_ok": structure,
-            "degeneracy": degeneracy(g), "radius": graph_radius(g),
-            "grid_graph": grid_part}
-
-
 def _rect(x0, y0, x1, y1) -> list[Point]:
     return [pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)]
 
@@ -297,53 +277,6 @@ def gen_segment_family(t: int) -> StringScene:
             s.curves[f"b{i}_{j}"] = Curve(f"b{i}_{j}", (Point(x, lo), Point(x, hi)))
     s.validate()
     return s
-
-
-def certify_segment_family(scene: StringScene, t: int) -> dict:
-    events = compute_arrangement(scene)
-    g = intersection_graph(scene, events)
-    k22_free = not _has_k22(g)
-    return {"vertices": len(g), "expected_vertices": 2 * t * t + 1,
-            "degeneracy": degeneracy(g), "radius": graph_radius(g),
-            "k22_free": k22_free, "graph": g}
-
-
-def _has_k22(g: Graph) -> bool:
-    """Brute-force search for K_{2,2} as a (not necessarily induced) subgraph."""
-    verts = g.vertices
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            common = set(g.adj[a]) & set(g.adj[b])
-            if len(common) >= 2:
-                return True
-    return False
-
-
-def ktt_minor_model(scene: StringScene, t: int) -> tuple:
-    """Model of K_{t,t} in the segment family's intersection graph.
-
-    One side is the singletons {gamma_i}; the other the chains
-    X_j = {alpha_1^j, beta_1^j, ..., alpha_t^j}.  Returns (model, K_tt);
-    verify_model must accept it.
-    """
-    events = compute_arrangement(scene)
-    host = intersection_graph(scene, events)
-    mu = {}
-    for i in range(1, t + 1):
-        mu[("r", i)] = frozenset({(f"g{i}", 1)})
-    for j in range(1, t + 1):
-        chain = [f"a{i}_{j}" for i in range(1, t + 1)]
-        chain += [f"b{i}_{j}" for i in range(1, t)]
-        mu[("c", j)] = frozenset((v, 1) for v in chain)
-    model = MinorModel(mu, host, 1)
-    ktt = Graph()
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            ktt.add_edge(("r", i), ("c", j))
-    report = verify_model(model, ktt)
-    if not report["valid"]:
-        raise CheckFailure(f"K_tt model invalid: {report['violated_clause']}")
-    return model, ktt
 
 
 # ----------------------------------------------------------- random scenes

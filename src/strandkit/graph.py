@@ -146,14 +146,3 @@ def connected_components(g: Graph) -> list[list]:
         seen.update(comp)
         comps.append(comp)
     return comps
-
-
-def eccentricity(g: Graph, v) -> int:
-    dist = bfs_distances(g, [v])
-    if len(dist) != len(g):
-        raise ValueError(f"graph not connected from {v!r}")
-    return max(dist.values(), default=0)
-
-
-def graph_radius(g: Graph) -> int:
-    return min(eccentricity(g, v) for v in g.vertices)

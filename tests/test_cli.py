@@ -16,7 +16,8 @@ from strandkit.cli import main
 from strandkit.embedding import EmbeddedGraph
 from strandkit.families import gen_grounded
 from strandkit.geometry import pt
-from strandkit.scene import Curve, StringScene, dump_scene
+from strandkit.planarise import endpoint_id
+from strandkit.scene import Curve, StringScene, dump_scene, load_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -327,10 +328,12 @@ sys.exit(any(codes.values()))
 
 def record_searches(monkeypatch) -> dict:
     """Record every graph search as (graph, sorted sources), every simple
-    graph built from an embedding as the embedding, the embedding of each
-    C^phi, and the (graph, BFS tree) of each radius decomposition.  Graphs
-    are kept alive, so their ids stay distinct."""
-    rec = {"bfs": [], "builds": [], "cphi": [], "radius": []}
+    graph built from an embedding and every face trace as the embedding,
+    the embedding of each C' (cprime), each C^phi, and the (graph, BFS tree)
+    of each radius decomposition.  Graphs are kept alive, so their ids stay
+    distinct."""
+    rec = {"bfs": [], "builds": [], "faces": [], "cprime": [], "cphi": [],
+           "radius": []}
 
     def one_source(original):           # bfs_tree(g, root)
         return lambda g, root: rec["bfs"].append((g, (root,))) or original(g, root)
@@ -342,47 +345,63 @@ def record_searches(monkeypatch) -> dict:
             return original(g, sources)
         return search
 
-    def cphi(original):
-        def build(*args):
-            cp = original(*args)
-            rec["cphi"].append(cp.embedding)
-            return cp
-        return build
+    def built(key):
+        def make(original):
+            def build(*args):
+                result = original(*args)
+                rec[key].append(result)
+                return result
+            return build
+        return make
 
     patch_everywhere(monkeypatch, "graph", "bfs_tree", one_source)
     patch_everywhere(monkeypatch, "graph", "bfs_distances", many_sources)
     patch_everywhere(monkeypatch, "graph", "ball_masks", many_sources)
-    patch_everywhere(monkeypatch, "planarise", "coloured_planarisation", cphi)
+    patch_everywhere(monkeypatch, "planarise", "planarise", built("cprime"))
+    patch_everywhere(monkeypatch, "planarise", "coloured_planarisation", built("cphi"))
     patch_everywhere(monkeypatch, "decomp", "radius_decomposition",
                      lambda original: lambda g, tree: (
                          rec["radius"].append((g, tree)) or original(g, tree)))
-    real = EmbeddedGraph.simple_graph
-    monkeypatch.setattr(EmbeddedGraph, "simple_graph", lambda self: (
-        rec["builds"].append(self) or real(self)))
+    for method, key in [("simple_graph", "builds"), ("trace_faces", "faces")]:
+        real = getattr(EmbeddedGraph, method)
+        monkeypatch.setattr(EmbeddedGraph, method, lambda self, _real=real, _key=key: (
+            rec[_key].append(self) or _real(self)))
     return rec
 
 
-@pytest.mark.parametrize("command", ["decomp", "outerstring", "verify", "model"])
+@pytest.mark.parametrize("command", ["planarise", "model", "decomp", "outerstring",
+                                     "verify"])
 def test_each_search_made_once(capsys, monkeypatch, grounded_file, tmp_path,
                                command):
     """One search per graph and sources.  The host root in decomp and the
     disk centre w in outerstring and verify are searched from once: the
-    connectivity check, the layering, the quotient radius and the radius
-    decomposition all read that one BFS tree.  The simple graph of C^phi is
-    built once, and no other graph is built from an embedding."""
+    connectivity check, the layering and the radius decomposition all read
+    that one BFS tree.  The quotient radius is the distance in C^phi from
+    the grounded endpoints, searched once, by grounded_distance_check.  The
+    simple graph of C^phi is built once, and no other graph is built from
+    an embedding.  The genus is read from C^phi, whose faces are traced at
+    most once; C''s faces are never traced."""
     rec = record_searches(monkeypatch)
     out = [] if command == "verify" else ["--out", str(tmp_path / "o")]
     code, _ = run(capsys, command, "--in", grounded_file, *out)
     assert code == 0
     searches = [(id(g), sources) for g, sources in rec["bfs"]]
     assert len(searches) == len(set(searches))
-    assert len(rec["radius"]) == (command != "model")
+    radius = command in ("decomp", "outerstring", "verify")
+    assert len(rec["radius"]) == radius
     for g, tree in rec["radius"]:
         root = next(iter(tree))
         assert tree[root] is None and len(g) > 1
         assert [s for h, s in rec["bfs"] if h is g and len(s) == 1] == [(root,)]
-    assert len(rec["cphi"]) == 1
-    assert [e is rec["cphi"][0] for e in rec["builds"]] == [True]
+    [plan], [cp] = rec["cprime"], rec["cphi"]
+    assert [e is cp.embedding for e in rec["builds"]] == [True]
+    assert sum(e is cp.embedding for e in rec["faces"]) == (command != "model")
+    assert all(e is not plan.embedding for e in rec["faces"])
+    scene = load_scene(grounded_file)
+    grounded = tuple(sorted(endpoint_id(cid, scene.curves[cid].grounded[1])
+                            for cid in scene.curve_ids()))
+    assert [s for g, s in rec["bfs"] if g is cp.graph and s == grounded] == \
+        [grounded] * (command in ("outerstring", "verify"))
 
 
 def segment(cid: str, p: tuple, q: tuple) -> dict:

@@ -1,10 +1,15 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
-from strandkit.colouring import (OrderedColouring, degeneracy,
-                                 degeneracy_order, greedy_colouring)
+from strandkit.colouring import (OrderedColouring, degeneracy_order,
+                                 greedy_colouring)
 from strandkit.decomp import Pipeline, bounds
 from strandkit.errors import SceneError
+from strandkit.families import gen_grounded
 from strandkit.graph import Graph
 
 
@@ -41,6 +46,32 @@ def check_ordered(colouring: OrderedColouring, events) -> None:
                 f"colour {colouring.phi[e.curve_a]}")
 
 
+def min_scan_degeneracy_order(G) -> list:
+    """Repeated minimum-degree removal by a scan over the remaining
+    vertices, ties to the smallest id: the O(n^2) order the heap replaced,
+    kept as its oracle."""
+    adj = {v: set(ns) for v, ns in G.adj.items()}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        order.append(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        del adj[v]
+    return order
+
+
+def back_degrees(G, order) -> list:
+    """The number of neighbours of each vertex later in the order."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [sum(1 for u in G.adj[v] if pos[u] > pos[v]) for v in order]
+
+
+def degeneracy(G) -> int:
+    """Max back-degree along the degeneracy order."""
+    return max(back_degrees(G, degeneracy_order(G)), default=0)
+
+
 def path_graph(n):
     return Graph(vertices=range(n), edges=[(i, i + 1) for i in range(n - 1)])
 
@@ -72,6 +103,42 @@ def test_degeneracy_order_min_degree_first():
     g = Graph(vertices=range(4), edges=[(0, 1), (1, 2), (2, 3), (1, 3)])
     order = degeneracy_order(g)
     assert order[0] == 0
+
+
+@pytest.mark.parametrize("n", [6, 20, 48])
+def test_degeneracy_order_matches_min_scan_on_grounded_scenes(n):
+    for s in range(10 if n < 48 else 3):
+        p = Pipeline(gen_grounded(n, s))
+        assert degeneracy_order(p.graph) == min_scan_degeneracy_order(p.graph), (n, s)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on up to 12 vertices, with isolated vertices and many ties."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    return Graph(vertices=range(n), edges=edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_graphs())
+def test_degeneracy_order_matches_min_scan(g):
+    assert degeneracy_order(g) == min_scan_degeneracy_order(g)
+
+
+def test_degeneracy_order_on_a_100x100_grid():
+    """10,000 vertices order in well under a second: the min-scan took
+    quadratic time here.  A grid is 2-degenerate."""
+    g = Graph(edges=[((i, j), (i + di, j + dj)) for i in range(100) for j in range(100)
+                     for di, dj in ((0, 1), (1, 0)) if i + di < 100 and j + dj < 100])
+    start = time.perf_counter()
+    order = degeneracy_order(g)
+    elapsed = time.perf_counter() - start
+    assert sorted(order) == g.vertices
+    assert order[0] == (0, 0)
+    assert max(back_degrees(g, order)) == 2
+    assert elapsed < 5
 
 
 def test_check_ordered(plus_sign, plus_colouring):

@@ -10,11 +10,22 @@ from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               ltw_lift, merge_layers, minor_lift, radius_decomposition,
                               shallow_centers, td_to_pace, verify_layering,
                               verify_td)
-from strandkit.embedding import EmbeddedGraph
+from strandkit.embedding import EmbeddedGraph, euler_genus
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
-from strandkit.graph import (Graph, bfs_distances, bfs_tree, connected_components,
-                             eccentricity)
+from strandkit.graph import Graph, bfs_distances, bfs_tree, connected_components
+from strandkit.product_model import grounded_distance_check
+
+
+def eccentricity(g: Graph, v) -> int:
+    dist = bfs_distances(g, [v])
+    if len(dist) != len(g):
+        raise ValueError(f"graph not connected from {v!r}")
+    return max(dist.values(), default=0)
+
+
+def graph_radius(g: Graph) -> int:
+    return min(eccentricity(g, v) for v in g.vertices)
 
 
 def grid_graph(rows, cols):
@@ -258,7 +269,7 @@ def test_radius_decomposition_rejects_a_non_plane_embedding(monkeypatch):
         for eid, (u, v) in zip("abcdef", [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]):
             g.add_edge(eid, u, v)
         g.rotation[3] = [("e", 1), ("d", 1), ("f", 1)]
-        assert g.euler_genus() == 2
+        assert euler_genus(g, g.simple_graph()) == 2
         return g
 
     monkeypatch.setattr(decomp, "planar_embedding", toroidal_k4)
@@ -436,7 +447,7 @@ def test_outerstring_lift_matches_product_reference(outerstring_scene,
     for scene, colouring in [(outerstring_scene, outerstring_colouring)] + \
             [(gen_grounded(12, s), None) for s in range(4)]:
         p = Pipeline(scene, colouring)
-        quotient, w = grounded_quotient(p.cp, p.scene)
+        quotient, w, _ = grounded_quotient(p.cp, p.scene)
         td0 = radius_decomposition(quotient, bfs_tree(quotient, w))
         ref = product_minor_lift(product_lift(td0, p.params.d + 1), p.model)
         rep = p.outerstring
@@ -473,9 +484,21 @@ def test_merge_layers():
 
 def test_grounded_quotient(outerstring_scene, outerstring_colouring):
     cp = Pipeline(outerstring_scene, outerstring_colouring).cp
-    q, w = grounded_quotient(cp, outerstring_scene)
+    q, w, grounded = grounded_quotient(cp, outerstring_scene)
     assert w == "w:D"
+    assert grounded <= cp.endpoints and len(grounded) == len(outerstring_scene.curves)
+    assert eccentricity(q, "w:D") == grounded_distance_check(cp, grounded)
     assert eccentricity(q, "w:D") <= outerstring_colouring.t - 1
+
+
+@pytest.mark.parametrize("n", [6, 24, 48])
+def test_quotient_radius_is_the_grounded_distance(n):
+    """Every endpoint has degree 1 in C^phi, so the distance from the
+    grounded endpoints is the disk center's eccentricity in C^phi_0."""
+    for s in range(4):
+        p = Pipeline(gen_grounded(n, s))
+        quotient, w, _ = grounded_quotient(p.cp, p.scene)
+        assert p.outerstring["quotient_radius"] == eccentricity(quotient, w), (n, s)
 
 
 def test_outerstring_decomposition(outerstring_scene, outerstring_colouring):

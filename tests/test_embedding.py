@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,15 @@ from hypothesis import strategies as st
 from networkx.algorithms.planarity import ConflictPair
 
 from strandkit.decomp import Pipeline, _triangulate, grounded_quotient
-from strandkit.embedding import EmbeddedGraph, planar_embedding, reverse
+from strandkit.embedding import EmbeddedGraph, euler_genus, planar_embedding, reverse
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, connected_components
+from strandkit.scene import Curve, StringScene
+
+
+def genus(g: EmbeddedGraph) -> int:
+    return euler_genus(g, g.simple_graph())
 
 
 def square_embedding() -> EmbeddedGraph:
@@ -24,7 +32,7 @@ def square_embedding() -> EmbeddedGraph:
 def test_cycle_is_planar():
     g = square_embedding()
     g.check()
-    assert g.euler_genus() == 0
+    assert genus(g) == 0
     assert len(g.trace_faces()) == 2
 
 
@@ -42,7 +50,7 @@ def test_k4_planar_embedding():
     g.rotation[2] = [("c", 0), ("f", 0), ("b", 1)]
     g.rotation[3] = [("d", 1), ("e", 1), ("f", 1)]
     g.check()
-    assert g.euler_genus() == 0
+    assert genus(g) == 0
     assert len(g.trace_faces()) == 4
 
 
@@ -60,20 +68,20 @@ def test_k4_toroidal_embedding():
     g.rotation[2] = [("c", 0), ("f", 0), ("b", 1)]
     g.rotation[3] = [("e", 1), ("d", 1), ("f", 1)]
     g.check()
-    assert g.euler_genus() == 2
+    assert genus(g) == 2
 
 
 def test_loop_on_sphere():
     g = EmbeddedGraph()
     g.add_edge("l", 0, 0)
-    assert g.euler_genus() == 0
+    assert genus(g) == 0
     assert len(g.trace_faces()) == 2
 
 
 def test_one_signature_edge_gives_crosscap():
     g = square_embedding()
     g.signature["e1"] = -1
-    assert g.euler_genus() == 1
+    assert genus(g) == 1
 
 
 def test_vertex_flip_preserves_surface():
@@ -82,20 +90,20 @@ def test_vertex_flip_preserves_surface():
     g.flip_vertex(2)
     # the twist moves to the other edge at vertex 2; the surface is unchanged
     assert g.signature["e1"] == 1 and g.signature["e2"] == -1
-    assert g.euler_genus() == 1
+    assert genus(g) == 1
     g.flip_vertex(3)
     g.flip_vertex(0)  # pushes the twist around the cycle and back
-    assert g.euler_genus() == 1
+    assert genus(g) == 1
 
 
 def test_contract_edge_preserves_genus():
     for sig in (1, -1):
         g = square_embedding()
         g.signature["e1"] = sig
-        before = g.euler_genus()
+        before = genus(g)
         g.contract_edge("e0")
         g.check()
-        assert g.euler_genus() == before
+        assert genus(g) == before
         assert 0 in g.rotation and 1 not in g.rotation
 
 
@@ -131,7 +139,7 @@ def test_add_chord_splits_face():
     face = max(faces, key=len)
     g.add_chord(face, 0, 2, "chord")
     g.check()
-    assert g.euler_genus() == 0
+    assert genus(g) == 0
     assert len(g.trace_faces()) == 3
 
 
@@ -238,6 +246,27 @@ def oracle_euler_genus(g):
     return sum(2 - v_count[i] + e_count[i] - f_count[i] for i in range(len(comps)))
 
 
+def test_genus_of_cphi_is_the_genus_of_cprime(abstract_multicross):
+    """contract_edge keeps the surface: the oracle's genus of C', traced
+    with the earlier tracer, is the pipeline's genus of C^phi, on plain,
+    twisted and grounded scenes."""
+    twisted = copy.deepcopy(abstract_multicross)
+    twisted.curves["m"] = replace(twisted.curves["m"], twists=(4,))
+    double = StringScene()
+    double.curves["a"] = Curve("a", None, ("x0", "x1"), twists=(1,))
+    double.curves["b"] = Curve("b", None, ("x0", "x1"))
+    double.chirality = {"x0": 1, "x1": -1}
+    scenes = [abstract_multicross, twisted, double]
+    scenes += [gen_grounded(n, s) for n, s in [(6, 0), (12, 1), (20, 2), (48, 3)]]
+    genera = []
+    for scene in scenes:
+        scene.validate()
+        p = Pipeline(scene)
+        assert oracle_euler_genus(p.plan.embedding) == p.genus
+        genera.append(p.genus)
+    assert genera == [4, 5, 1, 0, 0, 0, 0]
+
+
 def oracle_flip_vertex(g, v):
     g.rotation[v] = list(reversed(g.rotation[v]))
     for eid, (a, b) in g.edge_ends.items():
@@ -333,7 +362,7 @@ def test_tracer_and_edits_match_oracle(g, ops):
         g.check()
         assert state(g) == state(ref)
         assert len(g.trace_faces()) == len(oracle_trace_faces(ref))
-        assert g.euler_genus() == oracle_euler_genus(ref)
+        assert genus(g) == oracle_euler_genus(ref)
 
     agree()
     for flip, k in ops:
@@ -497,7 +526,7 @@ def test_planar_embedding_matches_networkx_on_grounded_hosts(n):
         for graph in (p.model.host, grounded_quotient(p.cp, p.scene)[0]):
             g = planar_embedding(graph)
             assert rotations(g) == networkx_rotations(graph), (n, s)
-            assert g.euler_genus() == 0
+            assert genus(g) == 0
     assert_networkx_defaults_empty()
 
 

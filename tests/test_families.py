@@ -1,17 +1,82 @@
 import pytest
 
-from strandkit.arrangement import compute_arrangement
+from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.decomp import exact_treewidth
-from strandkit.errors import SceneError
-from strandkit.families import (ConvexScene, certify_grid_disk,
-                                certify_segment_family, convex_to_drawing,
-                                gen_grid_disk, gen_grounded, gen_random,
-                                gen_random_convex, gen_rectangle_family,
-                                gen_segment_family, ktt_minor_model)
+from strandkit.errors import CheckFailure, SceneError
+from strandkit.families import (ConvexScene, convex_to_drawing, gen_grid_disk,
+                                gen_grounded, gen_random, gen_random_convex,
+                                gen_rectangle_family, gen_segment_family)
 from strandkit.geometry import pt
 from strandkit.graph import Graph
-from strandkit.product_model import verify_model
+from strandkit.product_model import MinorModel, verify_model
 from strandkit.scene import dumps_canonical
+from test_colouring import degeneracy
+from test_decomp import graph_radius
+
+
+# ------------------------------------------------------- family certifiers
+
+def certify_grid_disk(cs: ConvexScene, t: int) -> dict:
+    """Degeneracy, radius, and grid-vs-dominant structure of the scene."""
+    g = cs.graph()
+    want = set()
+    for i in range(t):
+        for j in range(t):
+            if i + 1 < t:
+                want.add((f"d:{i}:{j}", f"d:{i+1}:{j}"))
+            if j + 1 < t:
+                want.add((f"d:{i}:{j}", f"d:{i}:{j+1}"))
+            want.add((f"d:{i}:{j}", "dom"))
+    got = {tuple(sorted(e)) for e in g.edge_list()}
+    structure = got == {tuple(sorted(e)) for e in want}
+    grid_part = g.subgraph(v for v in g.vertices if v != "dom")
+    return {"vertices": len(g), "structure_ok": structure,
+            "degeneracy": degeneracy(g), "radius": graph_radius(g),
+            "grid_graph": grid_part}
+
+
+def certify_segment_family(scene, t: int) -> dict:
+    events = compute_arrangement(scene)
+    g = intersection_graph(scene, events)
+    return {"vertices": len(g), "expected_vertices": 2 * t * t + 1,
+            "degeneracy": degeneracy(g), "radius": graph_radius(g),
+            "k22_free": not has_k22(g), "graph": g}
+
+
+def has_k22(g: Graph) -> bool:
+    """Brute-force search for K_{2,2} as a (not necessarily induced) subgraph."""
+    verts = g.vertices
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            if len(g.adj[a] & g.adj[b]) >= 2:
+                return True
+    return False
+
+
+def ktt_minor_model(scene, t: int) -> tuple:
+    """Model of K_{t,t} in the segment family's intersection graph.
+
+    One side is the singletons {gamma_i}; the other the chains
+    X_j = {alpha_1^j, beta_1^j, ..., alpha_t^j}.  Returns (model, K_tt);
+    verify_model must accept it.
+    """
+    host = intersection_graph(scene, compute_arrangement(scene))
+    mu = {}
+    for i in range(1, t + 1):
+        mu[("r", i)] = frozenset({(f"g{i}", 1)})
+    for j in range(1, t + 1):
+        chain = [f"a{i}_{j}" for i in range(1, t + 1)]
+        chain += [f"b{i}_{j}" for i in range(1, t)]
+        mu[("c", j)] = frozenset((v, 1) for v in chain)
+    model = MinorModel(mu, host, 1)
+    ktt = Graph()
+    for i in range(1, t + 1):
+        for j in range(1, t + 1):
+            ktt.add_edge(("r", i), ("c", j))
+    report = verify_model(model, ktt)
+    if not report["valid"]:
+        raise CheckFailure(f"K_tt model invalid: {report['violated_clause']}")
+    return model, ktt
 
 
 # ------------------------------------------------------------ convex scenes
@@ -106,7 +171,6 @@ def test_segment_family_certifications():
 def test_segment_family_degrees():
     scene = gen_segment_family(3)
     events = compute_arrangement(scene)
-    from strandkit.arrangement import intersection_graph
     g = intersection_graph(scene, events)
     for i in range(1, 3):
         for j in range(1, 4):
