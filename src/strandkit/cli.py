@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     except (CheckFailure, InvariantError) as exc:
         _emit({"error": str(exc), "kind": "check-failure"})
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except OSError as exc:
         _emit({"error": f"{type(exc).__name__}: {exc}", "kind": "invalid-input"})
         return 2
     _emit(report)
@@ -124,7 +124,11 @@ def _parse_params(tokens: list) -> dict:
         key, sep, value = tok.partition("=")
         if not sep:
             raise SceneError(f"--params entries must be K=V, got {tok!r}")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise SceneError(f"--params value of {key!r} must be an integer, "
+                             f"got {value!r}") from None
     return params
 
 
@@ -134,7 +138,11 @@ def _colouring(args, p: Pipeline) -> OrderedColouring:
     scene's earlier stages are reported before errors of the file."""
     p.events
     if getattr(args, "colouring", None):
-        p.given = OrderedColouring.from_json(json.loads(Path(args.colouring).read_text()))
+        try:
+            data = json.loads(Path(args.colouring).read_text())
+        except (ValueError, RecursionError) as exc:
+            raise SceneError(f"colouring file is not valid JSON: {exc}") from exc
+        p.given = OrderedColouring.from_json(data)
     p.cut
     return p.colouring
 

@@ -102,17 +102,13 @@ def verify_layering(layering: Layering, G: Graph) -> dict:
     return {"valid": True, "reason": None}
 
 
-def bfs_layering(parent: dict) -> Layering:
-    """The vertices of a BFS tree (graph.bfs_tree) by depth, each layer
-    sorted."""
+def bfs_depth(parent: dict) -> dict:
+    """The depth of each vertex of a BFS tree (graph.bfs_tree), which lists
+    each parent before its children."""
     depth: dict = {}
-    layers: list = []
     for v, p in parent.items():
-        depth[v] = d = 0 if p is None else depth[p] + 1
-        if d == len(layers):
-            layers.append([])
-        layers[d].append(v)
-    return Layering([sorted(layer) for layer in layers])
+        depth[v] = 0 if p is None else depth[p] + 1
+    return depth
 
 
 # ------------------------------------------------------- exact treewidth oracle
@@ -336,13 +332,6 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
         raise InvariantError("radius decomposition needs a BFS tree of the graph")
     r = max(depth.values())
 
-    def root_path(v):
-        path = []
-        while v is not None:
-            path.append(v)
-            v = parent[v]
-        return path
-
     emb = planar_embedding(G)
     _triangulate(emb)
     faces = emb.trace_faces()
@@ -352,8 +341,11 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
     bags = {}
     for fi, face in enumerate(faces):
         bag = set()
+        # climb to the bag, which holds every ancestor of its vertices
         for c in {emb.edge_ends[eid][side] for eid, side in face}:
-            bag.update(root_path(c))
+            while c is not None and c not in bag:
+                bag.add(c)
+                c = parent[c]
         bags[fi + 1] = frozenset(bag)
 
     # all-positive plane embedding: every dart lies on exactly one traced face
@@ -514,7 +506,7 @@ class Pipeline:
             raise SceneError("ltw pipeline needs a connected crossing structure")
         if genus != 0:
             raise SceneError(f"ltw pipeline needs genus 0, got {genus}")
-        lifted = ltw_lift(radius_decomposition(host, tree), bfs_layering(tree),
+        lifted = ltw_lift(radius_decomposition(host, tree), bfs_depth(tree),
                           model, params.r)
         bound = bounds("ltw-shallow", {"r": params.r, "d": params.d, "g": genus})
         if lifted["layered_width"] > bound:
@@ -582,8 +574,8 @@ def grounded_quotient(cp: ColouredPlanarisation, scene) -> tuple:
     return out, w, grounded
 
 
-def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:
-    """Layered width of a decomposition and the implied treewidth bound."""
+def merge_layers(td: TreeDecomposition, layering: Layering) -> int:
+    """Layered width: the most vertices of one bag in one layer."""
     idx = layering.index()
     lw = 0
     for node in td.nodes:
@@ -591,8 +583,7 @@ def merge_layers(td: TreeDecomposition, layering: Layering) -> dict:
         for v in td.bags[node]:
             per[idx[v]] = per.get(idx[v], 0) + 1
         lw = max(lw, max(per.values(), default=0))
-    s = len(layering.layers)
-    return {"layered_width": lw, "layers": s, "width_bound": s * lw - 1}
+    return lw
 
 
 def shallow_centers(model: MinorModel, r: int) -> dict:
@@ -610,7 +601,7 @@ def shallow_centers(model: MinorModel, r: int) -> dict:
     bit = {h: i for i, h in enumerate(hosts)}
     masks: dict = {}
     if r >= 0:
-        for k, masks, _ in ball_masks(model.host, hosts):
+        for k, masks in ball_masks(model.host, hosts):
             if k >= r:
                 break
     centers = {}
@@ -629,9 +620,10 @@ def shallow_centers(model: MinorModel, r: int) -> dict:
     return centers
 
 
-def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
+def ltw_lift(host_td: TreeDecomposition, host_layer: dict,
              model: MinorModel, r: int) -> dict:
-    """Lift (td, layering) of the host through a weak r-shallow model.
+    """Lift a host td and host layering, given as the layer of each host
+    vertex, through a weak r-shallow model.
 
     The G-layer of a vertex is its branch-set center's host layer divided
     into blocks of 2r+1; shallowness makes consecutive centers differ by at
@@ -639,15 +631,12 @@ def ltw_lift(host_td: TreeDecomposition, host_layering: Layering,
     """
     centers = shallow_centers(model, r)
     td = minor_lift(host_td, model)
-    host_idx = host_layering.index()
-    block = {v: host_idx[centers[v][0]] // (2 * r + 1) for v in centers}
-    n_blocks = max(block.values(), default=0) + 1
-    layers: list = [[] for _ in range(n_blocks)]
+    block = {v: host_layer[centers[v][0]] // (2 * r + 1) for v in centers}
+    layers: list = [[] for _ in range(max(block.values(), default=0) + 1)]
     for v in sorted(block):
         layers[block[v]].append(v)
     layering = Layering(layers)
-    lw = merge_layers(td, layering)["layered_width"]
-    return {"td": td, "layering": layering, "layered_width": lw}
+    return {"td": td, "layering": layering, "layered_width": merge_layers(td, layering)}
 
 
 # ------------------------------------------------------------- bound arithmetic

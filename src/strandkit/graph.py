@@ -104,35 +104,34 @@ def bfs_tree(g: Graph, root) -> dict:
 def ball_masks(g: Graph, sources: list):
     """Bit-parallel balls of growing radius around every source at once.
 
-    Bit i of a mask stands for sources[i].  Yields (k, masks, grown) for
+    Bit i of a mask stands for sources[i].  Yields (k, masks) for
     k = 0, 1, 2, ...: masks[v] has bit i set iff v is within distance k of
-    sources[i], and grown lists the vertices whose mask changed at step k
-    (the sources at k = 0).  masks is one dict, updated in place.  A step
-    ORs into each neighbour the masks that grew at the step before; a mask
-    that did not grow is already held by every neighbour.  The generator
-    ends after the last step that grows a mask, so the last masks yielded
-    are the fixpoint: the balls of every radius from that k on.
+    sources[i].  masks is one dict, updated in place.  A step ORs into each
+    neighbour the masks that grew at the step before; a mask that did not
+    grow is already held by every neighbour.  The generator ends after the
+    last step that grows a mask, so the last masks yielded are the
+    fixpoint: the balls of every radius from that k on.
     """
     adj = g.adj
     masks = dict.fromkeys(adj, 0)
     for i, s in enumerate(sources):
         masks[s] |= 1 << i
-    grown = list(dict.fromkeys(sources))
+    frontier = list(dict.fromkeys(sources))
     k = 0
-    while grown:
-        yield k, masks, grown
+    while frontier:
+        yield k, masks
         incoming: dict = {}
         get = incoming.get
-        for w in grown:
+        for w in frontier:
             m = masks[w]
             for v in adj[w]:
                 incoming[v] = get(v, 0) | m
-        grown = []
+        frontier = []
         for v, m in incoming.items():
             old = masks[v]
             if m | old != old:
                 masks[v] = m | old
-                grown.append(v)
+                frontier.append(v)
         k += 1
 
 

@@ -210,12 +210,14 @@ def crossing_census(along: dict) -> dict:
 
 def localise_pipeline(p: Pipeline) -> dict:
     """select -> build -> bigon-reduce -> reassemble, with before/after census,
-    on a scene whose every curve crosses another (SceneError otherwise)."""
+    on a plane scene whose every curve crosses another (SceneError otherwise)."""
     along = p.along
     for cid, mine in along.items():
         if not mine:
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
                              "needs a crossing to be localised")
+    if p.genus != 0:
+        raise SceneError(f"localise needs genus 0, got {p.genus}")
     selection = select_crossings(p.events)
     inst = build_HR(p.scene, along, selection)
     reduced = bigon_reduce(inst)

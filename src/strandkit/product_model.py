@@ -111,34 +111,28 @@ def walk_weak_diameter(cp: ColouredPlanarisation, params) -> dict:
 
     The balls around all inner walk vertices grow together (ball_masks); a
     walk's diameter is the first radius at which each of its vertices
-    reaches all of them.  A walk still short of that at the fixpoint is
+    reaches all of them.  A vertex that reaches its walk keeps reaching it,
+    so each walk's sorted inner vertices are popped from the end while the
+    last one does.  A walk still short of that at the fixpoint is
     disconnected.
     """
-    g = cp.graph
     bit: dict = {}
-    need: dict = {}
-    short: dict = {}              # curve id -> inner vertices not yet covering
-    walks_at: dict = {}
+    short: dict = {}    # curve id -> (inner vertices not yet covering, walk mask)
     for cid in sorted(cp.walks):
-        inner = set(cp.walks[cid]) - cp.endpoints
+        inner = sorted(set(cp.walks[cid]) - cp.endpoints)
         m = 0
-        for x in sorted(inner):
+        for x in inner:
             m |= 1 << bit.setdefault(x, len(bit))
-            walks_at.setdefault(x, []).append(cid)
-        need[cid] = m
-        short[cid] = inner
-    diam = {cid: 0 for cid, inner in short.items() if not inner}
-    pending = len(short) - len(diam)
-    for k, masks, grown in ball_masks(g, list(bit)):
-        for x in grown:
-            for cid in walks_at.get(x, ()):
-                left = short[cid]
-                if x in left and masks[x] & need[cid] == need[cid]:
-                    left.discard(x)
-                    if not left:
-                        diam[cid] = k
-                        pending -= 1
-        if not pending:
+        short[cid] = (inner, m)
+    diam = {cid: 0 for cid, (inner, _) in short.items() if not inner}
+    for k, masks in ball_masks(cp.graph, list(bit)):
+        for cid, (left, m) in list(short.items()):
+            while left and masks[left[-1]] & m == m:
+                left.pop()
+            if not left:
+                diam[cid] = k
+                del short[cid]
+        if not short:
             break
     for cid in sorted(cp.walks):
         if cid not in diam:

@@ -318,7 +318,7 @@ def load_scene(path) -> StringScene:
             data = json.load(fh)
     except FileNotFoundError:
         raise SceneError(f"scene file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:    # bad JSON, UTF-8 or nesting
         raise SceneError(f"scene file is not valid JSON: {exc}") from exc
     scene = StringScene.from_json(data)
     scene.validate()

@@ -152,6 +152,29 @@ def test_bad_params_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--theorem", "localised"],
+                                  ["gen", "--family", "segment"]])
+def test_non_integer_param_exit_2(capsys, argv):
+    code, rep = run(capsys, *argv, "--params", "t=abc")
+    assert code == 2 and rep == {
+        "error": "--params value of 't' must be an integer, got 'abc'",
+        "kind": "invalid-input"}
+
+
+# a file that is not JSON: cut short, not UTF-8, or nested past the parser
+@pytest.mark.parametrize("text", [b'{"a": 1', b"\xff{}", b"[" * 100000],
+                         ids=["cut-short", "not-utf8", "too-deep"])
+@pytest.mark.parametrize("role", ["scene", "colouring"])
+def test_file_not_json_exit_2(capsys, grounded_file, tmp_path, role, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    argv = ["verify", "--in", str(bad)] if role == "scene" else \
+        ["verify", "--in", grounded_file, "--colouring", str(bad)]
+    code, rep = run(capsys, *argv)
+    assert code == 2 and rep["kind"] == "invalid-input"
+    assert rep["error"].startswith(f"{role} file is not valid JSON: ")
+
+
 def test_reports_byte_identical(capsys, scene_file, tmp_path):
     code1 = main(["colour", "--in", scene_file])
     out1 = capsys.readouterr().out
@@ -267,7 +290,7 @@ SCENE_COMMANDS = {
     "model": (None, {"along", "cut", "plan", "cp", "params"}),
     "decomp": ("json,td", {"along", "cut", "plan", "cp", "params"}),
     "outerstring": ("json,td", {"along", "cut", "plan", "cp", "params"}),
-    "localise": (None, {"along"}),
+    "localise": (None, {"along", "cut", "plan", "cp"}),
     "verify": (None, {"along", "cut", "plan", "cp", "params"}),
 }
 
@@ -532,6 +555,13 @@ MALFORMED = {
     "no-crossing-localise": (lambda scene: (
         {"curves": [segment("a", (-1, 0), (1, 0)), segment("b", (-1, 1), (1, 1))]},
         None), "curve 'a' crosses no other curve", "localise"),
+    # localisation is for the plane: two curves crossing twice, one arc of
+    # a twisted, lie in the projective plane
+    "projective-plane-localise": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x0", "x1"], "twists": [1]},
+                    {"id": "b", "crossings": ["x0", "x1"]}],
+         "disks": [], "chirality": {"x0": 1, "x1": 1}}, None),
+        "localise needs genus 0, got 1", "localise"),
 }
 
 

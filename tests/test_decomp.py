@@ -5,12 +5,12 @@ import pytest
 from strandkit import decomp
 from strandkit.colouring import OrderedColouring
 from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
-                              TreeDecomposition, bfs_layering, bounds,
+                              TreeDecomposition, _triangulate, bfs_depth, bounds,
                               exact_treewidth, exact_treewidth_decomposition, grounded_quotient,
                               ltw_lift, merge_layers, minor_lift, radius_decomposition,
                               shallow_centers, td_to_pace, verify_layering,
                               verify_td)
-from strandkit.embedding import EmbeddedGraph, euler_genus
+from strandkit.embedding import EmbeddedGraph, euler_genus, planar_embedding
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, bfs_distances, bfs_tree, connected_components
@@ -207,14 +207,11 @@ def distance_layering(G: Graph, roots) -> Layering:
     return Layering(layers)
 
 
-def test_bfs_layering_valid():
-    g = grid_graph(3, 3)
-    lay = bfs_layering(bfs_tree(g, (0, 0)))
-    assert verify_layering(lay, g)["valid"]
-    assert len(lay.layers) == 5
-    for g, root in [(g, (1, 1)), (wheel_graph(8), 0), (wheel_graph(8), 8),
+def test_bfs_depth_is_the_bfs_distance():
+    for g, root in [(grid_graph(3, 3), (0, 0)), (grid_graph(3, 3), (1, 1)),
+                    (wheel_graph(8), 0), (wheel_graph(8), 8),
                     (complete_graph(5), 3), (Graph(vertices=[7]), 7)]:
-        assert bfs_layering(bfs_tree(g, root)) == distance_layering(g, [root])
+        assert bfs_depth(bfs_tree(g, root)) == bfs_distances(g, [root])
 
 
 def test_verify_layering_rejects_a_repeated_vertex():
@@ -226,6 +223,44 @@ def test_verify_layering_rejects_a_repeated_vertex():
 
 
 # ----------------------------------------------------- radius decomposition
+
+def root_path_bags(G: Graph, parent: dict) -> dict:
+    """Reference: the bags of radius_decomposition, each the union of its
+    corners' full root paths, on the faces rebuilt by planar_embedding,
+    _triangulate and trace_faces."""
+    def root_path(v):
+        path = []
+        while v is not None:
+            path.append(v)
+            v = parent[v]
+        return path
+
+    emb = planar_embedding(G)
+    _triangulate(emb)
+    return {fi + 1: frozenset().union(*(root_path(emb.edge_ends[eid][side])
+                                         for eid, side in face))
+            for fi, face in enumerate(emb.trace_faces())}
+
+
+def test_radius_decomposition_bags_are_root_path_unions():
+    hosts = [(grid_graph(4, 5), (0, 0)), (grid_graph(4, 5), (2, 2)),
+             (wheel_graph(8), 0), (wheel_graph(8), 8)]
+    for n in (6, 12, 24, 48):
+        for s in range(3):
+            p = Pipeline(gen_grounded(n, s))
+            host = p.model.host
+            hosts.append((host, host.vertices[0]))
+            quotient, w, _ = grounded_quotient(p.cp, p.scene)
+            hosts.append((quotient, w))
+    checked = 0
+    for g, root in hosts:
+        tree = bfs_tree(g, root)
+        if len(tree) == len(g) > 1:
+            assert radius_decomposition(g, tree).bags == root_path_bags(g, tree)
+            checked += 1
+    # all but the host of gen_grounded(6, 0), which is disconnected
+    assert checked == len(hosts) - 1
+
 
 def test_radius_decomposition_wheel():
     g = wheel_graph(8)
@@ -424,8 +459,7 @@ def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
         ref = product_ltw_lift(host_td, host_layering, model, p.params.r)
         assert rep["td"].to_json() == ref["td"].to_json(), name
         assert rep["layering"].to_json() == ref["layering"].to_json(), name
-        assert rep["layered_width"] == merge_layers(
-            ref["td"], ref["layering"])["layered_width"], name
+        assert rep["layered_width"] == merge_layers(ref["td"], ref["layering"]), name
         assert rep["bound"] == 3 * (4 * p.params.r + 1) * model.copies, name
         # below the pipeline's r, and with one host vertex per layer, the
         # lifted layering has several blocks
@@ -436,7 +470,7 @@ def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
                     ref = product_ltw_lift(host_td, layering, model, r)
                 except CheckFailure:
                     continue
-                got = ltw_lift(host_td, layering, model, r)
+                got = ltw_lift(host_td, layering.index(), model, r)
                 assert got["td"].to_json() == ref["td"].to_json(), (name, r)
                 assert got["layering"].to_json() == ref["layering"].to_json(), \
                     (name, r)
@@ -474,10 +508,11 @@ def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
 def test_merge_layers():
     g = grid_graph(2, 4)
     width, td = exact_treewidth_decomposition(g)
-    lay = bfs_layering(bfs_tree(g, (0, 0)))
-    rep = merge_layers(td, lay)
-    assert rep["layered_width"] >= 1
-    assert rep["width_bound"] >= width
+    lay = distance_layering(g, [(0, 0)])
+    lw = merge_layers(td, lay)
+    assert lw >= 1
+    # s layers of at most lw vertices each bound every bag
+    assert len(lay.layers) * lw - 1 >= width
 
 
 # ------------------------------------------------------- pipelines

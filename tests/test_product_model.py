@@ -372,13 +372,15 @@ def test_ball_masks_are_bfs_balls():
         sources = g.vertices[::2]
         dist = [bfs_distances(g, [s]) for s in sources]
         ecc = max((max(d.values()) for d in dist), default=-1)
-        ks = []
-        for k, masks, grown in ball_masks(g, sources):
+        ks, before = [], {}
+        for k, masks in ball_masks(g, sources):
             ks.append(k)
             for v in g.vertices:
                 want = sum(1 << i for i, d in enumerate(dist) if d.get(v, k + 1) <= k)
                 assert masks[v] == want
-            assert grown and all(v in masks for v in grown)
+            # each step yielded grows a ball
+            assert masks != before
+            before = dict(masks)
         assert ks == list(range(ecc + 1))
 
 
