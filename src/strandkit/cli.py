@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -21,12 +23,25 @@ from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
 from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                        gen_random, gen_random_convex, gen_rectangle_family,
                        gen_segment_family)
-from .localise import localise_pipeline
 from .planarise import (check_coloured_planarisation, coloured_to_dot,
                         coloured_to_json, planarisation_to_dot,
                         planarisation_to_json, scene_to_svg)
 from .product_model import verify_model, walk_weak_diameter
 from .scene import StringScene, dumps_canonical, load_scene
+
+
+FORMATS = ("dot", "json", "svg", "td")
+
+# gen --family -> (generator, its --params and their defaults); a generator
+# with a seed parameter also gets --seed
+FAMILIES = {
+    "segment": (gen_segment_family, {"t": 2}),
+    "grid-disk": (gen_grid_disk, {"t": 2}),
+    "random": (gen_random, {"n": 6, "crossings_per_pair": 2}),
+    "grounded": (gen_grounded, {"n": 6}),
+    "rectangles": (gen_rectangle_family, {"delta": 3}),
+    "convex": (gen_random_convex, {"n": 6}),
+}
 
 
 def main(argv=None) -> int:
@@ -85,9 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("localise", _cmd_localise, inp=True, out=True)
 
     g = cmd("gen", _cmd_gen, out=True, seed=True, params=True)
-    g.add_argument("--family", required=True,
-                   choices=["segment", "grid-disk", "random", "grounded",
-                            "rectangles", "convex"])
+    g.add_argument("--family", required=True, choices=list(FAMILIES))
 
     b = cmd("bounds", _cmd_bounds, params=True)
     b.add_argument("--theorem", required=True)
@@ -115,7 +128,12 @@ def _write_json(args, name: str, obj) -> None:
 
 
 def _formats(args) -> set:
-    return set(getattr(args, "format", "json").split(","))
+    fmts = set(args.format.split(","))
+    unknown = sorted(fmts.difference(FORMATS))
+    if unknown:
+        raise SceneError(f"unknown --format {unknown[0]!r}; "
+                         f"known: {', '.join(FORMATS)}")
+    return fmts
 
 
 def _parse_params(tokens: list) -> dict:
@@ -127,6 +145,9 @@ def _parse_params(tokens: list) -> dict:
         try:
             params[key] = int(value)
         except ValueError:
+            if re.fullmatch(r"\s*[+-]?\d+\s*", value):   # int() refused its length
+                raise SceneError(f"--params value of {key!r} has more digits than "
+                                 f"Python reads ({sys.get_int_max_str_digits()})") from None
             raise SceneError(f"--params value of {key!r} must be an integer, "
                              f"got {value!r}") from None
     return params
@@ -150,12 +171,13 @@ def _colouring(args, p: Pipeline) -> OrderedColouring:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_arrange(args) -> dict:
+    fmts = _formats(args)
     p = Pipeline(load_scene(args.inp))
     events, G = p.events, p.graph
     _write_json(args, "events.json", events_to_json(events))
     _write_json(args, "graph.json",
                 {"vertices": G.vertices, "edges": G.edge_list()})
-    if "dot" in _formats(args):
+    if "dot" in fmts:
         lines = ["graph G {"]
         lines += [f'  "{v}";' for v in G.vertices]
         lines += [f'  "{u}" -- "{v}";' for u, v in G.edge_list()]
@@ -166,9 +188,9 @@ def _cmd_arrange(args) -> dict:
 
 
 def _cmd_planarise(args) -> dict:
+    fmts = _formats(args)
     p = Pipeline(load_scene(args.inp))
     plan = p.plan
-    fmts = _formats(args)
     _write_json(args, "planarisation.json", planarisation_to_json(plan))
     if "dot" in fmts:
         _write(args, "planarisation.dot", planarisation_to_dot(plan))
@@ -213,13 +235,14 @@ def _cmd_model(args) -> dict:
 
 
 def _cmd_decomp(args) -> dict:
+    fmts = _formats(args)
     p = Pipeline(load_scene(args.inp))
     _colouring(args, p)
     result = p.ltw
     td = result["td"]
     _write_json(args, "td.json", td.to_json())
     _write_json(args, "layering.json", result["layering"].to_json())
-    if "td" in _formats(args):
+    if "td" in fmts:
         _write(args, "td.td", td_to_pace(td, p.graph))
     report = {"command": "decomp", "width": td.width,
               "layered_width": result["layered_width"],
@@ -231,12 +254,13 @@ def _cmd_decomp(args) -> dict:
 
 
 def _cmd_outerstring(args) -> dict:
+    fmts = _formats(args)
     p = Pipeline(load_scene(args.inp))
     _colouring(args, p)
     result = p.outerstring
     td = result["td"]
     _write_json(args, "td.json", td.to_json())
-    if "td" in _formats(args):
+    if "td" in fmts:
         _write(args, "td.td", td_to_pace(td, p.graph))
     return {"command": "outerstring", "width": td.width,
             "bound": result["bound"], "ok": True,
@@ -245,36 +269,26 @@ def _cmd_outerstring(args) -> dict:
 
 
 def _cmd_localise(args) -> dict:
-    p = Pipeline(load_scene(args.inp))
-    result = localise_pipeline(p)
-    _write_json(args, "instance.json", result["instance"].to_json())
-    _write_json(args, "reduced.json", result["reduced"].to_json())
-    _write_json(args, "scene.json", result["scene"].to_json())
-    return {"command": "localise",
-            "crossings_before": result["crossings_before"],
-            "crossings_after": result["crossings_after"],
-            "census_before": result["census_before"],
-            "census_after": result["census_after"]}
+    result = Pipeline(load_scene(args.inp)).localised
+    for name in ("instance", "reduced", "scene"):
+        _write_json(args, f"{name}.json", result[name].to_json())
+    return {"command": "localise", **{key: result[key] for key in (
+        "crossings_before", "crossings_after", "census_before", "census_after")}}
 
 
 def _cmd_gen(args) -> dict:
     params = _parse_params(args.params)
-    family = args.family
-    if family == "segment":
-        obj = gen_segment_family(params.get("t", 2))
-    elif family == "grid-disk":
-        obj = gen_grid_disk(params.get("t", 2))
-    elif family == "random":
-        obj = gen_random(params.get("n", 6),
-                         params.get("crossings_per_pair", 2), args.seed)
-    elif family == "grounded":
-        obj = gen_grounded(params.get("n", 6), args.seed)
-    elif family == "rectangles":
-        obj = gen_rectangle_family(params.get("delta", 3))
-    else:
-        obj = gen_random_convex(params.get("n", 6), args.seed)
+    generator, defaults = FAMILIES[args.family]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise SceneError(f"family {args.family!r} takes {', '.join(sorted(defaults))}, "
+                         f"got {', '.join(unknown)}")
+    kwargs = {**defaults, **params}
+    if "seed" in inspect.signature(generator).parameters:
+        kwargs["seed"] = args.seed
+    obj = generator(**kwargs)
     _write_json(args, "scene.json", obj.to_json())
-    report = {"command": "gen", "family": family, "seed": args.seed}
+    report = {"command": "gen", "family": args.family, "seed": args.seed}
     if isinstance(obj, StringScene):
         report["curves"] = len(obj.curves)
     else:

@@ -10,9 +10,8 @@ curve is also the check that the colouring is ordered.  The parameters:
      distinct higher-colour curves crossing the section,
   k  max, over curves gamma, of the number of distinct smaller-colour curves
      crossing gamma,
-  r  (2k + 1) * sum_{j=0}^{t-2} k^j, the walk weak-diameter bound, read
-     from the bound registry (decomp.bounds), which refuses one of more
-     than 8192 bits.
+  r  (2k + 1) * sum_{j=0}^{t-2} k^j, the walk weak-diameter bound, which
+     the pipeline (decomp.Pipeline.params) reads from the bound registry.
 """
 
 from __future__ import annotations
@@ -119,16 +118,12 @@ def colour_sections(curve_id: str, crossings: list[CrossingEvent],
     return runs, cuts
 
 
-def compute_params(colouring: OrderedColouring, along: dict,
-                   cut: dict) -> ColouringParams:
-    """Exact d, k, r from each curve's crossings (along) and their cut."""
-    d = 0
-    k = 0
+def compute_params(colouring: OrderedColouring, along: dict, cut: dict) -> tuple:
+    """Exact (t, d, k) from each curve's crossings (along) and their cut."""
+    d = k = 0
     for cid, (runs, cuts) in cut.items():
         mine = along[cid]
         k = max(k, len(cuts))
         for run in runs:
             d = max(d, len({mine[i].other(cid) for i in run}))
-    from .decomp import bounds   # decomp imports this module
-    t = colouring.t
-    return ColouringParams(t, d, k, bounds("weak-diameter", {"t": t, "k": k}))
+    return colouring.t, d, k

@@ -1,5 +1,5 @@
 """Tree decompositions, layerings, and the staged pipeline of a scene, whose
-last stages are the outerstring and layered-width certificates.
+last stages are the certificates and the localised scene.
 
 Constructions here are certified: every emitted decomposition is re-checked
 by verify_td (independent of how it was built), and pipeline widths are
@@ -19,6 +19,7 @@ from .colouring import (ColouringParams, OrderedColouring, colour_sections,
 from .errors import CheckFailure, InvariantError, SceneError
 from .embedding import EmbeddedGraph, euler_genus, planar_embedding
 from .graph import Graph, ball_masks, bfs_tree, connected_components
+from .localise import bigon_reduce, build_HR, reassemble, select_crossings
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, planarise)
 from .product_model import MinorModel, build_model, grounded_distance_check
@@ -428,7 +429,8 @@ class Pipeline:
     graph -> colouring -> colour cut of each curve (cut, which rejects a
     colouring that is not ordered) -> C' (plan) -> C^phi (cp) -> genus and
     parameters t, d, k, r -> minor model -> the layered-width certificate
-    (ltw) and, for a grounded one-disk scene, the outerstring one.
+    (ltw) and, for a grounded one-disk scene, the outerstring one.  The
+    localised scene reads the arc orders, and the genus if it is abstract.
     The colouring stage takes `given`, checked against the scene, or when
     that is None colours greedily on the reverse degeneracy order of the
     intersection graph.
@@ -483,7 +485,8 @@ class Pipeline:
 
     @cached_property
     def params(self) -> ColouringParams:
-        return compute_params(self.colouring, self.along, self.cut)
+        t, d, k = compute_params(self.colouring, self.along, self.cut)
+        return ColouringParams(t, d, k, bounds("weak-diameter", {"t": t, "k": k}))
 
     @cached_property
     def model(self) -> MinorModel:
@@ -550,6 +553,40 @@ class Pipeline:
         if td.width > bound:
             raise InvariantError(f"outerstring width {td.width} > bound {bound}")
         return {"td": td, "bound": bound, "quotient_radius": radius}
+
+    @cached_property
+    def localised(self) -> dict:
+        """select -> build -> bigon-reduce -> reassemble, with before/after
+        census, on a plane scene whose every curve crosses another (SceneError
+        otherwise).  A geometric scene is plane by construction."""
+        along = self.along
+        for cid, mine in along.items():
+            if not mine:
+                raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
+                                 "needs a crossing to be localised")
+        if not self.scene.is_geometric and self.genus != 0:
+            raise SceneError(f"localise needs genus 0, got {self.genus}")
+        inst = build_HR(self.scene, along, select_crossings(self.events))
+        reduced = bigon_reduce(inst)
+        new_scene = reassemble(reduced, along)
+        after = {cid: [inst.events[x] for x in c.crossings]
+                 for cid, c in new_scene.curves.items()}
+        return {"instance": inst, "reduced": reduced, "scene": new_scene,
+                "census_before": crossing_census(along),
+                "census_after": crossing_census(after),
+                "crossings_before": inst.crossing_count(),
+                "crossings_after": reduced.crossing_count()}
+
+
+def crossing_census(along: dict) -> dict:
+    """Per-curve crossing involvement vs the localisation bound."""
+    out = {}
+    for cid, mine in along.items():
+        count, deg = len(mine), len({e.other(cid) for e in mine})
+        bound = bounds("localised", {"delta": deg})
+        out[cid] = {"count": count, "degree": deg, "bound": bound,
+                    "within_bound": count <= bound}
+    return {"curves": out}
 
 
 # --------------------------------------------------------- outerstring quotient

@@ -63,12 +63,6 @@ class ConvexScene:
         return {"sets": {sid: [p.to_json() for p in self.sets[sid]]
                          for sid in sorted(self.sets)}}
 
-    @staticmethod
-    def from_json(data: dict) -> "ConvexScene":
-        sets = {str(sid): [Point.from_json(p) for p in poly]
-                for sid, poly in data["sets"].items()}
-        return ConvexScene(sets)
-
     def graph(self) -> Graph:
         """Intersection graph; adjacency needs an open (2D) overlap."""
         ids = sorted(self.sets)

@@ -44,9 +44,6 @@ class Graph:
                     out.append((u, v))
         return out
 
-    def degree(self, v) -> int:
-        return len(self.adj[v])
-
     def neighbours(self, v) -> list:
         return sorted(self.adj[v])
 

@@ -6,8 +6,9 @@ piece of a curve between consecutive selected crossings.  R collects the
 pairs of H-edges that are allowed to cross, read off the inherited drawing
 D0; unselected crossings on the two tail pieces of a curve disappear with
 the tails.  Bigon reduction deletes empty bigons (two crossings consecutive
-on both participating pieces); it is a heuristic: the census reports
-honestly whether the 2^d (d-1) + 1 per-curve bound is reached.
+on both participating pieces); it is a heuristic: the census of
+decomp.Pipeline.localised reports honestly whether the 2^d (d-1) + 1
+per-curve bound is reached.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import intersection_graph
-from .decomp import Pipeline, bounds
-from .errors import CheckFailure, SceneError
+from .errors import CheckFailure
 from .graph import Graph
 from .scene import Curve, CrossingEvent, StringScene
 
@@ -194,42 +194,3 @@ def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
     if got != want:
         raise CheckFailure("reassembled scene changed the intersection graph")
     return new
-
-
-def crossing_census(along: dict) -> dict:
-    """Per-curve crossing involvement vs the localisation bound."""
-    out = {}
-    for cid, mine in along.items():
-        count = len(mine)
-        deg = len({e.other(cid) for e in mine})
-        bound = bounds("localised", {"delta": deg})
-        out[cid] = {"count": count, "degree": deg, "bound": bound,
-                    "within_bound": count <= bound}
-    return {"curves": out}
-
-
-def localise_pipeline(p: Pipeline) -> dict:
-    """select -> build -> bigon-reduce -> reassemble, with before/after census,
-    on a plane scene whose every curve crosses another (SceneError otherwise)."""
-    along = p.along
-    for cid, mine in along.items():
-        if not mine:
-            raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
-                             "needs a crossing to be localised")
-    if p.genus != 0:
-        raise SceneError(f"localise needs genus 0, got {p.genus}")
-    selection = select_crossings(p.events)
-    inst = build_HR(p.scene, along, selection)
-    reduced = bigon_reduce(inst)
-    new_scene = reassemble(reduced, along)
-    return {
-        "instance": inst,
-        "reduced": reduced,
-        "scene": new_scene,
-        "census_before": crossing_census(along),
-        "census_after": crossing_census(
-            {cid: [inst.events[x] for x in c.crossings]
-             for cid, c in new_scene.curves.items()}),
-        "crossings_before": inst.crossing_count(),
-        "crossings_after": reduced.crossing_count(),
-    }

@@ -23,7 +23,6 @@ from strandkit.families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                                 gen_random, gen_random_convex,
                                 gen_rectangle_family, gen_segment_family)
 from strandkit.graph import Graph, bfs_tree
-from strandkit.localise import localise_pipeline
 from strandkit.planarise import check_coloured_planarisation
 from strandkit.product_model import (build_model, grounded_distance_check,
                                      verify_model, walk_weak_diameter)
@@ -261,7 +260,7 @@ def test_criterion_8_convex_crossing_cap():
 def test_criterion_9_localise(random_corpus):
     """Reassembly preserves the intersection graph; censuses are honest."""
     for scene, events in random_corpus:
-        rep = localise_pipeline(Pipeline(scene))
+        rep = Pipeline(scene).localised
         old = intersection_graph(scene, events).edge_list()
         new_events = compute_arrangement(rep["scene"])
         assert intersection_graph(rep["scene"], new_events).edge_list() == old
@@ -291,7 +290,7 @@ def _bundle() -> str:
         parts.append(dumps_canonical(colouring.to_json()))
         parts.append(dumps_canonical(rep["td"].to_json()))
         parts.append(dumps_canonical(
-            localise_pipeline(Pipeline(scene))["instance"].to_json()))
+            Pipeline(scene).localised["instance"].to_json()))
     for seed in (0, 1):
         parts.append(dumps_canonical(gen_random(6, 2, seed).to_json()))
     return "".join(parts)

@@ -96,12 +96,16 @@ def test_decomp(capsys, scene_file, tmp_path):
     assert rep["width"] >= rep["exact_treewidth"]
 
 
-def test_localise(capsys, scene_file, tmp_path):
+def test_localise(capsys, monkeypatch, scene_file, tmp_path):
     code, rep = run(capsys, "localise", "--in", scene_file,
                     "--out", str(tmp_path / "l"))
     assert code == 0
     assert rep["crossings_after"] <= rep["crossings_before"]
     assert (tmp_path / "l" / "reduced.json").exists()
+    # its output is abstract, so localising it again reads C^phi's genus
+    calls = count_stage_calls(monkeypatch)
+    code, _ = run(capsys, "localise", "--in", str(tmp_path / "l" / "scene.json"))
+    assert code == 0 and calls["coloured_planarisation"] == 1
 
 
 def test_gen_and_verify(capsys, tmp_path):
@@ -159,6 +163,39 @@ def test_non_integer_param_exit_2(capsys, argv):
     assert code == 2 and rep == {
         "error": "--params value of 't' must be an integer, got 'abc'",
         "kind": "invalid-input"}
+
+
+def test_overlong_integer_param_exit_2(capsys):
+    """An integer longer than Python's int-from-string limit is named by its
+    key, and its digits are not echoed."""
+    code, rep = run(capsys, "bounds", "--theorem", "localised",
+                    "--params", "delta=" + "1" * 5000)
+    assert code == 2 and rep["kind"] == "invalid-input"
+    assert rep["error"].startswith("--params value of 'delta' has more digits "
+                                   "than Python reads")
+    assert len(rep["error"]) < 200
+
+
+@pytest.mark.parametrize("command", ["arrange", "planarise", "decomp", "outerstring"])
+def test_unknown_format_exit_2(capsys, grounded_file, tmp_path, command):
+    code, rep = run(capsys, command, "--in", grounded_file,
+                    "--out", str(tmp_path / "o"), "--format", "jsn,tdd")
+    assert code == 2 and rep == {
+        "error": "unknown --format 'jsn'; known: dot, json, svg, td",
+        "kind": "invalid-input"}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("family, params, error", [
+    ("grounded", ["N=128"], "family 'grounded' takes n, got N"),
+    ("random", ["n=4", "cap=1"], "family 'random' takes crossings_per_pair, n, got cap"),
+    ("segment", ["t=2", "n=3", "d=1"], "family 'segment' takes t, got d, n"),
+], ids=["grounded", "random", "segment"])
+def test_unknown_gen_param_exit_2(capsys, tmp_path, family, params, error):
+    code, rep = run(capsys, "gen", "--family", family, "--params", *params,
+                    "--out", str(tmp_path / "g"))
+    assert code == 2 and rep == {"error": error, "kind": "invalid-input"}
+    assert not (tmp_path / "g").exists()
 
 
 # a file that is not JSON: cut short, not UTF-8, or nested past the parser
@@ -290,7 +327,7 @@ SCENE_COMMANDS = {
     "model": (None, {"along", "cut", "plan", "cp", "params"}),
     "decomp": ("json,td", {"along", "cut", "plan", "cp", "params"}),
     "outerstring": ("json,td", {"along", "cut", "plan", "cp", "params"}),
-    "localise": (None, {"along", "cut", "plan", "cp"}),
+    "localise": (None, {"along"}),
     "verify": (None, {"along", "cut", "plan", "cp", "params"}),
 }
 

@@ -180,12 +180,12 @@ def test_verify_td_subtree_count_matches_tree_search():
         for td in (p.ltw["td"], p.outerstring["td"]):
             cases = [td, TreeDecomposition(td.nodes, td.edges[1:], td.bags)]
             tree = Graph(vertices=td.nodes, edges=td.edges)
-            middle = [n for n in td.nodes if tree.degree(n) > 1]
+            middle = [n for n in td.nodes if len(tree.adj[n]) > 1]
             for n in middle[:6]:
                 for v in sorted(td.bags[n])[:2]:
                     cases.append(TreeDecomposition(
                         td.nodes, td.edges, {**td.bags, n: td.bags[n] - {v}}))
-            leaves = [n for n in td.nodes if tree.degree(n) == 1]
+            leaves = [n for n in td.nodes if len(tree.adj[n]) == 1]
             for v in G.vertices[:6]:
                 far = [n for n in leaves if v not in td.bags[n]]
                 if far:

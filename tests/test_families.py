@@ -112,12 +112,6 @@ def test_rectangle_family_crossing_cap():
         assert d["max_crossings"] <= d["cap"] == 2 * delta * delta
 
 
-def test_convex_scene_json_roundtrip():
-    cs = gen_rectangle_family(2)
-    back = ConvexScene.from_json(cs.to_json())
-    assert back.to_json() == cs.to_json()
-
-
 def test_random_convex_deterministic():
     a = gen_random_convex(6, 3)
     b = gen_random_convex(6, 3)
@@ -132,7 +126,7 @@ def test_grid_disk_t2_structure():
     rep = certify_grid_disk(cs, 2)
     assert rep["vertices"] == 5
     assert rep["structure_ok"]
-    assert cs.graph().degree("dom") == 4
+    assert len(cs.graph().adj["dom"]) == 4
 
 
 def test_grid_disk_t4_certification():
@@ -174,11 +168,11 @@ def test_segment_family_degrees():
     g = intersection_graph(scene, events)
     for i in range(1, 3):
         for j in range(1, 4):
-            assert g.degree(f"b{i}_{j}") == 2
+            assert len(g.adj[f"b{i}_{j}"]) == 2
             assert sorted(g.adj[f"b{i}_{j}"]) == [f"a{i}_{j}", f"a{i+1}_{j}"]
     for i in range(1, 4):
         for j in range(1, 4):
-            assert g.degree(f"a{i}_{j}") <= 3
+            assert len(g.adj[f"a{i}_{j}"]) <= 3
             assert f"g{i}" in g.adj[f"a{i}_{j}"]
 
 

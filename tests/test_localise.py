@@ -1,11 +1,10 @@
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
-from strandkit.decomp import Pipeline
+from strandkit.decomp import Pipeline, crossing_census
 from strandkit.errors import CheckFailure, SceneError
 from strandkit.geometry import pt
-from strandkit.localise import (bigon_reduce, build_HR, crossing_census,
-                                localise_pipeline, reassemble,
+from strandkit.localise import (bigon_reduce, build_HR, reassemble,
                                 select_crossings)
 from strandkit.scene import Curve, StringScene
 
@@ -89,7 +88,7 @@ def test_reassemble_keeps_every_curve():
 def test_pipeline_rejects_isolated_curve():
     s = plus_and_far()
     with pytest.raises(SceneError, match="curve 'c' crosses no other curve"):
-        localise_pipeline(Pipeline(s))
+        Pipeline(s).localised
 
 
 def test_census(bigon_scene):
@@ -103,13 +102,13 @@ def test_census(bigon_scene):
 def test_census_after_reads_the_new_scene(bigon_scene):
     """The census after reassembly equals the census of the reassembled
     scene's own arrangement."""
-    rep = localise_pipeline(Pipeline(bigon_scene))
+    rep = Pipeline(bigon_scene).localised
     assert rep["census_after"] == crossing_census(Pipeline(rep["scene"]).along)
     assert rep["census_after"]["curves"]["u"]["count"] == 4
 
 
 def test_pipeline_reduces(bigon_scene):
-    rep = localise_pipeline(Pipeline(bigon_scene))
+    rep = Pipeline(bigon_scene).localised
     assert rep["crossings_before"] == 3
     assert rep["crossings_after"] == 1
     after = rep["census_after"]["curves"]
@@ -120,7 +119,7 @@ def test_pipeline_reduces(bigon_scene):
 
 
 def test_pipeline_plus_sign_roundtrip(plus_sign):
-    rep = localise_pipeline(Pipeline(plus_sign))
+    rep = Pipeline(plus_sign).localised
     assert rep["crossings_before"] == rep["crossings_after"] == 0
     assert rep["census_after"]["curves"]["h"]["count"] == 1
     assert sorted(rep["scene"].curves) == ["h", "v"]
@@ -130,7 +129,7 @@ def test_pipeline_on_random_scenes():
     from strandkit.families import gen_random
     for seed in range(5):
         p = Pipeline(gen_random(6, 3, seed))
-        rep = localise_pipeline(p)
+        rep = p.localised
         assert rep["crossings_after"] <= rep["crossings_before"]
         assert rep["census_after"] == crossing_census(Pipeline(rep["scene"]).along)
         old = p.graph.edge_list()

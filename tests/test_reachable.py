@@ -7,10 +7,15 @@ statements at the top level of each module run on import, so they are
 reached, and so are the decorators, bases and defaults of every def, which
 run where the def stands; import statements mention no name.  A class
 reaches its dunder methods, which Python calls without naming them.
+
+The modules also import each other only at top level, and without a cycle.
 """
 
 import ast
+import graphlib
 from pathlib import Path
+
+import pytest
 
 import strandkit
 
@@ -97,3 +102,32 @@ def test_every_def_is_reachable_from_the_entry_points():
     assert sorted(set(unreached) - ALLOWED) == []
     assert sorted(ALLOWED - set(unreached)) == [], "an allowed def is reached now"
 
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    """Every import of one strandkit module by another stands at module top
+    level, where it runs on import, and the modules import each other
+    without a cycle."""
+    deps, nested = {}, []
+    for path in sorted(Path(strandkit.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        deps[path.stem] = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom):
+                name = "." * node.level + (node.module or "")
+                names = [f"{name}.{a.name}" if name == "." else name
+                         for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            inner = {n.removeprefix("strandkit").lstrip(".").split(".")[0]
+                     for n in names if n.startswith((".", "strandkit."))}
+            if inner and node not in module.body:
+                nested.append(f"{path.stem}:{node.lineno}")
+            deps[path.stem] |= inner
+    assert nested == []
+    try:
+        list(graphlib.TopologicalSorter(deps).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
