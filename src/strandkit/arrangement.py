@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from operator import attrgetter, eq, itemgetter
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, SceneError
 from .geometry import (Point, SegmentIntersection, _common_denominator, _grid_boxes,
                        _meeting_boxes, _orientations, _scaled, intersect_segments)
 from .graph import Graph
@@ -134,6 +134,11 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
                             index_in_a, index_in_b, sign, Point(x, y))
               for (a, b, *_, x, y, sign), (k, index_in_a, index_in_b) in zip(hits, slots)]
     events.sort(key=attrgetter("id"))
+    # a curve id may contain ':', so two curve pairs may format one id
+    for e, f in zip(events, events[1:]):
+        if e.id == f.id:
+            raise SceneError(f"curve pairs ({e.curve_a!r}, {e.curve_b!r}) and "
+                             f"({f.curve_a!r}, {f.curve_b!r}) both give crossing id {e.id!r}")
     return events
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .arrangement import events_to_json
 from .colouring import OrderedColouring
-from .decomp import Pipeline, bounds, exact_treewidth, td_to_pace
+from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth, td_to_pace
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
 from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
                        gen_random, gen_random_convex, gen_rectangle_family,
@@ -248,7 +248,7 @@ def _cmd_decomp(args) -> dict:
               "layered_width": result["layered_width"],
               "layered_width_bound": result["bound"],
               "genus": p.genus, "params": p.params.to_json()}
-    if len(p.graph) <= 16:
+    if len(p.graph) <= EXACT_TREEWIDTH_MAX:
         report["exact_treewidth"] = exact_treewidth(p.graph)
     return report
 

@@ -4,14 +4,15 @@ last stages are the certificates and the localised scene.
 Constructions here are certified: every emitted decomposition is re-checked
 by verify_td (independent of how it was built), and pipeline widths are
 asserted against the closed-form bounds they are supposed to satisfy.  An
-exact brute-force treewidth oracle (<= 16 vertices) backs the test suite.
+exact treewidth oracle (<= 16 vertices) backs decomp's report and the tests.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .arrangement import compute_arrangement, events_by_curve, intersection_graph
 from .colouring import (ColouringParams, OrderedColouring, colour_sections,
@@ -114,39 +115,36 @@ def bfs_depth(parent: dict) -> dict:
 
 # ------------------------------------------------------- exact treewidth oracle
 
+EXACT_TREEWIDTH_MAX = 16             # vertices; the oracle refuses larger graphs
+
+
 def exact_treewidth(G: Graph) -> int:
     return exact_treewidth_decomposition(G)[0]
 
 
 def exact_treewidth_decomposition(G: Graph) -> tuple:
-    """Exact treewidth with a witness decomposition, |V| <= 16.
+    """Exact treewidth with a witness decomposition, |V| <= EXACT_TREEWIDTH_MAX.
 
     Branch-and-bound over elimination orders, memoised on the eliminated
-    set; the cost of eliminating v after S is the number of vertices outside
-    S reachable from v through S.
+    set (Bodlaender et al. 2012); the cost of eliminating v after S is
+    |Q(S, v)|, Q(S, v) being the vertices outside S u {v} reachable from v
+    through S.  Q(S, v) is v's neighbourhood when the elimination game removes
+    v after S (Rose, Tarjan and Lueker 1976), so the witness's bags are the
+    best order's Q-sets.
     """
     verts, edges = G.vertices, G.edge_list()
     n = len(verts)
-    if n > 16:
-        raise SceneError(f"exact treewidth oracle limited to 16 vertices, got {n}")
+    if n > EXACT_TREEWIDTH_MAX:
+        raise SceneError(f"exact treewidth oracle limited to {EXACT_TREEWIDTH_MAX} "
+                         f"vertices, got {n}")
     if n == 0:
         return 0, TreeDecomposition([1], [], {1: frozenset()})
-    comps = connected_components(G)
-    if len(comps) > 1:
-        width = 0
-        parts = []
-        for comp in comps:
-            w, td = exact_treewidth_decomposition(G.subgraph(comp))
-            width = max(width, w)
-            parts.append(td)
-        return width, _join_decompositions(parts)
 
     idx = {v: i for i, v in enumerate(verts)}
     nbr = [0] * n
     for u, v in edges:
         nbr[idx[u]] |= 1 << idx[v]
         nbr[idx[v]] |= 1 << idx[u]
-    full = (1 << n) - 1
 
     def q_set(S: int, v: int) -> int:
         """Vertices outside S u {v} reachable from v through S."""
@@ -165,16 +163,15 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
                 reach |= bit
         return reach
 
-    ub_order = _min_fill_order(n, nbr)
-    best = _order_width(n, nbr, ub_order, q_set)
-    best_order = list(ub_order)
+    # every complete order has width at most n - 1, so the first leaf is taken
+    best, best_order = n, []
     memo: dict = {}
 
     def search(S: int, maxq: int, order: list) -> None:
         nonlocal best, best_order
         if maxq >= best:
             return
-        if S == full:
+        if len(order) == n:
             best = maxq
             best_order = list(order)
             return
@@ -194,15 +191,27 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
                 search(S | (1 << v), max(maxq, qn), order)
                 order.pop()
                 return
-            cand.append((qn, v, qs))
+            cand.append((qn, v))
         cand.sort()
-        for qn, v, _ in cand:
+        for qn, v in cand:
             order.append(v)
             search(S | (1 << v), max(maxq, qn), order)
             order.pop()
 
     search(0, 0, [])
-    td = _td_from_elimination(verts, idx, nbr, best_order)
+    # node i holds v_i and Q(S_i, v_i), and joins the node of the first
+    # vertex of that Q-set to be eliminated, or node i + 1 if it is empty
+    pos = {v: i for i, v in enumerate(best_order, 1)}
+    bags, tree, S = {}, [], 0
+    for i, v in enumerate(best_order, 1):
+        qs = q_set(S, v)
+        S |= 1 << v
+        bags[i] = frozenset(verts[b.bit_length() - 1] for b in _bits(qs | 1 << v))
+        if qs:
+            tree.append((i, min(pos[b.bit_length() - 1] for b in _bits(qs))))
+        elif i < n:
+            tree.append((i, i + 1))
+    td = TreeDecomposition(list(range(1, n + 1)), tree, bags)
     report = verify_td(td, G)
     if not report["valid"] or td.width != best:
         raise InvariantError(f"oracle witness broken: {report['reason']}")
@@ -213,89 +222,11 @@ def _is_clique(mask: int, nbr: list) -> bool:
     return not any(mask & ~bit & ~nbr[bit.bit_length() - 1] for bit in _bits(mask))
 
 
-def _min_fill_order(n: int, nbr: list) -> list:
-    adj = list(nbr)
-    alive = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        best_v, best_fill = -1, None
-        for v in range(n):
-            if not alive & (1 << v):
-                continue
-            ns = adj[v] & alive
-            fill = sum(bin(ns & ~adj[bit.bit_length() - 1] & ~bit).count("1")
-                       for bit in _bits(ns))
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        ns = adj[best_v] & alive
-        for bit in _bits(ns):
-            adj[bit.bit_length() - 1] |= ns & ~bit
-        alive &= ~(1 << best_v)
-        order.append(best_v)
-    return order
-
-
-def _order_width(n: int, nbr: list, order: list, q_set) -> int:
-    S = 0
-    width = 0
-    for v in order:
-        width = max(width, bin(q_set(S, v)).count("1"))
-        S |= 1 << v
-    return width
-
-
-def _td_from_elimination(verts: list, idx: dict, nbr: list, order: list) -> TreeDecomposition:
-    n = len(verts)
-    adj = list(nbr)
-    alive = (1 << n) - 1
-    elim_pos = {v: i for i, v in enumerate(order)}
-    bags = {}
-    cliques = {}
-    for v in order:
-        ns = adj[v] & alive & ~(1 << v)
-        cliques[v] = ns
-        bags[v] = ns | (1 << v)
-        for bit in _bits(ns):
-            adj[bit.bit_length() - 1] |= ns & ~bit
-        alive &= ~(1 << v)
-    nodes = list(range(1, n + 1))
-    edges = []
-    for i, v in enumerate(order):
-        ns = cliques[v]
-        if ns:
-            succ = min(elim_pos[u.bit_length() - 1] for u in _bits(ns))
-            edges.append((i + 1, succ + 1))
-        elif i + 1 < n:
-            edges.append((i + 1, i + 2))
-    bag_map = {i + 1: frozenset(verts[b.bit_length() - 1] for b in _bits(bags[v]))
-               for i, v in enumerate(order)}
-    return TreeDecomposition(nodes, edges, bag_map)
-
-
 def _bits(mask: int):
     while mask:
         bit = mask & -mask
         mask ^= bit
         yield bit
-
-
-def _join_decompositions(parts: list) -> TreeDecomposition:
-    nodes = []
-    edges = []
-    bags = {}
-    offset = 0
-    anchors = []
-    for td in parts:
-        remap = {n: n + offset for n in td.nodes}
-        nodes.extend(remap[n] for n in td.nodes)
-        edges.extend((remap[a], remap[b]) for a, b in td.edges)
-        for n in td.nodes:
-            bags[remap[n]] = td.bags[n]
-        anchors.append(remap[td.nodes[0]])
-        offset += max(td.nodes)
-    for a, b in zip(anchors, anchors[1:]):
-        edges.append((a, b))
-    return TreeDecomposition(nodes, edges, bags)
 
 
 # ---------------------------------------------------- planar radius -> treewidth
@@ -698,64 +629,72 @@ def _geometric_sum(k: int, n: int) -> int:
     return n if k == 1 else (_pow(k, n) - 1) // (k - 1)
 
 
-def _delta_string(big_delta: int) -> int:
+def _delta_string(delta: int) -> int:
     # localisation: a degree-D vertex's curve needs at most 2^D (D-1) + 1 crossings
-    return _pow(2, big_delta) * (big_delta - 1) + 1
+    return _pow(2, delta) * (delta - 1) + 1
 
 
+# each formula takes its parameters in the order it first reads them; the
+# names are read once per formula
+_signature = cache(inspect.signature)
 _BOUNDS = {
     "planar-outerstring":
-        lambda p: (3 * p["t"] - 1) * (p["d"] + 1) - 1,
+        lambda t, d: (3 * t - 1) * (d + 1) - 1,
     "genus-outerstring":
-        lambda p: (2 * p["t"] - 1) * p["c"] * (2 * p["g"] + 3) * (p["d"] + 1) - 1,
+        lambda t, c, g, d: (2 * t - 1) * c * (2 * g + 3) * (d + 1) - 1,
     "outerstring-maxdegree":
-        lambda p: (2 * p["delta"] + 1) * (p["delta"] + 1) * p["c"] * (2 * p["g"] + 3) - 1,
-    "localised":
-        lambda p: _delta_string(p["delta"]),
+        lambda delta, c, g: (2 * delta + 1) * (delta + 1) * c * (2 * g + 3) - 1,
+    "localised": _delta_string,
     "ss-crossing":
-        lambda p: _pow(2, p["m"]) * p["m"] ** 2,
+        lambda m: _pow(2, m) * m ** 2,
     "string-rtw":
-        lambda p: 2 * max(2 * p["g"], 3) * (_delta_string(p["delta"]) + 1) ** 2
-        * math.comb(2 * (_delta_string(p["delta"]) // 2) + 4, 3) - 1,
+        lambda g, delta: 2 * max(2 * g, 3) * (_delta_string(delta) + 1) ** 2
+        * math.comb(2 * (_delta_string(delta) // 2) + 4, 3) - 1,
     "ps-maxdegree":
-        lambda p: 6 * (_delta_string(p["delta"]) + 1) ** 2
-        * math.comb(2 * (_delta_string(p["delta"]) // 2) + 4, 3) - 1,
+        lambda delta: 6 * (_delta_string(delta) + 1) ** 2
+        * math.comb(2 * (_delta_string(delta) // 2) + 4, 3) - 1,
     "rtw-main":
-        lambda p: (4 * p["r"] + 1) * p["c"] * (
-            (2 * (8 * p["r"] + 1) * p["c"] + 3)
-            * _pow(2 * p["g"] + 7, (6 * p["r"] + 2) * (2 * p["g"] + 5) - 4) - 1) - 1,
+        lambda r, c, g: (4 * r + 1) * c * ((2 * (8 * r + 1) * c + 3)
+            * _pow(2 * g + 7, (6 * r + 2) * (2 * g + 5) - 4) - 1) - 1,
     "ltw-shallow":
-        lambda p: (4 * p["r"] + 1) * (p["d"] + 1) * (2 * p["g"] + 3),
+        lambda r, d, g: (4 * r + 1) * (d + 1) * (2 * g + 3),
     "tw-from-ltw":
-        lambda p: (2 * p["r"] + 1) * p["c"] * p["ltw"] - 1,
+        lambda r, c, ltw: (2 * r + 1) * c * ltw - 1,
     "product-tw":
-        lambda p: (p["tw"] + 1) * p["n"] - 1,
+        lambda tw, n: (tw + 1) * n - 1,
     "planar-radius-tw":
-        lambda p: 3 * p["r"] + 1,
+        lambda r: 3 * r + 1,
     "weak-diameter":
-        lambda p: (2 * p["k"] + 1) * _geometric_sum(p["k"], max(p["t"] - 1, 0)),
+        lambda k, t: (2 * k + 1) * _geometric_sum(k, max(t - 1, 0)),
 }
 
 
 def bounds(theorem: str, params: dict) -> int:
     """Exact integer evaluation of a named closed-form bound.
 
-    Parameters are non-negative integers; on that domain every bound is an
-    int.  A bound of more than MAX_BOUND_BITS bits is refused with
+    The parameters are the formula's, non-negative integers, on which every
+    bound is an int.  A bound of more than MAX_BOUND_BITS bits is refused with
     SceneError, decided from the exponents before any power is evaluated.
     """
     if theorem not in _BOUNDS:
         raise SceneError(f"unknown theorem id {theorem!r}; known: "
                          f"{', '.join(sorted(_BOUNDS))}")
+    formula = _BOUNDS[theorem]
+    names = _signature(formula).parameters
+    unread = sorted(set(params).difference(names))
+    if unread:
+        raise SceneError(f"theorem {theorem!r} takes {', '.join(sorted(names))}, "
+                         f"got {', '.join(unread)}")
     params = {k: int(v) for k, v in params.items()}
     negative = [f"{k}={v}" for k, v in sorted(params.items()) if v < 0]
     if negative:
         raise SceneError(f"theorem {theorem!r} needs non-negative parameters, "
                          f"got {', '.join(negative)}")
+    for name in names:
+        if name not in params:
+            raise SceneError(f"theorem {theorem!r} missing parameter {name!r}")
     try:
-        value = _BOUNDS[theorem](params)
-    except KeyError as exc:
-        raise SceneError(f"theorem {theorem!r} missing parameter {exc}") from exc
+        value = formula(**params)
     except OverflowError as exc:
         raise SceneError(f"theorem {theorem!r}: {exc}") from exc
     if value.bit_length() > MAX_BOUND_BITS:

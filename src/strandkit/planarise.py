@@ -52,6 +52,11 @@ def planarise(scene: StringScene, events: list[CrossingEvent],
         if not mine:
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
                              "needs a crossing to be planarised")
+    # curve ends and crossings are the vertices of C', named in one namespace
+    ends = {endpoint_id(cid, end): cid for cid in along for end in (0, 1)}
+    for e in events:
+        if e.id in ends:
+            raise SceneError(f"crossing {e.id!r} has the id of an end of curve {ends[e.id]!r}")
 
     g = EmbeddedGraph()
     kind: dict = {}

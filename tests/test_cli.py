@@ -198,6 +198,14 @@ def test_unknown_gen_param_exit_2(capsys, tmp_path, family, params, error):
     assert not (tmp_path / "g").exists()
 
 
+def test_unread_bound_parameter_exit_2(capsys):
+    code, rep = run(capsys, "bounds", "--theorem", "planar-outerstring",
+                    "--params", "t=3", "d=2", "g=5")
+    assert code == 2 and rep == {
+        "error": "theorem 'planar-outerstring' takes d, t, got g",
+        "kind": "invalid-input"}
+
+
 # a file that is not JSON: cut short, not UTF-8, or nested past the parser
 @pytest.mark.parametrize("text", [b'{"a": 1', b"\xff{}", b"[" * 100000],
                          ids=["cut-short", "not-utf8", "too-deep"])
@@ -592,6 +600,21 @@ MALFORMED = {
     "no-crossing-localise": (lambda scene: (
         {"curves": [segment("a", (-1, 0), (1, 0)), segment("b", (-1, 1), (1, 1))]},
         None), "curve 'a' crosses no other curve", "localise"),
+    # crossing ids and curve-end ids name the vertices of C' together: an
+    # abstract crossing may not take the id of a curve end
+    **{f"crossing-named-like-an-end-{command}": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["e:a:0", "y"]},
+                    {"id": "b", "crossings": ["e:a:0", "y"]}],
+         "chirality": {"e:a:0": 1, "y": -1}}, None),
+        "crossing 'e:a:0' has the id of an end of curve 'a'", command)
+       for command in ("planarise", "model", "decomp", "localise", "verify")},
+    # curve ids with ':' under which two curve pairs format one crossing id
+    **{f"crossing-id-twice-{command}": (lambda scene: (
+        {"curves": [segment("a", (-1, 0), (1, 0)), segment("b:c", (0, -1), (0, 1)),
+                    segment("a:b", (9, 0), (11, 0)), segment("c", (10, -1), (10, 1))]},
+        None), "curve pairs ('a', 'b:c') and ('a:b', 'c') both give crossing id "
+               "'x:a:b:c:0'", command)
+       for command in ("arrange", "planarise", "model", "decomp", "localise", "verify")},
     # localisation is for the plane: two curves crossing twice, one arc of
     # a twisted, lie in the projective plane
     "projective-plane-localise": (lambda scene: (

@@ -1,6 +1,12 @@
+import inspect
+import itertools
+import random
 import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandkit import decomp
 from strandkit.colouring import OrderedColouring
@@ -82,8 +88,92 @@ def test_exact_treewidth_disconnected():
 
 def test_exact_treewidth_cutoff():
     big = Graph(vertices=range(17), edges=[(i, i + 1) for i in range(16)])
-    with pytest.raises(SceneError):
+    with pytest.raises(SceneError, match="limited to 16 vertices, got 17"):
         exact_treewidth(big)
+
+
+def elimination_game_width(g: Graph) -> int:
+    """Treewidth by brute force: the least, over every elimination order, of
+    the largest neighbourhood met when the elimination game removes a
+    vertex and joins its remaining neighbours into a clique."""
+    best = max(len(g) - 1, 0)
+    for order in itertools.permutations(g.vertices):
+        adj = {v: set(g.adj[v]) for v in g.vertices}
+        width = 0
+        for v in order:
+            nbrs = adj.pop(v)
+            width = max(width, len(nbrs))
+            if width >= best:
+                break
+            for u in nbrs:
+                adj[u] |= nbrs - {u}
+                adj[u].discard(v)
+        best = min(best, width)
+    return best
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(vertices=range(n), edges=[e for e, k in zip(pairs, keep) if k])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(g=small_graphs())
+def test_exact_treewidth_matches_the_elimination_game(g):
+    assert exact_treewidth(g) == elimination_game_width(g)
+
+
+def test_exact_treewidth_closed_forms():
+    for a, b in [(1, 1), (1, 5), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), (4, 7)]:
+        kab = Graph(vertices=range(a + b),
+                    edges=[(i, a + j) for i in range(a) for j in range(b)])
+        assert exact_treewidth(kab) == min(a, b), (a, b)
+    for a, b in [(1, 2), (1, 9), (2, 2), (2, 8), (3, 3), (3, 5), (4, 4)]:
+        assert exact_treewidth(grid_graph(a, b)) == min(a, b), (a, b)
+    petersen = Graph(edges=[(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)])
+    assert exact_treewidth(petersen) == 4
+    parts = [complete_graph(4), grid_graph(3, 3), Graph(edges=[(0, 1), (1, 2)])]
+    union = Graph(edges=[((k, u), (k, v)) for k, part in enumerate(parts)
+                         for u, v in part.edge_list()])
+    assert exact_treewidth(union) == max(exact_treewidth(p) for p in parts) == 3
+    for n in (1, 5, 16):
+        assert exact_treewidth(Graph(vertices=range(n))) == 0
+
+
+def degeneracy(g: Graph) -> int:
+    adj = {v: set(g.adj[v]) for v in g.vertices}
+    best = 0
+    while adj:
+        v = min(adj, key=lambda u: len(adj[u]))
+        best = max(best, len(adj[v]))
+        for u in adj.pop(v):
+            adj[u].discard(v)
+    return best
+
+
+def test_exact_treewidth_between_degeneracy_and_heuristics():
+    """On random graphs of up to 16 vertices, some disconnected, the width
+    lies between the degeneracy and networkx's two heuristic bounds, and the
+    witness has one bag per vertex."""
+    rng = random.Random(0)
+    for _ in range(100):
+        n = rng.randint(2, 16)
+        p = rng.uniform(0.1, 0.7)
+        g = Graph(vertices=range(n), edges=[e for e in itertools.combinations(range(n), 2)
+                                            if rng.random() < p])
+        width, td = exact_treewidth_decomposition(g)
+        h = nx.Graph(g.edge_list())
+        h.add_nodes_from(g.vertices)
+        upper = min(nx.approximation.treewidth_min_fill_in(h)[0],
+                    nx.approximation.treewidth_min_degree(h)[0])
+        assert degeneracy(g) <= width <= upper
+        assert len(td.nodes) == len(td.bags) == n
+        assert td.width == width and verify_td(td, g)["valid"]
 
 
 # ------------------------------------------------------------ verifiers
@@ -346,7 +436,7 @@ def test_radius_decomposition_r_is_root_eccentricity(monkeypatch):
     seen = []
     real = _BOUNDS["planar-radius-tw"]
     monkeypatch.setitem(_BOUNDS, "planar-radius-tw",
-                        lambda p: seen.append(p["r"]) or real(p))
+                        lambda r: seen.append(r) or real(r))
     path = Graph(vertices=range(5), edges=[(i, i + 1) for i in range(4)])
     cases = [(wheel_graph(8), 8), (wheel_graph(8), 0), (grid_graph(4, 4), (0, 0)),
              (grid_graph(4, 4), (1, 2)), (path, 0), (path, 2)]
@@ -500,7 +590,7 @@ def test_ltw_pipeline_checks_the_registry_bound(monkeypatch, plus_sign,
 
 
 def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
-    monkeypatch.setitem(_BOUNDS, "planar-radius-tw", lambda p: 0)
+    monkeypatch.setitem(_BOUNDS, "planar-radius-tw", lambda r: 0)
     with pytest.raises(InvariantError, match=r"radius decomposition width 3 > 3r\+1 = 0"):
         radius_decomposition(wheel_graph(8), bfs_tree(wheel_graph(8), 8))
 
@@ -587,8 +677,17 @@ def test_bounds_registry():
 def test_bounds_errors():
     with pytest.raises(SceneError):
         bounds("no-such-theorem", {})
-    with pytest.raises(SceneError):
+    with pytest.raises(SceneError, match="theorem 'planar-outerstring' missing parameter 'd'"):
         bounds("planar-outerstring", {"t": 3})
+    with pytest.raises(SceneError, match="theorem 'genus-outerstring' missing parameter 't'"):
+        bounds("genus-outerstring", {"d": 1})
+
+
+def test_bounds_refuse_unread_parameters():
+    with pytest.raises(SceneError, match="theorem 'planar-outerstring' takes d, t, got g$"):
+        bounds("planar-outerstring", {"t": 3, "d": 2, "g": 5})
+    with pytest.raises(SceneError, match="theorem 'localised' takes delta, got D, t$"):
+        bounds("localised", {"delta": 2, "t": 1, "D": 4})
 
 
 # the parameter each bound reads that is set negative
@@ -603,8 +702,7 @@ NEGATED = {
 
 @pytest.mark.parametrize("theorem", sorted(_BOUNDS))
 def test_bounds_reject_negative_parameters(theorem):
-    params = dict.fromkeys(["t", "d", "c", "g", "delta", "m", "r", "ltw",
-                            "tw", "n", "k"], 2)
+    params = dict.fromkeys(inspect.signature(_BOUNDS[theorem]).parameters, 2)
     assert isinstance(bounds(theorem, params), int)
     params[NEGATED[theorem]] = -1
     with pytest.raises(SceneError):

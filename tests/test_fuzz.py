@@ -5,6 +5,7 @@ input) with one canonical JSON report on stdout, never in a traceback.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import tempfile
@@ -66,13 +67,20 @@ def test_fuzz_colouring_files(command, colouring):
         run_cli([command, "--in", str(scene), "--colouring", str(col)])
 
 
+def theorem_params(theorem: str):
+    """Either a value for each parameter the theorem's formula reads, so that
+    the draw reaches evaluation, or any few parameter names."""
+    names = (inspect.signature(_BOUNDS[theorem]).parameters if theorem in _BOUNDS
+             else PARAM_NAMES)
+    return st.one_of(
+        st.fixed_dictionaries({name: param_values for name in names}),
+        st.dictionaries(st.sampled_from(PARAM_NAMES), param_values, max_size=6))
+
+
 @FUZZ
-@given(theorem=st.sampled_from(sorted(_BOUNDS) + ["no-such-theorem"]),
-       params=st.one_of(
-           st.fixed_dictionaries({name: param_values for name in PARAM_NAMES}),
-           st.dictionaries(st.sampled_from(PARAM_NAMES), param_values,
-                           max_size=6)))
-def test_fuzz_bounds(theorem, params):
+@given(theorem=st.sampled_from(sorted(_BOUNDS) + ["no-such-theorem"]), data=st.data())
+def test_fuzz_bounds(theorem, data):
+    params = data.draw(theorem_params(theorem))
     argv = ["bounds", "--theorem", theorem, "--params"]
     argv += [f"{k}={v}" for k, v in sorted(params.items())]
     assert run_cli(argv) in (0, 2)
