@@ -20,14 +20,12 @@ from .arrangement import events_to_json
 from .colouring import OrderedColouring
 from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth, td_to_pace
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
-from .families import (convex_to_drawing, gen_grid_disk, gen_grounded,
-                       gen_random, gen_random_convex, gen_rectangle_family,
-                       gen_segment_family)
+from .families import gen_grounded, gen_random, gen_segment_family
 from .planarise import (check_coloured_planarisation, coloured_to_dot,
                         coloured_to_json, planarisation_to_dot,
                         planarisation_to_json, scene_to_svg)
 from .product_model import verify_model, walk_weak_diameter
-from .scene import StringScene, dumps_canonical, load_scene
+from .scene import dumps_canonical, load_scene
 
 
 FORMATS = ("dot", "json", "svg", "td")
@@ -36,11 +34,8 @@ FORMATS = ("dot", "json", "svg", "td")
 # with a seed parameter also gets --seed
 FAMILIES = {
     "segment": (gen_segment_family, {"t": 2}),
-    "grid-disk": (gen_grid_disk, {"t": 2}),
     "random": (gen_random, {"n": 6, "crossings_per_pair": 2}),
     "grounded": (gen_grounded, {"n": 6}),
-    "rectangles": (gen_rectangle_family, {"delta": 3}),
-    "convex": (gen_random_convex, {"n": 6}),
 }
 
 
@@ -286,17 +281,10 @@ def _cmd_gen(args) -> dict:
     kwargs = {**defaults, **params}
     if "seed" in inspect.signature(generator).parameters:
         kwargs["seed"] = args.seed
-    obj = generator(**kwargs)
-    _write_json(args, "scene.json", obj.to_json())
-    report = {"command": "gen", "family": args.family, "seed": args.seed}
-    if isinstance(obj, StringScene):
-        report["curves"] = len(obj.curves)
-    else:
-        report["sets"] = len(obj.sets)
-        drawing = convex_to_drawing(obj)
-        report["max_crossings"] = drawing["max_crossings"]
-        report["crossing_cap"] = drawing["cap"]
-    return report
+    scene = generator(**kwargs)
+    _write_json(args, "scene.json", scene.to_json())
+    return {"command": "gen", "family": args.family, "seed": args.seed,
+            "curves": len(scene.curves)}
 
 
 def _cmd_bounds(args) -> dict:

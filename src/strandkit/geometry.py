@@ -223,65 +223,3 @@ def polyline_self_intersects(points: list[Point]) -> bool:
 
 def squared_distance(a: Point, b: Point) -> Fraction:
     return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
-
-
-def convex_polygon_contains(poly: list[Point], p: Point, strict: bool = True) -> bool:
-    """Point-in-convex-polygon test; polygon given counter-clockwise."""
-    for i in range(len(poly)):
-        c = cross(poly[i], poly[(i + 1) % len(poly)], p)
-        if strict and c <= 0:
-            return False
-        if not strict and c < 0:
-            return False
-    return True
-
-
-def polygon_is_convex_ccw(poly: list[Point]) -> bool:
-    n = len(poly)
-    if n < 3:
-        return False
-    for i in range(n):
-        if cross(poly[i], poly[(i + 1) % n], poly[(i + 2) % n]) <= 0:
-            return False
-    return True
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    pts = list(points)
-    n = Fraction(len(pts))
-    return Point(sum((p.x for p in pts), Fraction(0)) / n,
-                 sum((p.y for p in pts), Fraction(0)) / n)
-
-
-def clip_convex(subject: list[Point], clipper: list[Point]) -> list[Point]:
-    """Sutherland-Hodgman intersection of two CCW convex polygons."""
-    output = subject
-    n = len(clipper)
-    for i in range(n):
-        if not output:
-            return []
-        a, b = clipper[i], clipper[(i + 1) % n]
-        new_output: list[Point] = []
-        m = len(output)
-        for j in range(m):
-            p, q = output[j], output[(j + 1) % m]
-            p_in = cross(a, b, p) > 0
-            q_in = cross(a, b, q) > 0
-            if p_in:
-                new_output.append(p)
-            if p_in != q_in:
-                # intersection of pq with line ab
-                dp = cross(a, b, p)
-                dq = cross(a, b, q)
-                t = dp / (dp - dq)
-                new_output.append(Point(p.x + (q.x - p.x) * t,
-                                        p.y + (q.y - p.y) * t))
-        # drop duplicates introduced by touching edges
-        dedup: list[Point] = []
-        for v in new_output:
-            if not dedup or dedup[-1] != v:
-                dedup.append(v)
-        if len(dedup) > 1 and dedup[0] == dedup[-1]:
-            dedup.pop()
-        output = dedup
-    return output

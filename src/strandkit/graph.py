@@ -57,9 +57,6 @@ class Graph:
         g.adj = {v: self.adj.get(v, set()) & keep for v in sorted(keep)}
         return g
 
-    def max_degree(self) -> int:
-        return max((len(ns) for ns in self.adj.values()), default=0)
-
 
 def bfs_distances(g: Graph, sources: Iterable) -> dict:
     """Multi-source BFS distance map; unreachable vertices are absent.

@@ -19,14 +19,14 @@ from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.colouring import degeneracy_order, greedy_colouring
 from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
                               radius_decomposition, verify_td)
-from strandkit.families import (convex_to_drawing, gen_grid_disk, gen_grounded,
-                                gen_random, gen_random_convex,
-                                gen_rectangle_family, gen_segment_family)
+from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.graph import Graph, bfs_tree
 from strandkit.planarise import check_coloured_planarisation
 from strandkit.product_model import (build_model, grounded_distance_check,
                                      verify_model, walk_weak_diameter)
 from strandkit.scene import dumps_canonical
+from convex_sets import (convex_to_drawing, gen_grid_disk, gen_random_convex,
+                         gen_rectangle_family)
 from test_colouring import relabel
 from test_decomp import eccentricity
 from test_families import (certify_grid_disk, certify_segment_family,

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import strandkit
-from strandkit.cli import main
+from strandkit.cli import FAMILIES, main
 from strandkit.embedding import EmbeddedGraph
 from strandkit.families import gen_grounded
 from strandkit.geometry import pt
@@ -118,11 +119,70 @@ def test_gen_and_verify(capsys, tmp_path):
     assert rep["ok"] and rep["checks"]["outerstring"]
 
 
-def test_gen_convex(capsys, tmp_path):
-    code, rep = run(capsys, "gen", "--family", "rectangles",
-                    "--params", "delta=3", "--out", str(tmp_path / "r"))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_gen_family_is_readable(capsys, tmp_path, family):
+    """Each family's default gen output is a scene that verify reads."""
+    code, rep = run(capsys, "gen", "--family", family, "--out", str(tmp_path))
+    assert code == 0 and rep["curves"] >= 1
+    code, rep = run(capsys, "verify", "--in", str(tmp_path / "scene.json"))
+    assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("family", ["convex", "rectangles", "grid-disk"])
+def test_gen_convex_set_family_exit_2(capsys, tmp_path, family):
+    """The convex-set families are test helpers, not gen families."""
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", family, "--out", str(tmp_path / "g")])
+    assert info.value.code == 2
+    assert f"invalid choice: '{family}'" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+# sha256 of (stdout, scene.json) of gen per (family, --params, --seed)
+GEN_DIGESTS = {
+    ("segment", "t=1", 0): (
+        "6db6935b6dacb66044f45f3d1d3b97f8b5135d199fe8ec628043d4b91a8470ab",
+        "baebfc4200d72cd2c1ea74043fc6fa74b018dbcdddb762db4980a03c171e7aa8"),
+    ("segment", "t=2", 0): (
+        "1d803af8def1d5af166dd6f61bc35e993aad6b6dc9672caf4ce26d7826f52e9e",
+        "35c3298e2a7a144202e18af0f82f1bf40689c5488cf25644e38362d57dda811c"),
+    ("segment", "t=3", 0): (
+        "d8ba70beed4c7ca994ba0f168146d5d0e878175e029fcffa33427ad48149b97f",
+        "94d504e1a4e2978f4eda3eb20c2ccc2564f2e76a5fa3b89578ca0b77eaf07f6f"),
+    ("random", "n=6", 0): (
+        "48d5f9465e714717ec9e9931290c56237355f3d1587e853296082c6827db3693",
+        "d19a1134c68cb7e1b9bb5d995894c39927801252c5ed4692eb54d943e06a2718"),
+    ("random", "n=6", 1): (
+        "9abcf645d93b5e0af71ae488e49fe055d0d73e54a7e1e87758d88793dc8476b3",
+        "df6d953f52ce07e8abec7202b056cf8a00a32dc95bd4eac62ee5b4f70d777180"),
+    ("random", "n=8 crossings_per_pair=3", 0): (
+        "f2838d8b900fb041d63c70f90ea6a0b29280d6da06ad0e4e1d1106129511e48a",
+        "c6dcca2adde6532a617c599c4ac52d7fca61e930923b725d33a4688a2152a55d"),
+    ("grounded", "n=6", 0): (
+        "557ddb371f2219963d15e7c31a3eb5a60c2388f9c37f9dad20d32736008c6ec4",
+        "1eef20a5eba60a8509b5455d7c701e145d2d8fac4f4a5017cf79f5214b808629"),
+    ("grounded", "n=6", 1): (
+        "2e788191746992a96b7a2ccc61f66f7a5f8ef21567e351e416c040ddb00a97eb",
+        "ccabe39c6ab2bfff9a10ba2d20dbfd9640432de3b3384c17d6829ea521b12527"),
+    ("grounded", "n=24", 0): (
+        "01797caa1c78bbb70b77a3b3d5bb6252f3ccca566240e6d651dda86cab4309c1",
+        "2a86b5166cb43d087820eb4a612c3123a9fad0140af58fde9b8fe060afb390e2"),
+    ("grounded", "n=24", 1): (
+        "bcc47d5afb530879efd042c902eff4c7655af4f513ebaac6eadd0065a0e66893",
+        "6b531d1001e2300809a65f5db9ddb1761448087e97390b3d220ccef1c9f3d661"),
+}
+
+
+@pytest.mark.parametrize("family, params, seed", sorted(GEN_DIGESTS),
+                         ids=lambda v: str(v).replace(" ", ","))
+def test_gen_bytes_pinned(capsys, tmp_path, family, params, seed):
+    code = main(["gen", "--family", family, "--params", *params.split(),
+                 "--seed", str(seed), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
     assert code == 0
-    assert rep["max_crossings"] <= rep["crossing_cap"] == 18
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256((tmp_path / "scene.json").read_bytes()).hexdigest()) \
+        == GEN_DIGESTS[family, params, seed]
 
 
 def test_bounds_command(capsys):
@@ -190,7 +250,9 @@ def test_unknown_format_exit_2(capsys, grounded_file, tmp_path, command):
     ("grounded", ["N=128"], "family 'grounded' takes n, got N"),
     ("random", ["n=4", "cap=1"], "family 'random' takes crossings_per_pair, n, got cap"),
     ("segment", ["t=2", "n=3", "d=1"], "family 'segment' takes t, got d, n"),
-], ids=["grounded", "random", "segment"])
+    ("random", ["crossings_per_pair=0"], "crossings_per_pair must be >= 1"),
+    ("random", ["crossings_per_pair=-1"], "crossings_per_pair must be >= 1"),
+], ids=["grounded", "random", "segment", "random-cap-0", "random-cap-negative"])
 def test_unknown_gen_param_exit_2(capsys, tmp_path, family, params, error):
     code, rep = run(capsys, "gen", "--family", family, "--params", *params,
                     "--out", str(tmp_path / "g"))

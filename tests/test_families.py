@@ -3,13 +3,13 @@ import pytest
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.decomp import exact_treewidth
 from strandkit.errors import CheckFailure, SceneError
-from strandkit.families import (ConvexScene, convex_to_drawing, gen_grid_disk,
-                                gen_grounded, gen_random, gen_random_convex,
-                                gen_rectangle_family, gen_segment_family)
+from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.geometry import pt
 from strandkit.graph import Graph
 from strandkit.product_model import MinorModel, verify_model
 from strandkit.scene import dumps_canonical
+from convex_sets import (ConvexScene, convex_to_drawing, gen_grid_disk,
+                         gen_random_convex, gen_rectangle_family)
 from test_colouring import degeneracy
 from test_decomp import graph_radius
 
@@ -115,7 +115,7 @@ def test_rectangle_family_crossing_cap():
 def test_random_convex_deterministic():
     a = gen_random_convex(6, 3)
     b = gen_random_convex(6, 3)
-    assert a.to_json() == b.to_json()
+    assert a.sets == b.sets
     convex_to_drawing(a)
 
 
@@ -209,6 +209,12 @@ def test_gen_random_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(families, "compute_arrangement", broken)
     with pytest.raises(RuntimeError, match="arrangement bug"):
         gen_random(4, 1, 0)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_gen_random_rejects_a_cap_below_one(cap):
+    with pytest.raises(SceneError, match=r"crossings_per_pair must be >= 1"):
+        gen_random(6, cap, 0)
 
 
 def test_gen_random_respects_cap():

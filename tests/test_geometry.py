@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandkit.families import gen_grounded, gen_random
-from strandkit.geometry import (Point, SegmentIntersection, centroid,
-                                clip_convex, convex_polygon_contains, cross,
-                                intersect_segments, polygon_is_convex_ccw,
-                                polyline_self_intersects, pt)
+from strandkit.geometry import (Point, SegmentIntersection, cross,
+                                intersect_segments, polyline_self_intersects,
+                                pt)
+from convex_sets import (centroid, clip_convex, convex_polygon_contains,
+                         polygon_is_convex_ccw)
 
 
 def test_proper_crossing():
