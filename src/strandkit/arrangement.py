@@ -1,4 +1,8 @@
-"""Crossing arrangements and the intersection graph of a scene."""
+"""Crossing arrangements and the intersection graph of a scene.
+
+Each candidate segment pair of a geometric scene is decided on integers, by
+geometry._orientations and, for a contact, geometry._contact.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +11,8 @@ from fractions import Fraction
 from operator import attrgetter, eq, itemgetter
 
 from .errors import DegeneracyError, SceneError
-from .geometry import (Point, SegmentIntersection, _common_denominator, _grid_boxes,
-                       _meeting_boxes, _orientations, _scaled, intersect_segments)
+from .geometry import (OVERLAP, Point, _common_denominator, _contact, _grid_boxes,
+                       _meeting_boxes, _orientations, _scaled)
 from .graph import Graph
 from .scene import CrossingEvent, StringScene
 
@@ -48,7 +52,7 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     # (i << 64) + floor(t 2^64), so keys order a curve's points like (i, t)
     # wherever they differ
     hits = []
-    contacts = []      # (a, b, i, j) with a zero orientation
+    contacts = []      # (a, b, i, j, _contact's result) of each segment contact
     for k, l in _meeting_boxes(boxes):
         (a, i), (b, j) = owner[k], owner[l]
         if a == b:
@@ -58,12 +62,15 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
         (a1, a2), Da, pa = segments[k]
         (b1, b2), Db, pb = segments[l]
         D = math.lcm(Da, Db)
-        d = _orientations(a1, a2, b1, b2, D // Da, D // Db)
+        ma, mb = D // Da, D // Db
+        d = _orientations(a1, a2, b1, b2, ma, mb)
         if d is None:
             continue
         d1, d2, d3, d4 = d
         if not (d1 and d2 and d3 and d4):
-            contacts.append((a, b, i, j))
+            c = _contact(d, a1, a2, b1, b2, ma, mb)
+            if c is not None:
+                contacts.append((a, b, i, j, c))
             continue
         # proper crossing at a1 + t (a2 - a1) = b1 + s (b2 - b1): d1 and d2
         # have opposite signs, so t = |d1| / (|d1| + |d2|), and s likewise;
@@ -88,19 +95,17 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
         hits.append((a, b, i, j, (i << 64) + (tn << 64) // td, tn, td,
                      (j << 64) + (sn << 64) // sd, sn, sd, x, y, 1 if d4 > 0 else -1))
 
-    # intersect_segments classifies each contact on the original points; in
-    # all-pairs order (a, b, i, j) the first degeneracy raised is the one an
-    # unfiltered loop over curve pairs and segment pairs meets first
-    for a, b, i, j in sorted(contacts):
-        pa, pb = curves[a], curves[b]
-        res = intersect_segments(pa[i], pa[i + 1], pb[j], pb[j + 1])
-        if res.kind == SegmentIntersection.OVERLAP:
+    # in all-pairs order (a, b, i, j) the first degeneracy raised is the one
+    # an unfiltered loop over curve pairs and segment pairs meets first
+    if contacts:
+        a, b, i, j, c = min(contacts)
+        if c == OVERLAP:
             raise DegeneracyError(
                 f"curves {ids[a]!r} and {ids[b]!r} share a collinear piece")
-        if res.kind == SegmentIntersection.TOUCH:
-            raise DegeneracyError(
-                f"curves {ids[a]!r} and {ids[b]!r} touch non-transversally at {res.point} "
-                "(tangency, bend crossing, or endpoint on another curve)")
+        point = (*curves[a][i:i + 2], *curves[b][j:j + 2])[c]
+        raise DegeneracyError(
+            f"curves {ids[a]!r} and {ids[b]!r} touch non-transversally at {point} "
+            "(tangency, bend crossing, or endpoint on another curve)")
 
     # per hit [k, index along a, index along b], filled in by one walk along
     # each curve; a pair's crossings are numbered k = 0, 1, ... along a

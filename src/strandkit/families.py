@@ -63,7 +63,7 @@ def gen_random(n: int, crossings_per_pair: int, seed: int) -> StringScene:
     function of the seed).
     """
     if n < 2:
-        raise SceneError("need at least 2 curves")
+        raise SceneError(f"need at least 2 curves, got n={n}")
     if crossings_per_pair < 1:
         raise SceneError("crossings_per_pair must be >= 1")
     cap = crossings_per_pair
@@ -120,8 +120,8 @@ def gen_grounded(n: int, seed: int) -> StringScene:
     back at a second height to cross some of them twice.  All coordinates use distinct
     denominators, so the arrangement is degenerate-free by construction.
     """
-    if n < 1:
-        raise SceneError("need at least 1 curve")
+    if n < 2:
+        raise SceneError(f"need at least 2 curves, got n={n}")
     for attempt in range(200):
         s = _grounded_candidate(n, random.Random(f"{seed}:{attempt}"))
         try:

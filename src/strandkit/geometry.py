@@ -1,15 +1,15 @@
-"""Exact rational plane geometry.
+"""Exact rational plane geometry, decided on Python ints.
 
-The hot predicates run on Python ints.  A segment, or a whole polyline, is
-scaled by D, the lcm of its coordinate denominators, so its points become
-integer pairs; two segments with different D meet on the lcm of the two.
-Every orientation, box and distance comparison is then an integer one with
-the sign of its rational original.  The arrangement orders crossings along
-a curve by integer arc keys and reuses a segment's own coordinate where the
-segment is constant in it; fractions.Fraction builds the other crossing
-coordinates and classifies the rare degenerate contact through
-intersect_segments.  There is no floating point anywhere in a decision path,
-so equality and orientation are exact and deterministic.
+A segment, or a whole polyline, is scaled by D, the lcm of its coordinate
+denominators, so its points become integer pairs; two segments with
+different D meet on the lcm of the two.  Every orientation, box and
+distance comparison is then an integer one with the sign of its rational
+original.  _orientations decides each pair of segments: disjoint, a proper
+crossing, or a contact with a zero orientation, which _contact classifies
+as disjoint, a collinear overlap or a touch at one endpoint.  The
+arrangement orders crossings along a curve by integer arc keys and builds
+the crossing coordinates as Fractions.  There is no floating point anywhere
+in a decision path, so equality and orientation are exact and deterministic.
 """
 
 from __future__ import annotations
@@ -50,66 +50,6 @@ def pt(x, y) -> Point:
     return Point(Fraction(x), Fraction(y))
 
 
-def cross(o: Point, a: Point, b: Point) -> Fraction:
-    """Signed area of the parallelogram (a - o) x (b - o)."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def _in_box(p: Point, a: Point, b: Point) -> bool:
-    """Is p in the closed bounding box of ab?  For p on the line ab, that is
-    p on the closed segment ab."""
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
-
-
-class SegmentIntersection:
-    """Classification of how two closed segments meet, with the meeting
-    point of a PROPER crossing or a TOUCH."""
-
-    DISJOINT = "disjoint"
-    PROPER = "proper"          # transversal crossing in both interiors
-    TOUCH = "touch"            # meet at a single point, not interior-interior
-    OVERLAP = "overlap"        # collinear with a shared sub-segment
-
-    def __init__(self, kind: str, point: Optional[Point] = None):
-        self.kind = kind
-        self.point = point
-
-
-def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentIntersection:
-    """Exactly classify the intersection of segments a1a2 and b1b2."""
-    d1 = cross(b1, b2, a1)
-    d2 = cross(b1, b2, a2)
-    d3 = cross(a1, a2, b1)
-    d4 = cross(a1, a2, b2)
-
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        # proper crossing: solve for the intersection point exactly
-        t = d1 / (d1 - d2)
-        p = Point(a1.x + (a2.x - a1.x) * t, a1.y + (a2.y - a1.y) * t)
-        return SegmentIntersection(SegmentIntersection.PROPER, p)
-
-    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-        # collinear: overlap, touch at one point, or disjoint
-        lo_a, hi_a = sorted([a1, a2])
-        lo_b, hi_b = sorted([b1, b2])
-        lo = max(lo_a, lo_b)
-        hi = min(hi_a, hi_b)
-        if lo > hi:
-            return SegmentIntersection(SegmentIntersection.DISJOINT)
-        if lo == hi:
-            return SegmentIntersection(SegmentIntersection.TOUCH, lo)
-        return SegmentIntersection(SegmentIntersection.OVERLAP)
-
-    # d == 0 puts that endpoint on the other segment's line
-    for d, p, q, r in ((d1, a1, b1, b2), (d2, a2, b1, b2),
-                       (d3, b1, a1, a2), (d4, b2, a1, a2)):
-        if d == 0 and _in_box(p, q, r):
-            return SegmentIntersection(SegmentIntersection.TOUCH, p)
-    return SegmentIntersection(SegmentIntersection.DISJOINT)
-
-
 def _common_denominator(points: Iterable[Point]) -> int:
     """The lcm of every coordinate denominator of points."""
     return math.lcm(*{q.denominator for p in points for q in (p.x, p.y)})
@@ -123,16 +63,17 @@ def _scaled(points: Iterable[Point], D: int) -> list[tuple[int, int]]:
 
 def _orientations(a1, a2, b1, b2, ma: int = 1, mb: int = 1
                   ) -> Optional[tuple[int, int, int, int]]:
-    """intersect_segments' d1..d4 for segments of integer points, or None
-    when one segment lies strictly on one side of the other's line, so the
-    closed segments are disjoint.
+    """The orientations d1, d2 of a1, a2 against b1b2 and d3, d4 of b1, b2
+    against a1a2, for segments of integer points, or None when one segment
+    lies strictly on one side of the other's line, so the closed segments
+    are disjoint.
 
     a1a2 and b1b2 may be on different scales: a point of a times ma and a
     point of b times mb are on one.  Each direction stays on its own scale,
     so d1, d2 come out times one positive factor and d3, d4 times another:
     their signs and the ratios d1 / (d1 - d2) and d3 / (d3 - d4) are exact.
     With all four nonzero the segments cross properly; a zero leaves a
-    contact for intersect_segments.
+    contact for _contact.
     """
     (ax1, ay1), (ax2, ay2) = a1, a2
     (bx1, by1), (bx2, by2) = b1, b2
@@ -148,6 +89,34 @@ def _orientations(a1, a2, b1, b2, ma: int = 1, mb: int = 1
     if d3 > 0 < d4 or d3 < 0 > d4:
         return None
     return d1, d2, d3, d4
+
+
+OVERLAP = 4     # _contact's result for segments that share a collinear piece
+
+
+def _contact(d, a1, a2, b1, b2, ma: int = 1, mb: int = 1) -> Optional[int]:
+    """How segments a1a2 and b1b2 of integer points meet, given their
+    orientations d from _orientations, one of them zero: None when they are
+    disjoint, OVERLAP, or the index into (a1, a2, b1, b2) of the endpoint at
+    which they touch.
+
+    a's points times ma and b's times mb are on one scale, which keeps their
+    (x, y) order.  Collinear segments touch at the larger of their lower
+    ends; others at the first endpoint with a zero orientation (so on the
+    other segment's line) that lies in the other segment's closed box.
+    """
+    p = [(x * ma, y * ma) for x, y in (a1, a2)] + [(x * mb, y * mb) for x, y in (b1, b2)]
+    if not any(d):
+        lo = max(min(p[0], p[1]), min(p[2], p[3]))
+        hi = min(max(p[0], p[1]), max(p[2], p[3]))
+        if lo > hi:
+            return None
+        return p.index(lo) if lo == hi else OVERLAP
+    for k, (x, y) in enumerate(p):
+        (qx, qy), (rx, ry) = p[2:] if k < 2 else p[:2]
+        if d[k] == 0 and min(qx, rx) <= x <= max(qx, rx) and min(qy, ry) <= y <= max(qy, ry):
+            return k
+    return None
 
 
 # The sweep compares segment boxes on the grid of step 2^-_GRID_BITS, rounded
@@ -211,15 +180,7 @@ def polyline_self_intersects(points: list[Point]) -> bool:
         if l - k < 2:
             continue
         d = _orientations(P[k], P[k + 1], P[l], P[l + 1])
-        if d is None:
-            continue
-        if all(d):
-            return True
-        res = intersect_segments(points[k], points[k + 1], points[l], points[l + 1])
-        if res.kind != SegmentIntersection.DISJOINT:
+        if d is not None and (all(d) or _contact(d, P[k], P[k + 1], P[l], P[l + 1]) is not None):
             return True
     return False
 
-
-def squared_distance(a: Point, b: Point) -> Fraction:
-    return (a.x - b.x) ** 2 + (a.y - b.y) ** 2

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .errors import SceneError
 from .geometry import (Point, _common_denominator, _json_int, _scaled,
-                       polyline_self_intersects, squared_distance)
+                       polyline_self_intersects)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ class StringScene:
         for i, a_id in enumerate(ids):
             for b_id in ids[i + 1:]:
                 a, b = self.disks[a_id], self.disks[b_id]
-                if squared_distance(a.center, b.center) <= (a.radius + b.radius) ** 2:
+                dx, dy = a.center.x - b.center.x, a.center.y - b.center.y
+                if dx * dx + dy * dy <= (a.radius + b.radius) ** 2:
                     raise SceneError(f"disks {a_id!r} and {b_id!r} are not disjoint")
         for d in geo:
             if d.radius <= 0:

@@ -1,91 +1,43 @@
-"""Shared fixtures: small exact-rational scenes with known structure."""
-
-from fractions import Fraction
+"""Shared fixtures: small exact-rational scenes with known structure, built
+by the plain functions of corpus.py."""
 
 import pytest
 
+import corpus
 from strandkit.colouring import OrderedColouring
-from strandkit.geometry import Point, pt
-from strandkit.scene import Curve, Disk, StringScene
+from strandkit.scene import StringScene
 
 
 @pytest.fixture
 def plus_sign() -> StringScene:
-    """One horizontal and one vertical segment crossing once at the origin."""
-    s = StringScene()
-    s.curves["h"] = Curve("h", (pt(-2, 0), pt(2, 0)))
-    s.curves["v"] = Curve("v", (pt(0, -2), pt(0, 2)))
-    s.validate()
-    return s
+    return corpus.plus_sign()
 
 
 @pytest.fixture
 def plus_colouring() -> OrderedColouring:
-    return OrderedColouring({"h": 1, "v": 2}, 2)
+    return corpus.plus_colouring()
 
 
 @pytest.fixture
 def outerstring_scene() -> StringScene:
-    """Three curves grounded on one unit disk; intersection graph a-b-c path."""
-    s = StringScene()
-    s.disks["D"] = Disk("D", pt(0, 0), Fraction(1))
-    s.curves["a"] = Curve(
-        "a", (Point(Fraction(-3, 5), Fraction(4, 5)), Point(Fraction(-3, 5), Fraction(3))),
-        grounded=("D", 0))
-    s.curves["b"] = Curve(
-        "b", (pt(0, 1), Point(Fraction(0), Fraction(3, 2)),
-              Point(Fraction(-1), Fraction(3, 2))),
-        grounded=("D", 0))
-    s.curves["c"] = Curve(
-        "c", (Point(Fraction(3, 5), Fraction(4, 5)),
-              Point(Fraction(3, 5), Fraction(5, 4)),
-              Point(Fraction(-1, 2), Fraction(5, 4))),
-        grounded=("D", 0))
-    s.validate()
-    return s
+    return corpus.outerstring_scene()
 
 
 @pytest.fixture
 def outerstring_colouring() -> OrderedColouring:
-    return OrderedColouring({"a": 1, "c": 1, "b": 2}, 2)
+    return corpus.outerstring_colouring()
 
 
 @pytest.fixture
 def bigon_scene() -> StringScene:
-    """u is crossed 4 times by v (twice removable as a bigon), once each by
-    w1 and w2; z crosses only v."""
-    s = StringScene()
-    half = Fraction(1, 2)
-    s.curves["u"] = Curve("u", (pt(0, 0), pt(10, 0)))
-    s.curves["w1"] = Curve("w1", (pt(1, -1), pt(1, 1)))
-    s.curves["w2"] = Curve("w2", (pt(9, -1), pt(9, 1)))
-    s.curves["v"] = Curve("v", (
-        pt(3, -1), Point(Fraction(3), half), Point(Fraction(4), half),
-        Point(Fraction(4), -half), Point(Fraction(6), -half),
-        Point(Fraction(6), half), Point(Fraction(8), half), pt(8, -2)))
-    s.curves["z"] = Curve("z", (Point(Fraction(15, 2), -1),
-                                Point(Fraction(17, 2), -1)))
-    s.validate()
-    return s
+    return corpus.bigon_scene()
 
 
 @pytest.fixture
 def abstract_multicross() -> StringScene:
-    """Abstract scene: curve m (colour 3) crossed in the arc order
-    [c4, c5, c1, c4, c2, c4, c5, c1, c2]; others sorted arbitrarily."""
-    seq = ["c4", "c5", "c1", "c4", "c2", "c4", "c5", "c1", "c2"]
-    xids = [f"x{i}" for i in range(len(seq))]
-    s = StringScene()
-    s.curves["m"] = Curve("m", None, tuple(xids))
-    for other in sorted(set(seq)):
-        mine = tuple(x for x, o in zip(xids, seq) if o == other)
-        s.curves[other] = Curve(other, None, mine)
-    for i, x in enumerate(xids):
-        s.chirality[x] = 1 if i % 2 == 0 else -1
-    s.validate()
-    return s
+    return corpus.abstract_multicross()
 
 
 @pytest.fixture
 def abstract_colouring() -> OrderedColouring:
-    return OrderedColouring({"m": 3, "c1": 1, "c2": 2, "c4": 4, "c5": 5}, 5)
+    return corpus.abstract_colouring()

@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from strandkit.errors import CheckFailure, SceneError
-from strandkit.geometry import (Point, SegmentIntersection, cross,
-                                intersect_segments, pt)
+from strandkit.geometry import Point, pt
 from strandkit.graph import Graph
+from reference_geometry import SegmentIntersection, cross, intersect_segments
 
 
 # --------------------------------------------------------- convex polygons

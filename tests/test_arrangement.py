@@ -11,10 +11,10 @@ from strandkit.arrangement import (compute_arrangement, events_by_curve,
                                    events_to_json, intersection_graph)
 from strandkit.errors import DegeneracyError
 from strandkit.families import gen_grounded, gen_random
-from strandkit.geometry import (Point, SegmentIntersection, _common_denominator,
-                                _grid_boxes, _meeting_boxes, _orientations, _scaled,
-                                intersect_segments, pt, squared_distance)
+from strandkit.geometry import (Point, _common_denominator, _grid_boxes,
+                                _meeting_boxes, _orientations, _scaled, pt)
 from strandkit.scene import CrossingEvent, Curve, StringScene
+from reference_geometry import SegmentIntersection, intersect_segments, squared_distance
 from test_geometry import DEGENERATE, all_pairs_self_intersects
 
 

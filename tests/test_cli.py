@@ -19,6 +19,8 @@ from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.planarise import endpoint_id
 from strandkit.scene import Curve, StringScene, dump_scene, load_scene
+from corpus import MALFORMED
+from golden_outputs import MANIFEST, gen_key
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,51 +140,38 @@ def test_gen_convex_set_family_exit_2(capsys, tmp_path, family):
     assert not (tmp_path / "g").exists()
 
 
-# sha256 of (stdout, scene.json) of gen per (family, --params, --seed)
-GEN_DIGESTS = {
-    ("segment", "t=1", 0): (
-        "6db6935b6dacb66044f45f3d1d3b97f8b5135d199fe8ec628043d4b91a8470ab",
-        "baebfc4200d72cd2c1ea74043fc6fa74b018dbcdddb762db4980a03c171e7aa8"),
-    ("segment", "t=2", 0): (
-        "1d803af8def1d5af166dd6f61bc35e993aad6b6dc9672caf4ce26d7826f52e9e",
-        "35c3298e2a7a144202e18af0f82f1bf40689c5488cf25644e38362d57dda811c"),
-    ("segment", "t=3", 0): (
-        "d8ba70beed4c7ca994ba0f168146d5d0e878175e029fcffa33427ad48149b97f",
-        "94d504e1a4e2978f4eda3eb20c2ccc2564f2e76a5fa3b89578ca0b77eaf07f6f"),
-    ("random", "n=6", 0): (
-        "48d5f9465e714717ec9e9931290c56237355f3d1587e853296082c6827db3693",
-        "d19a1134c68cb7e1b9bb5d995894c39927801252c5ed4692eb54d943e06a2718"),
-    ("random", "n=6", 1): (
-        "9abcf645d93b5e0af71ae488e49fe055d0d73e54a7e1e87758d88793dc8476b3",
-        "df6d953f52ce07e8abec7202b056cf8a00a32dc95bd4eac62ee5b4f70d777180"),
-    ("random", "n=8 crossings_per_pair=3", 0): (
-        "f2838d8b900fb041d63c70f90ea6a0b29280d6da06ad0e4e1d1106129511e48a",
-        "c6dcca2adde6532a617c599c4ac52d7fca61e930923b725d33a4688a2152a55d"),
-    ("grounded", "n=6", 0): (
-        "557ddb371f2219963d15e7c31a3eb5a60c2388f9c37f9dad20d32736008c6ec4",
-        "1eef20a5eba60a8509b5455d7c701e145d2d8fac4f4a5017cf79f5214b808629"),
-    ("grounded", "n=6", 1): (
-        "2e788191746992a96b7a2ccc61f66f7a5f8ef21567e351e416c040ddb00a97eb",
-        "ccabe39c6ab2bfff9a10ba2d20dbfd9640432de3b3384c17d6829ea521b12527"),
-    ("grounded", "n=24", 0): (
-        "01797caa1c78bbb70b77a3b3d5bb6252f3ccca566240e6d651dda86cab4309c1",
-        "2a86b5166cb43d087820eb4a612c3123a9fad0140af58fde9b8fe060afb390e2"),
-    ("grounded", "n=24", 1): (
-        "bcc47d5afb530879efd042c902eff4c7655af4f513ebaac6eadd0065a0e66893",
-        "6b531d1001e2300809a65f5db9ddb1761448087e97390b3d220ccef1c9f3d661"),
-}
+# gen runs whose stdout and scene.json digests the byte manifest pins
+GEN_PINNED = [
+    ("segment", "t=1", 0), ("segment", "t=2", 0), ("segment", "t=3", 0),
+    ("random", "n=6", 0), ("random", "n=6", 1),
+    ("random", "n=8 crossings_per_pair=3", 0),
+    ("grounded", "n=6", 0), ("grounded", "n=6", 1),
+    ("grounded", "n=24", 0), ("grounded", "n=24", 1),
+]
 
 
-@pytest.mark.parametrize("family, params, seed", sorted(GEN_DIGESTS),
+@pytest.mark.parametrize("family, params, seed", sorted(GEN_PINNED),
                          ids=lambda v: str(v).replace(" ", ","))
 def test_gen_bytes_pinned(capsys, tmp_path, family, params, seed):
     code = main(["gen", "--family", family, "--params", *params.split(),
                  "--seed", str(seed), "--out", str(tmp_path)])
     out = capsys.readouterr().out
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest(),
-            hashlib.sha256((tmp_path / "scene.json").read_bytes()).hexdigest()) \
-        == GEN_DIGESTS[family, params, seed]
+    pinned = json.loads(MANIFEST.read_text())["gen"][gen_key(family, params, seed)]
+    assert code == pinned["exit"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout"]
+    assert hashlib.sha256((tmp_path / "scene.json").read_bytes()).hexdigest() \
+        == pinned["files"]["scene.json"]
+
+
+def test_gen_one_curve_exit_2(capsys, tmp_path):
+    """One curve crosses nothing, so n < 2 is refused by its own message
+    before any candidate is tried."""
+    for family in ("grounded", "random"):
+        code, rep = run(capsys, "gen", "--family", family, "--params", "n=1",
+                        "--out", str(tmp_path / family))
+        assert code == 2 and rep == {"error": "need at least 2 curves, got n=1",
+                                     "kind": "invalid-input"}
+        assert not (tmp_path / family).exists()
 
 
 def test_bounds_command(capsys):
@@ -532,159 +521,6 @@ def test_each_search_made_once(capsys, monkeypatch, grounded_file, tmp_path,
                             for cid in scene.curve_ids()))
     assert [s for g, s in rec["bfs"] if g is cp.graph and s == grounded] == \
         [grounded] * (command in ("outerstring", "verify"))
-
-
-def segment(cid: str, p: tuple, q: tuple) -> dict:
-    """The JSON of a straight curve between two integer points."""
-    return {"id": cid, "points": [[[x, 1], [y, 1]] for x, y in (p, q)]}
-
-
-# case -> (scene JSON, colouring JSON or None) from a valid scene JSON, and
-# the error it must report
-MALFORMED = {
-    "scene-array": (lambda scene: ([], None), "scene JSON must be an object"),
-    "chirality-array": (lambda scene: ({**scene, "chirality": []}, None),
-                        "chirality must be an object"),
-    "colouring-array": (lambda scene: (scene, []),
-                        "colouring JSON must be an object"),
-    "duplicate-curve-id": (lambda scene: (
-        {**scene, "curves": scene["curves"] + [{**scene["curves"][1], "id": "a"}]},
-        None), "duplicate curve id 'a'"),
-    "duplicate-disk-id": (lambda scene: (
-        {**scene, "disks": scene["disks"] * 2}, None), "duplicate disk id 'D'"),
-    "boundary-missing-curve": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "boundary": [["zz", 0]]}]},
-        None), "boundary entry ['zz', 0] is not a curve end grounded"),
-    "boundary-wrong-end": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "boundary": [["a", 1]]}]},
-        None), "boundary entry ['a', 1] is not a curve end grounded"),
-    "boundary-repeat": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0],
-                             "boundary": [["a", 0], ["b", 0], ["a", 0]]}]},
-        None), "boundary entry ['a', 0] repeats"),
-    "non-string-curve-id": (lambda scene: (
-        {**scene, "curves": scene["curves"] + [{**scene["curves"][1], "id": 1}]},
-        None), "curve id 1 is not a string"),
-    "non-string-disk-id": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "id": ["D"]}]},
-        None), "disk id ['D'] is not a string"),
-    "non-string-crossing-id": (lambda scene: (
-        {"curves": [{"id": "a", "crossings": [["x"]]}, {"id": "b", "crossings": ["x"]}],
-         "chirality": {"x": 1}}, None),
-        "curve 'a': crossing id ['x'] is not a string"),
-    # a grounded disk id is a string, like every other id
-    **{f"grounded-disk-{kind}-{command}": (lambda scene, disk=disk: (
-        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": disk, "end": 0}},
-                             *scene["curves"][1:]]}, None),
-        f"curve 'a': grounded disk id {disk!r} is not a string", command)
-       for kind, disk in (("list", ["D"]), ("object", {"id": "D"}))
-       for command in ("arrange", "verify")},
-    # a crossing sequence is a list, never a string split into characters
-    **{f"crossings-string-{command}": (lambda scene: (
-        {"curves": [{"id": "a", "crossings": "xy"}, {"id": "b", "crossings": ["x", "y"]}],
-         "chirality": {"x": 1, "y": -1}}, None),
-        "curve 'a': crossings must be a list of crossing ids", command)
-       for command in ("arrange", "verify")},
-    "boundary-unhashable-id": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "boundary": [[["a"], 0]]}]},
-        None), "boundary entry [['a'], 0] is not a curve end grounded"),
-    # integer fields take JSON integers only: no bool, float or string
-    "colour-float": (lambda scene: (scene, {"a": 1.9, "b": 2, "c": 1}),
-                     "colour of 'a' must be an integer, got 1.9"),
-    "colour-string": (lambda scene: (scene, {"a": 1, "b": "2", "c": 1}),
-                      "colour of 'b' must be an integer, got '2'"),
-    "colour-bool": (lambda scene: (scene, {"a": True, "b": 2, "c": True}),
-                    "colour of 'a' must be an integer, got True"),
-    "grounded-end-float": (lambda scene: (
-        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "D", "end": 0.7}},
-                             *scene["curves"][1:]]}, None),
-        "curve 'a': grounded end must be an integer, got 0.7"),
-    "grounded-end-string": (lambda scene: (
-        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "D", "end": "0"}},
-                             *scene["curves"][1:]]}, None),
-        "curve 'a': grounded end must be an integer, got '0'"),
-    "boundary-end-float": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "boundary": [["a", 0.0]]}]},
-        None), "disk 'D': boundary end must be an integer, got 0.0"),
-    "twist-float": (lambda scene: (
-        {"curves": [{"id": "a", "crossings": ["x"], "twists": [0.5]},
-                    {"id": "b", "crossings": ["x"]}], "chirality": {"x": 1}}, None),
-        "curve 'a': twist index must be an integer, got 0.5"),
-    # a bool is no integer in a coordinate or radius either, even where it
-    # would load as the same value
-    "point-numerator-bool": (lambda scene: (
-        {**scene, "curves": [scene["curves"][0], {**scene["curves"][1], "points": [
-            [[False, 1], [True, 1]], *scene["curves"][1]["points"][1:]]},
-            *scene["curves"][2:]]}, None),
-        "point coordinate must be an integer, got False"),
-    "point-denominator-bool": (lambda scene: (
-        {**scene, "curves": [scene["curves"][0], {**scene["curves"][1], "points": [
-            scene["curves"][1]["points"][0], [[0, True], [3, 2]],
-            *scene["curves"][1]["points"][2:]]}, *scene["curves"][2:]]}, None),
-        "point coordinate must be an integer, got True"),
-    "radius-numerator-bool": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "radius": [True, 1]}]}, None),
-        "disk 'D': radius must be an integer, got True"),
-    "radius-denominator-bool": (lambda scene: (
-        {**scene, "disks": [{**scene["disks"][0], "radius": [1, True]}]}, None),
-        "disk 'D': radius must be an integer, got True"),
-    "chirality-float": (lambda scene: (
-        {"curves": [{"id": "a", "crossings": ["x"]}, {"id": "b", "crossings": ["x"]}],
-         "chirality": {"x": 1.0}}, None),
-        "chirality of 'x' must be an integer, got 1.0"),
-    # a colouring names only curves of the scene, on every subcommand that
-    # reads one; the third entry is the subcommand (default verify)
-    **{f"colouring-unknown-curve-{command}": (
-        lambda scene: (scene, {"a": 1, "b": 2, "c": 1, "zz": 7}),
-        "colouring names curves not in the scene ['zz']", command)
-       for command in ("decomp", "model", "outerstring", "planarise", "verify")},
-    # the colour cut rejects a colouring under which two crossing curves
-    # share a colour, naming both
-    **{f"colouring-same-colour-{command}": (
-        lambda scene: (scene, {"a": 1, "b": 1, "c": 2}),
-        "not an ordered colouring: curves 'a' and 'b' cross and share colour 1",
-        command)
-       for command in ("decomp", "model", "outerstring", "planarise", "verify")},
-    # a geometric curve is grounded on a disk with a centre and a radius:
-    # a plus sign far from any disk, "grounded" on an abstract one
-    **{f"geometric-curves-abstract-disk-{command}": (lambda scene: (
-        {"curves": [{**segment("a", (9, 10), (11, 10)), "grounded": {"disk": "D", "end": 0}},
-                    {**segment("b", (10, 9), (10, 11)), "grounded": {"disk": "D", "end": 0}}],
-         "disks": [{"id": "D"}]}, None),
-        "geometric curves with an abstract disk are not supported", command)
-       for command in ("outerstring", "verify")},
-    # localise emits an abstract scene, which cannot hold a curve that
-    # crosses nothing
-    "isolated-curve-localise": (lambda scene: (
-        {"curves": [segment("a", (-1, 0), (1, 0)), segment("b", (0, -1), (0, 1)),
-                    segment("c", (5, 5), (6, 5))]}, None),
-        "curve 'c' crosses no other curve", "localise"),
-    "no-crossing-localise": (lambda scene: (
-        {"curves": [segment("a", (-1, 0), (1, 0)), segment("b", (-1, 1), (1, 1))]},
-        None), "curve 'a' crosses no other curve", "localise"),
-    # crossing ids and curve-end ids name the vertices of C' together: an
-    # abstract crossing may not take the id of a curve end
-    **{f"crossing-named-like-an-end-{command}": (lambda scene: (
-        {"curves": [{"id": "a", "crossings": ["e:a:0", "y"]},
-                    {"id": "b", "crossings": ["e:a:0", "y"]}],
-         "chirality": {"e:a:0": 1, "y": -1}}, None),
-        "crossing 'e:a:0' has the id of an end of curve 'a'", command)
-       for command in ("planarise", "model", "decomp", "localise", "verify")},
-    # curve ids with ':' under which two curve pairs format one crossing id
-    **{f"crossing-id-twice-{command}": (lambda scene: (
-        {"curves": [segment("a", (-1, 0), (1, 0)), segment("b:c", (0, -1), (0, 1)),
-                    segment("a:b", (9, 0), (11, 0)), segment("c", (10, -1), (10, 1))]},
-        None), "curve pairs ('a', 'b:c') and ('a:b', 'c') both give crossing id "
-               "'x:a:b:c:0'", command)
-       for command in ("arrange", "planarise", "model", "decomp", "localise", "verify")},
-    # localisation is for the plane: two curves crossing twice, one arc of
-    # a twisted, lie in the projective plane
-    "projective-plane-localise": (lambda scene: (
-        {"curves": [{"id": "a", "crossings": ["x0", "x1"], "twists": [1]},
-                    {"id": "b", "crossings": ["x0", "x1"]}],
-         "disks": [], "chirality": {"x0": 1, "x1": 1}}, None),
-        "localise needs genus 0, got 1", "localise"),
-}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -1,14 +1,15 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strandkit.families import gen_grounded, gen_random
-from strandkit.geometry import (Point, SegmentIntersection, cross,
-                                intersect_segments, polyline_self_intersects,
-                                pt)
+from strandkit.geometry import (OVERLAP, Point, _common_denominator, _contact,
+                                _orientations, _scaled, polyline_self_intersects, pt)
+from reference_geometry import SegmentIntersection, cross, intersect_segments
 from convex_sets import (centroid, clip_convex, convex_polygon_contains,
                          polygon_is_convex_ccw)
 
@@ -126,6 +127,70 @@ grid_polylines = st.lists(st.builds(pt, st.integers(0, 3), st.integers(0, 3)),
 @given(grid_polylines)
 def test_self_intersection_matches_all_pairs_reference_on_grid(points):
     assert polyline_self_intersects(points) == all_pairs_self_intersects(points)
+
+
+def kernel_kind(a1, a2, b1, b2):
+    """The integer kernel's verdict on segments a1a2 and b1b2, each on its
+    own scale, as the reference's kind and the printed touching point."""
+    Da, Db = _common_denominator((a1, a2)), _common_denominator((b1, b2))
+    D = math.lcm(Da, Db)
+    a, b, ma, mb = _scaled((a1, a2), Da), _scaled((b1, b2), Db), D // Da, D // Db
+    d = _orientations(*a, *b, ma, mb)
+    if d is None:
+        return SegmentIntersection.DISJOINT, None
+    if all(d):
+        return SegmentIntersection.PROPER, None
+    c = _contact(d, *a, *b, ma, mb)
+    if c is None:
+        return SegmentIntersection.DISJOINT, None
+    if c == OVERLAP:
+        return SegmentIntersection.OVERLAP, None
+    return SegmentIntersection.TOUCH, str((a1, a2, b1, b2)[c])
+
+
+def grid(den):
+    """Multiples of 1/den in [-2, 2]."""
+    return st.integers(-2 * den, 2 * den).map(lambda k: Fraction(k, den))
+
+
+@st.composite
+def segment_pairs(draw):
+    """Segments a on the grid of step 1/da and b on that of step 1/db, with
+    da != db: a third share an endpoint, a sixth put an endpoint of b on a,
+    and a third are collinear, where b may start at an end of a."""
+    da, db = draw(st.lists(st.integers(1, 7), min_size=2, max_size=2, unique=True))
+    mode = draw(st.sampled_from(["free", "shared", "shared", "on-a",
+                                 "collinear", "collinear"]))
+    if mode == "collinear":
+        x0, y0 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        u, v = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]))
+        s1, s2 = draw(grid(da)), draw(grid(da))
+        s3, s4 = draw(st.sampled_from([s1, s2]) | grid(db)), draw(grid(db))
+        a1, a2, b1, b2 = (Point(x0 + u * s, y0 + v * s) for s in (s1, s2, s3, s4))
+    else:
+        a1, a2 = (Point(draw(grid(da)), draw(grid(da))) for _ in range(2))
+        if mode == "shared":
+            b1 = draw(st.sampled_from([a1, a2]))
+        elif mode == "on-a":
+            t = Fraction(draw(st.integers(0, db)), db)
+            b1 = Point(a1.x + t * (a2.x - a1.x), a1.y + t * (a2.y - a1.y))
+        else:
+            b1 = Point(draw(grid(db)), draw(grid(db)))
+        b2 = Point(draw(grid(db)), draw(grid(db)))
+    if draw(st.booleans()):
+        b1, b2 = b2, b1
+    assume(a1 != a2 and b1 != b2)
+    return a1, a2, b1, b2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(segment_pairs())
+def test_integer_kernel_matches_fraction_reference(segments):
+    """_orientations and _contact on two scales give intersect_segments'
+    kind and, for a touch, the same printed point."""
+    res = intersect_segments(*segments)
+    want = str(res.point) if res.kind == SegmentIntersection.TOUCH else None
+    assert kernel_kind(*segments) == (res.kind, want)
 
 
 def test_convexity_predicate():

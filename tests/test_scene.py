@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strandkit.errors import SceneError
-from strandkit.geometry import Point, _common_denominator, _scaled, pt, squared_distance
+from strandkit.geometry import Point, _common_denominator, _scaled, pt
 from strandkit.scene import (CrossingEvent, Curve, Disk, StringScene,
                              _segment_enters_open_disk, dumps_canonical)
+from reference_geometry import squared_distance
 from test_arrangement import BOX_TOUCH_FIXTURES
 from test_geometry import DEGENERATE
 
