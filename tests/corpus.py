@@ -5,6 +5,7 @@ golden_outputs.py runs every CLI subcommand on them, on the degenerate
 scenes below and on the malformed inputs of MALFORMED.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from strandkit.colouring import OrderedColouring
@@ -87,12 +88,33 @@ def abstract_colouring() -> OrderedColouring:
     return OrderedColouring({"m": 3, "c1": 1, "c2": 2, "c4": 4, "c5": 5}, 5)
 
 
+def twisted_multicross() -> StringScene:
+    """abstract_multicross with a half-twist on arc 4 of m: Euler genus 5."""
+    s = abstract_multicross()
+    s.curves["m"] = replace(s.curves["m"], twists=(4,))
+    s.validate()
+    return s
+
+
+def twisted_double_crossing() -> StringScene:
+    """Two abstract curves crossing twice with opposite signs, one arc of a
+    twisted: the projective plane, Euler genus 1."""
+    s = StringScene()
+    s.curves["a"] = Curve("a", None, ("x0", "x1"), twists=(1,))
+    s.curves["b"] = Curve("b", None, ("x0", "x1"))
+    s.chirality = {"x0": 1, "x1": -1}
+    s.validate()
+    return s
+
+
 # fixture scene -> its colouring, or None
 FIXTURES = {
     plus_sign: plus_colouring,
     outerstring_scene: outerstring_colouring,
     bigon_scene: None,
     abstract_multicross: abstract_colouring,
+    twisted_multicross: abstract_colouring,
+    twisted_double_crossing: None,
 }
 
 
@@ -274,6 +296,70 @@ MALFORMED = {
         None), "curve pairs ('a', 'b:c') and ('a:b', 'c') both give crossing id "
                "'x:a:b:c:0'", command)
        for command in ("arrange", "planarise", "model", "decomp", "localise", "verify")},
+    # StringScene.validate's refusals, one case each, on the grounded
+    # outerstring scene or a small abstract one
+    "no-curves": (lambda scene: ({"curves": []}, None), "scene has no curves"),
+    "neither-points-nor-crossings": (lambda scene: (
+        {**scene, "curves": [{"id": "a"}, *scene["curves"][1:]]}, None),
+        "curve 'a': exactly one of points/crossings required"),
+    "twists-on-a-polyline": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "twists": [0]}, *scene["curves"][1:]]},
+        None), "curve 'a': twists require abstract mode"),
+    "grounded-unknown-disk": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "E", "end": 0}},
+                             *scene["curves"][1:]]}, None),
+        "curve 'a' grounded on unknown disk 'E'"),
+    "grounded-end-2": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "D", "end": 2}},
+                             *scene["curves"][1:]]}, None),
+        "curve 'a': grounded end must be 0 or 1"),
+    "mixed-geometric-abstract": (lambda scene: (
+        {"curves": [segment("a", (0, 0), (1, 0)), {"id": "b", "crossings": ["x"]},
+                    {"id": "c", "crossings": ["x"]}], "chirality": {"x": 1}}, None),
+        "mixed geometric/abstract curves are not supported"),
+    "one-point-polyline": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "points": scene["curves"][0]["points"][:1]},
+                             *scene["curves"][1:]]}, None),
+        "curve 'a': polyline needs at least 2 points"),
+    "closed-polyline": (lambda scene: (
+        {"curves": [polyline("a", (0, 0), (2, 0), (1, 1), (0, 0)),
+                    segment("b", (1, -1), (1, 2))]}, None),
+        "curve 'a': endpoints coincide"),
+    "repeated-crossing-id": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x", "x"]}, {"id": "b", "crossings": ["x"]}],
+         "chirality": {"x": 1}}, None),
+        "curve 'a': repeated crossing id in sequence"),
+    "empty-crossing-sequence": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": []}, {"id": "b", "crossings": ["x"]}],
+         "chirality": {"x": 1}}, None),
+        "curve 'a': empty crossing sequence"),
+    "twist-out-of-range": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x"], "twists": [2]},
+                    {"id": "b", "crossings": ["x"]}], "chirality": {"x": 1}}, None),
+        "curve 'a': twist index 2 out of range"),
+    "crossing-on-one-curve": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x", "y"]}, {"id": "b", "crossings": ["x"]}],
+         "chirality": {"x": 1, "y": 1}}, None),
+        "crossing 'y' appears on 1 curves, expected 2"),
+    "chirality-missing": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x"]}, {"id": "b", "crossings": ["x"]}]},
+        None), "crossing 'x': chirality sign missing or not +-1"),
+    "overlapping-disks": (lambda scene: (
+        {**scene, "disks": scene["disks"] + [
+            {"id": "E", "center": [[1, 1], [0, 1]], "radius": [1, 1]}]}, None),
+        "disks 'D' and 'E' are not disjoint"),
+    "zero-radius": (lambda scene: (
+        {**scene, "disks": [{**scene["disks"][0], "radius": [0, 1]}]}, None),
+        "disk 'D': radius must be positive"),
+    "grounded-end-off-the-boundary": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "grounded": {"disk": "D", "end": 1}},
+                             *scene["curves"][1:]]}, None),
+        "curve 'a': grounded endpoint not on boundary of disk 'D'"),
+    "curve-through-disk": (lambda scene: (
+        {**scene, "curves": scene["curves"] + [segment("d", (-2, 0), (2, 0))]}, None),
+        "curve 'd' enters interior of disk 'D'"),
+    "colouring-misses-a-curve": (lambda scene: (scene, {"a": 1, "b": 2}),
+                                 "colouring misses curves ['c']"),
     # localisation is for the plane: two curves crossing twice, one arc of
     # a twisted, lie in the projective plane
     "projective-plane-localise": (lambda scene: (
