@@ -57,8 +57,6 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
         (a, i), (b, j) = owner[k], owner[l]
         if a == b:
             continue
-        if a > b:
-            a, i, b, j, k, l = b, j, a, i, l, k
         (a1, a2), Da, pa = segments[k]
         (b1, b2), Db, pb = segments[l]
         D = math.lcm(Da, Db)

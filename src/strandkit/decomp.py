@@ -154,8 +154,6 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
-            if seen & bit:
-                continue
             seen |= bit
             if S & bit:
                 frontier |= nbr[bit.bit_length() - 1] & ~seen
@@ -319,10 +317,9 @@ def _triangulate(g: EmbeddedGraph) -> None:
     corner 0 to corner 2 (corner 3 when corner 2 is corner 0 again).  The
     split-off part has at most 3 corners; the rest, [chord] + F[j:], starts
     at the chord dart placed just before F[0], so it is the next face in
-    trace order and is chorded the same way.
+    trace order and is chorded the same way.  Faces are listed for plane
+    embeddings only: trace_faces raises on a signature -1.
     """
-    if any(s != 1 for s in g.signature.values()):
-        raise InvariantError("oriented tracing needs all signatures +1")
     serial = 0
     ends = g.edge_ends
     for face in g.trace_faces():

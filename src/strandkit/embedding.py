@@ -6,9 +6,10 @@ v -> u listed at v.  Loops contribute both darts to the same rotation.
 Signatures of -1 mark orientation-reversing edges, so non-orientable
 embeddings (odd Euler genus) are representable.
 
-Faces are traced as orbits: of darts when every signature is +1, of (dart,
-orientation) states otherwise.  The Euler genus follows from Euler's formula
-per connected component.
+Faces are listed for plane (all-positive) embeddings only, as orbits of
+darts.  The Euler genus follows from Euler's formula per connected
+component; a signed embedding's faces are counted, not listed, from the
+orbits of its (dart, orientation) states.
 """
 
 from __future__ import annotations
@@ -80,17 +81,17 @@ class EmbeddedGraph:
     # ------------------------------------------------------------ traversal
 
     def trace_faces(self) -> list[list[Dart]]:
-        """Face boundary walks, one representative per face.
+        """Face boundary walks of an all-positive embedding, one per face.
 
-        On an all-positive embedding a face is an orbit of the permutation
-        d -> the dart after reverse(d) in its rotation, and every dart lies
-        on exactly one face, so (e, 0) and (e, 1) name the two sides of e.
-        Faces start at each dart not yet traced, in rotation order.  With a
-        signature -1 edge, _trace_signed_faces walks (dart, orientation)
-        states instead.  Works for loops and parallel edges.
+        A face is an orbit of the permutation d -> the dart after
+        reverse(d) in its rotation, and every dart lies on exactly one face,
+        so (e, 0) and (e, 1) name the two sides of e.  Faces start at each
+        dart not yet traced, in rotation order.  Works for loops and
+        parallel edges.  A signature -1 raises: euler_genus counts the
+        faces of a signed embedding without listing them.
         """
         if -1 in self.signature.values():
-            return self._trace_signed_faces()
+            raise InvariantError("oriented tracing needs all signatures +1")
         # after[reverse(d)] is the dart after d in its rotation
         after = {}
         for rot in self.rotation.values():
@@ -105,35 +106,6 @@ class EmbeddedGraph:
                         face.append(d)
                         d = after.pop(d)
                     faces.append(face)
-        return faces
-
-    def _trace_signed_faces(self) -> list[list[Dart]]:
-        """trace_faces for signed embeddings: a walk is an orbit of (dart,
-        orientation) states.  Starts are taken at each dart in rotation
-        order, every orientation +1 start before any -1 start, and the
-        mirror traversal of each traced face is suppressed."""
-        slot = {d: (rot, i) for rot in self.rotation.values()
-                for i, d in enumerate(rot)}
-        sig = self.signature
-        faces = []
-        seen = set()
-        for orient0 in (1, -1):
-            for d0 in slot:   # every dart, in rotation order
-                if (d0, orient0) in seen:
-                    continue
-                face = []
-                d, orient = d0, orient0
-                while True:
-                    face.append(d)
-                    back = reverse(d)
-                    seen.add((d, orient))
-                    orient *= sig[d[0]]
-                    seen.add((back, -orient))  # the mirror state
-                    rot, i = slot[back]
-                    d = rot[(i + orient) % len(rot)]
-                    if d == d0 and orient == orient0:
-                        break
-                faces.append(face)
         return faces
 
     # ----------------------------------------------------------- operations
@@ -219,7 +191,10 @@ def euler_genus(g: EmbeddedGraph, simple: Graph) -> int:
     """Sum over the components of g of 2 - V + E - F.
 
     simple is g's simple graph (g.simple_graph()), whose components are g's.
-    The faces of g are traced once.
+    An all-positive g's faces are traced once.  On a signed g a face is two
+    orbits of the state map (d, o) -> (the dart at offset o * sig(d) from
+    reverse(d) in its rotation, o * sig(d)), mirrors of each other, so F is
+    half the number of orbits.
     """
     comps = connected_components(simple)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
@@ -228,8 +203,24 @@ def euler_genus(g: EmbeddedGraph, simple: Graph) -> int:
     f_count = [0] * len(comps)
     for u, _ in g.edge_ends.values():
         e_count[comp_of[u]] += 1
-    for face in g.trace_faces():
-        f_count[comp_of[g.dart_tail(face[0])]] += 1
+    if -1 in g.signature.values():
+        sig = g.signature
+        nxt = {}   # (d, o) -> the next state of its orbit
+        for rot in g.rotation.values():
+            for i, back in enumerate(rot):   # back = reverse(d)
+                for o in (1, -1):
+                    o2 = o * sig[back[0]]
+                    nxt[reverse(back), o] = (rot[(i + o2) % len(rot)], o2)
+        orbits = [0] * len(comps)
+        while nxt:
+            start, s = nxt.popitem()
+            orbits[comp_of[g.dart_tail(start[0])]] += 1
+            while s != start:
+                s = nxt.pop(s)
+        f_count = [n // 2 for n in orbits]
+    else:
+        for face in g.trace_faces():
+            f_count[comp_of[g.dart_tail(face[0])]] += 1
     total = 0
     for i in range(len(comps)):
         # an isolated vertex is a sphere with one face

@@ -21,17 +21,6 @@ class Graph:
                 adj.setdefault(u, set()).add(v)
                 adj.setdefault(v, set()).add(u)
 
-    def add_vertex(self, v) -> None:
-        self.adj.setdefault(v, set())
-
-    def add_edge(self, u, v) -> None:
-        if u == v:
-            return
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
     @property
     def vertices(self) -> list:
         return sorted(self.adj)

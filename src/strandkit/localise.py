@@ -61,9 +61,6 @@ class AuxiliaryInstance:
 def build_HR(scene: StringScene, along: dict,
              selection: dict) -> AuxiliaryInstance:
     """The auxiliary instance with its inherited combinatorial drawing."""
-    H = Graph()
-    for pair in sorted(selection):
-        H.add_vertex(pair)
     pieces: dict = {}
     sigma: dict = {}
     drawing: dict = {}
@@ -82,7 +79,6 @@ def build_HR(scene: StringScene, along: dict,
             vb = tuple(sorted((cid, e2.other(cid))))
             pid = (cid, j)
             pieces[pid] = (va, vb)
-            H.add_edge(va, vb)
             inner = [mine[p].id for p in range(lo + 1, hi)]
             drawing[pid] = inner
             for p in range(lo + 1, hi):
@@ -109,6 +105,7 @@ def build_HR(scene: StringScene, along: dict,
         if c1 == c2:
             raise CheckFailure(f"R pairs two pieces of curve {c1!r}")
 
+    H = Graph(sorted(selection), pieces.values())
     return AuxiliaryInstance(H, pieces, R, sigma, drawing, dict(selection),
                              by_id, scene)
 

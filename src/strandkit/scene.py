@@ -141,8 +141,6 @@ class StringScene:
         for x, cs in sorted(owners.items()):
             if len(cs) != 2:
                 raise SceneError(f"crossing {x!r} appears on {len(cs)} curves, expected 2")
-            if cs[0] == cs[1]:
-                raise SceneError(f"crossing {x!r} references the same curve twice")
             sign = self.chirality.get(x)
             if sign not in (1, -1):
                 raise SceneError(f"crossing {x!r}: chirality sign missing or not +-1")

@@ -125,15 +125,15 @@ class ConvexScene:
     def graph(self) -> Graph:
         """Intersection graph; adjacency needs an open (2D) overlap."""
         ids = sorted(self.sets)
-        g = Graph(vertices=ids)
+        edges = []
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 inter = clip_convex(self.sets[a], self.sets[b])
                 if _polygon_area2(inter) > 0:
-                    g.add_edge(a, b)
+                    edges.append((a, b))
                 elif _closed_contact(self.sets[a], self.sets[b]):
                     raise SceneError(f"sets {a!r} and {b!r} touch tangentially")
-        return g
+        return Graph(ids, edges)
 
 
 def convex_to_drawing(cs: ConvexScene) -> dict:

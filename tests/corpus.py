@@ -318,7 +318,8 @@ MALFORMED = {
                     {"id": "c", "crossings": ["x"]}], "chirality": {"x": 1}}, None),
         "mixed geometric/abstract curves are not supported"),
     "one-point-polyline": (lambda scene: (
-        {**scene, "curves": [{**scene["curves"][0], "points": scene["curves"][0]["points"][:1]},
+        {**scene, "curves": [{**scene["curves"][0],
+                              "points": scene["curves"][0]["points"][:1]},
                              *scene["curves"][1:]]}, None),
         "curve 'a': polyline needs at least 2 points"),
     "closed-polyline": (lambda scene: (

@@ -149,20 +149,13 @@ def test_criterion_5_radius_decomposition():
         assert verify_td(td, g)["valid"]
         assert td.width <= 3 * eccentricity(g, root) + 1
 
-    wheel = Graph()
-    for i in range(8):
-        wheel.add_edge(i, (i + 1) % 8)
-        wheel.add_edge(i, 8)
+    wheel = Graph(range(9), [e for i in range(8) for e in ((i, (i + 1) % 8), (i, 8))])
     td = radius_decomposition(wheel, bfs_tree(wheel, 8))
     assert exact_treewidth(wheel) <= td.width
 
-    grid = Graph()
-    for i in range(4):
-        for j in range(4):
-            if i + 1 < 4:
-                grid.add_edge((i, j), (i + 1, j))
-            if j + 1 < 4:
-                grid.add_edge((i, j), (i, j + 1))
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    grid = Graph(cells, [((i, j), (i + di, j + dj)) for i, j in cells
+                         for di, dj in ((1, 0), (0, 1)) if i + di < 4 and j + dj < 4])
     td = radius_decomposition(grid, bfs_tree(grid, (0, 0)))
     assert exact_treewidth(grid) <= td.width
 

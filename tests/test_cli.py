@@ -15,6 +15,7 @@ import pytest
 import strandkit
 from strandkit.cli import FAMILIES, main
 from strandkit.embedding import EmbeddedGraph
+from strandkit.errors import InvariantError
 from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.planarise import endpoint_id
@@ -197,6 +198,46 @@ def test_degenerate_scene_exit_2(capsys, tmp_path):
 def test_missing_file_exit_2(capsys, tmp_path):
     code, rep = run(capsys, "arrange", "--in", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def test_failed_invariant_exit_1(capsys, monkeypatch, grounded_file):
+    """A stage that finds a broken invariant is a check failure, exit 1."""
+    def broken(original):
+        def planarise(*args):
+            raise InvariantError("planarisation lost a crossing")
+        return planarise
+
+    patch_everywhere(monkeypatch, "planarise", "planarise", broken)
+    code = main(["planarise", "--in", grounded_file])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {"error": "planarisation lost a crossing",
+                               "kind": "check-failure"}
+    assert "Traceback" not in out + err
+
+
+def test_invalid_model_exit_1(capsys, monkeypatch, grounded_file):
+    """model reports a minor model that fails its check with ok false, exit 1."""
+    invalid = {"valid": False, "violated_clause": "branch sets touch"}
+    monkeypatch.setattr(strandkit.cli, "verify_model", lambda model, graph: invalid)
+    code, rep = run(capsys, "model", "--in", grounded_file)
+    assert code == 1
+    assert rep["ok"] is False and rep["check"] == invalid
+
+
+def test_out_is_a_file_exit_2(capsys, grounded_file, tmp_path):
+    """An --out path that names an existing file is invalid input, reported
+    without a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["arrange", "--in", grounded_file, "--out", str(taken)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    report = json.loads(out)
+    assert report["kind"] == "invalid-input"
+    assert report["error"].startswith("FileExistsError: ")
+    assert "Traceback" not in out + err
+    assert taken.read_text() == ""
 
 
 def test_bad_params_exit_2(capsys):

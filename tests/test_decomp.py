@@ -35,23 +35,15 @@ def graph_radius(g: Graph) -> int:
 
 
 def grid_graph(rows, cols):
-    g = Graph()
-    for i in range(rows):
-        for j in range(cols):
-            if i + 1 < rows:
-                g.add_edge((i, j), (i + 1, j))
-            if j + 1 < cols:
-                g.add_edge((i, j), (i, j + 1))
-    return g
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    return Graph(cells, [((i, j), (i + di, j + dj)) for i, j in cells
+                         for di, dj in ((1, 0), (0, 1))
+                         if i + di < rows and j + dj < cols])
 
 
 def wheel_graph(n):
-    g = Graph()
     hub = n
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n)
-        g.add_edge(i, hub)
-    return g
+    return Graph(range(n + 1), [e for i in range(n) for e in ((i, (i + 1) % n), (i, hub))])
 
 
 def complete_graph(n):

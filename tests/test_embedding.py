@@ -1,5 +1,3 @@
-import copy
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -13,7 +11,7 @@ from strandkit.embedding import EmbeddedGraph, euler_genus, planar_embedding, re
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, connected_components
-from strandkit.scene import Curve, StringScene
+import corpus
 
 
 def genus(g: EmbeddedGraph) -> int:
@@ -127,10 +125,14 @@ def test_oriented_faces_partition_darts():
 
 
 def test_oriented_tracing_requires_positive_signatures():
+    """Faces are listed for plane embeddings only: trace_faces, and so
+    _triangulate, refuse a signature -1, while euler_genus counts them."""
     g = square_embedding()
     g.signature["e2"] = -1
-    with pytest.raises(InvariantError, match="all signatures"):
-        _triangulate(g)
+    for trace in (g.trace_faces, lambda: _triangulate(g)):
+        with pytest.raises(InvariantError, match="^oriented tracing needs all signatures [+]1$"):
+            trace()
+    assert genus(g) == 1
 
 
 def test_add_chord_splits_face():
@@ -228,7 +230,7 @@ def oracle_trace_faces_oriented(g):
     return faces
 
 
-def oracle_euler_genus(g):
+def oracle_euler_genus(g, trace=oracle_trace_faces):
     comps = connected_components(g.simple_graph())
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     v_count = [0] * len(comps)
@@ -238,7 +240,7 @@ def oracle_euler_genus(g):
         v_count[comp_of[v]] += 1
     for u, _ in g.edge_ends.values():
         e_count[comp_of[u]] += 1
-    for face in oracle_trace_faces(g):
+    for face in trace(g):
         f_count[comp_of[g.dart_tail(face[0])]] += 1
     for i in range(len(comps)):
         if e_count[i] == 0:
@@ -246,23 +248,18 @@ def oracle_euler_genus(g):
     return sum(2 - v_count[i] + e_count[i] - f_count[i] for i in range(len(comps)))
 
 
-def test_genus_of_cphi_is_the_genus_of_cprime(abstract_multicross):
-    """contract_edge keeps the surface: the oracle's genus of C', traced
-    with the earlier tracer, is the pipeline's genus of C^phi, on plain,
-    twisted and grounded scenes."""
-    twisted = copy.deepcopy(abstract_multicross)
-    twisted.curves["m"] = replace(twisted.curves["m"], twists=(4,))
-    double = StringScene()
-    double.curves["a"] = Curve("a", None, ("x0", "x1"), twists=(1,))
-    double.curves["b"] = Curve("b", None, ("x0", "x1"))
-    double.chirality = {"x0": 1, "x1": -1}
-    scenes = [abstract_multicross, twisted, double]
+def test_genus_of_cphi_is_the_genus_of_cprime():
+    """contract_edge keeps the surface: euler_genus of C' and of C^phi is
+    the oracle's genus of each, traced with the earlier tracer, on plain,
+    twisted, doubly twisted and grounded scenes."""
+    scenes = [corpus.abstract_multicross(), corpus.twisted_multicross(),
+              corpus.twisted_double_crossing()]
     scenes += [gen_grounded(n, s) for n, s in [(6, 0), (12, 1), (20, 2), (48, 3)]]
     genera = []
     for scene in scenes:
-        scene.validate()
         p = Pipeline(scene)
-        assert oracle_euler_genus(p.plan.embedding) == p.genus
+        for emb in (p.plan.embedding, p.cp.embedding):
+            assert genus(emb) == oracle_euler_genus(emb) == p.genus
         genera.append(p.genus)
     assert genera == [4, 5, 1, 0, 0, 0, 0]
 
@@ -355,14 +352,16 @@ ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=3
 @given(signed_rotation_systems(), st.lists(st.tuples(st.booleans(), st.integers(0, 99)),
                                            max_size=8))
 def test_tracer_and_edits_match_oracle(g, ops):
-    """Face count, Euler genus and every edit agree with the earlier code."""
+    """Euler genus and every edit agree with the earlier code, and so does
+    the face count while every signature is +1."""
     ref = g.copy()
 
     def agree():
         g.check()
         assert state(g) == state(ref)
-        assert len(g.trace_faces()) == len(oracle_trace_faces(ref))
         assert genus(g) == oracle_euler_genus(ref)
+        if -1 not in g.signature.values():
+            assert len(g.trace_faces()) == len(oracle_trace_faces(ref))
 
     agree()
     for flip, k in ops:
@@ -429,20 +428,60 @@ def test_trace_faces_matches_oriented_oracle_on_pipeline_embeddings(seed):
         assert all(s == 1 for s in g.signature.values()), name
         faces = g.trace_faces()
         assert faces == oracle_trace_faces_oriented(g) == reference_trace_faces(g), name
-        # one -1 edge sends the embedding to the signed tracer
+        # one -1 edge: the faces are counted, not listed
         signed = g.copy()
         eid = sorted(signed.edge_ends, key=repr)[seed]
         signed.signature[eid] = -1
-        assert signed.trace_faces() == reference_trace_faces(signed), name
+        assert genus(signed) == oracle_euler_genus(signed) == \
+            oracle_euler_genus(signed, reference_trace_faces), name
+        with pytest.raises(InvariantError, match="all signatures"):
+            signed.trace_faces()
 
 
 @ORACLE
-@given(signed_rotation_systems(all_positive=True), st.integers(0, 99))
-def test_trace_faces_with_one_negative_edge_matches_signed_tracer(g, k):
-    if not g.edge_ends:
-        return
-    g.signature[sorted(g.edge_ends)[k % len(g.edge_ends)]] = -1
-    assert g.trace_faces() == reference_trace_faces(g)
+@given(signed_rotation_systems(), st.integers(0, 99))
+def test_signed_euler_genus_matches_oracles(g, k):
+    """With at least one edge twisted, the orbit count's genus is the
+    genus of both earlier signed tracers."""
+    if g.edge_ends:
+        g.signature[sorted(g.edge_ends)[k % len(g.edge_ends)]] = -1
+    assert genus(g) == oracle_euler_genus(g) == oracle_euler_genus(g, reference_trace_faces)
+
+
+def embedding(n, edges, rotation=()) -> EmbeddedGraph:
+    """Vertices 0..n-1, edges (id, u, v, signature), then rotations."""
+    g = EmbeddedGraph()
+    for v in range(n):
+        g.add_vertex(v)
+    for eid, u, v, sig in edges:
+        g.add_edge(eid, u, v, sig)
+    g.rotation.update(rotation)
+    g.check()
+    return g
+
+
+@pytest.mark.parametrize("g, want", [
+    # a twisted loop is a crosscap: the projective plane
+    (embedding(1, [("l", 0, 0, -1)]), 1),
+    # two twisted loops: crossing, two lines of the projective plane; nested,
+    # two crosscaps, the Klein bottle
+    (embedding(1, [("a", 0, 0, -1), ("b", 0, 0, -1)],
+               {0: [("a", 0), ("b", 0), ("a", 1), ("b", 1)]}), 1),
+    (embedding(1, [("a", 0, 0, -1), ("b", 0, 0, -1)],
+               {0: [("a", 0), ("a", 1), ("b", 0), ("b", 1)]}), 2),
+    # parallel edges: one twist is a crosscap, two cancel at a vertex flip
+    (embedding(2, [("p", 0, 1, 1), ("q", 0, 1, -1)]), 1),
+    (embedding(2, [("p", 0, 1, -1), ("q", 0, 1, -1)]), 0),
+    # isolated vertices are spheres
+    (embedding(3, [("l", 1, 1, -1)]), 1),
+    # components add: two twisted loops and a triangle with one twist
+    (embedding(6, [("l", 0, 0, -1), ("m", 1, 1, -1), ("a", 2, 3, 1),
+                   ("b", 3, 4, -1), ("c", 4, 2, 1)]), 3),
+], ids=["twisted-loop", "crossing-twisted-loops", "nested-twisted-loops",
+        "one-twisted-parallel-edge", "two-twisted-parallel-edges",
+        "isolated-vertices", "three-components"])
+def test_signed_euler_genus_of_small_embeddings(g, want):
+    assert genus(g) == oracle_euler_genus(g) == want
 
 
 def networkx_embedding(n, edges):

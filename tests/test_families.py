@@ -69,10 +69,8 @@ def ktt_minor_model(scene, t: int) -> tuple:
         chain += [f"b{i}_{j}" for i in range(1, t)]
         mu[("c", j)] = frozenset((v, 1) for v in chain)
     model = MinorModel(mu, host, 1)
-    ktt = Graph()
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            ktt.add_edge(("r", i), ("c", j))
+    ktt = Graph(edges=[(("r", i), ("c", j))
+                       for i in range(1, t + 1) for j in range(1, t + 1)])
     report = verify_model(model, ktt)
     if not report["valid"]:
         raise CheckFailure(f"K_tt model invalid: {report['violated_clause']}")
@@ -186,10 +184,7 @@ def test_ktt_model():
 
 def test_ktt_contraction_witness_treewidth():
     # contracting the branch sets of the t=3 model leaves K_{3,3}: tw = 3
-    k33 = Graph()
-    for i in range(3):
-        for j in range(3):
-            k33.add_edge(("r", i), ("c", j))
+    k33 = Graph(edges=[(("r", i), ("c", j)) for i in range(3) for j in range(3)])
     assert exact_treewidth(k33) == 3
 
 

@@ -22,19 +22,11 @@ def pipeline(scene, colouring):
 
 def product_graph(host: Graph, copies: int) -> Graph:
     """Materialised strong product host x K_copies."""
-    g = Graph()
-    for v in host.vertices:
-        for i in range(1, copies + 1):
-            g.add_vertex((v, i))
-    for v in host.vertices:
-        for i in range(1, copies + 1):
-            for j in range(i + 1, copies + 1):
-                g.add_edge((v, i), (v, j))
-    for u, v in host.edge_list():
-        for i in range(1, copies + 1):
-            for j in range(1, copies + 1):
-                g.add_edge((u, i), (v, j))
-    return g
+    layers = range(1, copies + 1)
+    edges = [((v, i), (v, j)) for v in host.vertices
+             for i in layers for j in layers if i < j]
+    edges += [((u, i), (v, j)) for u, v in host.edge_list() for i in layers for j in layers]
+    return Graph([(v, i) for v in host.vertices for i in layers], edges)
 
 
 def product_bfs_centers(model: MinorModel, r: int) -> dict:
