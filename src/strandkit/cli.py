@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import re
 import sys
@@ -279,7 +278,8 @@ def _cmd_gen(args) -> dict:
         raise SceneError(f"family {args.family!r} takes {', '.join(sorted(defaults))}, "
                          f"got {', '.join(unknown)}")
     kwargs = {**defaults, **params}
-    if "seed" in inspect.signature(generator).parameters:
+    code = generator.__code__
+    if "seed" in code.co_varnames[:code.co_argcount]:
         kwargs["seed"] = args.seed
     scene = generator(**kwargs)
     _write_json(args, "scene.json", scene.to_json())

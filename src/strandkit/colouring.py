@@ -17,15 +17,14 @@ curve is also the check that the colouring is ordered.  The parameters:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SceneError
 from .geometry import _json_int
 from .scene import CrossingEvent
 
 
-@dataclass(frozen=True)
-class OrderedColouring:
+class OrderedColouring(NamedTuple):
     phi: dict
     t: int
 
@@ -44,8 +43,7 @@ class OrderedColouring:
         return OrderedColouring(phi, max(phi.values(), default=0))
 
 
-@dataclass(frozen=True)
-class ColouringParams:
+class ColouringParams(NamedTuple):
     t: int
     d: int
     k: int

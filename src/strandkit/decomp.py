@@ -9,10 +9,9 @@ exact treewidth oracle (<= 16 vertices) backs decomp's report and the tests.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
+from typing import NamedTuple
 
 from .arrangement import compute_arrangement, events_by_curve, intersection_graph
 from .colouring import (ColouringParams, OrderedColouring, colour_sections,
@@ -27,8 +26,7 @@ from .product_model import MinorModel, build_model, grounded_distance_check
 from .scene import StringScene
 
 
-@dataclass
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     nodes: list                      # node ids
     edges: list                      # tree edges (pairs of node ids)
     bags: dict                       # node id -> frozenset of target vertices
@@ -46,8 +44,7 @@ class TreeDecomposition:
         }
 
 
-@dataclass
-class Layering:
+class Layering(NamedTuple):
     layers: list                     # ordered list of vertex lists
 
     def index(self) -> dict:
@@ -161,15 +158,11 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
                 reach |= bit
         return reach
 
-    # every complete order has width at most n - 1, so the first leaf is taken
-    best, best_order = n, []
-    memo: dict = {}
-
     def search(S: int, maxq: int, order: list) -> None:
         nonlocal best, best_order
         if maxq >= best:
             return
-        if len(order) == n:
+        if S == comp:
             best = maxq
             best_order = list(order)
             return
@@ -178,9 +171,7 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
             return
         memo[S] = maxq
         cand = []
-        for v in range(n):
-            if S & (1 << v):
-                continue
+        for v in (bit.bit_length() - 1 for bit in _bits(comp & ~S)):
             qs = q_set(S, v)
             qn = bin(qs).count("1")
             # a vertex whose q-set is a clique can always go first
@@ -196,12 +187,22 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
             search(S | (1 << v), max(maxq, qn), order)
             order.pop()
 
-    search(0, 0, [])
+    # a Q-set stays in its vertex's component, so each component is searched
+    # alone and the best orders are concatenated; a component's order of c
+    # vertices has width at most c - 1, so its first leaf is taken
+    width, elimination = 0, []
+    for members in connected_components(G):
+        comp = sum(1 << idx[v] for v in members)
+        best, best_order, memo = len(members), [], {}
+        search(0, 0, [])
+        width = max(width, best)
+        elimination += best_order
     # node i holds v_i and Q(S_i, v_i), and joins the node of the first
-    # vertex of that Q-set to be eliminated, or node i + 1 if it is empty
-    pos = {v: i for i, v in enumerate(best_order, 1)}
+    # vertex of that Q-set to be eliminated, or node i + 1 if it is empty,
+    # which the last vertex of each component is
+    pos = {v: i for i, v in enumerate(elimination, 1)}
     bags, tree, S = {}, [], 0
-    for i, v in enumerate(best_order, 1):
+    for i, v in enumerate(elimination, 1):
         qs = q_set(S, v)
         S |= 1 << v
         bags[i] = frozenset(verts[b.bit_length() - 1] for b in _bits(qs | 1 << v))
@@ -211,9 +212,9 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
             tree.append((i, i + 1))
     td = TreeDecomposition(list(range(1, n + 1)), tree, bags)
     report = verify_td(td, G)
-    if not report["valid"] or td.width != best:
+    if not report["valid"] or td.width != width:
         raise InvariantError(f"oracle witness broken: {report['reason']}")
-    return best, td
+    return width, td
 
 
 def _is_clique(mask: int, nbr: list) -> bool:
@@ -631,9 +632,7 @@ def _delta_string(delta: int) -> int:
     return _pow(2, delta) * (delta - 1) + 1
 
 
-# each formula takes its parameters in the order it first reads them; the
-# names are read once per formula
-_signature = cache(inspect.signature)
+# each formula takes its parameters in the order it first reads them
 _BOUNDS = {
     "planar-outerstring":
         lambda t, d: (3 * t - 1) * (d + 1) - 1,
@@ -677,7 +676,8 @@ def bounds(theorem: str, params: dict) -> int:
         raise SceneError(f"unknown theorem id {theorem!r}; known: "
                          f"{', '.join(sorted(_BOUNDS))}")
     formula = _BOUNDS[theorem]
-    names = _signature(formula).parameters
+    code = formula.__code__
+    names = code.co_varnames[:code.co_argcount]
     unread = sorted(set(params).difference(names))
     if unread:
         raise SceneError(f"theorem {theorem!r} takes {', '.join(sorted(names))}, "

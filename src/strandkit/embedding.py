@@ -14,8 +14,6 @@ orbits of its (dart, orientation) states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvariantError, SceneError
 from .graph import Graph, connected_components
 
@@ -26,13 +24,13 @@ def reverse(dart: Dart) -> Dart:
     return (dart[0], 1 - dart[1])
 
 
-@dataclass
 class EmbeddedGraph:
-    # edge id -> (u, v); orientation of the pair fixes which dart is side 0
-    edge_ends: dict = field(default_factory=dict)
-    signature: dict = field(default_factory=dict)
-    rotation: dict = field(default_factory=dict)   # vertex -> list of out-darts
-    edge_label: dict = field(default_factory=dict)  # edge id -> owning curve(s) etc.
+    def __init__(self, edge_ends: dict | None = None, signature: dict | None = None):
+        # edge id -> (u, v); orientation of the pair fixes which dart is side 0
+        self.edge_ends = {} if edge_ends is None else edge_ends
+        self.signature = {} if signature is None else signature
+        self.rotation: dict = {}       # vertex -> list of out-darts
+        self.edge_label: dict = {}     # edge id -> owning curve(s) etc.
 
     # ------------------------------------------------------------- structure
 
@@ -179,9 +177,7 @@ class EmbeddedGraph:
         rot_j.insert(rot_j.index(reverse(prev_j)) + 1, (eid, 1))
 
     def copy(self) -> "EmbeddedGraph":
-        g = EmbeddedGraph()
-        g.edge_ends = dict(self.edge_ends)
-        g.signature = dict(self.signature)
+        g = EmbeddedGraph(dict(self.edge_ends), dict(self.signature))
         g.rotation = {v: list(r) for v, r in self.rotation.items()}
         g.edge_label = dict(self.edge_label)
         return g

@@ -13,7 +13,7 @@ per-curve bound is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import intersection_graph
 from .errors import CheckFailure
@@ -31,8 +31,7 @@ def select_crossings(events: list[CrossingEvent]) -> dict:
     return best
 
 
-@dataclass
-class AuxiliaryInstance:
+class AuxiliaryInstance(NamedTuple):
     H: Graph                      # vertices: curve pairs; edges via pieces
     pieces: dict                  # piece id (curve, i) -> (vertex, vertex)
     R: set                        # frozensets of two piece ids allowed to cross

@@ -17,8 +17,8 @@ asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .embedding import EmbeddedGraph
 from .errors import InvariantError, SceneError
@@ -34,8 +34,7 @@ def _edge_id(curve_id: str, i: int) -> str:
     return f"c:{curve_id}:{i}"
 
 
-@dataclass
-class Planarisation:
+class Planarisation(NamedTuple):
     embedding: EmbeddedGraph
     kind: dict                 # vertex -> "endpoint" | "dummy"
     curve_paths: dict          # curve id -> list of vertices (L_gamma)
@@ -108,15 +107,16 @@ def _check_planarisation(plan: Planarisation, events: list[CrossingEvent]) -> No
             raise InvariantError(f"vertex {v!r} has degree {g.degree(v)}, expected {want}")
 
 
-@dataclass
 class ColouredPlanarisation:
-    embedding: EmbeddedGraph   # multigraph, for genus
-    level: dict                # C^phi vertex -> level
-    psi: dict                  # V(C') -> V(C^phi)
-    walks: dict                # curve id -> walk W_gamma
-    endpoints: set             # E_C inside C^phi
-    sections: dict             # representative -> list of C' vertices (fibre)
-    phi: dict = field(default_factory=dict)
+    def __init__(self, embedding: EmbeddedGraph, level: dict, psi: dict,
+                 walks: dict, endpoints: set, sections: dict, phi: dict):
+        self.embedding = embedding     # multigraph, for genus
+        self.level = level             # C^phi vertex -> level
+        self.psi = psi                 # V(C') -> V(C^phi)
+        self.walks = walks             # curve id -> walk W_gamma
+        self.endpoints = endpoints     # E_C inside C^phi
+        self.sections = sections       # representative -> list of C' vertices (fibre)
+        self.phi = phi                 # curve id -> colour
 
     @cached_property
     def graph(self) -> Graph:

@@ -12,15 +12,14 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError, SceneError
 from .graph import Graph, ball_masks, bfs_distances, connected_components
 from .planarise import ColouredPlanarisation, endpoint_id
 
 
-@dataclass
-class MinorModel:
+class MinorModel(NamedTuple):
     mu: dict              # target vertex -> frozenset of (host vertex, copy)
     host: Graph           # the host graph (first coordinate)
     copies: int           # size of the clique factor

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
@@ -21,8 +20,7 @@ from .geometry import (Point, _common_denominator, _json_int, _scaled,
                        polyline_self_intersects)
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     id: str
     points: Optional[tuple[Point, ...]] = None
     crossings: Optional[tuple[str, ...]] = None
@@ -37,8 +35,7 @@ class Curve:
         return self.points is not None
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(NamedTuple):
     id: str
     center: Optional[Point] = None
     radius: Optional[Fraction] = None
@@ -69,11 +66,13 @@ class CrossingEvent(NamedTuple):
         return self.curve_b if curve_id == self.curve_a else self.curve_a
 
 
-@dataclass
 class StringScene:
-    curves: dict[str, Curve] = field(default_factory=dict)
-    disks: dict[str, Disk] = field(default_factory=dict)
-    chirality: dict[str, int] = field(default_factory=dict)
+    def __init__(self, curves: dict[str, Curve] | None = None,
+                 disks: dict[str, Disk] | None = None,
+                 chirality: dict[str, int] | None = None):
+        self.curves = {} if curves is None else curves
+        self.disks = {} if disks is None else disks
+        self.chirality = {} if chirality is None else chirality
 
     @property
     def is_geometric(self) -> bool:

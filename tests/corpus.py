@@ -5,7 +5,6 @@ golden_outputs.py runs every CLI subcommand on them, on the degenerate
 scenes below and on the malformed inputs of MALFORMED.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from strandkit.colouring import OrderedColouring
@@ -91,7 +90,7 @@ def abstract_colouring() -> OrderedColouring:
 def twisted_multicross() -> StringScene:
     """abstract_multicross with a half-twist on arc 4 of m: Euler genus 5."""
     s = abstract_multicross()
-    s.curves["m"] = replace(s.curves["m"], twists=(4,))
+    s.curves["m"] = s.curves["m"]._replace(twists=(4,))
     s.validate()
     return s
 

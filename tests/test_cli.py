@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -14,6 +15,7 @@ import pytest
 
 import strandkit
 from strandkit.cli import FAMILIES, main
+from strandkit.decomp import _BOUNDS
 from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import InvariantError
 from strandkit.families import gen_grounded
@@ -129,6 +131,21 @@ def test_every_gen_family_is_readable(capsys, tmp_path, family):
     assert code == 0 and rep["curves"] >= 1
     code, rep = run(capsys, "verify", "--in", str(tmp_path / "scene.json"))
     assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("function", [
+    *(_BOUNDS[theorem] for theorem in sorted(_BOUNDS)),
+    *(FAMILIES[family][0] for family in sorted(FAMILIES))])
+def test_parameter_names_read_from_code_match_the_signature(function):
+    """bounds reads each formula's parameter names, and gen whether a
+    generator takes a seed, from the function's code object: its first
+    co_argcount local names, which are the signature's while every
+    parameter is positional-or-keyword."""
+    code = function.__code__
+    parameters = inspect.signature(function).parameters
+    assert code.co_varnames[:code.co_argcount] == tuple(parameters)
+    assert {p.kind for p in parameters.values()} == {
+        inspect.Parameter.POSITIONAL_OR_KEYWORD}
 
 
 @pytest.mark.parametrize("family", ["convex", "rectangles", "grid-disk"])

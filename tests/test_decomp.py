@@ -118,6 +118,39 @@ def test_exact_treewidth_matches_the_elimination_game(g):
     assert exact_treewidth(g) == elimination_game_width(g)
 
 
+@st.composite
+def component_unions(draw):
+    """Disjoint unions of 1-4 connected graphs on 8 vertices in all, each a
+    path with some chords."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    cuts = [0, *sorted(draw(st.permutations(range(1, n)))[:k - 1]), n]
+    edges = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        chords = list(itertools.combinations(range(lo, hi), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(chords), max_size=len(chords)))
+        edges += [(u, v) for (u, v), kept in zip(chords, keep) if kept or v == u + 1]
+    return k, Graph(vertices=range(n), edges=edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=component_unions())
+def test_exact_treewidth_per_component_matches_the_elimination_game(case):
+    """Each component is searched alone; the witness is one decomposition per
+    component, joined by one tree edge per extra component."""
+    k, g = case
+    comps = connected_components(g)
+    assert len(comps) == k
+    width, td = exact_treewidth_decomposition(g)
+    assert width == elimination_game_width(g)
+    assert td.width == width and verify_td(td, g)["valid"]
+    assert len(td.nodes) == len(g)
+    home = {v: i for i, comp in enumerate(comps) for v in comp}
+    bag_home = {n: {home[v] for v in td.bags[n]} for n in td.nodes}
+    assert all(len(homes) == 1 for homes in bag_home.values())
+    assert sum(bag_home[a] != bag_home[b] for a, b in td.edges) == k - 1
+
+
 def test_exact_treewidth_closed_forms():
     for a, b in [(1, 1), (1, 5), (2, 2), (2, 6), (3, 3), (3, 5), (4, 4), (4, 7)]:
         kab = Graph(vertices=range(a + b),

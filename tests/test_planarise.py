@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,9 +9,10 @@ from strandkit.decomp import Pipeline, bounds
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import pt
-from strandkit.planarise import (Planarisation, check_coloured_planarisation,
-                                 coloured_to_json, planarisation_to_dot,
-                                 planarisation_to_json, scene_to_svg)
+from strandkit.planarise import (ColouredPlanarisation, Planarisation,
+                                 check_coloured_planarisation, coloured_to_json,
+                                 planarisation_to_dot, planarisation_to_json,
+                                 scene_to_svg)
 from strandkit.scene import Curve, StringScene
 from test_colouring import check_ordered
 from test_embedding import genus
@@ -315,6 +316,14 @@ def check_outcome(check, plan, cp):
     return "ok"
 
 
+def rebuilt(cp, **changes):
+    """A new ColouredPlanarisation from cp's fields, some of them changed;
+    a copy of cp would carry its cached graph."""
+    fields = {name: getattr(cp, name) for name in (
+        "embedding", "level", "psi", "walks", "endpoints", "sections", "phi")}
+    return ColouredPlanarisation(**{**fields, **changes})
+
+
 def corrupted_copies(plan, cp):
     """cp with a vertex moved into a walk, with a wrong level, and with the
     walks of a crossing pair made disjoint."""
@@ -323,14 +332,14 @@ def corrupted_copies(plan, cp):
         for x in inner[::5]:
             walk = [y for y in cp.walks[cid] if y != x]
             for i in (1, len(walk) // 2):
-                yield replace(cp, walks={**cp.walks, cid: walk[:i] + [x] + walk[i:]})
+                yield rebuilt(cp, walks={**cp.walks, cid: walk[:i] + [x] + walk[i:]})
     for x in inner:
         for level in (cp.level[x] - 1, cp.level[x] + 1):
-            yield replace(cp, level={**cp.level, x: level})
+            yield rebuilt(cp, level={**cp.level, x: level})
     for e in plan.events.values():
         a, b = e.curve_a, e.curve_b
         walk_b = [y for y in cp.walks[b] if y not in set(cp.walks[a])]
-        yield replace(cp, walks={**cp.walks, b: walk_b})
+        yield rebuilt(cp, walks={**cp.walks, b: walk_b})
 
 
 # a word from each outcome: a clean pass and each walk clause's error

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -11,6 +10,7 @@ from strandkit.product_model import (MinorModel, build_model,
                                      grounded_distance_check,
                                      host_without_endpoints,
                                      verify_model, walk_weak_diameter)
+from test_planarise import rebuilt
 
 
 def pipeline(scene, colouring):
@@ -426,7 +426,7 @@ def test_walk_weak_diameter_corrupted_matches_oracle():
         for i, cid in enumerate(walk_ids):
             emb.add_vertex(f"island{i}")
             walks[cid] = list(walks[cid]) + [f"island{i}"]
-        return dataclasses.replace(cp, embedding=emb, walks=walks)
+        return rebuilt(cp, embedding=emb, walks=walks)
 
     lowered = type(params)(params.t, params.d, params.k, diam[widest] - 1)
     cases = [(split(cids[-1]), params), (split(cids[-1], cids[1]), params),

@@ -13,6 +13,9 @@ The modules also import each other only at top level, and without a cycle.
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +134,18 @@ def test_package_imports_are_top_level_and_acyclic():
         list(graphlib.TopologicalSorter(deps).static_order())
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+def test_fresh_import_loads_no_introspection_modules():
+    """A fresh interpreter that imports the package, its CLI and its
+    generators loads none of dataclasses, inspect, ast or dis, which every
+    CLI process would otherwise pay for.  pytest loads them itself, so the
+    import runs in a subprocess."""
+    src = Path(strandkit.__file__).resolve().parent.parent
+    code = ("import sys, strandkit, strandkit.cli, strandkit.families; "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

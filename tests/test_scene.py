@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandkit.colouring import ColouringParams, OrderedColouring
 from strandkit.errors import SceneError
 from strandkit.geometry import Point, _common_denominator, _scaled, pt
 from strandkit.scene import (CrossingEvent, Curve, Disk, StringScene,
@@ -30,6 +31,37 @@ def test_abstract_scene_roundtrip(abstract_multicross):
     assert back.to_json() == data
     assert not back.is_geometric
     assert back.curves["m"].crossings == abstract_multicross.curves["m"].crossings
+
+
+# a record built from one value, the name of a field, and a second value
+VALUE_RECORDS = {
+    "Curve": (lambda v: Curve("a", crossings=("x", "y"), twists=v), "twists",
+              (1,), (0, 2)),
+    "Disk": (lambda v: Disk("D", pt(0, 0), v), "radius", Fraction(1, 2), Fraction(1)),
+    "ColouringParams": (lambda v: ColouringParams(2, 3, 4, v), "r", 5, 6),
+    "OrderedColouring": (lambda v: OrderedColouring({"a": 1, "b": v}, 2), "phi", 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_RECORDS))
+def test_value_records_stay_values(name):
+    """The immutable records compare equal by fields, hash by them, and
+    refuse attribute assignment; a colouring holds a dict, so it has no
+    hash."""
+    make, field, value, other = VALUE_RECORDS[name]
+    a, b = make(value), make(value)
+    assert type(a).__name__ == name
+    assert a == b and a is not b and a != make(other)
+    if name == "OrderedColouring":
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b, make(other)}) == 2
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(make(other), field))
+    with pytest.raises(AttributeError):
+        a.note = "added"
+    assert a == b
 
 
 def test_empty_scene_rejected():
