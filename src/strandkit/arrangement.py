@@ -7,6 +7,7 @@ geometry._orientations and, for a contact, geometry._contact.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import attrgetter, eq, itemgetter
 
@@ -20,10 +21,11 @@ from .scene import CrossingEvent, StringScene
 def compute_arrangement(scene: StringScene) -> list[CrossingEvent]:
     """All pairwise transversal crossings of a scene, with deterministic ids.
 
-    Geometric scenes get exact crossing locations; any degeneracy (tangency,
-    collinear overlap, triple point, crossing at a polyline bend, endpoint on
-    another curve) is an error, never perturbed away.  Abstract scenes just
-    materialise their declared crossing sequences.
+    Geometric scenes get exact crossing locations; a curve that meets
+    itself off its hinges, and any degeneracy (tangency, collinear overlap,
+    triple point, crossing at a polyline bend, endpoint on another curve)
+    is an error, never perturbed away.  Abstract scenes just materialise
+    their declared crossing sequences.
     """
     if scene.is_geometric:
         return _geometric_arrangement(scene)
@@ -39,10 +41,14 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     segments: list = []         # (integer endpoints, D, first point)
     owner: list = []            # (curve index, segment index)
     boxes: list = []
+    looped = set()              # curves that meet themselves
     for c, points in enumerate(curves):
         for i, pq in enumerate(zip(points, points[1:])):
             D = _common_denominator(pq)
-            segments.append((_scaled(pq, D), D, pq[0]))
+            ends = _scaled(pq, D)
+            if ends[0] == ends[1]:
+                looped.add(c)
+            segments.append((ends, D, pq[0]))
             owner.append((c, i))
         boxes += _grid_boxes(points)
 
@@ -55,14 +61,19 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
     contacts = []      # (a, b, i, j, _contact's result) of each segment contact
     for k, l in _meeting_boxes(boxes):
         (a, i), (b, j) = owner[k], owner[l]
-        if a == b:
-            continue
         (a1, a2), Da, pa = segments[k]
         (b1, b2), Db, pb = segments[l]
         D = math.lcm(Da, Db)
         ma, mb = D // Da, D // Db
         d = _orientations(a1, a2, b1, b2, ma, mb)
         if d is None:
+            continue
+        if a == b:
+            # consecutive segments share their hinge, so they meet beyond it
+            # only in a collinear overlap; other segments of a curve never meet
+            if j > i + 1 and (all(d) or _contact(d, a1, a2, b1, b2, ma, mb) is not None) \
+                    or not any(d) and _contact(d, a1, a2, b1, b2, ma, mb) == OVERLAP:
+                looped.add(a)
             continue
         d1, d2, d3, d4 = d
         if not (d1 and d2 and d3 and d4):
@@ -92,6 +103,10 @@ def _geometric_arrangement(scene: StringScene) -> list[CrossingEvent]:
             y = Fraction(y1 * td + tn * (y2 - y1), td * Da)
         hits.append((a, b, i, j, (i << 64) + (tn << 64) // td, tn, td,
                      (j << 64) + (sn << 64) // sd, sn, sd, x, y, 1 if d4 > 0 else -1))
+
+    if looped:
+        cid = min((ids[c] for c in looped), key=list(scene.curves).index)
+        raise SceneError(f"curve {cid!r}: self-intersecting")
 
     # in all-pairs order (a, b, i, j) the first degeneracy raised is the one
     # an unfiltered loop over curve pairs and segment pairs meets first
@@ -190,6 +205,9 @@ def intersection_graph(scene: StringScene, events: list[CrossingEvent]) -> Graph
 
 
 def events_to_json(events: list[CrossingEvent]) -> list[dict]:
+    """The events in id order as JSON; a location with an integer longer than
+    Python prints is a SceneError naming its crossing."""
+    limit = sys.get_int_max_str_digits()
     out = []
     for e in sorted(events, key=lambda e: e.id):
         entry = {
@@ -198,6 +216,11 @@ def events_to_json(events: list[CrossingEvent]) -> list[dict]:
             "chirality": e.chirality,
         }
         if e.location is not None:
-            entry["location"] = e.location.to_json()
+            entry["location"] = location = e.location.to_json()
+            # 2^(3 limit) < 10^limit, so only a longer int can be unprintable
+            if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+                             for pair in location for n in pair):
+                raise SceneError(f"crossing {e.id!r}: its location has more digits "
+                                 f"than Python prints ({limit})")
         out.append(entry)
     return out

@@ -11,6 +11,7 @@ their certifiers in tests/convex_sets.py.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .arrangement import compute_arrangement
@@ -67,6 +68,7 @@ def gen_random(n: int, crossings_per_pair: int, seed: int) -> StringScene:
     if crossings_per_pair < 1:
         raise SceneError("crossings_per_pair must be >= 1")
     cap = crossings_per_pair
+    over_cap = 0
     for attempt in range(200):
         rng = random.Random(f"{seed}:{attempt}")
         scene = _random_candidate(n, cap, rng)
@@ -75,16 +77,13 @@ def gen_random(n: int, crossings_per_pair: int, seed: int) -> StringScene:
             events = compute_arrangement(scene)
         except (SceneError, DegeneracyError):
             continue
-        per_pair: dict = {}
-        crossing = set()
-        for e in events:
-            key = (e.curve_a, e.curve_b)
-            per_pair[key] = per_pair.get(key, 0) + 1
-            crossing.update(key)
-        if per_pair and max(per_pair.values()) <= cap \
-                and crossing == set(scene.curve_ids()):
+        per_pair = Counter((e.curve_a, e.curve_b) for e in events)
+        if per_pair and max(per_pair.values()) > cap:
+            over_cap += 1
+        elif per_pair and {c for pair in per_pair for c in pair} == set(scene.curve_ids()):
             return scene
-    raise SceneError(f"no valid random scene for seed {seed}")
+    raise SceneError(f"no random scene of n={n} curves for seed {seed}: {over_cap} of 200 "
+                     f"candidates cross some curve pair more than crossings_per_pair={cap} times")
 
 
 def _random_candidate(n: int, cap: int, rng: random.Random) -> StringScene:

@@ -158,29 +158,3 @@ def _meeting_boxes(boxes: list[tuple[int, int, int, int]]) -> list[tuple[int, in
                 pairs.append((k, l) if k < l else (l, k))
     return pairs
 
-
-def polyline_self_intersects(points: list[Point]) -> bool:
-    """Does the polyline cross, touch, or overlap itself anywhere?
-
-    Consecutive segments sharing exactly their common vertex are fine;
-    anything else (repeated points, back-tracking, crossings) is not.
-    """
-    # scaling is injective, so repeated points repeat as integer pairs,
-    # which hash without Fraction's modular inverse
-    P = _scaled(points, _common_denominator(points))
-    if len(set(P)) != len(P):
-        return True
-    # with distinct points, segments pq and qr meet beyond the hinge q only
-    # when they are collinear and r lies on p's side of q
-    for (px, py), (qx, qy), (rx, ry) in zip(P, P[1:], P[2:]):
-        if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
-                (px - qx) * (rx - qx) + (py - qy) * (ry - qy) > 0:
-            return True
-    for k, l in _meeting_boxes(_grid_boxes(points)):
-        if l - k < 2:
-            continue
-        d = _orientations(P[k], P[k + 1], P[l], P[l + 1])
-        if d is not None and (all(d) or _contact(d, P[k], P[k + 1], P[l], P[l + 1]) is not None):
-            return True
-    return False
-

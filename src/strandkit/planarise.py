@@ -317,37 +317,44 @@ def scene_to_svg(scene: StringScene, colouring=None) -> str:
     """Presentation-only SVG of a geometric scene.
 
     Curves are coloured by their colour class when a colouring is given.
-    Never parsed back.
+    Never parsed back; a number beyond float range is a SceneError naming its owner.
     """
     if not scene.is_geometric:
         raise SceneError("SVG emission needs a geometric scene")
     phi = colouring.phi if colouring is not None else {}
-    pts = [p for c in scene.curves.values() for p in c.points]
-    xs = [float(p.x) for p in pts]
-    ys = [float(p.y) for p in pts]
+
+    def floats(what: str, values) -> list[float]:
+        try:
+            return [float(v) for v in values]
+        except OverflowError:
+            raise SceneError(f"{what}: a coordinate is beyond float range, "
+                             "so SVG cannot draw it") from None
+
+    curves = {cid: floats(f"curve {cid!r}", [v for p in scene.curves[cid].points for v in p])
+              for cid in scene.curve_ids()}
+    disks = [floats(f"disk {did!r}", (*d.center, d.radius))
+             for did, d in sorted(scene.disks.items()) if d.center is not None]
+    xs = [x for xy in curves.values() for x in xy[::2]]
+    ys = [y for xy in curves.values() for y in xy[1::2]]
     pad = 0.5
     x0, y0 = min(xs) - pad, min(ys) - pad
     w, h = max(xs) + pad - x0, max(ys) + pad - y0
     scale = 60.0
 
-    def sx(p):
-        return (float(p.x) - x0) * scale
+    def sx(x):
+        return (x - x0) * scale
 
-    def sy(p):
-        return (h - (float(p.y) - y0)) * scale
+    def sy(y):
+        return (h - (y - y0)) * scale
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * scale:.0f}" '
            f'height="{h * scale:.0f}" viewBox="0 0 {w * scale:.0f} {h * scale:.0f}">']
-    for did in sorted(scene.disks):
-        d = scene.disks[did]
-        if d.center is None:
-            continue
-        out.append(f'<circle cx="{sx(d.center):.1f}" cy="{sy(d.center):.1f}" '
-                   f'r="{float(d.radius) * scale:.1f}" fill="#eee" stroke="#999"/>')
-    for cid in scene.curve_ids():
-        c = scene.curves[cid]
+    for x, y, r in disks:
+        out.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" '
+                   f'r="{r * scale:.1f}" fill="#eee" stroke="#999"/>')
+    for cid, xy in curves.items():
         colour = _SVG_PALETTE[(phi.get(cid, 1) - 1) % len(_SVG_PALETTE)]
-        path = " ".join(f"{sx(p):.1f},{sy(p):.1f}" for p in c.points)
+        path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xy[::2], xy[1::2]))
         out.append(f'<polyline points="{path}" fill="none" stroke="{colour}" '
                    f'stroke-width="1.5"><title>{cid}</title></polyline>')
     out.append("</svg>")

@@ -16,8 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from .errors import SceneError
-from .geometry import (Point, _common_denominator, _json_int, _scaled,
-                       polyline_self_intersects)
+from .geometry import Point, _common_denominator, _json_int, _scaled
 
 
 class Curve(NamedTuple):
@@ -93,7 +92,10 @@ class StringScene:
             if curve.points is not None:
                 if curve.twists:
                     raise SceneError(f"curve {cid!r}: twists require abstract mode")
-                self._validate_polyline(curve)
+                if len(curve.points) < 2:
+                    raise SceneError(f"curve {cid!r}: polyline needs at least 2 points")
+                if curve.points[0] == curve.points[-1]:
+                    raise SceneError(f"curve {cid!r}: endpoints coincide")
             else:
                 self._validate_abstract_curve(curve)
             if curve.grounded is not None:
@@ -112,15 +114,6 @@ class StringScene:
             raise SceneError("geometric curves with an abstract disk are not supported")
         self._validate_disks()
         self._validate_boundaries()
-
-    def _validate_polyline(self, curve: Curve) -> None:
-        pts = curve.points
-        if len(pts) < 2:
-            raise SceneError(f"curve {curve.id!r}: polyline needs at least 2 points")
-        if pts[0] == pts[-1]:
-            raise SceneError(f"curve {curve.id!r}: endpoints coincide")
-        if polyline_self_intersects(list(pts)):
-            raise SceneError(f"curve {curve.id!r}: self-intersecting")
 
     def _validate_abstract_curve(self, curve: Curve) -> None:
         seq = curve.crossings
@@ -310,7 +303,10 @@ def _segment_enters_open_disk(a: tuple[int, int], b: tuple[int, int],
 
 
 def load_scene(path) -> StringScene:
-    """Load and fully validate a scene file."""
+    """Load a scene file and validate its structure, grounding and disks.
+
+    Whether segments cross, touch or overlap, a curve's own included, is
+    the arrangement's to decide."""
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -128,8 +128,10 @@ def polyline(cid: str, *points) -> dict:
                                   for x, y in points]}
 
 
-# scene JSONs that the arrangement or the validation refuses, each for one
-# kind of contact that is not a proper crossing
+# scene JSONs that the arrangement refuses, each for one kind of contact that
+# is not a proper crossing, and valid scenes whose numbers an output cannot
+# print: a crossing with more digits than Python prints, refused by arrange,
+# and a coordinate beyond float range, refused by planarise's SVG
 DEGENERATE_SCENES = {
     "touch-at-bend": {"curves": [
         segment("a", (0, 0), (4, 0)), polyline("b", (1, 3), (2, 0), (3, 3))]},
@@ -154,6 +156,11 @@ DEGENERATE_SCENES = {
     "self-touching-polyline": {"curves": [
         polyline("a", (0, 0), (4, 0), (4, 2), (2, 2), (2, 0)),
         segment("b", (1, -1), (1, 1))]},
+    "unprintable-crossing": {"curves": [
+        polyline("a", (0, Fraction(1, 10 ** 2500 + 1)), (5, Fraction(3, 10 ** 2500 + 3))),
+        polyline("b", (Fraction(1, 10 ** 2400 + 7), 2), (Fraction(4, 10 ** 2450 + 11), -1))]},
+    "beyond-float-range": {"curves": [
+        segment("a", (0, 0), (10 ** 400, 0)), segment("b", (1, -1), (1, 1))]},
 }
 
 

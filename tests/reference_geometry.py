@@ -1,17 +1,23 @@
-"""The exact Fraction segment classifier that strandkit.geometry once ran on
-every degenerate contact, kept as the reference for its integer kernel.
+"""Geometry that strandkit once ran, kept as references for what replaced it.
 
-intersect_segments decides how two closed segments meet on their Fraction
-points: disjoint, a proper crossing with its point, a touch at one point,
-or a collinear overlap.  The tests compare geometry._contact, the
-arrangement and polyline_self_intersects with it, and convex_sets.py reads
-cross and intersect_segments.
+intersect_segments, the exact Fraction segment classifier that
+strandkit.geometry once ran on every degenerate contact, decides how two
+closed segments meet on their Fraction points: disjoint, a proper crossing
+with its point, a touch at one point, or a collinear overlap.  The tests
+compare geometry._contact and the arrangement with it, and convex_sets.py
+reads cross and intersect_segments.
+
+polyline_self_intersects is the per-polyline test that scene validation
+once ran, on one scale for the whole polyline.  The arrangement now decides
+a curve's own segment pairs in its sweep over every curve; the tests hold
+it to this function and to an all-pairs reference.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from strandkit.geometry import Point
+from strandkit.geometry import (Point, _common_denominator, _contact, _grid_boxes,
+                                _meeting_boxes, _orientations, _scaled)
 
 
 def cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -76,3 +82,30 @@ def intersect_segments(a1: Point, a2: Point, b1: Point, b2: Point) -> SegmentInt
 
 def squared_distance(a: Point, b: Point) -> Fraction:
     return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
+
+
+def polyline_self_intersects(points: list[Point]) -> bool:
+    """Does the polyline cross, touch, or overlap itself anywhere?
+
+    Consecutive segments sharing exactly their common vertex are fine;
+    anything else (repeated points, back-tracking, crossings) is not.
+    """
+    # scaling is injective, so repeated points repeat as integer pairs,
+    # which hash without Fraction's modular inverse
+    P = _scaled(points, _common_denominator(points))
+    if len(set(P)) != len(P):
+        return True
+    # with distinct points, segments pq and qr meet beyond the hinge q only
+    # when they are collinear and r lies on p's side of q
+    for (px, py), (qx, qy), (rx, ry) in zip(P, P[1:], P[2:]):
+        if (qx - px) * (ry - py) == (qy - py) * (rx - px) and \
+                (px - qx) * (rx - qx) + (py - qy) * (ry - qy) > 0:
+            return True
+    for k, l in _meeting_boxes(_grid_boxes(points)):
+        if l - k < 2:
+            continue
+        d = _orientations(P[k], P[k + 1], P[l], P[l + 1])
+        if d is not None and (all(d) or _contact(d, P[k], P[k + 1], P[l], P[l + 1]) is not None):
+            return True
+    return False
+

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from strandkit.arrangement import (compute_arrangement, events_by_curve,
                                    events_to_json, intersection_graph)
-from strandkit.errors import DegeneracyError
+from strandkit.errors import DegeneracyError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import (Point, _common_denominator, _grid_boxes,
                                 _meeting_boxes, _orientations, _scaled, pt)
 from strandkit.scene import CrossingEvent, Curve, StringScene
 from reference_geometry import SegmentIntersection, intersect_segments, squared_distance
 from test_geometry import DEGENERATE, all_pairs_self_intersects
+from corpus import DEGENERATE_SCENES, polyline, segment
 
 
 def test_plus_sign_single_crossing(plus_sign):
@@ -66,6 +67,59 @@ def test_triple_point_rejected():
     s.curves["c"] = Curve("c", (pt(-2, -2), pt(2, 2)))
     s.validate()
     with pytest.raises(DegeneracyError):
+        compute_arrangement(s)
+
+
+# scenes of one fault between curves each: the degenerate contacts and
+# triple point of the manifest, and two curve pairs that format one crossing id
+BETWEEN_CURVES = {
+    **{name: data for name, data in DEGENERATE_SCENES.items() if name not in
+       ("self-touching-polyline", "unprintable-crossing", "beyond-float-range")},
+    "crossing-id-twice": {"curves": [
+        segment("a", (-1, 0), (1, 0)), segment("b:c", (0, -1), (0, 1)),
+        segment("a:b", (9, 0), (11, 0)), segment("c", (10, -1), (10, 1))]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETWEEN_CURVES))
+def test_self_intersection_is_reported_before_faults_between_curves(name):
+    """A curve that touches itself, far from the others, is the error
+    whatever the other curves do, before any contact, triple point or id
+    collision between curves."""
+    looped = polyline("z", (100, 0), (104, 0), (104, 2), (102, 2), (102, 0))
+    data = BETWEEN_CURVES[name]
+    s = StringScene.from_json({**data, "curves": [looped, *data["curves"]]})
+    s.validate()
+    with pytest.raises(SceneError, match=r"^curve 'z': self-intersecting$"):
+        compute_arrangement(s)
+
+
+def test_self_touching_curve_beside_a_touch_between_curves():
+    """b's end touches a and c touches itself: the self-intersection is
+    reported, though a and b come first in every order."""
+    s = StringScene()
+    s.curves["a"] = Curve("a", (pt(0, 0), pt(4, 0)))
+    s.curves["b"] = Curve("b", (pt(2, 0), pt(2, 3)))
+    s.curves["c"] = Curve("c", (pt(10, 0), pt(14, 0), pt(14, 2), pt(12, 2), pt(12, 0)))
+    s.validate()
+    with pytest.raises(SceneError, match=r"^curve 'c': self-intersecting$"):
+        compute_arrangement(s)
+    del s.curves["c"]
+    with pytest.raises(DegeneracyError, match="touch non-transversally"):
+        compute_arrangement(s)
+
+
+def test_first_self_intersecting_curve_in_scene_order_is_reported():
+    """Of two self-intersecting curves, the one the scene lists first, as
+    validation once reported it, not the first by id."""
+    s = StringScene()
+    s.curves["b"] = Curve("b", (pt(0, 0), pt(2, 0), pt(1, 0)))
+    s.curves["a"] = Curve("a", (pt(10, 0), pt(11, 0), pt(11, 0), pt(12, 0)))
+    s.validate()
+    with pytest.raises(SceneError, match=r"^curve 'b': self-intersecting$"):
+        compute_arrangement(s)
+    del s.curves["b"]
+    with pytest.raises(SceneError, match=r"^curve 'a': self-intersecting$"):
         compute_arrangement(s)
 
 

@@ -22,7 +22,7 @@ from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.planarise import endpoint_id
 from strandkit.scene import Curve, StringScene, dump_scene, load_scene
-from corpus import MALFORMED
+from corpus import DEGENERATE_SCENES, MALFORMED
 from golden_outputs import MANIFEST, gen_key
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,6 +210,35 @@ def test_degenerate_scene_exit_2(capsys, tmp_path):
         {"id": "b", "points": [[[2, 1], [0, 1]], [[2, 1], [3, 1]]]}]}))
     code, rep = run(capsys, "arrange", "--in", str(bad))
     assert code == 2 and rep["kind"] == "invalid-input"
+
+
+# (scene, argv that cannot print one of its numbers, its error, argv that
+# prints the same scene)
+UNPRINTABLE = {
+    "unprintable-crossing": (["arrange", "--format", "json,dot"],
+                             "crossing 'x:a:b:0': its location has more digits "
+                             f"than Python prints ({sys.get_int_max_str_digits()})",
+                             ["localise"]),
+    "beyond-float-range": (["planarise", "--format", "json,svg"],
+                           "curve 'a': a coordinate is beyond float range, "
+                           "so SVG cannot draw it", ["planarise", "--format", "json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPRINTABLE))
+def test_unprintable_number_exit_2(capsys, tmp_path, name):
+    """An output that cannot print a number of a valid scene refuses it,
+    naming the crossing or the curve; other outputs of the scene print."""
+    failing, error, printing = UNPRINTABLE[name]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(DEGENERATE_SCENES[name]))
+    for argv in ([*failing, "--out", str(tmp_path / "a")], failing):
+        code, rep = run(capsys, *argv, "--in", str(path))
+        assert (code, rep) == (2, {"error": error, "kind": "invalid-input"})
+    code, rep = run(capsys, *printing, "--in", str(path), "--out", str(tmp_path / "b"))
+    assert code == 0
+    code, rep = run(capsys, "verify", "--in", str(path))
+    assert code == 0
 
 
 def test_missing_file_exit_2(capsys, tmp_path):

@@ -7,7 +7,7 @@ from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.geometry import pt
 from strandkit.graph import Graph
 from strandkit.product_model import MinorModel, verify_model
-from strandkit.scene import dumps_canonical
+from strandkit.scene import CrossingEvent, dumps_canonical
 from convex_sets import (ConvexScene, convex_to_drawing, gen_grid_disk,
                          gen_random_convex, gen_rectangle_family)
 from test_colouring import degeneracy
@@ -204,6 +204,20 @@ def test_gen_random_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(families, "compute_arrangement", broken)
     with pytest.raises(RuntimeError, match="arrangement bug"):
         gen_random(4, 1, 0)
+
+
+def test_gen_random_names_the_cap_when_it_gives_up(monkeypatch):
+    """Every candidate crossing one pair three times against a cap of 2: the
+    error names n and the cap, with the count of candidates over it."""
+    import strandkit.families as families
+
+    def thrice(scene):
+        return [CrossingEvent(f"x{k}", "c00", "c01", k, k, 1) for k in range(3)]
+    monkeypatch.setattr(families, "compute_arrangement", thrice)
+    with pytest.raises(SceneError, match=r"^no random scene of n=4 curves for seed 7: "
+                       r"200 of 200 candidates cross some curve pair more than "
+                       r"crossings_per_pair=2 times$"):
+        gen_random(4, 2, 7)
 
 
 @pytest.mark.parametrize("cap", [0, -1])

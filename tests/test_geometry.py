@@ -6,10 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from strandkit.arrangement import compute_arrangement
+from strandkit.errors import SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import (OVERLAP, Point, _common_denominator, _contact,
-                                _orientations, _scaled, polyline_self_intersects, pt)
-from reference_geometry import SegmentIntersection, cross, intersect_segments
+                                _orientations, _scaled, pt)
+from strandkit.scene import Curve, StringScene
+from reference_geometry import (SegmentIntersection, cross, intersect_segments,
+                                polyline_self_intersects)
 from convex_sets import (centroid, clip_convex, convex_polygon_contains,
                          polygon_is_convex_ccw)
 
@@ -55,9 +59,28 @@ def test_exact_rational_crossing_point():
     assert res.point == Point(Fraction(1, 4), Fraction(1, 4))
 
 
+def arrangement_self_intersects(points) -> bool:
+    """Does the arrangement of the one-curve scene of points refuse it as
+    self-intersecting?  Any other outcome is an error of the test."""
+    scene = StringScene({"a": Curve("a", tuple(points))})
+    try:
+        assert compute_arrangement(scene) == []
+    except SceneError as exc:
+        assert str(exc) == "curve 'a': self-intersecting"
+        return True
+    return False
+
+
+def self_intersects(points) -> bool:
+    """The arrangement's verdict on a polyline, asserted to be both oracles'."""
+    got = arrangement_self_intersects(points)
+    assert got == polyline_self_intersects(points) == all_pairs_self_intersects(points)
+    return got
+
+
 def test_polyline_self_intersection():
-    assert polyline_self_intersects([pt(0, 0), pt(2, 0), pt(1, 1), pt(1, -1)])
-    assert not polyline_self_intersects([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
+    assert self_intersects([pt(0, 0), pt(2, 0), pt(1, 1), pt(1, -1)])
+    assert not self_intersects([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)])
 
 
 def all_pairs_self_intersects(points) -> bool:
@@ -95,8 +118,7 @@ POLYLINE_FIXTURES = {
 def test_self_intersection_fixtures(name):
     points, want = POLYLINE_FIXTURES[name]
     points = [pt(*q) for q in points]
-    assert polyline_self_intersects(points) == want
-    assert all_pairs_self_intersects(points) == want
+    assert self_intersects(points) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -108,9 +130,7 @@ def test_filtered_self_intersection_matches_all_pairs_reference(seed):
         curves = [list(c.points) for c in scene.curves.values()]
         polylines = curves + [a + b for a, b in combinations(curves, 2)]
         for points in polylines:
-            got = polyline_self_intersects(points)
-            assert got == all_pairs_self_intersects(points)
-            seen.add(got)
+            seen.add(self_intersects(points))
     assert seen == {False, True}
 
 
@@ -126,7 +146,7 @@ grid_polylines = st.lists(st.builds(pt, st.integers(0, 3), st.integers(0, 3)),
 @DEGENERATE
 @given(grid_polylines)
 def test_self_intersection_matches_all_pairs_reference_on_grid(points):
-    assert polyline_self_intersects(points) == all_pairs_self_intersects(points)
+    self_intersects(points)
 
 
 def kernel_kind(a1, a2, b1, b2):

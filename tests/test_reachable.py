@@ -2,7 +2,11 @@
 points: the CLI's main and the names the benchmark harness imports.
 
 Reachability is by name, an over-approximation: a reached def reaches every
-def or class whose name it mentions, as a variable or as an attribute.  The
+def or class whose name it mentions, as a variable or as an attribute.  An
+attribute of a receiver whose class is known reaches that class's def of
+the name alone: self in a class's defs, and a variable x of a def that only
+ever binds x = C(...) for one package class C.  Any other receiver, or a
+class without a def of the name, reaches every def of that name.  The
 statements at the top level of each module run on import, so they are
 reached, and so are the decorators, bases and defaults of every def, which
 run where the def stands; import statements mention no name.  A class
@@ -33,15 +37,15 @@ ALLOWED = {"EmbeddedGraph.delete_vertex", "EmbeddedGraph.delete_edge"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def mentioned(nodes) -> set:
-    """Names and attributes in nodes, not looking inside nested defs (which
-    are nodes of their own) beyond their decorators and defaults."""
-    names = set()
+def own_nodes(nodes):
+    """The nodes of a body, not looking inside nested defs (which are
+    nodes of their own) beyond their decorators, bases and defaults."""
     stack = list(nodes)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
+        yield node
         if isinstance(node, DEFS):
             stack.extend(node.decorator_list)
             if isinstance(node, ast.ClassDef):
@@ -49,36 +53,81 @@ def mentioned(nodes) -> set:
             else:
                 stack.extend(node.args.defaults + node.args.kw_defaults)
             continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def receivers(nodes, params, classes: dict) -> dict:
+    """Variable -> class qualified name, for each variable of the nodes that
+    is not one of params and is bound only by x = C(...), for one package
+    class C."""
+    stores = dict.fromkeys(params, 1)
+    made: dict = {}
+    for node in own_nodes(nodes):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores[node.id] = stores.get(node.id, 0) + 1
+        elif isinstance(node, ast.arg):
+            stores[node.arg] = stores.get(node.arg, 0) + 1
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)
+              and node.value.func.id in classes):
+            made.setdefault(node.targets[0].id, []).append(classes[node.value.func.id])
+    return {x: cs[0] for x, cs in made.items()
+            if len(set(cs)) == 1 and stores[x] == len(cs)}
+
+
+def mentioned(nodes, params, cls, classes: dict, methods: dict) -> set:
+    """Names and attributes in nodes, as bare names, or as qualified names
+    (which hold a dot) where the receiver's class defines the attribute.
+    params are the def's parameters, and cls is the qualified name of the
+    enclosing class, or None."""
+    known = receivers(nodes, params, classes)
+    if cls is not None:
+        known["self"] = cls
+    names = set()
+    for node in own_nodes(nodes):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return {n for n in names if n is not None}
+            owner = known.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            qual = f"{owner}.{node.attr}"
+            names.add(qual if qual in methods else node.attr)
+    return names
 
 
 def package_defs() -> tuple:
     """(defs, top): defs maps each def's qualified name to (its name, the
     names its body mentions, its dunder methods if a class); top holds the
     names the modules' top-level statements mention."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(Path(strandkit.__file__).parent.glob("*.py"))}
+    classes = {node.name: f"{stem}.{node.name}" for stem, module in modules.items()
+               for node in module.body if isinstance(node, ast.ClassDef)}
+    methods = {f"{classes[node.name]}.{child.name}" for module in modules.values()
+               for node in module.body if isinstance(node, ast.ClassDef)
+               for child in node.body if isinstance(child, DEFS)}
     defs, top = {}, set()
 
-    def visit(node, prefix):
+    def visit(node, prefix, cls):
         qual = f"{prefix}{node.name}"
+        inner = qual if isinstance(node, ast.ClassDef) else cls
         dunders = set()
         for child in node.body:
             if isinstance(child, DEFS):
-                visit(child, f"{qual}.")
+                visit(child, f"{qual}.", inner)
                 if isinstance(node, ast.ClassDef) and child.name.startswith("__"):
                     dunders.add(f"{qual}.{child.name}")
-        defs[qual] = (node.name, mentioned(node.body), dunders)
+        params = [] if isinstance(node, ast.ClassDef) else \
+            [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+        defs[qual] = (node.name, mentioned(node.body, params, inner, classes, methods),
+                      dunders)
 
-    for path in sorted(Path(strandkit.__file__).parent.glob("*.py")):
-        module = ast.parse(path.read_text())
-        top |= mentioned(module.body)
+    for stem, module in modules.items():
+        top |= mentioned(module.body, [], None, classes, methods)
         for node in module.body:
             if isinstance(node, DEFS):
-                visit(node, f"{path.stem}.")
+                visit(node, f"{stem}.", None)
     return defs, top
 
 
@@ -94,7 +143,7 @@ def test_every_def_is_reachable_from_the_entry_points():
         if name in seen_names:
             continue
         seen_names.add(name)
-        for qual in by_name.get(name, ()):
+        for qual in [name] if "." in name else by_name.get(name, ()):
             reached.add(qual)
             _, names, dunders = defs[qual]
             todo.extend(names)
@@ -105,6 +154,35 @@ def test_every_def_is_reachable_from_the_entry_points():
     assert sorted(set(unreached) - ALLOWED) == []
     assert sorted(ALLOWED - set(unreached)) == [], "an allowed def is reached now"
 
+
+RESOLVED = """
+class A:
+    def f(self):
+        self.g()
+        self.h()
+    def g(self):
+        pass
+
+def k(x):
+    y = A()
+    z = A()
+    z = x
+    for w in []:
+        w = A()
+    y.g(), x.g(), z.g(), w.g(), y.f, y.m
+"""
+
+
+def test_receivers_resolve_to_their_class():
+    """self and a variable bound only by A(...) reach A's def of the name;
+    a parameter, a rebound variable and a loop variable reach every def of
+    it; an attribute A does not define stays a bare name."""
+    classes, methods = {"A": "m.A"}, {"m.A.f", "m.A.g"}
+    cls, k = ast.parse(RESOLVED).body
+    assert mentioned(cls.body[0].body, ["self"], "m.A", classes, methods) == \
+        {"self", "m.A.g", "h"}
+    assert mentioned(k.body, ["x"], None, classes, methods) == \
+        {"A", "x", "y", "z", "w", "m.A.g", "g", "m.A.f", "m"}
 
 
 def test_package_imports_are_top_level_and_acyclic():

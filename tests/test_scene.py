@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strandkit.arrangement import compute_arrangement
 from strandkit.colouring import ColouringParams, OrderedColouring
 from strandkit.errors import SceneError
 from strandkit.geometry import Point, _common_denominator, _scaled, pt
@@ -70,10 +71,23 @@ def test_empty_scene_rejected():
 
 
 def test_self_intersecting_polyline_rejected():
+    """validate runs no segment-pair test: the arrangement refuses the curve."""
     s = StringScene()
     s.curves["a"] = Curve("a", (pt(0, 0), pt(2, 0), pt(1, 1), pt(1, -1)))
     s.curves["b"] = Curve("b", (pt(5, 0), pt(6, 0)))
-    with pytest.raises(SceneError):
+    s.validate()
+    with pytest.raises(SceneError, match=r"^curve 'a': self-intersecting$"):
+        compute_arrangement(s)
+
+
+def test_validation_refusals_come_before_a_self_intersection():
+    """A self-intersecting curve beside a curve through a disk: validate,
+    which runs first, reports the disk."""
+    s = StringScene()
+    s.disks["D"] = Disk("D", pt(0, 0), Fraction(1))
+    s.curves["a"] = Curve("a", (pt(10, 0), pt(14, 0), pt(14, 2), pt(12, 2), pt(12, 0)))
+    s.curves["b"] = Curve("b", (pt(-2, 0), pt(2, 0)))
+    with pytest.raises(SceneError, match=r"^curve 'b' enters interior of disk 'D'$"):
         s.validate()
 
 
