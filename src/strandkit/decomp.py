@@ -240,8 +240,6 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
     as the decomposition tree.
     """
     verts = G.vertices
-    if not verts:
-        raise SceneError("empty graph")
     if len(verts) == 1:
         return TreeDecomposition([1], [], {1: frozenset(verts)})
     if len(parent) != len(G):
@@ -293,14 +291,10 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
         if pair in tree_pairs and pair not in chosen:
             chosen.add(pair)
             continue
-        f1 = face_of[(eid, 0)]
-        f2 = face_of[(eid, 1)]
-        if f1 == f2:
-            raise InvariantError("non-tree edge with one face (bridge?)")
-        dual_edges.append((f1, f2))
-    if len(dual_edges) != len(faces) - 1:
-        raise InvariantError("dual edge count is not faces - 1")
+        dual_edges.append((face_of[eid, 0], face_of[eid, 1]))
 
+    # a dual loop or a wrong dual edge count leaves no tree, which verify_td
+    # refuses
     td = TreeDecomposition(list(bags), dual_edges, bags)
     report = verify_td(td, G)
     if not report["valid"]:

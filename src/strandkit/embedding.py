@@ -38,9 +38,8 @@ class EmbeddedGraph:
         self.rotation.setdefault(v, [])
 
     def add_edge(self, eid, u, v, sig: int = 1, label=None) -> None:
-        """Append an edge; darts are appended at the end of both rotations."""
-        if eid in self.edge_ends:
-            raise InvariantError(f"duplicate edge id {eid!r}")
+        """Append an edge, whose id must be new; darts are appended at the
+        end of both rotations."""
         self.add_vertex(u)
         self.add_vertex(v)
         self.edge_ends[eid] = (u, v)
@@ -59,9 +58,6 @@ class EmbeddedGraph:
     def dart_tail(self, dart: Dart):
         u, v = self.edge_ends[dart[0]]
         return u if dart[1] == 0 else v
-
-    def degree(self, v) -> int:
-        return len(self.rotation[v])
 
     def simple_graph(self) -> Graph:
         return Graph(self.vertices(), self.edge_ends.values())
@@ -164,8 +160,6 @@ class EmbeddedGraph:
         """
         vi = self.dart_tail(face[i])
         vj = self.dart_tail(face[j])
-        if vi == vj:
-            raise InvariantError("chord endpoints coincide")
         # insert dart vi -> vj right before face[i] at vi, and the reverse
         # dart right after reverse(face[j - 1]) at vj
         self.edge_ends[eid] = (vi, vj)

@@ -99,11 +99,6 @@ def build_HR(scene: StringScene, along: dict,
             R.add(frozenset((pid, opid)))
         drawing[pid] = kept
 
-    for pair in R:
-        (c1, _), (c2, _) = sorted(pair)
-        if c1 == c2:
-            raise CheckFailure(f"R pairs two pieces of curve {c1!r}")
-
     H = Graph(sorted(selection), pieces.values())
     return AuxiliaryInstance(H, pieces, R, sigma, drawing, dict(selection),
                              by_id, scene)
@@ -147,11 +142,8 @@ def bigon_reduce(inst: AuxiliaryInstance) -> AuxiliaryInstance:
                 break
             if changed:
                 break
-    out = AuxiliaryInstance(inst.H, inst.pieces, set(inst.R), inst.sigma,
-                            drawing, inst.selection, inst.events, inst.scene)
-    if out.crossing_count() > inst.crossing_count():
-        raise CheckFailure("bigon reduction increased the crossing count")
-    return out
+    return AuxiliaryInstance(inst.H, inst.pieces, set(inst.R), inst.sigma,
+                             drawing, inst.selection, inst.events, inst.scene)
 
 
 def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:

@@ -17,6 +17,7 @@ asserted.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -88,23 +89,12 @@ def planarise(scene: StringScene, events: list[CrossingEvent],
         else:
             g.rotation[e.id] = [a_next, b_prev, a_prev, b_next]
 
+    # the edge ids c:<curve>:<i> are distinct, as the text after the last ':'
+    # is i; so once check finds each dart listed once at its tail, C' has one
+    # vertex per curve end and crossing, one edge per path step, and degrees
+    # 1 and 4
     g.check()
-    plan = Planarisation(g, kind, paths, by_id)
-    _check_planarisation(plan, events)
-    return plan
-
-
-def _check_planarisation(plan: Planarisation, events: list[CrossingEvent]) -> None:
-    g = plan.embedding
-    n_end = sum(1 for k in plan.kind.values() if k == "endpoint")
-    if len(g.rotation) != n_end + len(events):
-        raise InvariantError("planarisation vertex count off")
-    if g.edge_count() != sum(len(p) - 1 for p in plan.curve_paths.values()):
-        raise InvariantError("planarisation edge count off")
-    for v, k in plan.kind.items():
-        want = 1 if k == "endpoint" else 4
-        if g.degree(v) != want:
-            raise InvariantError(f"vertex {v!r} has degree {g.degree(v)}, expected {want}")
+    return Planarisation(g, kind, paths, by_id)
 
 
 class ColouredPlanarisation:
@@ -317,7 +307,8 @@ def scene_to_svg(scene: StringScene, colouring=None) -> str:
     """Presentation-only SVG of a geometric scene.
 
     Curves are coloured by their colour class when a colouring is given.
-    Never parsed back; a number beyond float range is a SceneError naming its owner.
+    Never parsed back; a number beyond float range, given or drawn, is a
+    SceneError naming its owner.
     """
     if not scene.is_geometric:
         raise SceneError("SVG emission needs a geometric scene")
@@ -330,10 +321,16 @@ def scene_to_svg(scene: StringScene, colouring=None) -> str:
             raise SceneError(f"{what}: a coordinate is beyond float range, "
                              "so SVG cannot draw it") from None
 
+    def drawn(what: str, values: list) -> list[float]:
+        if all(map(math.isfinite, values)):
+            return values
+        raise SceneError(f"{what}: a drawn number is beyond float range, "
+                         "so SVG cannot draw it")
+
     curves = {cid: floats(f"curve {cid!r}", [v for p in scene.curves[cid].points for v in p])
               for cid in scene.curve_ids()}
-    disks = [floats(f"disk {did!r}", (*d.center, d.radius))
-             for did, d in sorted(scene.disks.items()) if d.center is not None]
+    disks = {did: floats(f"disk {did!r}", (*d.center, d.radius))
+             for did, d in sorted(scene.disks.items()) if d.center is not None}
     xs = [x for xy in curves.values() for x in xy[::2]]
     ys = [y for xy in curves.values() for y in xy[1::2]]
     pad = 0.5
@@ -347,14 +344,20 @@ def scene_to_svg(scene: StringScene, colouring=None) -> str:
     def sy(y):
         return (h - (y - y0)) * scale
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * scale:.0f}" '
-           f'height="{h * scale:.0f}" viewBox="0 0 {w * scale:.0f} {h * scale:.0f}">']
-    for x, y, r in disks:
-        out.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" '
-                   f'r="{r * scale:.1f}" fill="#eee" stroke="#999"/>')
-    for cid, xy in curves.items():
+    points = {cid: drawn(f"curve {cid!r}", [c for x, y in zip(xy[::2], xy[1::2])
+                                            for c in (sx(x), sy(y))])
+              for cid, xy in curves.items()}
+    circles = [drawn(f"disk {did!r}", [sx(x), sy(y), r * scale])
+               for did, (x, y, r) in disks.items()]
+    width, height = drawn("scene", [w * scale, h * scale])
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
+    for x, y, r in circles:
+        out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" '
+                   f'r="{r:.1f}" fill="#eee" stroke="#999"/>')
+    for cid, xy in points.items():
         colour = _SVG_PALETTE[(phi.get(cid, 1) - 1) % len(_SVG_PALETTE)]
-        path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in zip(xy[::2], xy[1::2]))
+        path = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xy[::2], xy[1::2]))
         out.append(f'<polyline points="{path}" fill="none" stroke="{colour}" '
                    f'stroke-width="1.5"><title>{cid}</title></polyline>')
     out.append("</svg>")

@@ -85,8 +85,6 @@ class StringScene:
             raise SceneError("scene has no curves")
         for cid in self.curves:
             curve = self.curves[cid]
-            if curve.id != cid:
-                raise SceneError(f"curve key {cid!r} does not match id {curve.id!r}")
             if (curve.points is None) == (curve.crossings is None):
                 raise SceneError(f"curve {cid!r}: exactly one of points/crossings required")
             if curve.points is not None:

@@ -106,6 +106,21 @@ def twisted_double_crossing() -> StringScene:
     return s
 
 
+def abstract_on_geometric_disk() -> StringScene:
+    """Three abstract curves grounded on a disk with a center and a radius,
+    their intersection graph the path a-b-c.  Validation checks a grounded
+    end against the disk's circle for polylines only, so this scene passes,
+    and every subcommand reads it as an abstract one."""
+    s = StringScene()
+    s.disks["D"] = Disk("D", pt(0, 0), Fraction(1))
+    s.curves["a"] = Curve("a", None, ("x",), grounded=("D", 0))
+    s.curves["b"] = Curve("b", None, ("x", "y"), grounded=("D", 0))
+    s.curves["c"] = Curve("c", None, ("y",), grounded=("D", 1))
+    s.chirality = {"x": 1, "y": -1}
+    s.validate()
+    return s
+
+
 # fixture scene -> its colouring, or None
 FIXTURES = {
     plus_sign: plus_colouring,
@@ -114,6 +129,7 @@ FIXTURES = {
     abstract_multicross: abstract_colouring,
     twisted_multicross: abstract_colouring,
     twisted_double_crossing: None,
+    abstract_on_geometric_disk: None,
 }
 
 
@@ -131,7 +147,8 @@ def polyline(cid: str, *points) -> dict:
 # scene JSONs that the arrangement refuses, each for one kind of contact that
 # is not a proper crossing, and valid scenes whose numbers an output cannot
 # print: a crossing with more digits than Python prints, refused by arrange,
-# and a coordinate beyond float range, refused by planarise's SVG
+# and a coordinate beyond float range or one whose drawn position is,
+# refused by planarise's SVG
 DEGENERATE_SCENES = {
     "touch-at-bend": {"curves": [
         segment("a", (0, 0), (4, 0)), polyline("b", (1, 3), (2, 0), (3, 3))]},
@@ -161,6 +178,8 @@ DEGENERATE_SCENES = {
         polyline("b", (Fraction(1, 10 ** 2400 + 7), 2), (Fraction(4, 10 ** 2450 + 11), -1))]},
     "beyond-float-range": {"curves": [
         segment("a", (0, 0), (10 ** 400, 0)), segment("b", (1, -1), (1, 1))]},
+    "drawn-beyond-float-range": {"curves": [
+        segment("a", (0, 0), (10 ** 307, 0)), segment("b", (1, -1), (1, 1))]},
 }
 
 

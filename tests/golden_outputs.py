@@ -5,7 +5,7 @@ stdout and of every file the command writes.  Its scenes are:
 
 - the scenes of the gen runs in GEN_RUNS: gen_grounded(n, s) for n in
   {2, 6, 12, 24} and s < 2, the segment family at t = 1-3 and three random
-  scenes;
+  scenes (the runs that exit 2 give none);
 - the fixtures of corpus.py, with and without their colourings;
 - the scene that localise writes for each of the above, as "<scene>/localised";
 - corpus.DEGENERATE_SCENES, as "degenerate/<name>";
@@ -58,6 +58,7 @@ GEN_RUNS = [
     ("grounded", "n=1", 0),
     ("random", "n=1", 0),
     ("random", "n=6 crossings_per_pair=0", 0),
+    ("segment", "t=0", 0),
 ]
 
 # --theorem and --params of each bounds run

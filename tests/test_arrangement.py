@@ -74,7 +74,8 @@ def test_triple_point_rejected():
 # triple point of the manifest, and two curve pairs that format one crossing id
 BETWEEN_CURVES = {
     **{name: data for name, data in DEGENERATE_SCENES.items() if name not in
-       ("self-touching-polyline", "unprintable-crossing", "beyond-float-range")},
+       ("self-touching-polyline", "unprintable-crossing", "beyond-float-range",
+        "drawn-beyond-float-range")},
     "crossing-id-twice": {"curves": [
         segment("a", (-1, 0), (1, 0)), segment("b:c", (0, -1), (0, 1)),
         segment("a:b", (9, 0), (11, 0)), segment("c", (10, -1), (10, 1))]},

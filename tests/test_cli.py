@@ -222,6 +222,9 @@ UNPRINTABLE = {
     "beyond-float-range": (["planarise", "--format", "json,svg"],
                            "curve 'a': a coordinate is beyond float range, "
                            "so SVG cannot draw it", ["planarise", "--format", "json"]),
+    "drawn-beyond-float-range": (["planarise", "--format", "json,svg"],
+                                 "curve 'a': a drawn number is beyond float range, "
+                                 "so SVG cannot draw it", ["planarise", "--format", "json"]),
 }
 
 

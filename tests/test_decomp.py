@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from strandkit import decomp
 from strandkit.colouring import OrderedColouring
 from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
@@ -76,6 +77,13 @@ def test_exact_treewidth_disconnected():
     width, td = exact_treewidth_decomposition(g)
     assert width == 2
     assert verify_td(td, g)["valid"]
+
+
+def test_exact_treewidth_of_the_empty_graph():
+    """Width 0, witnessed by one empty bag."""
+    width, td = exact_treewidth_decomposition(Graph())
+    assert (width, td) == (0, TreeDecomposition([1], [], {1: frozenset()}))
+    assert verify_td(td, Graph())["valid"]
 
 
 def test_exact_treewidth_cutoff():
@@ -223,6 +231,30 @@ def test_verify_td_detects_violations():
     assert not verify_td(cyclic, g)["valid"]
 
 
+PATH_ABC = Graph(vertices="abc", edges=[("a", "b"), ("b", "c")])
+
+# (tree decomposition of PATH_ABC as nodes, edges, bags) -> verify_td's reason
+TD_CLAUSES = [
+    (([0, 1], [(0, 1)], {0: "ab"}), "bags/nodes mismatch"),
+    (([0, 1], [], {0: "ab", 1: "bc"}), "tree not connected"),
+    (([0, 1], [(0, 1), (1, 0)], {0: "ab", 1: "bc"}), "tree has a cycle"),
+    (([0, 1], [(0, 1)], {0: "ab", 1: "bz"}), "bag vertex 'z' not in G"),
+    (([0], [], {0: "ab"}), "vertex 'c' uncovered"),
+    (([0, 1, 2], [(0, 1), (1, 2)], {0: "ab", 1: "c", 2: "abc"}),
+     "bags of 'a' not connected in tree"),
+    (([0, 1], [(0, 1)], {0: "ac", 1: "b"}), "edge 'a''b' uncovered"),
+    (([0, 1], [(0, 1)], {0: "ab", 1: "bc"}), None),
+]
+
+
+@pytest.mark.parametrize("parts, reason", TD_CLAUSES)
+def test_verify_td_names_each_violated_clause(parts, reason):
+    nodes, edges, bags = parts
+    td = TreeDecomposition(nodes, edges, {n: frozenset(b) for n, b in bags.items()})
+    assert verify_td(td, PATH_ABC) == {"valid": reason is None, "width": td.width,
+                                       "reason": reason}
+
+
 def scan_verify_td(td, G):
     """Reference: verify_td with its old searches: a DFS over the tree for
     each vertex's bags, and each edge tested against every bag."""
@@ -327,6 +359,18 @@ def test_bfs_depth_is_the_bfs_distance():
                     (wheel_graph(8), 0), (wheel_graph(8), 8),
                     (complete_graph(5), 3), (Graph(vertices=[7]), 7)]:
         assert bfs_depth(bfs_tree(g, root)) == bfs_distances(g, [root])
+
+
+@pytest.mark.parametrize("layers, reason", [
+    ([["a", "c"], ["b"]], None),
+    ([["a"], ["b"], ["c"]], None),
+    ([["a"], ["c"], ["b"]], "edge 'a''b' spans layers 0 and 2"),
+    ([["b"], ["c"], ["a"]], "edge 'a''b' spans layers 2 and 0"),
+    ([["a"], ["b"]], "layers are not a partition of V(G)"),
+])
+def test_verify_layering_names_each_violated_clause(layers, reason):
+    assert verify_layering(Layering(layers), PATH_ABC) == {"valid": reason is None,
+                                                           "reason": reason}
 
 
 def test_verify_layering_rejects_a_repeated_vertex():
@@ -618,6 +662,44 @@ def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
     monkeypatch.setitem(_BOUNDS, "planar-radius-tw", lambda r: 0)
     with pytest.raises(InvariantError, match=r"radius decomposition width 3 > 3r\+1 = 0"):
         radius_decomposition(wheel_graph(8), bfs_tree(wheel_graph(8), 8))
+
+
+BROKEN = {"valid": False, "width": 0, "reason": "broken on purpose"}
+
+
+def test_oracle_refuses_a_broken_witness(monkeypatch):
+    monkeypatch.setattr(decomp, "verify_td", lambda td, G: BROKEN)
+    with pytest.raises(InvariantError, match=r"^oracle witness broken: broken on purpose$"):
+        exact_treewidth_decomposition(PATH_ABC)
+
+
+def test_radius_decomposition_refuses_its_own_invalid_td(monkeypatch):
+    monkeypatch.setattr(decomp, "verify_td", lambda td, G: BROKEN)
+    with pytest.raises(InvariantError,
+                       match=r"^radius decomposition invalid: broken on purpose$"):
+        radius_decomposition(wheel_graph(8), bfs_tree(wheel_graph(8), 8))
+
+
+@pytest.mark.parametrize("stage, checker, error", [
+    ("ltw", "verify_td", "lifted td invalid: broken on purpose"),
+    ("ltw", "verify_layering", "lifted layering invalid: broken on purpose"),
+    ("outerstring", "verify_td", "outerstring td invalid: broken on purpose"),
+    ("outerstring", "bounds", "outerstring width 2 > bound -1"),
+])
+def test_certificates_refuse_a_failed_recheck(monkeypatch, stage, checker, error):
+    """Each certificate re-checks its lifted output against the intersection
+    graph and its bound: a failing re-check, here forced, is an
+    InvariantError naming it."""
+    p = Pipeline(corpus.outerstring_scene(), corpus.outerstring_colouring())
+    real = getattr(decomp, checker)
+
+    def broken(*args):
+        if checker == "bounds":
+            return -1 if args[0] == "planar-outerstring" else real(*args)
+        return BROKEN if args[1] is p.graph else real(*args)
+    monkeypatch.setattr(decomp, checker, broken)
+    with pytest.raises(InvariantError, match=f"^{error}$"):
+        getattr(p, stage)
 
 
 def test_merge_layers():

@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,29 @@ def test_contract_edge_preserves_genus():
         g.check()
         assert genus(g) == before
         assert 0 in g.rotation and 1 not in g.rotation
+
+
+@pytest.mark.parametrize("rotation, error", [
+    ({0: [("e0", 0), ("e3", 1), ("e0", 0)]}, "does not list each dart exactly once"),
+    ({0: [("e0", 0)]}, "does not list each dart exactly once"),
+    ({0: [("e0", 0), ("e1", 0)], 1: [("e0", 1), ("e3", 1)]},
+     "dart ('e1', 0) listed at wrong vertex 0"),
+])
+def test_check_names_each_broken_rotation(rotation, error):
+    g = square_embedding()
+    g.rotation.update(rotation)
+    with pytest.raises(InvariantError, match=re.escape(error)):
+        g.check()
+
+
+def test_genus_refuses_a_face_trace_beyond_euler():
+    """One edge whose two darts both sit at u traces two faces, so
+    V - E + F = 3: no surface has that, and the count refuses it."""
+    g = EmbeddedGraph()
+    g.add_edge("e", "u", "v")
+    g.rotation = {"u": [("e", 0), ("e", 1)], "v": []}
+    with pytest.raises(InvariantError, match="^inconsistent face trace in component 0$"):
+        genus(g)
 
 
 def test_contract_loop_rejected():
@@ -573,6 +598,19 @@ def test_planar_embedding_matches_networkx_on_grounded_hosts(n):
 def test_planar_embedding_matches_networkx(g):
     graph = g.simple_graph()
     assert rotations(planar_embedding(graph)) == networkx_rotations(graph)
+    assert_networkx_defaults_empty()
+
+
+def test_planar_embedding_rejects_a_subdivided_k33():
+    """K3,3 with one edge subdivided, numbered so that the conflict shows
+    while the return edges of earlier siblings merge, where K3,3's shows
+    while those of the edge itself do."""
+    edges = [(0, 1), (0, 6), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5),
+             (3, 6)]
+    graph = Graph(range(7), edges)
+    assert networkx_rotations(graph) is None
+    with pytest.raises(SceneError, match="^graph is not planar$"):
+        planar_embedding(graph)
     assert_networkx_defaults_empty()
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.decomp import exact_treewidth
-from strandkit.errors import CheckFailure, SceneError
+from strandkit.errors import CheckFailure, DegeneracyError, SceneError
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.geometry import pt
 from strandkit.graph import Graph
@@ -218,6 +218,32 @@ def test_gen_random_names_the_cap_when_it_gives_up(monkeypatch):
                        r"200 of 200 candidates cross some curve pair more than "
                        r"crossings_per_pair=2 times$"):
         gen_random(4, 2, 7)
+
+
+def test_gen_random_skips_a_candidate_the_arrangement_refuses(monkeypatch):
+    """A candidate the arrangement refuses is skipped, and a later one is
+    returned."""
+    import strandkit.families as families
+    real, calls = families.compute_arrangement, []
+
+    def refuse_first(scene):
+        calls.append(scene)
+        if len(calls) == 1:
+            raise DegeneracyError("refused on purpose")
+        return real(scene)
+    monkeypatch.setattr(families, "compute_arrangement", refuse_first)
+    scene = gen_random(4, 2, 7)
+    assert len(calls) >= 2 and scene is calls[-1]
+
+
+def test_gen_grounded_names_the_seed_when_it_gives_up(monkeypatch):
+    """Every candidate leaving a curve without a crossing: after 200 the
+    error names the seed."""
+    import strandkit.families as families
+    monkeypatch.setattr(families, "compute_arrangement", lambda scene: [])
+    with pytest.raises(SceneError,
+                       match=r"^no isolated-curve-free grounded scene for seed 5$"):
+        gen_grounded(3, 5)
 
 
 @pytest.mark.parametrize("cap", [0, -1])

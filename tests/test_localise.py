@@ -4,8 +4,9 @@ from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.decomp import Pipeline, crossing_census
 from strandkit.errors import CheckFailure, SceneError
 from strandkit.geometry import pt
-from strandkit.localise import (bigon_reduce, build_HR, reassemble,
-                                select_crossings)
+from strandkit.graph import Graph
+from strandkit.localise import (AuxiliaryInstance, bigon_reduce, build_HR,
+                                reassemble, select_crossings)
 from strandkit.scene import Curve, StringScene
 
 
@@ -67,6 +68,22 @@ def test_reassemble_preserves_graph(bigon_scene):
     old = p.graph.edge_list()
     new_events = compute_arrangement(new_scene)
     assert intersection_graph(new_scene, new_events).edge_list() == old
+
+
+def test_bigon_reduce_keeps_a_bigon_with_a_crossing_inside():
+    """x and y are consecutive on piece a but not on b, where z lies between
+    them: the bigon is not empty, so nothing is removed."""
+    drawing = {("a", 0): ["x", "y"], ("b", 0): ["x", "z", "y"], ("c", 0): ["z"]}
+    inst = AuxiliaryInstance(Graph(), {}, set(), {}, drawing, {}, {}, None)
+    assert bigon_reduce(inst).drawing == drawing
+
+
+def test_reassemble_checks_the_intersection_graph(bigon_scene):
+    """A selection naming a pair that does not cross cannot be reassembled."""
+    p, inst = instance(bigon_scene)
+    selection = {**inst.selection, ("u", "z"): inst.selection["v", "z"]}
+    with pytest.raises(CheckFailure, match="^reassembled scene changed the intersection graph$"):
+        reassemble(inst._replace(selection=selection), p.along)
 
 
 def plus_and_far() -> StringScene:

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -6,14 +7,15 @@ from strandkit.arrangement import events_by_curve
 from strandkit.colouring import (ColouringParams, OrderedColouring,
                                  colour_sections)
 from strandkit.decomp import Pipeline, bounds
+from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import pt
 from strandkit.planarise import (ColouredPlanarisation, Planarisation,
-                                 check_coloured_planarisation, coloured_to_json,
-                                 planarisation_to_dot, planarisation_to_json,
-                                 scene_to_svg)
-from strandkit.scene import Curve, StringScene
+                                 check_coloured_planarisation, coloured_planarisation,
+                                 coloured_to_json, planarisation_to_dot,
+                                 planarisation_to_json, scene_to_svg)
+from strandkit.scene import Curve, Disk, StringScene
 from test_colouring import check_ordered
 from test_embedding import genus
 
@@ -201,6 +203,24 @@ def test_svg_needs_geometry(abstract_multicross):
         scene_to_svg(abstract_multicross)
 
 
+@pytest.mark.parametrize("cid, far", [("h", (10 ** 307, 0)), ("v", (0, -10 ** 307))])
+def test_svg_refuses_a_point_drawn_beyond_float_range(plus_sign, cid, far):
+    """A coordinate within float range whose drawn position is not."""
+    s = plus_sign
+    s.curves[cid] = s.curves[cid]._replace(points=(s.curves[cid].points[0], pt(*far)))
+    with pytest.raises(SceneError,
+                       match=f"^curve '{cid}': a drawn number is beyond float range"):
+        scene_to_svg(s)
+
+
+def test_svg_refuses_a_disk_drawn_beyond_float_range(plus_sign):
+    s = plus_sign
+    s.disks["D"] = Disk("D", pt(10 ** 307, 0), Fraction(1))
+    s.validate()
+    with pytest.raises(SceneError, match="^disk 'D': a drawn number is beyond float range"):
+        scene_to_svg(s)
+
+
 def oracle_params(plan, colouring) -> tuple:
     """d and k from the oracle's fragments: the most distinct larger-coloured
     curves inside one fragment, and the most distinct smaller-coloured
@@ -325,9 +345,15 @@ def rebuilt(cp, **changes):
 
 
 def corrupted_copies(plan, cp):
-    """cp with a vertex moved into a walk, with a wrong level, and with the
-    walks of a crossing pair made disjoint."""
+    """cp with psi dropping a vertex or sending it to an endpoint or to
+    another contracted vertex, with a vertex moved into a walk, with a wrong
+    level, and with the walks of a crossing pair made disjoint."""
     inner = sorted(set(cp.level) - cp.endpoints)
+    for v in sorted(cp.psi)[::5]:
+        yield rebuilt(cp, psi={u: x for u, x in cp.psi.items() if u != v})
+        for x in (min(cp.endpoints), inner[0], inner[-1]):
+            if cp.psi[v] != x:
+                yield rebuilt(cp, psi={**cp.psi, v: x})
     for cid in sorted(cp.walks):
         for x in inner[::5]:
             walk = [y for y in cp.walks[cid] if y != x]
@@ -342,8 +368,9 @@ def corrupted_copies(plan, cp):
         yield rebuilt(cp, walks={**cp.walks, b: walk_b})
 
 
-# a word from each outcome: a clean pass and each walk clause's error
-CHECK_KINDS = ("ok", "level-defining", "escapes", "consecutive", "disjoint")
+# a word from each outcome: a clean pass and each clause's error
+CHECK_KINDS = ("ok", "do not cover", "not a singleton", "not its section",
+               "level-defining", "escapes", "consecutive", "disjoint")
 
 
 def test_walk_sets_check_matches_oracle(abstract_multicross, abstract_colouring):
@@ -357,6 +384,30 @@ def test_walk_sets_check_matches_oracle(abstract_multicross, abstract_colouring)
             assert got == check_outcome(oracle_check_coloured_planarisation, p.plan, bad)
             outcomes.update(k for k in CHECK_KINDS if k in got)
     assert outcomes == set(CHECK_KINDS)
+
+
+def test_coloured_planarisation_refuses_a_broken_cut(monkeypatch, plus_sign,
+                                                     plus_colouring):
+    """coloured_planarisation's own checks of a cut, on cuts that
+    colour_sections never gives: h has colour 1 and v colour 2, so only h's
+    cut holds x."""
+    p = Pipeline(plus_sign, plus_colouring)
+    x = p.plan.dummies()[0]
+
+    def refusal(h_runs, v_runs):
+        cut = {"h": (h_runs, set()), "v": (v_runs, {"h"})}
+        with pytest.raises(InvariantError) as err:
+            coloured_planarisation(p.plan, plus_colouring, cut)
+        return str(err.value)
+
+    assert refusal([range(0, 1)], [range(0, 1)]) == \
+        f"sections not disjoint: {x!r} in sections of 'h' and 'v'"
+    assert refusal([], []) == f"dummy {x!r} lies in no section"
+    assert refusal([], [range(0, 1)]) == f"walk of 'h' visits {x!r} of level 2"
+    # a run past the last crossing takes in the curve's end
+    assert refusal([range(0, 2)], []) == "psi moved endpoint 'e:h:1'"
+    monkeypatch.setattr(EmbeddedGraph, "contract_edge", lambda g, eid: None)
+    assert refusal([range(0, 2)], []) == "contraction count mismatch"
 
 
 @pytest.mark.parametrize("n", [6, 20, 24, 48])

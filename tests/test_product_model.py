@@ -283,6 +283,25 @@ def test_grounded_distance_needs_full_cover(plus_sign, plus_colouring):
         grounded_distance_check(cp, {"e:h:0", "x:h:v:0"})
 
 
+def test_grounded_distance_names_each_violated_clause(plus_sign, plus_colouring):
+    """Y holding the crossing, a vertex no walk reaches, and colours that
+    make t = 1: each clause refuses with its own error."""
+    _, cp, _, _ = pipeline(plus_sign, plus_colouring)
+    ends = {"e:h:0", "e:v:0"}
+    lonely = cp.embedding.copy()
+    lonely.add_vertex("lonely")
+    cases = [
+        (cp, ends | {"x:h:v:0"}, SceneError, "Y contains non-endpoint vertices"),
+        (rebuilt(cp, embedding=lonely), ends, InvariantError,
+         "vertex 'lonely' unreachable from Y"),
+        (rebuilt(cp, phi={"h": 1, "v": 1}), ends, InvariantError,
+         "grounded distance 1 exceeds t-1 = 0"),
+    ]
+    for bad, Y, error, message in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            grounded_distance_check(bad, Y)
+
+
 def test_host_without_endpoints(plus_sign, plus_colouring):
     _, cp, _, _ = pipeline(plus_sign, plus_colouring)
     host = host_without_endpoints(cp)

@@ -34,6 +34,18 @@ def test_abstract_scene_roundtrip(abstract_multicross):
     assert back.curves["m"].crossings == abstract_multicross.curves["m"].crossings
 
 
+def test_disk_boundary_roundtrip(outerstring_scene):
+    s = outerstring_scene
+    s.disks["D"] = s.disks["D"]._replace(boundary=(("a", 0), ("b", 0), ("c", 0)))
+    s.validate()
+    data = s.to_json()
+    assert data["disks"][0]["boundary"] == [["a", 0], ["b", 0], ["c", 0]]
+    back = StringScene.from_json(data)
+    back.validate()
+    assert back.disks == s.disks
+    assert back.to_json() == data
+
+
 # a record built from one value, the name of a field, and a second value
 VALUE_RECORDS = {
     "Curve": (lambda v: Curve("a", crossings=("x", "y"), twists=v), "twists",
