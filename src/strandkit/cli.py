@@ -15,14 +15,15 @@ import re
 import sys
 from pathlib import Path
 
-from .arrangement import events_to_json
+from .arrangement import dumps_events, dumps_graph
 from .colouring import OrderedColouring
 from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth, td_to_pace
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
 from .families import gen_grounded, gen_random, gen_segment_family
+from .localise import dumps_instances
 from .planarise import (check_coloured_planarisation, coloured_to_dot,
-                        coloured_to_json, planarisation_to_dot,
-                        planarisation_to_json, scene_to_svg)
+                        dumps_coloured, dumps_planarisation,
+                        planarisation_to_dot, scene_to_svg)
 from .product_model import verify_model, walk_weak_diameter
 from .scene import dumps_canonical, load_scene
 
@@ -168,9 +169,8 @@ def _cmd_arrange(args) -> dict:
     fmts = _formats(args)
     p = Pipeline(load_scene(args.inp))
     events, G = p.events, p.graph
-    _write_json(args, "events.json", events_to_json(events))
-    _write_json(args, "graph.json",
-                {"vertices": G.vertices, "edges": G.edge_list()})
+    _write(args, "events.json", dumps_events(events))
+    _write(args, "graph.json", dumps_graph(G))
     if "dot" in fmts:
         lines = ["graph G {"]
         lines += [f'  "{v}";' for v in G.vertices]
@@ -185,7 +185,7 @@ def _cmd_planarise(args) -> dict:
     fmts = _formats(args)
     p = Pipeline(load_scene(args.inp))
     plan = p.plan
-    _write_json(args, "planarisation.json", planarisation_to_json(plan))
+    _write(args, "planarisation.json", dumps_planarisation(plan))
     if "dot" in fmts:
         _write(args, "planarisation.dot", planarisation_to_dot(plan))
     report = {"command": "planarise",
@@ -194,7 +194,7 @@ def _cmd_planarise(args) -> dict:
     colouring = _colouring(args, p)
     cp = p.cp
     check_coloured_planarisation(plan, cp)
-    _write_json(args, "coloured.json", coloured_to_json(cp))
+    _write(args, "coloured.json", dumps_coloured(cp))
     if "dot" in fmts:
         _write(args, "coloured.dot", coloured_to_dot(cp))
     if "svg" in fmts and p.scene.is_geometric:
@@ -221,7 +221,7 @@ def _cmd_model(args) -> dict:
     model, params = p.model, p.params
     check = verify_model(model, p.graph)
     diameters = walk_weak_diameter(p.cp, params)
-    _write_json(args, "model.json", model.to_json())
+    _write(args, "model.json", model.dumps())
     return {"command": "model", "ok": check["valid"], "check": check,
             "copies": model.copies, "branch_sets": len(model.mu),
             "max_walk_diameter": max(diameters.values(), default=0),
@@ -234,8 +234,8 @@ def _cmd_decomp(args) -> dict:
     _colouring(args, p)
     result = p.ltw
     td = result["td"]
-    _write_json(args, "td.json", td.to_json())
-    _write_json(args, "layering.json", result["layering"].to_json())
+    _write(args, "td.json", td.dumps())
+    _write(args, "layering.json", result["layering"].dumps())
     if "td" in fmts:
         _write(args, "td.td", td_to_pace(td, p.graph))
     report = {"command": "decomp", "width": td.width,
@@ -253,7 +253,7 @@ def _cmd_outerstring(args) -> dict:
     _colouring(args, p)
     result = p.outerstring
     td = result["td"]
-    _write_json(args, "td.json", td.to_json())
+    _write(args, "td.json", td.dumps())
     if "td" in fmts:
         _write(args, "td.td", td_to_pace(td, p.graph))
     return {"command": "outerstring", "width": td.width,
@@ -264,8 +264,10 @@ def _cmd_outerstring(args) -> dict:
 
 def _cmd_localise(args) -> dict:
     result = Pipeline(load_scene(args.inp)).localised
-    for name in ("instance", "reduced", "scene"):
-        _write_json(args, f"{name}.json", result[name].to_json())
+    instance, reduced = dumps_instances([result["instance"], result["reduced"]])
+    _write(args, "instance.json", instance)
+    _write(args, "reduced.json", reduced)
+    _write(args, "scene.json", result["scene"].dumps())
     return {"command": "localise", **{key: result[key] for key in (
         "crossings_before", "crossings_after", "census_before", "census_after")}}
 
@@ -282,7 +284,7 @@ def _cmd_gen(args) -> dict:
     if "seed" in code.co_varnames[:code.co_argcount]:
         kwargs["seed"] = args.seed
     scene = generator(**kwargs)
-    _write_json(args, "scene.json", scene.to_json())
+    _write(args, "scene.json", scene.dumps())
     return {"command": "gen", "family": args.family, "seed": args.seed,
             "curves": len(scene.curves)}
 

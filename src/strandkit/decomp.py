@@ -23,7 +23,7 @@ from .localise import bigon_reduce, build_HR, reassemble, select_crossings
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, planarise)
 from .product_model import MinorModel, build_model, grounded_distance_check
-from .scene import StringScene
+from .scene import StringScene, _ints, _list, _object, _strs
 
 
 class TreeDecomposition(NamedTuple):
@@ -35,13 +35,17 @@ class TreeDecomposition(NamedTuple):
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": [sorted(e) for e in self.edges],
-            "bags": {str(n): sorted(str(v) for v in self.bags[n]) for n in self.nodes},
-            "width": self.width,
-        }
+    def dumps(self) -> str:
+        """Canonical JSON: each bag as the sorted str of its vertices, under
+        the str of its node, the tree edges and nodes, and the width."""
+        bags = [(str(n), _strs(sorted(map(str, self.bags[n])), 2))
+                for n in sorted(self.nodes, key=str)]
+        return _object([
+            ("bags", _object(bags, 1)),
+            ("edges", _list([_ints(sorted(e), 2) for e in self.edges], 1)),
+            ("nodes", _ints(self.nodes, 1)),
+            ("width", str(self.width)),
+        ], 0) + "\n"
 
 
 class Layering(NamedTuple):
@@ -50,8 +54,10 @@ class Layering(NamedTuple):
     def index(self) -> dict:
         return {v: i for i, layer in enumerate(self.layers) for v in layer}
 
-    def to_json(self) -> dict:
-        return {"layers": [sorted(str(v) for v in layer) for layer in self.layers]}
+    def dumps(self) -> str:
+        """Canonical JSON: each layer as the sorted str of its vertices."""
+        layers = [_strs(sorted(map(str, layer)), 2) for layer in self.layers]
+        return _object([("layers", _list(layers, 1))], 0) + "\n"
 
 
 def verify_td(td: TreeDecomposition, G: Graph) -> dict:
@@ -134,9 +140,6 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
     if n > EXACT_TREEWIDTH_MAX:
         raise SceneError(f"exact treewidth oracle limited to {EXACT_TREEWIDTH_MAX} "
                          f"vertices, got {n}")
-    if n == 0:
-        return 0, TreeDecomposition([1], [], {1: frozenset()})
-
     idx = {v: i for i, v in enumerate(verts)}
     nbr = [0] * n
     for u, v in edges:
@@ -190,7 +193,7 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
     # a Q-set stays in its vertex's component, so each component is searched
     # alone and the best orders are concatenated; a component's order of c
     # vertices has width at most c - 1, so its first leaf is taken
-    width, elimination = 0, []
+    width, elimination = -1, []
     for members in connected_components(G):
         comp = sum(1 << idx[v] for v in members)
         best, best_order, memo = len(members), [], {}
@@ -703,8 +706,8 @@ def td_to_pace(td: TreeDecomposition, G: Graph) -> str:
     nid = {n: i + 1 for i, n in enumerate(sorted(td.nodes, key=str))}
     lines = [f"s td {len(td.nodes)} {td.width + 1} {len(verts)}"]
     for n in sorted(td.nodes, key=str):
-        ids = sorted(vid[v] for v in td.bags[n])
-        lines.append("b " + " ".join(str(x) for x in [nid[n]] + ids))
+        ids = sorted(map(vid.__getitem__, td.bags[n]))
+        lines.append(" ".join(map(str, ["b", nid[n], *ids])))
     for a, b in sorted((min(nid[a], nid[b]), max(nid[a], nid[b]))
                        for a, b in td.edges):
         lines.append(f"{a} {b}")

@@ -24,7 +24,8 @@ from typing import NamedTuple
 from .embedding import EmbeddedGraph
 from .errors import InvariantError, SceneError
 from .graph import Graph
-from .scene import CrossingEvent, StringScene
+from .scene import (CrossingEvent, StringScene, _NL, _PAIR, _list, _object, _str,
+                    _str_lists)
 
 
 def endpoint_id(curve_id: str, end: int) -> str:
@@ -253,30 +254,51 @@ def check_coloured_planarisation(plan: Planarisation, cp: ColouredPlanarisation)
 
 # ------------------------------------------------------------------ emitters
 
-def planarisation_to_json(plan: Planarisation) -> dict:
-    g = plan.embedding
-    return {
-        "vertices": [{"id": v, "kind": plan.kind[v]} for v in g.vertices()],
-        "edges": [{"id": eid, "ends": sorted(g.edge_ends[eid]),
-                   "curve": g.edge_label.get(eid)}
-                  for eid in sorted(g.edge_ends)],
-        "curve_paths": {cid: list(p) for cid, p in sorted(plan.curve_paths.items())},
-        "rotation": {v: [list(d) for d in g.rotation[v]] for v in g.vertices()},
-    }
+def dumps_planarisation(plan: Planarisation) -> str:
+    """C' as canonical JSON: its curve paths, its edges in id order with
+    their sorted ends and curve, the rotation at each vertex and each
+    vertex's kind."""
+    g, kind, dart = plan.embedding, plan.kind, _PAIR[3]
+    return _object([
+        ("curve_paths", _str_lists(plan.curve_paths, 1)),
+        ("edges", _edges(g)),
+        ("rotation", _object([(v, _list([dart % (_str(eid), side) for eid, side in rot], 2))
+                              for v, rot in sorted(g.rotation.items())], 1)),
+        ("vertices", _list([_VERTEX % (_str(v), _str(kind[v])) for v in g.vertices()], 1)),
+    ], 0) + "\n"
 
 
-def coloured_to_json(cp: ColouredPlanarisation) -> dict:
-    g = cp.embedding
-    return {
-        "vertices": [{"id": v, "level": cp.level[v],
-                      "kind": "endpoint" if v in cp.endpoints else "contracted"}
-                     for v in g.vertices()],
-        "edges": [{"id": eid, "ends": sorted(g.edge_ends[eid]),
-                   "curve": g.edge_label.get(eid)}
-                  for eid in sorted(g.edge_ends)],
-        "psi": {v: cp.psi[v] for v in sorted(cp.psi)},
-        "walks": {cid: list(w) for cid, w in sorted(cp.walks.items())},
-    }
+def dumps_coloured(cp: ColouredPlanarisation) -> str:
+    """C^phi as canonical JSON: its edges as in dumps_planarisation, psi, the
+    walks, and each vertex's kind and level."""
+    g, psi = cp.embedding, cp.psi
+    return _object([
+        ("edges", _edges(g)),
+        ("psi", _object([(v, _str(psi[v])) for v in sorted(psi)], 1)),
+        ("vertices", _list([_LEVELLED % (_str(v), "endpoint" if v in cp.endpoints
+                                         else "contracted", cp.level[v])
+                            for v in g.vertices()], 1)),
+        ("walks", _str_lists(cp.walks, 1)),
+    ], 0) + "\n"
+
+
+def _edges(g: EmbeddedGraph) -> str:
+    label = g.edge_label
+    out = []
+    for eid in sorted(g.edge_ends):
+        u, v = g.edge_ends[eid]
+        curve = label.get(eid)
+        out.append(_EDGE % ("null" if curve is None else _str(curve),
+                            _str(min(u, v)), _str(max(u, v)), _str(eid)))
+    return _list(out, 1)
+
+
+# an edge and a vertex of "edges" and "vertices"
+_EDGE = ("{" + _NL[3] + '"curve": %s,' + _NL[3] + '"ends": [' + _NL[4] + "%s,"
+         + _NL[4] + "%s" + _NL[3] + "]," + _NL[3] + '"id": %s' + _NL[2] + "}")
+_VERTEX = "{" + _NL[3] + '"id": %s,' + _NL[3] + '"kind": %s' + _NL[2] + "}"
+_LEVELLED = ("{" + _NL[3] + '"id": %s,' + _NL[3] + '"kind": "%s",' + _NL[3]
+             + '"level": %d' + _NL[2] + "}")
 
 
 def _dot(g: EmbeddedGraph, attr) -> str:

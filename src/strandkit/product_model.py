@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .errors import InvariantError, SceneError
 from .graph import Graph, ball_masks, bfs_distances, connected_components
 from .planarise import ColouredPlanarisation, endpoint_id
+from .scene import _PAIR, _list, _object, _str
 
 
 class MinorModel(NamedTuple):
@@ -27,8 +28,12 @@ class MinorModel(NamedTuple):
     def projection(self, v) -> set:
         return {h for h, _ in self.mu[v]}
 
-    def to_json(self) -> dict:
-        return {v: sorted([h, c] for h, c in self.mu[v]) for v in sorted(self.mu)}
+    def dumps(self) -> str:
+        """Canonical JSON: each branch set as its sorted [host vertex, copy]
+        pairs, in target vertex order."""
+        mu = self.mu
+        return _object([(v, _list([_PAIR[2] % (_str(h), c) for h, c in sorted(mu[v])], 1))
+                        for v in sorted(mu)], 0) + "\n"
 
 
 def host_without_endpoints(cp: ColouredPlanarisation) -> Graph:

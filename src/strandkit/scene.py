@@ -110,6 +110,9 @@ class StringScene:
         if any(c.is_geometric for c in self.curves.values()) and \
            any(not d.is_geometric for d in self.disks.values()):
             raise SceneError("geometric curves with an abstract disk are not supported")
+        if any(not c.is_geometric for c in self.curves.values()) and \
+           any(d.is_geometric for d in self.disks.values()):
+            raise SceneError("abstract curves with a geometric disk are not supported")
         self._validate_disks()
         self._validate_boundaries()
 
@@ -147,9 +150,8 @@ class StringScene:
         for d in geo:
             if d.radius <= 0:
                 raise SceneError(f"disk {d.id!r}: radius must be positive")
+            # validate has refused abstract curves beside a geometric disk
             for curve in self.curves.values():
-                if curve.points is None:
-                    continue
                 self._check_curve_avoids_disk(curve, d)
 
     def _validate_boundaries(self) -> None:
@@ -191,34 +193,42 @@ class StringScene:
 
     # ------------------------------------------------------------------ JSON
 
-    def to_json(self) -> dict:
+    def dumps(self) -> str:
+        """The scene as canonical JSON: curves and disks in id order, with
+        chirality only when there is one."""
         curves = []
         for cid in sorted(self.curves):
             c = self.curves[cid]
-            entry: dict = {"id": c.id}
-            if c.points is not None:
-                entry["points"] = [p.to_json() for p in c.points]
-            else:
-                entry["crossings"] = list(c.crossings)
-                if c.twists:
-                    entry["twists"] = sorted(c.twists)
+            entry = []                # (key, text) in key order
+            if c.points is None:
+                entry.append(("crossings", _strs(c.crossings, 3)))
             if c.grounded is not None:
-                entry["grounded"] = {"disk": c.grounded[0], "end": c.grounded[1]}
-            curves.append(entry)
+                disk, end = c.grounded
+                entry.append(("grounded", _object([("disk", _str(disk)), ("end", str(end))], 3)))
+            entry.append(("id", _str(c.id)))
+            if c.points is not None:
+                entry.append(("points", _list([_point(p, 4) for p in c.points], 3)))
+            elif c.twists:
+                entry.append(("twists", _ints(sorted(c.twists), 3)))
+            curves.append(_object(entry, 2))
         disks = []
         for did in sorted(self.disks):
             d = self.disks[did]
-            entry = {"id": d.id}
-            if d.center is not None:
-                entry["center"] = d.center.to_json()
-                entry["radius"] = [d.radius.numerator, d.radius.denominator]
+            entry = []
             if d.boundary is not None:
-                entry["boundary"] = [[c, e] for c, e in d.boundary]
-            disks.append(entry)
-        out: dict = {"curves": curves, "disks": disks}
+                ends = [_PAIR[4] % (_str(c), e) for c, e in d.boundary]
+                entry.append(("boundary", _list(ends, 3)))
+            if d.center is not None:
+                entry.append(("center", _point(d.center, 3)))
+            entry.append(("id", _str(d.id)))
+            if d.center is not None:
+                entry.append(("radius", _ints((d.radius.numerator, d.radius.denominator), 3)))
+            disks.append(_object(entry, 2))
+        out = [("curves", _list(curves, 1)), ("disks", _list(disks, 1))]
         if self.chirality:
-            out["chirality"] = {k: self.chirality[k] for k in sorted(self.chirality)}
-        return out
+            out.insert(0, ("chirality", _object(
+                [(k, str(self.chirality[k])) for k in sorted(self.chirality)], 1)))
+        return _object(out, 0) + "\n"
 
     @staticmethod
     def from_json(data: dict) -> "StringScene":
@@ -319,16 +329,17 @@ def load_scene(path) -> StringScene:
 
 def dump_scene(scene: StringScene, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(scene.to_json()))
+        fh.write(scene.dumps())
 
 
 def dumps_canonical(obj) -> str:
-    """Byte-stable JSON used for every emitted report.
+    """Byte-stable JSON of a report or a small artifact.
 
     The text is json.dumps(obj, sort_keys=True, indent=2) + "\n", written
     directly: json.dumps falls back to its pure-Python chunk generator once
     an indent is set.  Values may be str, int, bool, None, list, tuple or
-    dict with str keys; anything else raises TypeError.
+    dict with str keys; anything else raises TypeError.  The larger artifacts
+    write the same text straight from their records, with the helpers below.
     """
     return _canonical(obj, "\n") + "\n"
 
@@ -362,3 +373,64 @@ def _canonical(obj, indent: str) -> str:
             items.append(encode_basestring_ascii(key) + ": " + _canonical(value, inner))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# ------------------------------------------------- canonical text of records
+#
+# Each record's dumps writes what dumps_canonical writes for its JSON tree,
+# with no tree: keys in sorted order, written where they stand, and a list
+# of ids joined in one call.  depth is the nesting level of the value, and
+# the value's items stand at depth + 1.
+
+_NL = tuple("\n" + "  " * k for k in range(12))     # newline and indent at each depth
+_SEP = tuple("," + nl for nl in _NL)
+_str = encode_basestring_ascii
+# _PAIR[depth] % (a, b) is the list [a, b] of two values already written
+_PAIR = tuple("[" + b + "%s," + b + "%s" + a + "]" for a, b in zip(_NL, _NL[1:]))
+
+
+def _list(texts: list, depth: int) -> str:
+    """A list of values already written at depth + 1."""
+    if not texts:
+        return "[]"
+    return "[" + _NL[depth + 1] + _SEP[depth + 1].join(texts) + _NL[depth] + "]"
+
+
+def _object(items: list, depth: int) -> str:
+    """An object of (key, value text) pairs, in sorted key order, each value
+    written at depth + 1."""
+    if not items:
+        return "{}"
+    sep = _SEP[depth + 1]
+    return ("{" + _NL[depth + 1]
+            + sep.join([_str(k) + ": " + v for k, v in items])
+            + _NL[depth] + "}")
+
+
+def _strs(items, depth: int) -> str:
+    """A list of strings."""
+    return _list(list(map(_str, items)), depth)
+
+
+def _ints(items, depth: int) -> str:
+    """A list of ints."""
+    return _list(list(map(int.__repr__, items)), depth)
+
+
+def _pairs(pairs, depth: int) -> str:
+    """A list of [a, b] lists of strings."""
+    pair = _PAIR[depth + 1]
+    return _list([pair % (_str(a), _str(b)) for a, b in pairs], depth)
+
+
+def _str_lists(lists: dict, depth: int) -> str:
+    """An object of lists of strings, in key order."""
+    return _object([(k, _strs(v, depth + 1)) for k, v in sorted(lists.items())], depth)
+
+
+def _point(p: Point, depth: int) -> str:
+    """[[x numerator, x denominator], [y numerator, y denominator]]."""
+    x, y = p
+    pair = _PAIR[depth + 1]
+    return _PAIR[depth] % (pair % (x.numerator, x.denominator),
+                           pair % (y.numerator, y.denominator))

@@ -106,21 +106,6 @@ def twisted_double_crossing() -> StringScene:
     return s
 
 
-def abstract_on_geometric_disk() -> StringScene:
-    """Three abstract curves grounded on a disk with a center and a radius,
-    their intersection graph the path a-b-c.  Validation checks a grounded
-    end against the disk's circle for polylines only, so this scene passes,
-    and every subcommand reads it as an abstract one."""
-    s = StringScene()
-    s.disks["D"] = Disk("D", pt(0, 0), Fraction(1))
-    s.curves["a"] = Curve("a", None, ("x",), grounded=("D", 0))
-    s.curves["b"] = Curve("b", None, ("x", "y"), grounded=("D", 0))
-    s.curves["c"] = Curve("c", None, ("y",), grounded=("D", 1))
-    s.chirality = {"x": 1, "y": -1}
-    s.validate()
-    return s
-
-
 # fixture scene -> its colouring, or None
 FIXTURES = {
     plus_sign: plus_colouring,
@@ -129,7 +114,6 @@ FIXTURES = {
     abstract_multicross: abstract_colouring,
     twisted_multicross: abstract_colouring,
     twisted_double_crossing: None,
-    abstract_on_geometric_disk: None,
 }
 
 
@@ -296,6 +280,15 @@ MALFORMED = {
                     {**segment("b", (10, 9), (10, 11)), "grounded": {"disk": "D", "end": 0}}],
          "disks": [{"id": "D"}]}, None),
         "geometric curves with an abstract disk are not supported", command)
+       for command in ("outerstring", "verify")},
+    # and an abstract curve on a disk with a centre and a radius: three
+    # abstract curves, the path a-b-c, grounded on the unit disk
+    **{f"abstract-curves-geometric-disk-{command}": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x"], "grounded": {"disk": "D", "end": 0}},
+                    {"id": "b", "crossings": ["x", "y"], "grounded": {"disk": "D", "end": 0}},
+                    {"id": "c", "crossings": ["y"], "grounded": {"disk": "D", "end": 1}}],
+         "disks": scene["disks"], "chirality": {"x": 1, "y": -1}}, None),
+        "abstract curves with a geometric disk are not supported", command)
        for command in ("outerstring", "verify")},
     # localise emits an abstract scene, which cannot hold a curve that
     # crosses nothing

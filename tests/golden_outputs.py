@@ -29,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 import corpus
+from reference_json import scene_to_json
 from strandkit.cli import main
 from strandkit.scene import dump_scene
 
@@ -92,20 +93,26 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv: list, out=None) -> dict:
+def run(argv: list, out=None, texts=None) -> dict:
     """The exit code and the digests of stdout and of every file under out
-    of one in-process CLI run."""
+    of one in-process CLI run.  A list texts receives (argv, "stdout", text)
+    and (argv, file name, text) for each JSON file."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     entry = {"exit": code, "stdout": sha(buf.getvalue().encode())}
+    if texts is not None:
+        texts.append((argv, "stdout", buf.getvalue()))
     if out is not None and out.exists():
         entry["files"] = {p.name: sha(p.read_bytes()) for p in sorted(out.iterdir())}
+        if texts is not None:
+            texts.extend((argv, p.name, p.read_text()) for p in sorted(out.glob("*.json")))
     return entry
 
 
-def scene_runs(scene: Path, colouring, work: Path) -> dict:
-    """Every subcommand on one scene file, with a colouring file or None."""
+def scene_runs(scene: Path, colouring, work: Path, texts=None) -> dict:
+    """Every subcommand on one scene file, with a colouring file or None;
+    texts as for run."""
     runs = {}
     for command, fmt in SCENE_COMMANDS.items():
         out = work / command
@@ -116,18 +123,20 @@ def scene_runs(scene: Path, colouring, work: Path) -> dict:
             argv += ["--format", fmt]
         if colouring is not None and command in TAKES_COLOURING:
             argv += ["--colouring", str(colouring)]
-        runs[command] = run(argv, out)
+        runs[command] = run(argv, out, texts)
     return runs
 
 
-def compute_manifest() -> dict:
+def compute_manifest(texts=None) -> dict:
+    """The manifest; a list texts receives the texts of every run, as for
+    run."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         manifest = {"gen": {}, "bounds": {}}
         for entry in BOUNDS_RUNS:
             theorem, *params = entry.split()
             manifest["bounds"][entry] = run(
-                ["bounds", "--theorem", theorem, "--params", *params])
+                ["bounds", "--theorem", theorem, "--params", *params], None, texts)
 
         # scene name -> (scene file, colouring file or None, localise it?)
         scenes = {}
@@ -136,7 +145,7 @@ def compute_manifest() -> dict:
             out = tmp / "gen" / name
             manifest["gen"][gen_key(family, params, seed)] = run(
                 ["gen", "--family", family, "--params", *params.split(),
-                 "--seed", str(seed), "--out", str(out)], out)
+                 "--seed", str(seed), "--out", str(out)], out, texts)
             if (out / "scene.json").exists():
                 scenes[name] = (out / "scene.json", None, True)
         for build, colouring in corpus.FIXTURES.items():
@@ -157,13 +166,13 @@ def compute_manifest() -> dict:
 
         for name, (path, colouring, localise) in scenes.items():
             work = tmp / "runs" / name
-            manifest[name] = scene_runs(path, colouring, work)
+            manifest[name] = scene_runs(path, colouring, work, texts)
             localised = work / "localise" / "scene.json"
             if localise and localised.exists():
                 manifest[f"{name}/localised"] = scene_runs(
-                    localised, None, tmp / "runs" / f"{name}/localised")
+                    localised, None, tmp / "runs" / f"{name}/localised", texts)
 
-        valid = corpus.outerstring_scene().to_json()
+        valid = scene_to_json(corpus.outerstring_scene())
         for case, (make, _, *command) in corpus.MALFORMED.items():
             data, colouring = make(valid)
             path = tmp / "malformed" / case / "scene.json"
@@ -175,7 +184,7 @@ def compute_manifest() -> dict:
                 col = path.with_name("colouring.json")
                 col.write_text(json.dumps(colouring))
                 argv += ["--colouring", str(col)]
-            manifest[f"malformed/{case}"] = {command: run(argv)}
+            manifest[f"malformed/{case}"] = {command: run(argv, None, texts)}
     return manifest
 
 

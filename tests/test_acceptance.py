@@ -21,6 +21,7 @@ from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
                               radius_decomposition, verify_td)
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.graph import Graph, bfs_tree
+from strandkit.localise import dumps_instances
 from strandkit.planarise import check_coloured_planarisation
 from strandkit.product_model import (build_model, grounded_distance_check,
                                      verify_model, walk_weak_diameter)
@@ -279,13 +280,12 @@ def _bundle() -> str:
         g = intersection_graph(scene, events)
         colouring = colourings_for(g)[0]
         rep = Pipeline(scene, colouring).outerstring
-        parts.append(dumps_canonical(scene.to_json()))
+        parts.append(scene.dumps())
         parts.append(dumps_canonical(colouring.to_json()))
-        parts.append(dumps_canonical(rep["td"].to_json()))
-        parts.append(dumps_canonical(
-            Pipeline(scene).localised["instance"].to_json()))
+        parts.append(rep["td"].dumps())
+        parts.extend(dumps_instances([Pipeline(scene).localised["instance"]]))
     for seed in (0, 1):
-        parts.append(dumps_canonical(gen_random(6, 2, seed).to_json()))
+        parts.append(gen_random(6, 2, seed).dumps())
     return "".join(parts)
 
 

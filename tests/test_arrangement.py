@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strandkit.arrangement import (compute_arrangement, events_by_curve,
-                                   events_to_json, intersection_graph)
+                                   intersection_graph)
 from strandkit.errors import DegeneracyError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import (Point, _common_denominator, _grid_boxes,
                                 _meeting_boxes, _orientations, _scaled, pt)
 from strandkit.scene import CrossingEvent, Curve, StringScene
 from reference_geometry import SegmentIntersection, intersect_segments, squared_distance
+from reference_json import events_to_json
 from test_geometry import DEGENERATE, all_pairs_self_intersects
 from corpus import DEGENERATE_SCENES, polyline, segment
 

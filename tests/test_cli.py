@@ -23,6 +23,7 @@ from strandkit.geometry import pt
 from strandkit.planarise import endpoint_id
 from strandkit.scene import Curve, StringScene, dump_scene, load_scene
 from corpus import DEGENERATE_SCENES, MALFORMED
+from reference_json import scene_to_json
 from golden_outputs import MANIFEST, gen_key
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -616,7 +617,7 @@ def test_each_search_made_once(capsys, monkeypatch, grounded_file, tmp_path,
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(capsys, tmp_path, outerstring_scene, case):
     make, error, *command = MALFORMED[case]
-    scene, colouring = make(outerstring_scene.to_json())
+    scene, colouring = make(scene_to_json(outerstring_scene))
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(scene))
     argv = [*(command or ["verify"]), "--in", str(path)]
@@ -667,7 +668,7 @@ def test_outerstring_preconditions(capsys, tmp_path, outerstring_scene, case):
     passes it and skips the outerstring check."""
     make, error = NOT_OUTERSTRING[case]
     path = tmp_path / "scene.json"
-    path.write_text(json.dumps(make(outerstring_scene.to_json())))
+    path.write_text(json.dumps(make(scene_to_json(outerstring_scene))))
     code, rep = run(capsys, "outerstring", "--in", str(path))
     assert code == 2 and rep == {"error": error, "kind": "invalid-input"}
     code, rep = run(capsys, "verify", "--in", str(path))

@@ -3,6 +3,8 @@
 import json
 
 from golden_outputs import MANIFEST, compute_manifest, flatten
+from strandkit.scene import dumps_canonical
+from test_emitters import assert_text
 
 
 def test_every_output_matches_the_manifest():
@@ -14,3 +16,16 @@ def test_every_output_matches_the_manifest():
             f"scene {scene!r}, command {command!r}, {file}: got {got.get(key)!r}, "
             f"manifest has {want.get(key)!r}; if the change is meant, rerun "
             "tests/golden_outputs.py and list the entry in CHANGES.md")
+
+
+def test_every_written_json_is_canonical():
+    """Every JSON file and stdout report of the manifest's runs is the
+    canonical text of what it holds, whichever writer wrote it."""
+    texts: list = []
+    compute_manifest(texts)
+    for argv, name, text in texts:
+        assert_text(text, dumps_canonical(json.loads(text)), (argv, name))
+    assert {name for _, name, _ in texts} == {
+        "stdout", "scene.json", "events.json", "graph.json", "planarisation.json",
+        "coloured.json", "colouring.json", "params.json", "model.json", "td.json",
+        "layering.json", "instance.json", "reduced.json"}

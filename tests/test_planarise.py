@@ -13,9 +13,9 @@ from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import pt
 from strandkit.planarise import (ColouredPlanarisation, Planarisation,
                                  check_coloured_planarisation, coloured_planarisation,
-                                 coloured_to_json, planarisation_to_dot,
-                                 planarisation_to_json, scene_to_svg)
+                                 planarisation_to_dot, scene_to_svg)
 from strandkit.scene import Curve, Disk, StringScene
+from reference_json import coloured_to_json, planarisation_to_json
 from test_colouring import check_ordered
 from test_embedding import genus
 
