@@ -1,16 +1,17 @@
 """Command-line front-end: reproducible pipelines with JSON reports.
 
-Every subcommand reads scene/colouring JSON, runs the relevant pipeline with
-all checkers enabled, writes canonical (byte-stable) artifacts under --out,
-and prints a JSON report to stdout.  Exit codes: 0 success, 1 internal check
-failure (a certified bound or invariant was violated), 2 invalid input.
+main reads the scene of --in into one Pipeline and runs the subcommand on it
+with all checkers enabled.  A subcommand returns its report and the text of
+each artifact; main prints the report as canonical JSON to stdout and, only
+when the run exits 0, writes the artifacts under --out as UTF-8.  Exit
+codes: 0 success, 1 internal check failure (a certified bound or invariant
+was violated), 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from pathlib import Path
@@ -21,11 +22,11 @@ from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth, td_t
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
 from .families import gen_grounded, gen_random, gen_segment_family
 from .localise import dumps_instances
-from .planarise import (check_coloured_planarisation, coloured_to_dot,
+from .planarise import (check_coloured_planarisation, coloured_to_dot, dot_id,
                         dumps_coloured, dumps_planarisation,
                         planarisation_to_dot, scene_to_svg)
 from .product_model import verify_model, walk_weak_diameter
-from .scene import dumps_canonical, load_scene
+from .scene import dumps_canonical, load_scene, read_json
 
 
 FORMATS = ("dot", "json", "svg", "td")
@@ -40,10 +41,17 @@ FAMILIES = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        fmts = _formats(args)
+        p = None if args.inp is None else Pipeline(load_scene(args.inp))
+        report, files = args.func(args, p, fmts)
+        code = 0 if report.get("ok", True) else 1
+        if args.out is not None and code == 0:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, encoding="utf-8")
     except (SceneError, DegeneracyError) as exc:
         _emit({"error": str(exc), "kind": "invalid-input"})
         return 2
@@ -54,7 +62,7 @@ def main(argv=None) -> int:
         _emit({"error": f"{type(exc).__name__}: {exc}", "kind": "invalid-input"})
         return 2
     _emit(report)
-    return 0 if report.get("ok", True) else 1
+    return code
 
 
 @functools.cache
@@ -67,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def cmd(name, func, **flags):
         p = sub.add_parser(name)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, inp=None, out=None, colouring=None, format="json")
         if flags.get("inp"):
             p.add_argument("--in", dest="inp", required=True,
                            help="input scene JSON")
@@ -77,8 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--colouring", help="ordered colouring JSON; "
                            "default: greedy on the reverse degeneracy order")
         if flags.get("fmt"):
-            p.add_argument("--format", default="json",
-                           help="comma-separated: json,dot,svg,td")
+            p.add_argument("--format", help="comma-separated: json,dot,svg,td")
         if flags.get("seed"):
             p.add_argument("--seed", type=int, default=0)
         if flags.get("params"):
@@ -108,18 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(dumps_canonical(obj))
-
-
-def _write(args, name: str, text: str) -> None:
-    if args.out is None:
-        return
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
-
-
-def _write_json(args, name: str, obj) -> None:
-    _write(args, name, dumps_canonical(obj))
 
 
 def _formats(args) -> set:
@@ -153,126 +148,107 @@ def _colouring(args, p: Pipeline) -> OrderedColouring:
     A --colouring file is read here, not up front, so that errors of the
     scene's earlier stages are reported before errors of the file."""
     p.events
-    if getattr(args, "colouring", None):
-        try:
-            data = json.loads(Path(args.colouring).read_text())
-        except (ValueError, RecursionError) as exc:
-            raise SceneError(f"colouring file is not valid JSON: {exc}") from exc
-        p.given = OrderedColouring.from_json(data)
+    if args.colouring:
+        p.given = OrderedColouring.from_json(read_json(args.colouring, "colouring"))
     p.cut
     return p.colouring
 
 
 # ------------------------------------------------------------- subcommands
+# Each takes (args, its Pipeline or None, its --format set) and returns its
+# report and a file name -> text map of its artifacts.
 
-def _cmd_arrange(args) -> dict:
-    fmts = _formats(args)
-    p = Pipeline(load_scene(args.inp))
+def _cmd_arrange(args, p, fmts) -> tuple:
     events, G = p.events, p.graph
-    _write(args, "events.json", dumps_events(events))
-    _write(args, "graph.json", dumps_graph(G))
+    files = {"events.json": dumps_events(events), "graph.json": dumps_graph(G)}
     if "dot" in fmts:
         lines = ["graph G {"]
-        lines += [f'  "{v}";' for v in G.vertices]
-        lines += [f'  "{u}" -- "{v}";' for u, v in G.edge_list()]
+        lines += [f"  {dot_id(v)};" for v in G.vertices]
+        lines += [f"  {dot_id(u)} -- {dot_id(v)};" for u, v in G.edge_list()]
         lines.append("}")
-        _write(args, "graph.dot", "\n".join(lines) + "\n")
+        files["graph.dot"] = "\n".join(lines) + "\n"
     return {"command": "arrange", "curves": len(p.scene.curves),
-            "events": len(events), "edges": len(G.edge_list())}
+            "events": len(events), "edges": len(G.edge_list())}, files
 
 
-def _cmd_planarise(args) -> dict:
-    fmts = _formats(args)
-    p = Pipeline(load_scene(args.inp))
+def _cmd_planarise(args, p, fmts) -> tuple:
     plan = p.plan
-    _write(args, "planarisation.json", dumps_planarisation(plan))
+    files = {"planarisation.json": dumps_planarisation(plan)}
     if "dot" in fmts:
-        _write(args, "planarisation.dot", planarisation_to_dot(plan))
-    report = {"command": "planarise",
-              "vertices": len(plan.embedding.rotation),
-              "edges": plan.embedding.edge_count()}
+        files["planarisation.dot"] = planarisation_to_dot(plan)
     colouring = _colouring(args, p)
     cp = p.cp
     check_coloured_planarisation(plan, cp)
-    _write(args, "coloured.json", dumps_coloured(cp))
+    files["coloured.json"] = dumps_coloured(cp)
     if "dot" in fmts:
-        _write(args, "coloured.dot", coloured_to_dot(cp))
+        files["coloured.dot"] = coloured_to_dot(cp)
     if "svg" in fmts and p.scene.is_geometric:
-        _write(args, "scene.svg", scene_to_svg(p.scene, colouring))
+        files["scene.svg"] = scene_to_svg(p.scene, colouring)
     # contract_edge keeps the surface, so C' and C^phi have one genus
-    report["coloured_vertices"] = len(cp.embedding.rotation)
-    report["genus"] = report["coloured_genus"] = p.genus
-    return report
+    return {"command": "planarise", "vertices": len(plan.embedding.rotation),
+            "edges": plan.embedding.edge_count(),
+            "coloured_vertices": len(cp.embedding.rotation),
+            "genus": p.genus, "coloured_genus": p.genus}, files
 
 
-def _cmd_colour(args) -> dict:
-    p = Pipeline(load_scene(args.inp))
-    colouring = _colouring(args, p)
-    params = p.params
-    _write_json(args, "colouring.json", colouring.to_json())
-    _write_json(args, "params.json", params.to_json())
-    return {"command": "colour", "colouring": colouring.to_json(),
-            "params": params.to_json()}
+def _cmd_colour(args, p, fmts) -> tuple:
+    colouring = _colouring(args, p).to_json()
+    params = p.params.to_json()
+    return ({"command": "colour", "colouring": colouring, "params": params},
+            {"colouring.json": dumps_canonical(colouring),
+             "params.json": dumps_canonical(params)})
 
 
-def _cmd_model(args) -> dict:
-    p = Pipeline(load_scene(args.inp))
+def _cmd_model(args, p, fmts) -> tuple:
     _colouring(args, p)
     model, params = p.model, p.params
     check = verify_model(model, p.graph)
     diameters = walk_weak_diameter(p.cp, params)
-    _write(args, "model.json", model.dumps())
     return {"command": "model", "ok": check["valid"], "check": check,
             "copies": model.copies, "branch_sets": len(model.mu),
             "max_walk_diameter": max(diameters.values(), default=0),
-            "r": params.r}
+            "r": params.r}, {"model.json": model.dumps()}
 
 
-def _cmd_decomp(args) -> dict:
-    fmts = _formats(args)
-    p = Pipeline(load_scene(args.inp))
+def _cmd_decomp(args, p, fmts) -> tuple:
     _colouring(args, p)
     result = p.ltw
     td = result["td"]
-    _write(args, "td.json", td.dumps())
-    _write(args, "layering.json", result["layering"].dumps())
+    files = {"td.json": td.dumps(), "layering.json": result["layering"].dumps()}
     if "td" in fmts:
-        _write(args, "td.td", td_to_pace(td, p.graph))
+        files["td.td"] = td_to_pace(td, p.graph)
     report = {"command": "decomp", "width": td.width,
               "layered_width": result["layered_width"],
               "layered_width_bound": result["bound"],
               "genus": p.genus, "params": p.params.to_json()}
     if len(p.graph) <= EXACT_TREEWIDTH_MAX:
         report["exact_treewidth"] = exact_treewidth(p.graph)
-    return report
+    return report, files
 
 
-def _cmd_outerstring(args) -> dict:
-    fmts = _formats(args)
-    p = Pipeline(load_scene(args.inp))
+def _cmd_outerstring(args, p, fmts) -> tuple:
     _colouring(args, p)
     result = p.outerstring
     td = result["td"]
-    _write(args, "td.json", td.dumps())
+    files = {"td.json": td.dumps()}
     if "td" in fmts:
-        _write(args, "td.td", td_to_pace(td, p.graph))
+        files["td.td"] = td_to_pace(td, p.graph)
     return {"command": "outerstring", "width": td.width,
             "bound": result["bound"], "ok": True,
             "t": p.params.t, "d": p.params.d,
-            "quotient_radius": result["quotient_radius"]}
+            "quotient_radius": result["quotient_radius"]}, files
 
 
-def _cmd_localise(args) -> dict:
-    result = Pipeline(load_scene(args.inp)).localised
+def _cmd_localise(args, p, fmts) -> tuple:
+    result = p.localised
     instance, reduced = dumps_instances([result["instance"], result["reduced"]])
-    _write(args, "instance.json", instance)
-    _write(args, "reduced.json", reduced)
-    _write(args, "scene.json", result["scene"].dumps())
-    return {"command": "localise", **{key: result[key] for key in (
+    report = {"command": "localise", **{key: result[key] for key in (
         "crossings_before", "crossings_after", "census_before", "census_after")}}
+    return report, {"instance.json": instance, "reduced.json": reduced,
+                    "scene.json": result["scene"].dumps()}
 
 
-def _cmd_gen(args) -> dict:
+def _cmd_gen(args, p, fmts) -> tuple:
     params = _parse_params(args.params)
     generator, defaults = FAMILIES[args.family]
     unknown = sorted(set(params) - set(defaults))
@@ -284,21 +260,19 @@ def _cmd_gen(args) -> dict:
     if "seed" in code.co_varnames[:code.co_argcount]:
         kwargs["seed"] = args.seed
     scene = generator(**kwargs)
-    _write(args, "scene.json", scene.dumps())
     return {"command": "gen", "family": args.family, "seed": args.seed,
-            "curves": len(scene.curves)}
+            "curves": len(scene.curves)}, {"scene.json": scene.dumps()}
 
 
-def _cmd_bounds(args) -> dict:
+def _cmd_bounds(args, p, fmts) -> tuple:
     params = _parse_params(args.params)
     value = bounds(args.theorem, params)
     return {"command": "bounds", "theorem": args.theorem,
-            "params": params, "value": value}
+            "params": params, "value": value}, {}
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(args, p, fmts) -> tuple:
     """Run every applicable checker; ok=false (exit 1) on any failure."""
-    p = Pipeline(load_scene(args.inp))
     checks: dict = {}
 
     _colouring(args, p)        # reads p.cut, which checks the colouring is ordered
@@ -323,7 +297,7 @@ def _cmd_verify(args) -> dict:
 
     ok = all(checks.values())
     return {"command": "verify", "ok": ok, "checks": checks,
-            "params": params.to_json(), "genus": genus}
+            "params": params.to_json(), "genus": genus}, {}
 
 
 if __name__ == "__main__":

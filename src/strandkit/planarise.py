@@ -301,14 +301,20 @@ _LEVELLED = ("{" + _NL[3] + '"id": %s,' + _NL[3] + '"kind": "%s",' + _NL[3]
              + '"level": %d' + _NL[2] + "}")
 
 
+def dot_id(text: str) -> str:
+    """text as a quoted DOT id, each '"' in it written as '\\"'."""
+    return '"' + text.replace('"', '\\"') + '"'
+
+
 def _dot(g: EmbeddedGraph, attr) -> str:
     """DOT text of g: each vertex with the attribute text attr(v), each edge
     in id order with its label."""
     lines = ["graph {"]
-    lines.extend(f'  "{v}" [{attr(v)}];' for v in g.vertices())
+    lines.extend(f"  {dot_id(v)} [{attr(v)}];" for v in g.vertices())
     for eid in sorted(g.edge_ends):
         u, v = g.edge_ends[eid]
-        lines.append(f'  "{u}" -- "{v}" [label="{g.edge_label.get(eid, "")}"];')
+        lines.append(f"  {dot_id(u)} -- {dot_id(v)} "
+                     f"[label={dot_id(g.edge_label.get(eid, ''))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -380,7 +386,8 @@ def scene_to_svg(scene: StringScene, colouring=None) -> str:
     for cid, xy in points.items():
         colour = _SVG_PALETTE[(phi.get(cid, 1) - 1) % len(_SVG_PALETTE)]
         path = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xy[::2], xy[1::2]))
+        title = cid.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<polyline points="{path}" fill="none" stroke="{colour}" '
-                   f'stroke-width="1.5"><title>{cid}</title></polyline>')
+                   f'stroke-width="1.5"><title>{title}</title></polyline>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -310,25 +310,31 @@ def _segment_enters_open_disk(a: tuple[int, int], b: tuple[int, int],
     return w2 * len2 - dot * dot < r2 * len2
 
 
+def read_json(path, role: str):
+    """The JSON value of a UTF-8 file, whatever the locale; a missing file,
+    or one that is not JSON, is a SceneError naming its role ("scene",
+    "colouring")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise SceneError(f"{role} file not found: {path}") from None
+    except (ValueError, RecursionError) as exc:    # bad JSON, UTF-8 or nesting
+        raise SceneError(f"{role} file is not valid JSON: {exc}") from exc
+
+
 def load_scene(path) -> StringScene:
     """Load a scene file and validate its structure, grounding and disks.
 
     Whether segments cross, touch or overlap, a curve's own included, is
     the arrangement's to decide."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise SceneError(f"scene file not found: {path}")
-    except (ValueError, RecursionError) as exc:    # bad JSON, UTF-8 or nesting
-        raise SceneError(f"scene file is not valid JSON: {exc}") from exc
-    scene = StringScene.from_json(data)
+    scene = StringScene.from_json(read_json(path, "scene"))
     scene.validate()
     return scene
 
 
 def dump_scene(scene: StringScene, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(scene.dumps())
 
 

@@ -106,6 +106,19 @@ def twisted_double_crossing() -> StringScene:
     return s
 
 
+def escaped_ids() -> StringScene:
+    """outerstring_scene with ids that DOT and SVG must escape ('"', '<',
+    '&', '>') and a non-ASCII one."""
+    ids = {"a": 'say "hi"', "b": "<b & c>", "c": "\u5f26"}
+    base = outerstring_scene()
+    s = StringScene()
+    s.disks['disk "D"'] = base.disks["D"]._replace(id='disk "D"')
+    for cid, curve in base.curves.items():
+        s.curves[ids[cid]] = curve._replace(id=ids[cid], grounded=('disk "D"', 0))
+    s.validate()
+    return s
+
+
 # fixture scene -> its colouring, or None
 FIXTURES = {
     plus_sign: plus_colouring,
@@ -114,6 +127,7 @@ FIXTURES = {
     abstract_multicross: abstract_colouring,
     twisted_multicross: abstract_colouring,
     twisted_double_crossing: None,
+    escaped_ids: None,
 }
 
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from strandkit.families import gen_grounded
 from strandkit.geometry import pt
 from strandkit.planarise import endpoint_id
 from strandkit.scene import Curve, StringScene, dump_scene, load_scene
-from corpus import DEGENERATE_SCENES, MALFORMED
+from corpus import DEGENERATE_SCENES, MALFORMED, escaped_ids
 from reference_json import scene_to_json
 from golden_outputs import MANIFEST, gen_key
 
@@ -248,6 +249,65 @@ def test_unprintable_number_exit_2(capsys, tmp_path, name):
 def test_missing_file_exit_2(capsys, tmp_path):
     code, rep = run(capsys, "arrange", "--in", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+def test_missing_colouring_file_exit_2(capsys, grounded_file, tmp_path):
+    missing = tmp_path / "nope.json"
+    code, rep = run(capsys, "verify", "--in", grounded_file, "--colouring", str(missing))
+    assert (code, rep) == (2, {"error": f"colouring file not found: {missing}",
+                               "kind": "invalid-input"})
+
+
+def test_refused_output_writes_no_files(capsys, tmp_path):
+    """planarise builds its SVG last; refusing it leaves no --out, not the
+    JSON and DOT files built before it."""
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(DEGENERATE_SCENES["drawn-beyond-float-range"]))
+    out = tmp_path / "out"
+    code, rep = run(capsys, "planarise", "--in", str(path), "--out", str(out),
+                    "--format", "json,svg")
+    assert code == 2 and rep["kind"] == "invalid-input"
+    assert not out.exists()
+
+
+def test_failed_check_writes_no_files(capsys, monkeypatch, grounded_file, tmp_path):
+    """A check that fails after planarisation.json is built leaves no --out."""
+    def broken(original):
+        def check(*args):
+            raise InvariantError("C^phi lost a level")
+        return check
+
+    patch_everywhere(monkeypatch, "planarise", "check_coloured_planarisation", broken)
+    out = tmp_path / "out"
+    code, rep = run(capsys, "planarise", "--in", grounded_file, "--out", str(out))
+    assert (code, rep) == (1, {"error": "C^phi lost a level", "kind": "check-failure"})
+    assert not out.exists()
+
+
+def test_dot_and_svg_escape_ids(capsys, tmp_path):
+    """On ids holding '"', '<', '&' and '>' and a non-ASCII id, each DOT id
+    is one quoted string with '\\"' for '"', and scene.svg parses as XML
+    with each curve id as the text of its <title>."""
+    scene = escaped_ids()
+    path = tmp_path / "scene.json"
+    dump_scene(scene, path)
+    out = tmp_path / "out"
+    for command, fmt in [("arrange", "json,dot"), ("planarise", "json,dot,svg")]:
+        code, _ = run(capsys, command, "--in", str(path), "--out", str(out), "--format", fmt)
+        assert code == 0
+    curves = set(scene.curves)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    for name in ("graph.dot", "planarisation.dot", "coloured.dot"):
+        text = (out / name).read_text(encoding="utf-8")
+        assert '"' not in quoted.sub("", text)
+        ids = {s.replace('\\"', '"') for s in quoted.findall(text)}
+        if name == "graph.dot":
+            assert ids == curves
+        else:       # the edge labels and the curve-end vertices
+            assert ids > curves | {endpoint_id(cid, end) for cid in curves for end in (0, 1)}
+    svg = xml.dom.minidom.parse(str(out / "scene.svg"))
+    assert [t.firstChild.data for t in svg.getElementsByTagName("title")] == \
+        scene.curve_ids()
 
 
 def test_failed_invariant_exit_1(capsys, monkeypatch, grounded_file):
@@ -532,6 +592,38 @@ sys.exit(any(codes.values()))
     src = str(Path(strandkit.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+
+
+def test_files_read_and_written_as_utf8(tmp_path):
+    """With an open() that names no encoding made an error, gen and every
+    scene subcommand, with --out (verify with --colouring), exit 0 on the
+    scene with a non-ASCII id."""
+    script = f"""
+import sys
+from corpus import escaped_ids
+from strandkit.cli import main
+from strandkit.scene import dump_scene
+work = {str(tmp_path)!r}
+dump_scene(escaped_ids(), work + "/scene.json")
+codes = {{"gen": main(["gen", "--family", "grounded", "--out", work + "/gen"])}}
+# colour runs before verify, which reads its colouring.json
+for command, fmt in {dict((c, f) for c, (f, _) in SCENE_COMMANDS.items())!r}.items():
+    argv = [command, "--in", work + "/scene.json"]
+    if command == "verify":
+        argv += ["--colouring", work + "/colour/colouring.json"]
+    else:
+        argv += ["--out", work + "/" + command]
+    codes[command] = main(argv + (["--format", fmt] if fmt else []))
+print(codes, file=sys.stderr)
+sys.exit(any(codes.values()))
+"""
+    path = os.pathsep.join([str(Path(strandkit.__file__).parents[1]), str(ROOT / "tests")])
+    done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert "Traceback" not in done.stderr
 
