@@ -5,27 +5,27 @@ with all checkers enabled.  A subcommand returns its report and the text of
 each artifact; main prints the report as canonical JSON to stdout and, only
 when the run exits 0, writes the artifacts under --out as UTF-8.  Exit
 codes: 0 success, 1 internal check failure (a certified bound or invariant
-was violated), 2 invalid input.
+was violated), 2 invalid input or, after --out is written, an unwritable stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from pathlib import Path
 
 from .arrangement import dumps_events, dumps_graph
+from .check import check_coloured_planarisation, verify_model, walk_weak_diameter
 from .colouring import OrderedColouring
 from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth, td_to_pace
 from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
 from .families import gen_grounded, gen_random, gen_segment_family
 from .localise import dumps_instances
-from .planarise import (check_coloured_planarisation, coloured_to_dot, dot_id,
-                        dumps_coloured, dumps_planarisation,
+from .planarise import (coloured_to_dot, dot_id, dumps_coloured, dumps_planarisation,
                         planarisation_to_dot, scene_to_svg)
-from .product_model import verify_model, walk_weak_diameter
 from .scene import dumps_canonical, load_scene, read_json
 
 
@@ -49,20 +49,19 @@ def main(argv=None) -> int:
         code = 0 if report.get("ok", True) else 1
         if args.out is not None and code == 0:
             out = Path(args.out)
+            for target in map(out.joinpath, files):
+                if target.exists() and not target.is_file():
+                    raise SceneError(f"--out target is not a file: {target}")
             out.mkdir(parents=True, exist_ok=True)
             for name, text in files.items():
                 (out / name).write_text(text, encoding="utf-8")
     except (SceneError, DegeneracyError) as exc:
-        _emit({"error": str(exc), "kind": "invalid-input"})
-        return 2
+        return _emit({"error": str(exc), "kind": "invalid-input"}, 2)
     except (CheckFailure, InvariantError) as exc:
-        _emit({"error": str(exc), "kind": "check-failure"})
-        return 1
+        return _emit({"error": str(exc), "kind": "check-failure"}, 1)
     except OSError as exc:
-        _emit({"error": f"{type(exc).__name__}: {exc}", "kind": "invalid-input"})
-        return 2
-    _emit(report)
-    return code
+        return _emit({"error": f"{type(exc).__name__}: {exc}", "kind": "invalid-input"}, 2)
+    return _emit(report, code)
 
 
 @functools.cache
@@ -113,8 +112,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --------------------------------------------------------------- plumbing
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(dumps_canonical(obj))
+def _emit(obj: dict, code: int) -> int:
+    """Print obj as canonical JSON and return code, or 2 when stdout cannot
+    be written, with one line on stderr."""
+    try:
+        sys.stdout.write(dumps_canonical(obj))
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"strandkit: cannot write the report: {exc}\n")
+        with open(os.devnull, "wb") as null:  # where the flush at exit goes
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
+    return code
 
 
 def _formats(args) -> set:

@@ -2,9 +2,9 @@
 last stages are the certificates and the localised scene.
 
 Constructions here are certified: every emitted decomposition is re-checked
-by verify_td (independent of how it was built), and pipeline widths are
-asserted against the closed-form bounds they are supposed to satisfy.  An
-exact treewidth oracle (<= 16 vertices) backs decomp's report and the tests.
+by check.verify_td, and pipeline widths are asserted against the closed-form
+bounds they are supposed to satisfy.  An exact treewidth oracle (<= 16
+vertices) backs decomp's report and the tests.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .arrangement import compute_arrangement, events_by_curve, intersection_graph
+from .check import grounded_distance_check, verify_layering, verify_td
 from .colouring import (ColouringParams, OrderedColouring, colour_sections,
                         compute_params, degeneracy_order, greedy_colouring)
 from .errors import CheckFailure, InvariantError, SceneError
@@ -22,7 +23,7 @@ from .graph import Graph, ball_masks, bfs_tree, connected_components
 from .localise import bigon_reduce, build_HR, reassemble, select_crossings
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, planarise)
-from .product_model import MinorModel, build_model, grounded_distance_check
+from .product_model import MinorModel, build_model
 from .scene import StringScene, _ints, _list, _object, _strs
 
 
@@ -58,53 +59,6 @@ class Layering(NamedTuple):
         """Canonical JSON: each layer as the sorted str of its vertices."""
         layers = [_strs(sorted(map(str, layer)), 2) for layer in self.layers]
         return _object([("layers", _list(layers, 1))], 0) + "\n"
-
-
-def verify_td(td: TreeDecomposition, G: Graph) -> dict:
-    """Independent validity check of a tree decomposition of G."""
-    verts = G.vertices
-    if sorted(td.bags) != sorted(td.nodes):
-        return {"valid": False, "width": td.width, "reason": "bags/nodes mismatch"}
-    tree = Graph(vertices=td.nodes, edges=td.edges)
-    if len(td.nodes) != len(tree) or (td.nodes and len(connected_components(tree)) != 1):
-        return {"valid": False, "width": td.width, "reason": "tree not connected"}
-    if len(td.edges) != max(len(td.nodes) - 1, 0):
-        return {"valid": False, "width": td.width, "reason": "tree has a cycle"}
-    where: dict = {v: set() for v in verts}
-    for n in td.nodes:
-        for v in td.bags[n]:
-            if v not in where:
-                return {"valid": False, "width": td.width,
-                        "reason": f"bag vertex {v!r} not in G"}
-            where[v].add(n)
-    # The tree is a spanning tree by now, so the nodes whose bags hold v
-    # induce a forest, connected iff it has one edge fewer than nodes.
-    inside = dict.fromkeys(verts, 0)
-    for a, b in td.edges:
-        for v in frozenset(td.bags[a]).intersection(td.bags[b]):
-            inside[v] += 1
-    for v in verts:
-        if not where[v]:
-            return {"valid": False, "width": td.width, "reason": f"vertex {v!r} uncovered"}
-        if len(where[v]) - inside[v] != 1:
-            return {"valid": False, "width": td.width,
-                    "reason": f"bags of {v!r} not connected in tree"}
-    for u, v in G.edge_list():
-        if where[u].isdisjoint(where[v]):
-            return {"valid": False, "width": td.width,
-                    "reason": f"edge {u!r}{v!r} uncovered"}
-    return {"valid": True, "width": td.width, "reason": None}
-
-
-def verify_layering(layering: Layering, G: Graph) -> dict:
-    idx = layering.index()
-    if sorted(idx) != G.vertices or sum(map(len, layering.layers)) != len(idx):
-        return {"valid": False, "reason": "layers are not a partition of V(G)"}
-    for u, v in G.edge_list():
-        if abs(idx[u] - idx[v]) > 1:
-            return {"valid": False, "reason": f"edge {u!r}{v!r} spans layers "
-                                              f"{idx[u]} and {idx[v]}"}
-    return {"valid": True, "reason": None}
 
 
 def bfs_depth(parent: dict) -> dict:
@@ -214,9 +168,9 @@ def exact_treewidth_decomposition(G: Graph) -> tuple:
         elif i < n:
             tree.append((i, i + 1))
     td = TreeDecomposition(list(range(1, n + 1)), tree, bags)
-    report = verify_td(td, G)
-    if not report["valid"] or td.width != width:
-        raise InvariantError(f"oracle witness broken: {report['reason']}")
+    verify_td(td, G, "oracle witness")
+    if td.width != width:
+        raise InvariantError(f"oracle witness width {td.width} != treewidth {width}")
     return width, td
 
 
@@ -299,9 +253,7 @@ def radius_decomposition(G: Graph, parent: dict) -> TreeDecomposition:
     # a dual loop or a wrong dual edge count leaves no tree, which verify_td
     # refuses
     td = TreeDecomposition(list(bags), dual_edges, bags)
-    report = verify_td(td, G)
-    if not report["valid"]:
-        raise InvariantError(f"radius decomposition invalid: {report['reason']}")
+    verify_td(td, G, "radius decomposition")
     bound = bounds("planar-radius-tw", {"r": r})
     if td.width > bound:
         raise InvariantError(f"radius decomposition width {td.width} > 3r+1 = {bound}")
@@ -441,12 +393,8 @@ class Pipeline:
         if lifted["layered_width"] > bound:
             raise InvariantError(f"lifted layered width {lifted['layered_width']} "
                                  f"> 3(4r+1)(d+1) = {bound}")
-        report = verify_td(lifted["td"], self.graph)
-        if not report["valid"]:
-            raise InvariantError(f"lifted td invalid: {report['reason']}")
-        lrep = verify_layering(lifted["layering"], self.graph)
-        if not lrep["valid"]:
-            raise InvariantError(f"lifted layering invalid: {lrep['reason']}")
+        verify_td(lifted["td"], self.graph, "lifted td")
+        verify_layering(lifted["layering"], self.graph, "lifted layering")
         lifted["bound"] = bound
         return lifted
 
@@ -472,9 +420,7 @@ class Pipeline:
         radius = grounded_distance_check(self.cp, grounded)
         td = minor_lift(radius_decomposition(quotient, bfs_tree(quotient, w)),
                         self.model)
-        report = verify_td(td, self.graph)
-        if not report["valid"]:
-            raise InvariantError(f"outerstring td invalid: {report['reason']}")
+        verify_td(td, self.graph, "outerstring td")
         bound = bounds("planar-outerstring", {"t": t, "d": d})
         if td.width > bound:
             raise InvariantError(f"outerstring width {td.width} > bound {bound}")

@@ -26,10 +26,6 @@ class Point(NamedTuple):
     x: Fraction
     y: Fraction
 
-    def to_json(self) -> list:
-        return [[self.x.numerator, self.x.denominator],
-                [self.y.numerator, self.y.denominator]]
-
     @staticmethod
     def from_json(obj) -> "Point":
         (xn, xd), (yn, yd) = obj

@@ -11,8 +11,8 @@ W_gamma = psi(L_gamma) with consecutive duplicates merged.
 
 Note on walks: if two curves cross, their walks share a vertex.  The
 converse fails: two non-crossing curves that both cross the same section of
-a third curve meet at its contracted vertex.  Only the forward direction is
-asserted.
+a third curve meet at its contracted vertex.  check_coloured_planarisation
+asserts only the forward direction.
 """
 
 from __future__ import annotations
@@ -192,64 +192,6 @@ def _check_contraction(plan: Planarisation, cp: ColouredPlanarisation) -> None:
             if cp.level[x] > cp.phi[cid]:
                 raise InvariantError(
                     f"walk of {cid!r} visits {x!r} of level {cp.level[x]}")
-
-
-def check_coloured_planarisation(plan: Planarisation, cp: ColouredPlanarisation) -> None:
-    """Deep invariant audit of a coloured planarisation.
-
-    Raises InvariantError on the first violated clause: the psi-fibre
-    partition, uniqueness of the level-defining curve per contracted vertex,
-    no consecutive own-level vertices in any walk, and walks of two curves
-    sharing a vertex exactly when the curves cross.
-    """
-    # psi fibres partition V(C')
-    fibres: dict = {}
-    for v, x in cp.psi.items():
-        fibres.setdefault(x, set()).add(v)
-    if sum(len(f) for f in fibres.values()) != len(plan.kind):
-        raise InvariantError("psi fibres do not cover V(C')")
-    for x, fibre in fibres.items():
-        if x in cp.endpoints:
-            if fibre != {x}:
-                raise InvariantError(f"endpoint fibre of {x!r} not a singleton")
-        elif fibre != set(cp.sections[x]):
-            raise InvariantError(f"fibre of {x!r} is not its section")
-
-    # exactly one curve gamma with phi(gamma) = level(x) and x in W_gamma,
-    # and L_gamma contains the whole fibre
-    walk_sets = {cid: set(walk) for cid, walk in cp.walks.items()}
-    walks_at: dict = {}        # vertex -> the curves whose walks visit it
-    for cid, walk in walk_sets.items():
-        for x in walk:
-            walks_at.setdefault(x, []).append(cid)
-    path_sets = {cid: set(path) for cid, path in plan.curve_paths.items()}
-    for x in sorted(cp.level):
-        if x in cp.endpoints:
-            continue
-        witnesses = [cid for cid in walks_at.get(x, ())
-                     if cp.phi[cid] == cp.level[x]]
-        if len(witnesses) != 1:
-            raise InvariantError(f"vertex {x!r}: {len(witnesses)} level-defining curves")
-        if not path_sets[witnesses[0]].issuperset(cp.sections[x]):
-            raise InvariantError(f"fibre of {x!r} escapes L of {witnesses[0]!r}")
-
-    # no two own-level vertices consecutive in a walk
-    for cid, walk in cp.walks.items():
-        for i in range(len(walk) - 1):
-            if cp.level[walk[i]] == cp.phi[cid] == cp.level[walk[i + 1]]:
-                raise InvariantError(
-                    f"walk of {cid!r}: consecutive level-{cp.phi[cid]} vertices "
-                    f"{walk[i]!r}, {walk[i + 1]!r}")
-
-    # crossing curves have intersecting walks (the converse is false: two
-    # non-crossing curves may both cross the same section of a third curve
-    # and then share its contracted vertex)
-    crossing_pairs = set()
-    for e in plan.events.values():
-        crossing_pairs.add((e.curve_a, e.curve_b))
-    for a, b in sorted(crossing_pairs):
-        if walk_sets[a].isdisjoint(walk_sets[b]):
-            raise InvariantError(f"curves {a!r}, {b!r} cross but walks are disjoint")
 
 
 # ------------------------------------------------------------------ emitters

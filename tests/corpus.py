@@ -10,6 +10,7 @@ from fractions import Fraction
 from strandkit.colouring import OrderedColouring
 from strandkit.geometry import Point, pt
 from strandkit.scene import Curve, Disk, StringScene
+from reference_json import point_to_json
 
 
 def plus_sign() -> StringScene:
@@ -138,7 +139,7 @@ def segment(cid: str, p: tuple, q: tuple) -> dict:
 
 def polyline(cid: str, *points) -> dict:
     """The JSON of a polyline through points given as ints or Fractions."""
-    return {"id": cid, "points": [Point(Fraction(x), Fraction(y)).to_json()
+    return {"id": cid, "points": [point_to_json(Point(Fraction(x), Fraction(y)))
                                   for x, y in points]}
 
 

@@ -8,12 +8,16 @@ planarise.dumps_planarisation and dumps_coloured, MinorModel.dumps,
 TreeDecomposition.dumps, Layering.dumps and localise.dumps_instances), and
 test_emitters.py holds every writer to dumps_canonical of its tree here.
 The tests also read these trees where they compare records or build scene
-JSON.  td_to_pace is the PACE writer that decomp.td_to_pace replaced.
+JSON, and point_to_json where they write a point.  td_to_pace is the PACE writer that decomp.td_to_pace replaced.
 """
 
 import sys
 
 from strandkit.errors import SceneError
+
+
+def point_to_json(p) -> list:
+    return [[p.x.numerator, p.x.denominator], [p.y.numerator, p.y.denominator]]
 
 
 def scene_to_json(scene) -> dict:
@@ -22,7 +26,7 @@ def scene_to_json(scene) -> dict:
         c = scene.curves[cid]
         entry: dict = {"id": c.id}
         if c.points is not None:
-            entry["points"] = [p.to_json() for p in c.points]
+            entry["points"] = [point_to_json(p) for p in c.points]
         else:
             entry["crossings"] = list(c.crossings)
             if c.twists:
@@ -35,7 +39,7 @@ def scene_to_json(scene) -> dict:
         d = scene.disks[did]
         entry = {"id": d.id}
         if d.center is not None:
-            entry["center"] = d.center.to_json()
+            entry["center"] = point_to_json(d.center)
             entry["radius"] = [d.radius.numerator, d.radius.denominator]
         if d.boundary is not None:
             entry["boundary"] = [[c, e] for c, e in d.boundary]
@@ -58,7 +62,7 @@ def events_to_json(events) -> list[dict]:
             "chirality": e.chirality,
         }
         if e.location is not None:
-            entry["location"] = location = e.location.to_json()
+            entry["location"] = location = point_to_json(e.location)
             # 2^(3 limit) < 10^limit, so only a longer int can be unprintable
             if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
                              for pair in location for n in pair):

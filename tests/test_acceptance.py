@@ -16,15 +16,14 @@ import networkx as nx
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
+from strandkit.check import (check_coloured_planarisation, grounded_distance_check,
+                             verify_model, verify_td, walk_weak_diameter)
 from strandkit.colouring import degeneracy_order, greedy_colouring
-from strandkit.decomp import (Pipeline, bounds, exact_treewidth,
-                              radius_decomposition, verify_td)
+from strandkit.decomp import Pipeline, bounds, exact_treewidth, radius_decomposition
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.graph import Graph, bfs_tree
 from strandkit.localise import dumps_instances
-from strandkit.planarise import check_coloured_planarisation
-from strandkit.product_model import (build_model, grounded_distance_check,
-                                     verify_model, walk_weak_diameter)
+from strandkit.product_model import build_model
 from strandkit.scene import dumps_canonical
 from convex_sets import (convex_to_drawing, gen_grid_disk, gen_random_convex,
                          gen_rectangle_family)
@@ -117,7 +116,7 @@ def test_criterion_4_outerstring_width(grounded_corpus):
         colouring = colourings_for(g)[0]
         p = Pipeline(scene, colouring)
         td = p.outerstring["td"]
-        assert verify_td(td, g)["valid"]
+        verify_td(td, g, "outerstring td")
         assert td.width <= bounds(
             "planar-outerstring", {"t": p.params.t, "d": p.params.d})
         if len(g) <= 14:
@@ -147,7 +146,7 @@ def test_criterion_5_radius_decomposition():
         n = 6 + seed % 15
         g, root = random_planar_graph(n, seed)
         td = radius_decomposition(g, bfs_tree(g, root))
-        assert verify_td(td, g)["valid"]
+        verify_td(td, g, "radius decomposition")
         assert td.width <= 3 * eccentricity(g, root) + 1
 
     wheel = Graph(range(9), [e for i in range(8) for e in ((i, (i + 1) % 8), (i, 8))])

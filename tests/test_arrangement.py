@@ -15,7 +15,7 @@ from strandkit.geometry import (Point, _common_denominator, _grid_boxes,
                                 _meeting_boxes, _orientations, _scaled, pt)
 from strandkit.scene import CrossingEvent, Curve, StringScene
 from reference_geometry import SegmentIntersection, intersect_segments, squared_distance
-from reference_json import events_to_json
+from reference_json import events_to_json, point_to_json
 from test_geometry import DEGENERATE, all_pairs_self_intersects
 from corpus import DEGENERATE_SCENES, polyline, segment
 
@@ -246,7 +246,7 @@ def all_pairs_events_json(scene):
             eid = f"x:{a}:{b}:{k}"
             events[eid] = {"id": eid, "curve_a": a, "curve_b": b,
                            "index_in_a": None, "index_in_b": None,
-                           "chirality": sign, "location": p.to_json()}
+                           "chirality": sign, "location": point_to_json(p)}
             along[a].append((pos_a, eid, "index_in_a"))
             along[b].append((pos_b, eid, "index_in_b"))
     for c in ids:

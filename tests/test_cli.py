@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib
 import inspect
+import io
 import json
 import os
 import pkgutil
@@ -277,7 +278,7 @@ def test_failed_check_writes_no_files(capsys, monkeypatch, grounded_file, tmp_pa
             raise InvariantError("C^phi lost a level")
         return check
 
-    patch_everywhere(monkeypatch, "planarise", "check_coloured_planarisation", broken)
+    patch_everywhere(monkeypatch, "check", "check_coloured_planarisation", broken)
     out = tmp_path / "out"
     code, rep = run(capsys, "planarise", "--in", grounded_file, "--out", str(out))
     assert (code, rep) == (1, {"error": "C^phi lost a level", "kind": "check-failure"})
@@ -348,6 +349,71 @@ def test_out_is_a_file_exit_2(capsys, grounded_file, tmp_path):
     assert report["error"].startswith("FileExistsError: ")
     assert "Traceback" not in out + err
     assert taken.read_text() == ""
+
+
+def test_out_target_not_a_file_writes_nothing(capsys, grounded_file, tmp_path):
+    """An --out whose graph.json is a directory is invalid input, found
+    before the first write: events.json is not written either."""
+    out = tmp_path / "o"
+    (out / "graph.json").mkdir(parents=True)
+    code, rep = run(capsys, "arrange", "--in", grounded_file, "--out", str(out))
+    assert (code, rep) == (2, {"error": f"--out target is not a file: {out / 'graph.json'}",
+                               "kind": "invalid-input"})
+    assert sorted(p.name for p in out.iterdir()) == ["graph.json"]
+    assert not (out / "events.json").exists()
+
+
+# a run that prints its report, and one that prints an error report
+REPORT_AND_ERROR = [["bounds", "--theorem", "planar-radius-tw", "--params", "r=1"],
+                    ["bounds", "--theorem", "nope"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", REPORT_AND_ERROR)
+def test_unwritable_stdout_exit_2(argv, unbuffered):
+    """A report, or an error report, that stdout cannot take exits 2 with
+    one line on stderr and no traceback.  A block-buffered stdout fails in
+    the flush, and the flush at exit must not fail again (exit 120)."""
+    src = str(Path(strandkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "strandkit.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "strandkit: cannot write the report: " \
+        "[Errno 28] No space left on device\n"
+
+
+class FullStream(io.StringIO):
+    """A block-buffered stdout on a full disk: write takes the text, and
+    flush fails."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", REPORT_AND_ERROR)
+def test_unwritable_stdout_exit_2_in_process(capsys, monkeypatch, tmp_path, argv):
+    """The same refusal with main called in this process, on a stdout
+    whose flush fails; its file descriptor then points at the null device."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", FullStream(fd))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "strandkit: cannot write the report: " \
+            "[Errno 28] No space left on device\n"
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
 def test_bad_params_exit_2(capsys):

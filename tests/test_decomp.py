@@ -11,18 +11,17 @@ from hypothesis import strategies as st
 import corpus
 from reference_json import layering_to_json, td_to_json
 from strandkit import decomp
+from strandkit.check import grounded_distance_check, verify_layering, verify_td
 from strandkit.colouring import OrderedColouring
 from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               TreeDecomposition, _triangulate, bfs_depth, bounds,
                               exact_treewidth, exact_treewidth_decomposition, grounded_quotient,
                               ltw_lift, merge_layers, minor_lift, radius_decomposition,
-                              shallow_centers, td_to_pace, verify_layering,
-                              verify_td)
+                              shallow_centers, td_to_pace)
 from strandkit.embedding import EmbeddedGraph, euler_genus, planar_embedding
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, bfs_distances, bfs_tree, connected_components
-from strandkit.product_model import grounded_distance_check
 
 
 def eccentricity(g: Graph, v) -> int:
@@ -70,14 +69,14 @@ def test_exact_decomposition_is_valid():
     for g in (grid_graph(3, 4), wheel_graph(6), complete_graph(4)):
         width, td = exact_treewidth_decomposition(g)
         assert td.width == width
-        assert verify_td(td, g)["valid"]
+        assert clause(verify_td, td, g) is None
 
 
 def test_exact_treewidth_disconnected():
     g = Graph(vertices=range(6), edges=[(0, 1), (1, 2), (0, 2), (3, 4)])
     width, td = exact_treewidth_decomposition(g)
     assert width == 2
-    assert verify_td(td, g)["valid"]
+    assert clause(verify_td, td, g) is None
 
 
 def test_exact_treewidth_of_the_empty_graph():
@@ -85,7 +84,7 @@ def test_exact_treewidth_of_the_empty_graph():
     width, td = exact_treewidth_decomposition(Graph())
     assert (width, td) == (-1, TreeDecomposition([], [], {}))
     assert width == td.width
-    assert verify_td(td, Graph())["valid"]
+    assert clause(verify_td, td, Graph()) is None
 
 
 def test_exact_treewidth_cutoff():
@@ -153,7 +152,7 @@ def test_exact_treewidth_per_component_matches_the_elimination_game(case):
     assert len(comps) == k
     width, td = exact_treewidth_decomposition(g)
     assert width == elimination_game_width(g)
-    assert td.width == width and verify_td(td, g)["valid"]
+    assert td.width == width and clause(verify_td, td, g) is None
     assert len(td.nodes) == len(g)
     home = {v: i for i, comp in enumerate(comps) for v in comp}
     bag_home = {n: {home[v] for v in td.bags[n]} for n in td.nodes}
@@ -208,29 +207,41 @@ def test_exact_treewidth_between_degeneracy_and_heuristics():
                     nx.approximation.treewidth_min_degree(h)[0])
         assert degeneracy(g) <= width <= upper
         assert len(td.nodes) == len(td.bags) == n
-        assert td.width == width and verify_td(td, g)["valid"]
+        assert td.width == width and clause(verify_td, td, g) is None
 
 
 # ------------------------------------------------------------ verifiers
+
+def clause(check, record, G):
+    """The clause that check names when it refuses record as a structure of
+    G, from its error "<name> invalid: <clause>", or None if it passes."""
+    try:
+        check(record, G, "it")
+    except InvariantError as exc:
+        message = str(exc)
+        assert message.startswith("it invalid: "), message
+        return message.removeprefix("it invalid: ")
+    return None
+
 
 def test_verify_td_detects_violations():
     g = Graph(vertices="abc", edges=[("a", "b"), ("b", "c")])
     good = TreeDecomposition([0, 1], [(0, 1)],
                              {0: frozenset("ab"), 1: frozenset("bc")})
-    assert verify_td(good, g)["valid"]
+    assert clause(verify_td, good, g) is None
 
     uncovered = TreeDecomposition([0], [], {0: frozenset("ab")})
-    assert not verify_td(uncovered, g)["valid"]
+    assert clause(verify_td, uncovered, g) is not None
 
     split = TreeDecomposition(
         [0, 1, 2], [(0, 1), (1, 2)],
         {0: frozenset("ab"), 1: frozenset("c"), 2: frozenset(("a", "b", "c"))})
-    res = verify_td(split, g)
-    assert not res["valid"]  # subtree of 'a'/'b' is disconnected
+    # subtree of 'a'/'b' is disconnected
+    assert clause(verify_td, split, g) is not None
 
     cyclic = TreeDecomposition([0, 1], [(0, 1), (1, 0)],
                                {0: frozenset("ab"), 1: frozenset("bc")})
-    assert not verify_td(cyclic, g)["valid"]
+    assert clause(verify_td, cyclic, g) is not None
 
 
 PATH_ABC = Graph(vertices="abc", edges=[("a", "b"), ("b", "c")])
@@ -253,8 +264,7 @@ TD_CLAUSES = [
 def test_verify_td_names_each_violated_clause(parts, reason):
     nodes, edges, bags = parts
     td = TreeDecomposition(nodes, edges, {n: frozenset(b) for n, b in bags.items()})
-    assert verify_td(td, PATH_ABC) == {"valid": reason is None, "width": td.width,
-                                       "reason": reason}
+    assert clause(verify_td, td, PATH_ABC) == reason
 
 
 def scan_verify_td(td, G):
@@ -306,15 +316,15 @@ def test_verify_td_edge_coverage_matches_bag_scan():
     G = p.graph
     reasons = set()
     for td in (p.ltw["td"], p.outerstring["td"]):
-        assert verify_td(td, G) == scan_verify_td(td, G) == \
-            {"valid": True, "width": td.width, "reason": None}
+        assert clause(verify_td, td, G) is None
+        assert scan_verify_td(td, G) == {"valid": True, "width": td.width, "reason": None}
         for n in td.nodes:
             for v in sorted(td.bags[n]):
                 bags = {**td.bags, n: td.bags[n] - {v}}
                 broken = TreeDecomposition(td.nodes, td.edges, bags)
-                got = verify_td(broken, G)
-                assert got == scan_verify_td(broken, G)
-                reasons.add(got["reason"].split()[0] if got["reason"] else None)
+                got = clause(verify_td, broken, G)
+                assert got == scan_verify_td(broken, G)["reason"]
+                reasons.add(got.split()[0] if got else None)
     assert reasons == {"edge", "vertex", "bags", None}
 
 
@@ -341,9 +351,9 @@ def test_verify_td_subtree_count_matches_tree_search():
                     cases.append(TreeDecomposition(
                         td.nodes, td.edges, {**td.bags, far[-1]: td.bags[far[-1]] | {v}}))
             for case in cases:
-                got = verify_td(case, G)
-                assert got == scan_verify_td(case, G)
-                reasons.add(got["reason"].split()[0] if got["reason"] else None)
+                got = clause(verify_td, case, G)
+                assert got == scan_verify_td(case, G)["reason"]
+                reasons.add(got.split()[0] if got else None)
     assert reasons == {None, "tree", "bags"}
 
 
@@ -371,16 +381,15 @@ def test_bfs_depth_is_the_bfs_distance():
     ([["a"], ["b"]], "layers are not a partition of V(G)"),
 ])
 def test_verify_layering_names_each_violated_clause(layers, reason):
-    assert verify_layering(Layering(layers), PATH_ABC) == {"valid": reason is None,
-                                                           "reason": reason}
+    assert clause(verify_layering, Layering(layers), PATH_ABC) == reason
 
 
 def test_verify_layering_rejects_a_repeated_vertex():
     g = Graph(vertices="ab", edges=[("a", "b")])
-    assert verify_layering(Layering([["a"], ["b"], ["a"]]), g) == {
-        "valid": False, "reason": "layers are not a partition of V(G)"}
-    assert verify_layering(Layering([["a", "a"], ["b"]]), g)["valid"] is False
-    assert verify_layering(Layering([["a"], ["b"]]), g)["valid"]
+    assert clause(verify_layering, Layering([["a"], ["b"], ["a"]]), g) == \
+        "layers are not a partition of V(G)"
+    assert clause(verify_layering, Layering([["a", "a"], ["b"]]), g) is not None
+    assert clause(verify_layering, Layering([["a"], ["b"]]), g) is None
 
 
 # ----------------------------------------------------- radius decomposition
@@ -426,7 +435,7 @@ def test_radius_decomposition_bags_are_root_path_unions():
 def test_radius_decomposition_wheel():
     g = wheel_graph(8)
     td = radius_decomposition(g, bfs_tree(g, 8))
-    assert verify_td(td, g)["valid"]
+    assert clause(verify_td, td, g) is None
     r = eccentricity(g, 8)
     assert td.width <= 3 * r + 1
     assert td.width >= exact_treewidth(g)
@@ -436,7 +445,7 @@ def test_radius_decomposition_grid():
     g = grid_graph(4, 4)
     root = (0, 0)
     td = radius_decomposition(g, bfs_tree(g, root))
-    assert verify_td(td, g)["valid"]
+    assert clause(verify_td, td, g) is None
     assert td.width <= 3 * eccentricity(g, root) + 1
     assert td.width >= exact_treewidth(g)
 
@@ -445,10 +454,10 @@ def test_radius_decomposition_tree_and_cycle():
     tree = Graph(vertices=range(7),
                  edges=[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     td = radius_decomposition(tree, bfs_tree(tree, 0))
-    assert verify_td(td, tree)["valid"]
+    assert clause(verify_td, td, tree) is None
     cycle = Graph(vertices=range(5), edges=[(i, (i + 1) % 5) for i in range(5)])
     td = radius_decomposition(cycle, bfs_tree(cycle, 0))
-    assert verify_td(td, cycle)["valid"]
+    assert clause(verify_td, td, cycle) is None
     assert td.width <= 3 * 2 + 1
 
 
@@ -500,7 +509,7 @@ def test_radius_decomposition_rejects_a_tree_that_is_not_bfs():
             radius_decomposition(g, parent)
     for g in (cycle, path):
         for root in g.vertices:
-            assert verify_td(radius_decomposition(g, bfs_tree(g, root)), g)["valid"]
+            assert clause(verify_td, radius_decomposition(g, bfs_tree(g, root)), g) is None
 
 
 def test_radius_decomposition_r_is_root_eccentricity(monkeypatch):
@@ -599,7 +608,7 @@ def test_minor_lift_width_bound():
     td = minor_lift(host_td, model)
     assert td == product_minor_lift(product_lift(host_td, 2), model)
     G = Graph(vertices="ab", edges=[("a", "b")])
-    assert verify_td(td, G)["valid"]
+    assert clause(verify_td, td, G) is None
 
 
 def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
@@ -666,17 +675,29 @@ def test_radius_decomposition_checks_the_registry_bound(monkeypatch):
         radius_decomposition(wheel_graph(8), bfs_tree(wheel_graph(8), 8))
 
 
-BROKEN = {"valid": False, "width": 0, "reason": "broken on purpose"}
+def broken(record, G, name):
+    raise InvariantError(f"{name} invalid: broken on purpose")
 
 
 def test_oracle_refuses_a_broken_witness(monkeypatch):
-    monkeypatch.setattr(decomp, "verify_td", lambda td, G: BROKEN)
-    with pytest.raises(InvariantError, match=r"^oracle witness broken: broken on purpose$"):
+    monkeypatch.setattr(decomp, "verify_td", broken)
+    with pytest.raises(InvariantError, match=r"^oracle witness invalid: broken on purpose$"):
+        exact_treewidth_decomposition(PATH_ABC)
+
+
+def test_oracle_refuses_a_witness_of_another_width(monkeypatch):
+    """A valid witness whose width is not the treewidth found, here forced,
+    is refused after verify_td passes it."""
+    class Wider(TreeDecomposition):
+        width = property(lambda self: TreeDecomposition.width.fget(self) + 1)
+
+    monkeypatch.setattr(decomp, "TreeDecomposition", Wider)
+    with pytest.raises(InvariantError, match=r"^oracle witness width 2 != treewidth 1$"):
         exact_treewidth_decomposition(PATH_ABC)
 
 
 def test_radius_decomposition_refuses_its_own_invalid_td(monkeypatch):
-    monkeypatch.setattr(decomp, "verify_td", lambda td, G: BROKEN)
+    monkeypatch.setattr(decomp, "verify_td", broken)
     with pytest.raises(InvariantError,
                        match=r"^radius decomposition invalid: broken on purpose$"):
         radius_decomposition(wheel_graph(8), bfs_tree(wheel_graph(8), 8))
@@ -695,11 +716,11 @@ def test_certificates_refuse_a_failed_recheck(monkeypatch, stage, checker, error
     p = Pipeline(corpus.outerstring_scene(), corpus.outerstring_colouring())
     real = getattr(decomp, checker)
 
-    def broken(*args):
+    def fail(*args):
         if checker == "bounds":
             return -1 if args[0] == "planar-outerstring" else real(*args)
-        return BROKEN if args[1] is p.graph else real(*args)
-    monkeypatch.setattr(decomp, checker, broken)
+        return broken(*args) if args[1] is p.graph else real(*args)
+    monkeypatch.setattr(decomp, checker, fail)
     with pytest.raises(InvariantError, match=f"^{error}$"):
         getattr(p, stage)
 
@@ -740,7 +761,7 @@ def test_outerstring_decomposition(outerstring_scene, outerstring_colouring):
     rep = p.outerstring
     assert sorted(rep) == ["bound", "quotient_radius", "td"]   # no copies of p
     g = Graph(vertices=["a", "b", "c"], edges=[("a", "b"), ("b", "c")])
-    assert verify_td(rep["td"], g)["valid"]
+    assert clause(verify_td, rep["td"], g) is None
     assert p.params.t == 2
     assert rep["td"].width <= rep["bound"] == bounds(
         "planar-outerstring", {"t": p.params.t, "d": p.params.d})

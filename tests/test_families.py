@@ -1,12 +1,13 @@
 import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
+from strandkit.check import verify_model
 from strandkit.decomp import exact_treewidth
 from strandkit.errors import CheckFailure, DegeneracyError, SceneError
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
 from strandkit.geometry import pt
 from strandkit.graph import Graph
-from strandkit.product_model import MinorModel, verify_model
+from strandkit.product_model import MinorModel
 from strandkit.scene import CrossingEvent
 from convex_sets import (ConvexScene, convex_to_drawing, gen_grid_disk,
                          gen_random_convex, gen_rectangle_family)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strandkit.arrangement import events_by_curve
+from strandkit.check import check_coloured_planarisation
 from strandkit.colouring import (ColouringParams, OrderedColouring,
                                  colour_sections)
 from strandkit.decomp import Pipeline, bounds
@@ -11,8 +12,7 @@ from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.geometry import pt
-from strandkit.planarise import (ColouredPlanarisation, Planarisation,
-                                 check_coloured_planarisation, coloured_planarisation,
+from strandkit.planarise import (ColouredPlanarisation, Planarisation, coloured_planarisation,
                                  planarisation_to_dot, scene_to_svg)
 from strandkit.scene import Curve, Disk, StringScene
 from reference_json import coloured_to_json, planarisation_to_json

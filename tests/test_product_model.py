@@ -2,14 +2,12 @@ import re
 
 import pytest
 
+from strandkit.check import grounded_distance_check, verify_model, walk_weak_diameter
 from strandkit.decomp import Pipeline, shallow_centers
 from strandkit.errors import CheckFailure, InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, ball_masks, bfs_distances
-from strandkit.product_model import (MinorModel, build_model,
-                                     grounded_distance_check,
-                                     host_without_endpoints,
-                                     verify_model, walk_weak_diameter)
+from strandkit.product_model import MinorModel, build_model, host_without_endpoints
 from test_planarise import rebuilt
 
 

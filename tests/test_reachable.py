@@ -185,10 +185,9 @@ def test_receivers_resolve_to_their_class():
         {"A", "x", "y", "z", "w", "m.A.g", "g", "m.A.f", "m"}
 
 
-def test_package_imports_are_top_level_and_acyclic():
-    """Every import of one strandkit module by another stands at module top
-    level, where it runs on import, and the modules import each other
-    without a cycle."""
+def package_imports() -> tuple:
+    """(deps, nested): deps maps each strandkit module to the modules of the
+    package it imports, and nested lists the imports not at top level."""
     deps, nested = {}, []
     for path in sorted(Path(strandkit.__file__).parent.glob("*.py")):
         module = ast.parse(path.read_text())
@@ -207,11 +206,33 @@ def test_package_imports_are_top_level_and_acyclic():
             if inner and node not in module.body:
                 nested.append(f"{path.stem}:{node.lineno}")
             deps[path.stem] |= inner
+    return deps, nested
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    """Every import of one strandkit module by another stands at module top
+    level, where it runs on import, and the modules import each other
+    without a cycle."""
+    deps, nested = package_imports()
     assert nested == []
     try:
         list(graphlib.TopologicalSorter(deps).static_order())
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+CHECKERS = {"verify_td", "verify_layering", "verify_model", "check_coloured_planarisation",
+            "walk_weak_diameter", "grounded_distance_check"}
+
+
+def test_checkers_import_no_builder():
+    """check.py imports nothing of the package but errors and graph, and
+    every checker is defined there and nowhere else."""
+    deps, _ = package_imports()
+    assert deps["check"] == {"errors", "graph"}
+    defs, _ = package_defs()
+    assert {qual for qual, (name, _, _) in defs.items() if name in CHECKERS} == \
+        {f"check.{name}" for name in CHECKERS}
 
 
 def test_fresh_import_loads_no_introspection_modules():
