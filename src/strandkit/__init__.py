@@ -8,12 +8,11 @@ example-family generators — every pipeline re-checks its own output.
 
 __version__ = "0.1.0"
 
-from .errors import (CheckFailure, DegeneracyError, InvariantError, SceneError,
-                     StrandkitError)
+from .errors import DegeneracyError, InvariantError, SceneError, StrandkitError
 from .scene import Curve, CrossingEvent, Disk, StringScene, load_scene, dump_scene
 
 __all__ = [
-    "CheckFailure", "DegeneracyError", "InvariantError", "SceneError",
+    "DegeneracyError", "InvariantError", "SceneError",
     "StrandkitError", "Curve", "CrossingEvent", "Disk", "StringScene",
     "load_scene", "dump_scene", "__version__",
 ]

@@ -7,7 +7,6 @@ geometry._orientations and, for a contact, geometry._contact.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from operator import attrgetter, eq, itemgetter
 
@@ -15,8 +14,7 @@ from .errors import DegeneracyError, SceneError
 from .geometry import (OVERLAP, Point, _common_denominator, _contact, _grid_boxes,
                        _meeting_boxes, _orientations, _scaled)
 from .graph import Graph
-from .scene import (CrossingEvent, StringScene, _NL, _list, _object, _pairs, _point,
-                    _str, _strs)
+from .scene import CrossingEvent, StringScene
 
 
 def compute_arrangement(scene: StringScene) -> list[CrossingEvent]:
@@ -203,36 +201,3 @@ def events_by_curve(curve_ids, events: list[CrossingEvent]) -> dict[str, list[Cr
 def intersection_graph(scene: StringScene, events: list[CrossingEvent]) -> Graph:
     """Simple graph on curve ids: adjacent iff the curves share a crossing."""
     return Graph(scene.curve_ids(), {(e.curve_a, e.curve_b) for e in events})
-
-
-def dumps_events(events: list[CrossingEvent]) -> str:
-    """The events in id order as canonical JSON; a location with an integer
-    longer than Python prints is a SceneError naming its crossing."""
-    limit = sys.get_int_max_str_digits()
-    out = []
-    for e in sorted(events, key=attrgetter("id")):
-        text = _EVENT % (e.chirality, _str(e.curve_a), _str(e.curve_b), _str(e.id),
-                         e.index_in_a, e.index_in_b)
-        if e.location is not None:
-            x, y = e.location
-            # 2^(3 limit) < 10^limit, so only a longer int can be unprintable
-            if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
-                             for n in (x.numerator, x.denominator,
-                                       y.numerator, y.denominator)):
-                raise SceneError(f"crossing {e.id!r}: its location has more digits "
-                                 f"than Python prints ({limit})")
-            text += ',' + _NL[2] + '"location": ' + _point(e.location, 2)
-        out.append(text + _NL[1] + "}")
-    return _list(out, 0) + "\n"
-
-
-# an event's keys in sorted order, up to its location
-_EVENT = ("{" + _NL[2] + '"chirality": %d,' + _NL[2] + '"curve_a": %s,'
-          + _NL[2] + '"curve_b": %s,' + _NL[2] + '"id": %s,'
-          + _NL[2] + '"index_in_a": %d,' + _NL[2] + '"index_in_b": %d')
-
-
-def dumps_graph(G: Graph) -> str:
-    """The intersection graph as canonical JSON: its edges and vertices."""
-    return _object([("edges", _pairs(G.edge_list(), 1)),
-                    ("vertices", _strs(G.vertices, 1))], 0) + "\n"

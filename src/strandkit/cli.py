@@ -17,16 +17,16 @@ import re
 import sys
 from pathlib import Path
 
-from .arrangement import dumps_events, dumps_graph
 from .check import check_coloured_planarisation, verify_model, walk_weak_diameter
 from .colouring import OrderedColouring
-from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth, td_to_pace
-from .errors import CheckFailure, DegeneracyError, InvariantError, SceneError
+from .decomp import EXACT_TREEWIDTH_MAX, Pipeline, bounds, exact_treewidth
+from .errors import InvariantError, SceneError
 from .families import gen_grounded, gen_random, gen_segment_family
-from .localise import dumps_instances
-from .planarise import (coloured_to_dot, dot_id, dumps_coloured, dumps_planarisation,
-                        planarisation_to_dot, scene_to_svg)
-from .scene import dumps_canonical, load_scene, read_json
+from .formats import (coloured_to_dot, dumps_canonical, dumps_coloured, dumps_events,
+                      dumps_graph, dumps_instances, dumps_layering, dumps_model,
+                      dumps_planarisation, dumps_scene, dumps_td, graph_to_dot,
+                      planarisation_to_dot, scene_to_svg, td_to_pace)
+from .scene import load_scene, read_json
 
 
 FORMATS = ("dot", "json", "svg", "td")
@@ -55,9 +55,9 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             for name, text in files.items():
                 (out / name).write_text(text, encoding="utf-8")
-    except (SceneError, DegeneracyError) as exc:
+    except SceneError as exc:
         return _emit({"error": str(exc), "kind": "invalid-input"}, 2)
-    except (CheckFailure, InvariantError) as exc:
+    except InvariantError as exc:
         return _emit({"error": str(exc), "kind": "check-failure"}, 1)
     except OSError as exc:
         return _emit({"error": f"{type(exc).__name__}: {exc}", "kind": "invalid-input"}, 2)
@@ -171,11 +171,7 @@ def _cmd_arrange(args, p, fmts) -> tuple:
     events, G = p.events, p.graph
     files = {"events.json": dumps_events(events), "graph.json": dumps_graph(G)}
     if "dot" in fmts:
-        lines = ["graph G {"]
-        lines += [f"  {dot_id(v)};" for v in G.vertices]
-        lines += [f"  {dot_id(u)} -- {dot_id(v)};" for u, v in G.edge_list()]
-        lines.append("}")
-        files["graph.dot"] = "\n".join(lines) + "\n"
+        files["graph.dot"] = graph_to_dot(G)
     return {"command": "arrange", "curves": len(p.scene.curves),
             "events": len(events), "edges": len(G.edge_list())}, files
 
@@ -216,14 +212,14 @@ def _cmd_model(args, p, fmts) -> tuple:
     return {"command": "model", "ok": check["valid"], "check": check,
             "copies": model.copies, "branch_sets": len(model.mu),
             "max_walk_diameter": max(diameters.values(), default=0),
-            "r": params.r}, {"model.json": model.dumps()}
+            "r": params.r}, {"model.json": dumps_model(model)}
 
 
 def _cmd_decomp(args, p, fmts) -> tuple:
     _colouring(args, p)
     result = p.ltw
     td = result["td"]
-    files = {"td.json": td.dumps(), "layering.json": result["layering"].dumps()}
+    files = {"td.json": dumps_td(td), "layering.json": dumps_layering(result["layering"])}
     if "td" in fmts:
         files["td.td"] = td_to_pace(td, p.graph)
     report = {"command": "decomp", "width": td.width,
@@ -239,7 +235,7 @@ def _cmd_outerstring(args, p, fmts) -> tuple:
     _colouring(args, p)
     result = p.outerstring
     td = result["td"]
-    files = {"td.json": td.dumps()}
+    files = {"td.json": dumps_td(td)}
     if "td" in fmts:
         files["td.td"] = td_to_pace(td, p.graph)
     return {"command": "outerstring", "width": td.width,
@@ -254,7 +250,7 @@ def _cmd_localise(args, p, fmts) -> tuple:
     report = {"command": "localise", **{key: result[key] for key in (
         "crossings_before", "crossings_after", "census_before", "census_after")}}
     return report, {"instance.json": instance, "reduced.json": reduced,
-                    "scene.json": result["scene"].dumps()}
+                    "scene.json": dumps_scene(result["scene"])}
 
 
 def _cmd_gen(args, p, fmts) -> tuple:
@@ -270,7 +266,7 @@ def _cmd_gen(args, p, fmts) -> tuple:
         kwargs["seed"] = args.seed
     scene = generator(**kwargs)
     return {"command": "gen", "family": args.family, "seed": args.seed,
-            "curves": len(scene.curves)}, {"scene.json": scene.dumps()}
+            "curves": len(scene.curves)}, {"scene.json": dumps_scene(scene)}
 
 
 def _cmd_bounds(args, p, fmts) -> tuple:

@@ -17,14 +17,14 @@ from .arrangement import compute_arrangement, events_by_curve, intersection_grap
 from .check import grounded_distance_check, verify_layering, verify_td
 from .colouring import (ColouringParams, OrderedColouring, colour_sections,
                         compute_params, degeneracy_order, greedy_colouring)
-from .errors import CheckFailure, InvariantError, SceneError
+from .errors import InvariantError, SceneError
 from .embedding import EmbeddedGraph, euler_genus, planar_embedding
 from .graph import Graph, ball_masks, bfs_tree, connected_components
 from .localise import bigon_reduce, build_HR, reassemble, select_crossings
 from .planarise import (ColouredPlanarisation, Planarisation,
                         coloured_planarisation, endpoint_id, planarise)
 from .product_model import MinorModel, build_model
-from .scene import StringScene, _ints, _list, _object, _strs
+from .scene import StringScene
 
 
 class TreeDecomposition(NamedTuple):
@@ -36,29 +36,12 @@ class TreeDecomposition(NamedTuple):
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
 
-    def dumps(self) -> str:
-        """Canonical JSON: each bag as the sorted str of its vertices, under
-        the str of its node, the tree edges and nodes, and the width."""
-        bags = [(str(n), _strs(sorted(map(str, self.bags[n])), 2))
-                for n in sorted(self.nodes, key=str)]
-        return _object([
-            ("bags", _object(bags, 1)),
-            ("edges", _list([_ints(sorted(e), 2) for e in self.edges], 1)),
-            ("nodes", _ints(self.nodes, 1)),
-            ("width", str(self.width)),
-        ], 0) + "\n"
-
 
 class Layering(NamedTuple):
     layers: list                     # ordered list of vertex lists
 
     def index(self) -> dict:
         return {v: i for i, layer in enumerate(self.layers) for v in layer}
-
-    def dumps(self) -> str:
-        """Canonical JSON: each layer as the sorted str of its vertices."""
-        layers = [_strs(sorted(map(str, layer)), 2) for layer in self.layers]
-        return _object([("layers", _list(layers, 1))], 0) + "\n"
 
 
 def bfs_depth(parent: dict) -> dict:
@@ -525,7 +508,7 @@ def shallow_centers(model: MinorModel, r: int) -> dict:
                 centers[v] = c
                 break
         else:
-            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
+            raise InvariantError(f"branch set of {v!r} is not weakly {r}-shallow")
     return centers
 
 
@@ -641,20 +624,3 @@ def bounds(theorem: str, params: dict) -> int:
         raise SceneError(f"theorem {theorem!r}: bound has more than "
                          f"{MAX_BOUND_BITS} bits")
     return value
-
-
-# -------------------------------------------------------------------- emitters
-
-def td_to_pace(td: TreeDecomposition, G: Graph) -> str:
-    """PACE-style text: header, bag lines, tree edge lines; bit-exact."""
-    verts = G.vertices
-    vid = {v: i + 1 for i, v in enumerate(sorted(verts, key=str))}
-    nid = {n: i + 1 for i, n in enumerate(sorted(td.nodes, key=str))}
-    lines = [f"s td {len(td.nodes)} {td.width + 1} {len(verts)}"]
-    for n in sorted(td.nodes, key=str):
-        ids = sorted(map(vid.__getitem__, td.bags[n]))
-        lines.append(" ".join(map(str, ["b", nid[n], *ids])))
-    for a, b in sorted((min(nid[a], nid[b]), max(nid[a], nid[b]))
-                       for a, b in td.edges):
-        lines.append(f"{a} {b}")
-    return "\n".join(lines) + "\n"

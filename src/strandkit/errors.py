@@ -9,7 +9,7 @@ class SceneError(StrandkitError):
     """Invalid scene input: parse failures or violated type invariants."""
 
 
-class DegeneracyError(StrandkitError):
+class DegeneracyError(SceneError):
     """Geometric degeneracy (tangency, collinear overlap, triple point, ...).
 
     Degenerate scenes are rejected, never silently perturbed.
@@ -19,10 +19,6 @@ class DegeneracyError(StrandkitError):
 class InvariantError(StrandkitError):
     """A structural invariant that should hold by construction was violated.
 
-    Raised by hard postcondition checks; signals a construction bug or a
-    falsified bound, not bad user input.
+    Raised by the checkers and by hard postcondition checks; signals a
+    construction bug or a falsified bound, not bad user input.
     """
-
-
-class CheckFailure(StrandkitError):
-    """An independent checker rejected an object it was asked to certify."""

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .arrangement import compute_arrangement
-from .errors import DegeneracyError, SceneError
+from .errors import SceneError
 from .geometry import Point, pt
 from .scene import Curve, Disk, StringScene
 
@@ -75,7 +75,7 @@ def gen_random(n: int, crossings_per_pair: int, seed: int) -> StringScene:
         try:
             scene.validate()
             events = compute_arrangement(scene)
-        except (SceneError, DegeneracyError):
+        except SceneError:
             continue
         per_pair = Counter((e.curve_a, e.curve_b) for e in events)
         if per_pair and max(per_pair.values()) > cap:
@@ -125,7 +125,7 @@ def gen_grounded(n: int, seed: int) -> StringScene:
         s = _grounded_candidate(n, random.Random(f"{seed}:{attempt}"))
         try:
             events = compute_arrangement(s)
-        except (SceneError, DegeneracyError):
+        except SceneError:
             continue
         crossing = {e.curve_a for e in events} | {e.curve_b for e in events}
         if crossing == set(s.curve_ids()):

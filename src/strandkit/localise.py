@@ -16,10 +16,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arrangement import intersection_graph
-from .errors import CheckFailure
+from .errors import InvariantError
 from .graph import Graph
-from .scene import (Curve, CrossingEvent, StringScene, _list, _object, _pairs, _str_lists,
-                    _strs)
+from .scene import Curve, CrossingEvent, StringScene
 
 
 def select_crossings(events: list[CrossingEvent]) -> dict:
@@ -44,51 +43,6 @@ class AuxiliaryInstance(NamedTuple):
 
     def crossing_count(self) -> int:
         return sum(len(v) for v in self.drawing.values()) // 2
-
-
-def dumps_instances(instances: list) -> list[str]:
-    """Each auxiliary instance as canonical JSON: H, R, the drawing, the
-    pieces and sigma, a piece named <curve>:<i>.  A section equal to the
-    one of the instance before is written once: bigon_reduce passes H, the
-    pieces and sigma through, copies R, and often keeps the drawing."""
-    texts, last = [], {}
-    for inst in instances:
-        sections = []
-        for key, dumps in _SECTIONS:
-            value = getattr(inst, key)
-            before = last.get(key)
-            if before is None or before[0] != value:
-                last[key] = before = (value, dumps(value))
-            sections.append((key, before[1]))
-        texts.append(_object(sections, 0) + "\n")
-    return texts
-
-
-def _dumps_H(H: Graph) -> str:
-    edges = _list([_pairs(edge, 3) for edge in H.edge_list()], 2)
-    return _object([("edges", edges), ("vertices", _pairs(H.vertices, 2))], 1)
-
-
-def _dumps_R(R: set) -> str:
-    return _pairs(sorted(sorted(f"{c}:{i}" for c, i in pair) for pair in R), 1)
-
-
-def _dumps_drawing(drawing: dict) -> str:
-    return _object(sorted((f"{c}:{i}", _strs(xs, 2)) for (c, i), xs in drawing.items()), 1)
-
-
-def _dumps_pieces(pieces: dict) -> str:
-    return _object(sorted((f"{c}:{i}", _pairs(ends, 2))
-                          for (c, i), ends in pieces.items()), 1)
-
-
-def _dumps_sigma(sigma: dict) -> str:
-    return _str_lists(sigma, 1)
-
-
-# the sections of an instance in key order, each with its writer
-_SECTIONS = (("H", _dumps_H), ("R", _dumps_R), ("drawing", _dumps_drawing),
-             ("pieces", _dumps_pieces), ("sigma", _dumps_sigma))
 
 
 def build_HR(scene: StringScene, along: dict,
@@ -206,7 +160,7 @@ def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
             new.chirality[e.id] = e.chirality
     lost = sorted(set(scene.curves) - set(new.curves))
     if lost:
-        raise CheckFailure(f"reassembled scene lost curves {lost}")
+        raise InvariantError(f"reassembled scene lost curves {lost}")
     new.validate()
 
     new_events = [e for e in events
@@ -214,5 +168,5 @@ def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
     got = intersection_graph(new, new_events).edge_list()
     want = sorted(tuple(sorted(p)) for p in inst.selection)
     if got != want:
-        raise CheckFailure("reassembled scene changed the intersection graph")
+        raise InvariantError("reassembled scene changed the intersection graph")
     return new

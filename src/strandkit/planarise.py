@@ -17,15 +17,13 @@ asserts only the forward direction.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import NamedTuple
 
 from .embedding import EmbeddedGraph
 from .errors import InvariantError, SceneError
 from .graph import Graph
-from .scene import (CrossingEvent, StringScene, _NL, _PAIR, _list, _object, _str,
-                    _str_lists)
+from .scene import CrossingEvent, StringScene
 
 
 def endpoint_id(curve_id: str, end: int) -> str:
@@ -192,144 +190,3 @@ def _check_contraction(plan: Planarisation, cp: ColouredPlanarisation) -> None:
             if cp.level[x] > cp.phi[cid]:
                 raise InvariantError(
                     f"walk of {cid!r} visits {x!r} of level {cp.level[x]}")
-
-
-# ------------------------------------------------------------------ emitters
-
-def dumps_planarisation(plan: Planarisation) -> str:
-    """C' as canonical JSON: its curve paths, its edges in id order with
-    their sorted ends and curve, the rotation at each vertex and each
-    vertex's kind."""
-    g, kind, dart = plan.embedding, plan.kind, _PAIR[3]
-    return _object([
-        ("curve_paths", _str_lists(plan.curve_paths, 1)),
-        ("edges", _edges(g)),
-        ("rotation", _object([(v, _list([dart % (_str(eid), side) for eid, side in rot], 2))
-                              for v, rot in sorted(g.rotation.items())], 1)),
-        ("vertices", _list([_VERTEX % (_str(v), _str(kind[v])) for v in g.vertices()], 1)),
-    ], 0) + "\n"
-
-
-def dumps_coloured(cp: ColouredPlanarisation) -> str:
-    """C^phi as canonical JSON: its edges as in dumps_planarisation, psi, the
-    walks, and each vertex's kind and level."""
-    g, psi = cp.embedding, cp.psi
-    return _object([
-        ("edges", _edges(g)),
-        ("psi", _object([(v, _str(psi[v])) for v in sorted(psi)], 1)),
-        ("vertices", _list([_LEVELLED % (_str(v), "endpoint" if v in cp.endpoints
-                                         else "contracted", cp.level[v])
-                            for v in g.vertices()], 1)),
-        ("walks", _str_lists(cp.walks, 1)),
-    ], 0) + "\n"
-
-
-def _edges(g: EmbeddedGraph) -> str:
-    label = g.edge_label
-    out = []
-    for eid in sorted(g.edge_ends):
-        u, v = g.edge_ends[eid]
-        curve = label.get(eid)
-        out.append(_EDGE % ("null" if curve is None else _str(curve),
-                            _str(min(u, v)), _str(max(u, v)), _str(eid)))
-    return _list(out, 1)
-
-
-# an edge and a vertex of "edges" and "vertices"
-_EDGE = ("{" + _NL[3] + '"curve": %s,' + _NL[3] + '"ends": [' + _NL[4] + "%s,"
-         + _NL[4] + "%s" + _NL[3] + "]," + _NL[3] + '"id": %s' + _NL[2] + "}")
-_VERTEX = "{" + _NL[3] + '"id": %s,' + _NL[3] + '"kind": %s' + _NL[2] + "}"
-_LEVELLED = ("{" + _NL[3] + '"id": %s,' + _NL[3] + '"kind": "%s",' + _NL[3]
-             + '"level": %d' + _NL[2] + "}")
-
-
-def dot_id(text: str) -> str:
-    """text as a quoted DOT id, each '"' in it written as '\\"'."""
-    return '"' + text.replace('"', '\\"') + '"'
-
-
-def _dot(g: EmbeddedGraph, attr) -> str:
-    """DOT text of g: each vertex with the attribute text attr(v), each edge
-    in id order with its label."""
-    lines = ["graph {"]
-    lines.extend(f"  {dot_id(v)} [{attr(v)}];" for v in g.vertices())
-    for eid in sorted(g.edge_ends):
-        u, v = g.edge_ends[eid]
-        lines.append(f"  {dot_id(u)} -- {dot_id(v)} "
-                     f"[label={dot_id(g.edge_label.get(eid, ''))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def planarisation_to_dot(plan: Planarisation) -> str:
-    return _dot(plan.embedding, lambda v: f'kind="{plan.kind[v]}"')
-
-
-def coloured_to_dot(cp: ColouredPlanarisation) -> str:
-    return _dot(cp.embedding, lambda v: f"level={cp.level[v]}")
-
-
-_SVG_PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b",
-                "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#ff7f0e"]
-
-
-def scene_to_svg(scene: StringScene, colouring=None) -> str:
-    """Presentation-only SVG of a geometric scene.
-
-    Curves are coloured by their colour class when a colouring is given.
-    Never parsed back; a number beyond float range, given or drawn, is a
-    SceneError naming its owner.
-    """
-    if not scene.is_geometric:
-        raise SceneError("SVG emission needs a geometric scene")
-    phi = colouring.phi if colouring is not None else {}
-
-    def floats(what: str, values) -> list[float]:
-        try:
-            return [float(v) for v in values]
-        except OverflowError:
-            raise SceneError(f"{what}: a coordinate is beyond float range, "
-                             "so SVG cannot draw it") from None
-
-    def drawn(what: str, values: list) -> list[float]:
-        if all(map(math.isfinite, values)):
-            return values
-        raise SceneError(f"{what}: a drawn number is beyond float range, "
-                         "so SVG cannot draw it")
-
-    curves = {cid: floats(f"curve {cid!r}", [v for p in scene.curves[cid].points for v in p])
-              for cid in scene.curve_ids()}
-    disks = {did: floats(f"disk {did!r}", (*d.center, d.radius))
-             for did, d in sorted(scene.disks.items()) if d.center is not None}
-    xs = [x for xy in curves.values() for x in xy[::2]]
-    ys = [y for xy in curves.values() for y in xy[1::2]]
-    pad = 0.5
-    x0, y0 = min(xs) - pad, min(ys) - pad
-    w, h = max(xs) + pad - x0, max(ys) + pad - y0
-    scale = 60.0
-
-    def sx(x):
-        return (x - x0) * scale
-
-    def sy(y):
-        return (h - (y - y0)) * scale
-
-    points = {cid: drawn(f"curve {cid!r}", [c for x, y in zip(xy[::2], xy[1::2])
-                                            for c in (sx(x), sy(y))])
-              for cid, xy in curves.items()}
-    circles = [drawn(f"disk {did!r}", [sx(x), sy(y), r * scale])
-               for did, (x, y, r) in disks.items()]
-    width, height = drawn("scene", [w * scale, h * scale])
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
-    for x, y, r in circles:
-        out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" '
-                   f'r="{r:.1f}" fill="#eee" stroke="#999"/>')
-    for cid, xy in points.items():
-        colour = _SVG_PALETTE[(phi.get(cid, 1) - 1) % len(_SVG_PALETTE)]
-        path = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xy[::2], xy[1::2]))
-        title = cid.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        out.append(f'<polyline points="{path}" fill="none" stroke="{colour}" '
-                   f'stroke-width="1.5"><title>{title}</title></polyline>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"

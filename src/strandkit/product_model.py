@@ -13,7 +13,6 @@ from typing import NamedTuple
 from .errors import InvariantError
 from .graph import Graph
 from .planarise import ColouredPlanarisation
-from .scene import _PAIR, _list, _object, _str
 
 
 class MinorModel(NamedTuple):
@@ -23,13 +22,6 @@ class MinorModel(NamedTuple):
 
     def projection(self, v) -> set:
         return {h for h, _ in self.mu[v]}
-
-    def dumps(self) -> str:
-        """Canonical JSON: each branch set as its sorted [host vertex, copy]
-        pairs, in target vertex order."""
-        mu = self.mu
-        return _object([(v, _list([_PAIR[2] % (_str(h), c) for h, c in sorted(mu[v])], 1))
-                        for v in sorted(mu)], 0) + "\n"
 
 
 def host_without_endpoints(cp: ColouredPlanarisation) -> Graph:

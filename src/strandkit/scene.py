@@ -1,4 +1,4 @@
-"""Curve collections: the scene model, JSON (de)serialisation, validation.
+"""Curve collections: the scene model, JSON loading, validation.
 
 A scene is either *geometric* (curves are rational polylines, disks are
 centre/radius pairs) or *abstract* (curves are ordered crossing-id sequences
@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from .errors import SceneError
+from .formats import dumps_scene
 from .geometry import Point, _common_denominator, _json_int, _scaled
 
 
@@ -191,45 +191,6 @@ class StringScene:
     def grounded_curves(self) -> list[str]:
         return sorted(c for c in self.curves if self.curves[c].grounded is not None)
 
-    # ------------------------------------------------------------------ JSON
-
-    def dumps(self) -> str:
-        """The scene as canonical JSON: curves and disks in id order, with
-        chirality only when there is one."""
-        curves = []
-        for cid in sorted(self.curves):
-            c = self.curves[cid]
-            entry = []                # (key, text) in key order
-            if c.points is None:
-                entry.append(("crossings", _strs(c.crossings, 3)))
-            if c.grounded is not None:
-                disk, end = c.grounded
-                entry.append(("grounded", _object([("disk", _str(disk)), ("end", str(end))], 3)))
-            entry.append(("id", _str(c.id)))
-            if c.points is not None:
-                entry.append(("points", _list([_point(p, 4) for p in c.points], 3)))
-            elif c.twists:
-                entry.append(("twists", _ints(sorted(c.twists), 3)))
-            curves.append(_object(entry, 2))
-        disks = []
-        for did in sorted(self.disks):
-            d = self.disks[did]
-            entry = []
-            if d.boundary is not None:
-                ends = [_PAIR[4] % (_str(c), e) for c, e in d.boundary]
-                entry.append(("boundary", _list(ends, 3)))
-            if d.center is not None:
-                entry.append(("center", _point(d.center, 3)))
-            entry.append(("id", _str(d.id)))
-            if d.center is not None:
-                entry.append(("radius", _ints((d.radius.numerator, d.radius.denominator), 3)))
-            disks.append(_object(entry, 2))
-        out = [("curves", _list(curves, 1)), ("disks", _list(disks, 1))]
-        if self.chirality:
-            out.insert(0, ("chirality", _object(
-                [(k, str(self.chirality[k])) for k in sorted(self.chirality)], 1)))
-        return _object(out, 0) + "\n"
-
     @staticmethod
     def from_json(data: dict) -> "StringScene":
         if not isinstance(data, dict):
@@ -335,108 +296,4 @@ def load_scene(path) -> StringScene:
 
 def dump_scene(scene: StringScene, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scene.dumps())
-
-
-def dumps_canonical(obj) -> str:
-    """Byte-stable JSON of a report or a small artifact.
-
-    The text is json.dumps(obj, sort_keys=True, indent=2) + "\n", written
-    directly: json.dumps falls back to its pure-Python chunk generator once
-    an indent is set.  Values may be str, int, bool, None, list, tuple or
-    dict with str keys; anything else raises TypeError.  The larger artifacts
-    write the same text straight from their records, with the helpers below.
-    """
-    return _canonical(obj, "\n") + "\n"
-
-
-def _canonical(obj, indent: str) -> str:
-    """One value at the given newline-plus-indent, tested in json's order."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return ("[" + inner + ("," + inner).join([_canonical(v, inner) for v in obj])
-                + indent + "]")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        items = []
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _canonical(value, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-# ------------------------------------------------- canonical text of records
-#
-# Each record's dumps writes what dumps_canonical writes for its JSON tree,
-# with no tree: keys in sorted order, written where they stand, and a list
-# of ids joined in one call.  depth is the nesting level of the value, and
-# the value's items stand at depth + 1.
-
-_NL = tuple("\n" + "  " * k for k in range(12))     # newline and indent at each depth
-_SEP = tuple("," + nl for nl in _NL)
-_str = encode_basestring_ascii
-# _PAIR[depth] % (a, b) is the list [a, b] of two values already written
-_PAIR = tuple("[" + b + "%s," + b + "%s" + a + "]" for a, b in zip(_NL, _NL[1:]))
-
-
-def _list(texts: list, depth: int) -> str:
-    """A list of values already written at depth + 1."""
-    if not texts:
-        return "[]"
-    return "[" + _NL[depth + 1] + _SEP[depth + 1].join(texts) + _NL[depth] + "]"
-
-
-def _object(items: list, depth: int) -> str:
-    """An object of (key, value text) pairs, in sorted key order, each value
-    written at depth + 1."""
-    if not items:
-        return "{}"
-    sep = _SEP[depth + 1]
-    return ("{" + _NL[depth + 1]
-            + sep.join([_str(k) + ": " + v for k, v in items])
-            + _NL[depth] + "}")
-
-
-def _strs(items, depth: int) -> str:
-    """A list of strings."""
-    return _list(list(map(_str, items)), depth)
-
-
-def _ints(items, depth: int) -> str:
-    """A list of ints."""
-    return _list(list(map(int.__repr__, items)), depth)
-
-
-def _pairs(pairs, depth: int) -> str:
-    """A list of [a, b] lists of strings."""
-    pair = _PAIR[depth + 1]
-    return _list([pair % (_str(a), _str(b)) for a, b in pairs], depth)
-
-
-def _str_lists(lists: dict, depth: int) -> str:
-    """An object of lists of strings, in key order."""
-    return _object([(k, _strs(v, depth + 1)) for k, v in sorted(lists.items())], depth)
-
-
-def _point(p: Point, depth: int) -> str:
-    """[[x numerator, x denominator], [y numerator, y denominator]]."""
-    x, y = p
-    pair = _PAIR[depth + 1]
-    return _PAIR[depth] % (pair % (x.numerator, x.denominator),
-                           pair % (y.numerator, y.denominator))
+        fh.write(dumps_scene(scene))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from strandkit.errors import CheckFailure, SceneError
+from strandkit.errors import InvariantError, SceneError
 from strandkit.geometry import Point, pt
 from strandkit.graph import Graph
 from reference_geometry import SegmentIntersection, cross, intersect_segments
@@ -211,7 +211,7 @@ def _attempt_drawing(cs: ConvexScene, g: Graph, attempt: int) -> dict:
                     continue   # two edges meeting at a common set point
                 raise _Collision
             if _polygon_area2(clip_convex(cs.sets[s1], cs.sets[s2])) == 0:
-                raise CheckFailure(
+                raise InvariantError(
                     f"crossing between pieces of disjoint sets {s1!r}, {s2!r}")
             crossings[e1] += 1
             crossings[e2] += 1
@@ -220,7 +220,7 @@ def _attempt_drawing(cs: ConvexScene, g: Graph, attempt: int) -> dict:
     cap = 2 * delta * delta
     for e, c in sorted(crossings.items()):
         if c > cap:
-            raise CheckFailure(f"edge {e} carries {c} crossings > 2*Delta^2 = {cap}")
+            raise InvariantError(f"edge {e} carries {c} crossings > 2*Delta^2 = {cap}")
     return {"points": points, "bends": bends, "crossings": crossings,
             "max_crossings": max(crossings.values(), default=0), "cap": cap}
 

@@ -110,12 +110,24 @@ def twisted_double_crossing() -> StringScene:
 def escaped_ids() -> StringScene:
     """outerstring_scene with ids that DOT and SVG must escape ('"', '<',
     '&', '>') and a non-ASCII one."""
-    ids = {"a": 'say "hi"', "b": "<b & c>", "c": "\u5f26"}
+    return renamed({"a": 'say "hi"', "b": "<b & c>", "c": "\u5f26"}, 'disk "D"')
+
+
+def backslash_ids() -> StringScene:
+    """outerstring_scene with ids that hold backslashes, which no quoted DOT
+    id can always carry: one ends in a backslash, one holds a quote after
+    one, and one a newline after one, beside '<', '&' and '>'."""
+    return renamed({"a": "a\\", "b": 'b\\"c', "c": "<c & d>\\\n"}, "D\\")
+
+
+def renamed(ids: dict, disk: str) -> StringScene:
+    """outerstring_scene with each curve id a renamed to ids[a], and its
+    disk renamed to disk."""
     base = outerstring_scene()
     s = StringScene()
-    s.disks['disk "D"'] = base.disks["D"]._replace(id='disk "D"')
+    s.disks[disk] = base.disks["D"]._replace(id=disk)
     for cid, curve in base.curves.items():
-        s.curves[ids[cid]] = curve._replace(id=ids[cid], grounded=('disk "D"', 0))
+        s.curves[ids[cid]] = curve._replace(id=ids[cid], grounded=(disk, 0))
     s.validate()
     return s
 
@@ -129,6 +141,7 @@ FIXTURES = {
     twisted_multicross: abstract_colouring,
     twisted_double_crossing: None,
     escaped_ids: None,
+    backslash_ids: None,
 }
 
 

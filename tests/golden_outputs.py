@@ -93,10 +93,10 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv: list, out=None, texts=None) -> dict:
+def run(argv: list, out=None, texts=None, suffix=".json") -> dict:
     """The exit code and the digests of stdout and of every file under out
     of one in-process CLI run.  A list texts receives (argv, "stdout", text)
-    and (argv, file name, text) for each JSON file."""
+    and (argv, file name, text) for each file of the given suffix."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -106,13 +106,14 @@ def run(argv: list, out=None, texts=None) -> dict:
     if out is not None and out.exists():
         entry["files"] = {p.name: sha(p.read_bytes()) for p in sorted(out.iterdir())}
         if texts is not None:
-            texts.extend((argv, p.name, p.read_text()) for p in sorted(out.glob("*.json")))
+            texts.extend((argv, p.name, p.read_text(encoding="utf-8"))
+                         for p in sorted(out.glob("*" + suffix)))
     return entry
 
 
-def scene_runs(scene: Path, colouring, work: Path, texts=None) -> dict:
+def scene_runs(scene: Path, colouring, work: Path, texts=None, suffix=".json") -> dict:
     """Every subcommand on one scene file, with a colouring file or None;
-    texts as for run."""
+    texts and suffix as for run."""
     runs = {}
     for command, fmt in SCENE_COMMANDS.items():
         out = work / command
@@ -123,13 +124,13 @@ def scene_runs(scene: Path, colouring, work: Path, texts=None) -> dict:
             argv += ["--format", fmt]
         if colouring is not None and command in TAKES_COLOURING:
             argv += ["--colouring", str(colouring)]
-        runs[command] = run(argv, out, texts)
+        runs[command] = run(argv, out, texts, suffix)
     return runs
 
 
-def compute_manifest(texts=None) -> dict:
-    """The manifest; a list texts receives the texts of every run, as for
-    run."""
+def compute_manifest(texts=None, suffix=".json") -> dict:
+    """The manifest; a list texts receives the texts of every run, with
+    texts and suffix as for run."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         manifest = {"gen": {}, "bounds": {}}
@@ -145,7 +146,7 @@ def compute_manifest(texts=None) -> dict:
             out = tmp / "gen" / name
             manifest["gen"][gen_key(family, params, seed)] = run(
                 ["gen", "--family", family, "--params", *params.split(),
-                 "--seed", str(seed), "--out", str(out)], out, texts)
+                 "--seed", str(seed), "--out", str(out)], out, texts, suffix)
             if (out / "scene.json").exists():
                 scenes[name] = (out / "scene.json", None, True)
         for build, colouring in corpus.FIXTURES.items():
@@ -166,11 +167,11 @@ def compute_manifest(texts=None) -> dict:
 
         for name, (path, colouring, localise) in scenes.items():
             work = tmp / "runs" / name
-            manifest[name] = scene_runs(path, colouring, work, texts)
+            manifest[name] = scene_runs(path, colouring, work, texts, suffix)
             localised = work / "localise" / "scene.json"
             if localise and localised.exists():
                 manifest[f"{name}/localised"] = scene_runs(
-                    localised, None, tmp / "runs" / f"{name}/localised", texts)
+                    localised, None, tmp / "runs" / f"{name}/localised", texts, suffix)
 
         valid = scene_to_json(corpus.outerstring_scene())
         for case, (make, _, *command) in corpus.MALFORMED.items():

@@ -2,13 +2,14 @@
 oracles of the writers that replaced them.
 
 strandkit wrote each artifact as dumps_canonical(tree), the tree built by
-one of the functions below.  Each record now writes the same text directly
-(StringScene.dumps, arrangement.dumps_events and dumps_graph,
-planarise.dumps_planarisation and dumps_coloured, MinorModel.dumps,
-TreeDecomposition.dumps, Layering.dumps and localise.dumps_instances), and
-test_emitters.py holds every writer to dumps_canonical of its tree here.
-The tests also read these trees where they compare records or build scene
-JSON, and point_to_json where they write a point.  td_to_pace is the PACE writer that decomp.td_to_pace replaced.
+one of the functions below.  Each record is now written straight to the
+same text by a writer of strandkit.formats (dumps_scene, dumps_events,
+dumps_graph, dumps_planarisation, dumps_coloured, dumps_model, dumps_td,
+dumps_layering and dumps_instances), and test_emitters.py holds every
+writer to dumps_canonical of its tree here.  The tests also read these
+trees where they compare records or build scene JSON, and point_to_json
+where they write a point.  td_to_pace is the PACE writer that
+formats.td_to_pace replaced.
 """
 
 import sys

@@ -21,10 +21,9 @@ from strandkit.check import (check_coloured_planarisation, grounded_distance_che
 from strandkit.colouring import degeneracy_order, greedy_colouring
 from strandkit.decomp import Pipeline, bounds, exact_treewidth, radius_decomposition
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
+from strandkit.formats import dumps_canonical, dumps_instances, dumps_scene, dumps_td
 from strandkit.graph import Graph, bfs_tree
-from strandkit.localise import dumps_instances
 from strandkit.product_model import build_model
-from strandkit.scene import dumps_canonical
 from convex_sets import (convex_to_drawing, gen_grid_disk, gen_random_convex,
                          gen_rectangle_family)
 from test_colouring import relabel
@@ -279,12 +278,12 @@ def _bundle() -> str:
         g = intersection_graph(scene, events)
         colouring = colourings_for(g)[0]
         rep = Pipeline(scene, colouring).outerstring
-        parts.append(scene.dumps())
+        parts.append(dumps_scene(scene))
         parts.append(dumps_canonical(colouring.to_json()))
-        parts.append(rep["td"].dumps())
+        parts.append(dumps_td(rep["td"]))
         parts.extend(dumps_instances([Pipeline(scene).localised["instance"]]))
     for seed in (0, 1):
-        parts.append(gen_random(6, 2, seed).dumps())
+        parts.append(dumps_scene(gen_random(6, 2, seed)))
     return "".join(parts)
 
 

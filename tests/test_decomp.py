@@ -17,10 +17,11 @@ from strandkit.decomp import (_BOUNDS, MAX_BOUND_BITS, Layering, Pipeline,
                               TreeDecomposition, _triangulate, bfs_depth, bounds,
                               exact_treewidth, exact_treewidth_decomposition, grounded_quotient,
                               ltw_lift, merge_layers, minor_lift, radius_decomposition,
-                              shallow_centers, td_to_pace)
+                              shallow_centers)
 from strandkit.embedding import EmbeddedGraph, euler_genus, planar_embedding
-from strandkit.errors import CheckFailure, InvariantError, SceneError
+from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded
+from strandkit.formats import td_to_pace
 from strandkit.graph import Graph, bfs_distances, bfs_tree, connected_components
 
 
@@ -638,7 +639,7 @@ def test_host_lifts_match_product_reference(plus_sign, bigon_scene):
             for layering in (host_layering, singletons):
                 try:
                     ref = product_ltw_lift(host_td, layering, model, r)
-                except CheckFailure:
+                except InvariantError:
                     continue
                 got = ltw_lift(host_td, layering.index(), model, r)
                 assert td_to_json(got["td"]) == td_to_json(ref["td"]), (name, r)

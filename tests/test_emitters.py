@@ -16,22 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from strandkit.arrangement import compute_arrangement, dumps_events, dumps_graph
+from strandkit.arrangement import compute_arrangement
 from strandkit.decomp import (Layering, Pipeline, TreeDecomposition,
-                              exact_treewidth_decomposition, td_to_pace)
+                              exact_treewidth_decomposition)
 from strandkit.embedding import EmbeddedGraph
-from strandkit.errors import CheckFailure, DegeneracyError, InvariantError, SceneError
+from strandkit.errors import DegeneracyError, InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
+from strandkit.formats import (dumps_canonical, dumps_coloured, dumps_events, dumps_graph,
+                               dumps_instances, dumps_layering, dumps_model,
+                               dumps_planarisation, dumps_scene, dumps_td, td_to_pace)
 from strandkit.geometry import pt
 from strandkit.graph import Graph
-from strandkit.localise import AuxiliaryInstance, dumps_instances
-from strandkit.planarise import (ColouredPlanarisation, Planarisation,
-                                 dumps_coloured, dumps_planarisation)
+from strandkit.localise import AuxiliaryInstance
+from strandkit.planarise import ColouredPlanarisation, Planarisation
 from strandkit.product_model import MinorModel
-from strandkit.scene import Curve, Disk, StringScene, dumps_canonical
+from strandkit.scene import Curve, Disk, StringScene
 import reference_json as ref
 
-REFUSED = (SceneError, DegeneracyError, CheckFailure, InvariantError)
+REFUSED = (SceneError, DegeneracyError, InvariantError)
 
 
 def assert_text(got: str, want: str, what) -> None:
@@ -58,7 +60,7 @@ def same(write, tree, record) -> None:
 
 
 def same_td(td: TreeDecomposition, G: Graph) -> None:
-    same(TreeDecomposition.dumps, ref.td_to_json, td)
+    same(dumps_td, ref.td_to_json, td)
     assert_text(td_to_pace(td, G), ref.td_to_pace(td, G), "td_to_pace")
 
 
@@ -83,7 +85,7 @@ def check_pipeline(scene: StringScene, colouring=None) -> set:
         built.add(name)
         return record
 
-    same(StringScene.dumps, ref.scene_to_json, scene)
+    same(dumps_scene, ref.scene_to_json, scene)
     if stage("events") is None:
         return built
     same(dumps_events, ref.events_to_json, p.events)
@@ -93,16 +95,16 @@ def check_pipeline(scene: StringScene, colouring=None) -> set:
     if stage("cp") is not None:
         same(dumps_coloured, ref.coloured_to_json, p.cp)
     if stage("model") is not None:
-        same(MinorModel.dumps, ref.model_to_json, p.model)
+        same(dumps_model, ref.model_to_json, p.model)
     if stage("ltw") is not None:
         same_td(p.ltw["td"], p.graph)
-        same(Layering.dumps, ref.layering_to_json, p.ltw["layering"])
+        same(dumps_layering, ref.layering_to_json, p.ltw["layering"])
     if stage("outerstring") is not None:
         same_td(p.outerstring["td"], p.graph)
     if stage("localised") is not None:
         result = p.localised
         same_instances([result["instance"], result["reduced"]])
-        same(StringScene.dumps, ref.scene_to_json, result["scene"])
+        same(dumps_scene, ref.scene_to_json, result["scene"])
     return built
 
 
@@ -158,10 +160,10 @@ def test_unprintable_location_is_refused_by_both():
 
 
 def test_empty_and_unlabelled_records():
-    same(StringScene.dumps, ref.scene_to_json, StringScene())
+    same(dumps_scene, ref.scene_to_json, StringScene())
     abstract = StringScene({"a": Curve("a", None, ())},
                            {"D": Disk("D", boundary=())}, {})
-    same(StringScene.dumps, ref.scene_to_json, abstract)
+    same(dumps_scene, ref.scene_to_json, abstract)
     same(dumps_events, ref.events_to_json, [])
     same(dumps_graph, ref.graph_to_json, Graph())
     g = EmbeddedGraph()
@@ -174,15 +176,15 @@ def test_empty_and_unlabelled_records():
          Planarisation(EmbeddedGraph(), {}, {}, {}))
     same(dumps_coloured, ref.coloured_to_json, ColouredPlanarisation(
         g, {"u": 0, "v": 1, "w": 2}, {}, {"c": []}, {"u"}, {}, {}))
-    same(MinorModel.dumps, ref.model_to_json, MinorModel({}, Graph(), 1))
-    same(MinorModel.dumps, ref.model_to_json, MinorModel({"a": frozenset()}, Graph(), 1))
+    same(dumps_model, ref.model_to_json, MinorModel({}, Graph(), 1))
+    same(dumps_model, ref.model_to_json, MinorModel({"a": frozenset()}, Graph(), 1))
     for td in (TreeDecomposition([], [], {}),
                TreeDecomposition([1], [], {1: frozenset()}),
                TreeDecomposition([2, 10, 1], [(10, 2), (1, 2)],
                                  {1: frozenset(), 2: frozenset("ab"), 10: frozenset("b")})):
         same_td(td, Graph("ab", ["ab"]))
     for layers in ([], [[]], [[3, 12, 1], []]):
-        same(Layering.dumps, ref.layering_to_json, Layering(layers))
+        same(dumps_layering, ref.layering_to_json, Layering(layers))
     empty = AuxiliaryInstance(Graph(), {}, set(), {}, {}, {}, {}, StringScene())
     same_instances([empty, empty])
 
@@ -193,7 +195,7 @@ def test_int_vertices_write_as_sorted_strings():
     G = Graph(range(12), [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
     _, td = exact_treewidth_decomposition(G)
     same_td(td, G)
-    same(Layering.dumps, ref.layering_to_json, Layering([list(range(12))]))
+    same(dumps_layering, ref.layering_to_json, Layering([list(range(12))]))
 
 
 # ids with quotes, backslashes, colons, control and non-ASCII characters

@@ -3,8 +3,9 @@ import pytest
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.check import verify_model
 from strandkit.decomp import exact_treewidth
-from strandkit.errors import CheckFailure, DegeneracyError, SceneError
+from strandkit.errors import DegeneracyError, InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random, gen_segment_family
+from strandkit.formats import dumps_scene
 from strandkit.geometry import pt
 from strandkit.graph import Graph
 from strandkit.product_model import MinorModel
@@ -74,7 +75,7 @@ def ktt_minor_model(scene, t: int) -> tuple:
                        for i in range(1, t + 1) for j in range(1, t + 1)])
     report = verify_model(model, ktt)
     if not report["valid"]:
-        raise CheckFailure(f"K_tt model invalid: {report['violated_clause']}")
+        raise InvariantError(f"K_tt model invalid: {report['violated_clause']}")
     return model, ktt
 
 
@@ -194,7 +195,7 @@ def test_ktt_contraction_witness_treewidth():
 def test_gen_random_deterministic():
     a = gen_random(8, 2, 5)
     b = gen_random(8, 2, 5)
-    assert a.dumps() == b.dumps()
+    assert dumps_scene(a) == dumps_scene(b)
 
 
 def test_gen_random_lets_unexpected_errors_through(monkeypatch):
@@ -267,7 +268,7 @@ def test_gen_random_respects_cap():
 def test_gen_grounded_valid_and_deterministic():
     a = gen_grounded(6, 2)
     b = gen_grounded(6, 2)
-    assert a.dumps() == b.dumps()
+    assert dumps_scene(a) == dumps_scene(b)
     assert a.grounded_curves() == a.curve_ids()
     events = compute_arrangement(a)
     crossing = {e.curve_a for e in events} | {e.curve_b for e in events}

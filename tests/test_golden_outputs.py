@@ -3,7 +3,7 @@
 import json
 
 from golden_outputs import MANIFEST, compute_manifest, flatten
-from strandkit.scene import dumps_canonical
+from strandkit.formats import dumps_canonical
 from test_emitters import assert_text
 
 

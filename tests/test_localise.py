@@ -2,7 +2,7 @@ import pytest
 
 from strandkit.arrangement import compute_arrangement, intersection_graph
 from strandkit.decomp import Pipeline, crossing_census
-from strandkit.errors import CheckFailure, SceneError
+from strandkit.errors import InvariantError, SceneError
 from strandkit.geometry import pt
 from strandkit.graph import Graph
 from strandkit.localise import (AuxiliaryInstance, bigon_reduce, build_HR,
@@ -82,7 +82,7 @@ def test_reassemble_checks_the_intersection_graph(bigon_scene):
     """A selection naming a pair that does not cross cannot be reassembled."""
     p, inst = instance(bigon_scene)
     selection = {**inst.selection, ("u", "z"): inst.selection["v", "z"]}
-    with pytest.raises(CheckFailure, match="^reassembled scene changed the intersection graph$"):
+    with pytest.raises(InvariantError, match="^reassembled scene changed the intersection graph$"):
         reassemble(inst._replace(selection=selection), p.along)
 
 
@@ -98,7 +98,7 @@ def plus_and_far() -> StringScene:
 
 def test_reassemble_keeps_every_curve():
     p, inst = instance(plus_and_far())
-    with pytest.raises(CheckFailure, match=r"lost curves \['c'\]"):
+    with pytest.raises(InvariantError, match=r"lost curves \['c'\]"):
         reassemble(inst, p.along)
 
 

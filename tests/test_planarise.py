@@ -11,9 +11,9 @@ from strandkit.decomp import Pipeline, bounds
 from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random
+from strandkit.formats import planarisation_to_dot, scene_to_svg
 from strandkit.geometry import pt
-from strandkit.planarise import (ColouredPlanarisation, Planarisation, coloured_planarisation,
-                                 planarisation_to_dot, scene_to_svg)
+from strandkit.planarise import ColouredPlanarisation, Planarisation, coloured_planarisation
 from strandkit.scene import Curve, Disk, StringScene
 from reference_json import coloured_to_json, planarisation_to_json
 from test_colouring import check_ordered

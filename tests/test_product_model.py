@@ -4,7 +4,7 @@ import pytest
 
 from strandkit.check import grounded_distance_check, verify_model, walk_weak_diameter
 from strandkit.decomp import Pipeline, shallow_centers
-from strandkit.errors import CheckFailure, InvariantError, SceneError
+from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, ball_masks, bfs_distances
 from strandkit.product_model import MinorModel, build_model, host_without_endpoints
@@ -40,7 +40,7 @@ def product_bfs_centers(model: MinorModel, r: int) -> dict:
                 centers[v] = c
                 break
         else:
-            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
+            raise InvariantError(f"branch set of {v!r} is not weakly {r}-shallow")
     return centers
 
 
@@ -74,8 +74,8 @@ def test_shallow_centers_match_product_bfs(model_scene):
     for r in sorted(set(range(len(model.host) + 1)) | {p.params.r}):
         try:
             want = product_bfs_centers(model, r)
-        except CheckFailure as exc:
-            with pytest.raises(CheckFailure, match=re.escape(str(exc))):
+        except InvariantError as exc:
+            with pytest.raises(InvariantError, match=re.escape(str(exc))):
                 shallow_centers(model, r)
             outcomes.add("fail")
         else:
@@ -354,7 +354,7 @@ def bfs_shallow_centers(model: MinorModel, r: int) -> dict:
                 centers[v] = c
                 break
         else:
-            raise CheckFailure(f"branch set of {v!r} is not weakly {r}-shallow")
+            raise InvariantError(f"branch set of {v!r} is not weakly {r}-shallow")
     return centers
 
 
@@ -363,7 +363,7 @@ def same_outcome(fast, slow, *args):
     exception type with the same text."""
     try:
         want = slow(*args)
-    except (InvariantError, CheckFailure) as exc:
+    except InvariantError as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             fast(*args)
         return None

@@ -248,3 +248,32 @@ def test_fresh_import_loads_no_introspection_modules():
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+def is_writer(name: str) -> bool:
+    return (name.lstrip("_").startswith("dumps") or name.endswith(("_to_dot", "_to_svg"))
+            or name == "td_to_pace")
+
+
+def test_writers_import_no_builder():
+    """formats.py imports nothing of the package but errors, and every
+    writer of report and artifact text is defined there: no other module
+    defines one, imports json.encoder or imports a private name of formats
+    or scene, and no record has a dumps method."""
+    deps, _ = package_imports()
+    assert deps["formats"] == {"errors"}
+    defs, _ = package_defs()
+    assert sorted(qual for qual, (name, _, _) in defs.items()
+                  if is_writer(name) and not qual.startswith("formats.")) == []
+    for record in ("scene.StringScene", "decomp.TreeDecomposition",
+                   "decomp.Layering", "product_model.MinorModel"):
+        assert record in defs and f"{record}.dumps" not in defs
+    for path in sorted(Path(strandkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert "json.encoder" not in [a.name for a in node.names], path.stem
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "json.encoder" or path.stem == "formats", path.stem
+                if node.module in ("formats", "scene", "strandkit.formats", "strandkit.scene"):
+                    private = [a.name for a in node.names if a.name.startswith("_")]
+                    assert private == [], (path.stem, node.module, private)

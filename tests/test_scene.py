@@ -11,8 +11,9 @@ from strandkit.arrangement import compute_arrangement
 from strandkit.colouring import ColouringParams, OrderedColouring
 from strandkit.errors import SceneError
 from strandkit.geometry import Point, _common_denominator, _scaled, pt
+from strandkit.formats import dumps_canonical
 from strandkit.scene import (CrossingEvent, Curve, Disk, StringScene,
-                             _segment_enters_open_disk, dumps_canonical)
+                             _segment_enters_open_disk)
 from reference_geometry import squared_distance
 from reference_json import scene_to_json
 from test_arrangement import BOX_TOUCH_FIXTURES
