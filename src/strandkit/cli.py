@@ -189,7 +189,7 @@ def _cmd_planarise(args, p, fmts) -> tuple:
         files["coloured.dot"] = coloured_to_dot(cp)
     if "svg" in fmts and p.scene.is_geometric:
         files["scene.svg"] = scene_to_svg(p.scene, colouring)
-    # contract_edge keeps the surface, so C' and C^phi have one genus
+    # contracting the sections keeps the surface, so C' and C^phi have one genus
     return {"command": "planarise", "vertices": len(plan.embedding.rotation),
             "edges": plan.embedding.edge_count(),
             "coloured_vertices": len(cp.embedding.rotation),

@@ -104,41 +104,6 @@ class EmbeddedGraph:
 
     # ----------------------------------------------------------- operations
 
-    def flip_vertex(self, v) -> None:
-        """Local orientation flip: reverses rotation, toggles incident signatures.
-
-        A loop at v lists both of its darts here, so its signature flips twice.
-        """
-        self.rotation[v] = rot = self.rotation[v][::-1]
-        for eid, _ in rot:
-            self.signature[eid] = -self.signature[eid]
-
-    def contract_edge(self, eid) -> None:
-        """Contract a non-loop edge, keeping the embedding on the same surface.
-
-        The surviving vertex is the tail endpoint; parallel edges become loops.
-        """
-        u, v = self.edge_ends[eid]
-        if u == v:
-            raise InvariantError(f"cannot contract loop {eid!r}")
-        if self.signature[eid] == -1:
-            self.flip_vertex(v)
-        assert self.signature[eid] == 1
-        rot_u = self.rotation[u]
-        rot_v = self.rotation[v]
-        du, dv = (eid, 0), (eid, 1)
-        iu = rot_u.index(du)
-        iv = rot_v.index(dv)
-        spliced = rot_v[iv + 1:] + rot_v[:iv]
-        self.rotation[u] = rot_u[:iu] + spliced + rot_u[iu + 1:]
-        del self.rotation[v]
-        del self.edge_ends[eid]
-        del self.signature[eid]
-        self.edge_label.pop(eid, None)
-        for other, _ in spliced:
-            a, b = self.edge_ends[other]
-            self.edge_ends[other] = (u if a == v else a, u if b == v else b)
-
     def delete_vertex(self, v) -> None:
         for d in list(self.rotation[v]):
             self.delete_edge(d[0])
@@ -169,12 +134,6 @@ class EmbeddedGraph:
         prev_j = face[(j - 1) % len(face)]
         rot_j = self.rotation[vj]
         rot_j.insert(rot_j.index(reverse(prev_j)) + 1, (eid, 1))
-
-    def copy(self) -> "EmbeddedGraph":
-        g = EmbeddedGraph(dict(self.edge_ends), dict(self.signature))
-        g.rotation = {v: list(r) for v, r in self.rotation.items()}
-        g.edge_label = dict(self.edge_label)
-        return g
 
 
 def euler_genus(g: EmbeddedGraph, simple: Graph) -> int:

@@ -120,8 +120,14 @@ def coloured_planarisation(plan: Planarisation, colouring,
     The sections are the runs of each curve's cut, indexing path[1:-1] of
     L_gamma.  The representative of a section is its first vertex along the
     curve, so single-vertex sections keep their ids and C^phi = C' when
-    nothing contracts.  The embedding is contracted edge by edge, which
-    preserves the surface, so Euler genus can still be read off the result.
+    nothing contracts.  C^phi is psi's image of C', built in one pass that
+    leaves C' as it was: its edges are those of C' on no section path, ends
+    mapped by psi (parallel edges become loops).  Along a section, each path
+    edge's dart is replaced by the next vertex's rotation, read cyclically
+    from just after the edge's other dart.  A path edge still twisted after
+    the flips before it first flips that vertex: reverses its rotation and
+    negates every signature at it.  That is edge contraction, which keeps
+    the surface, so Euler genus can still be read off the result.
     """
     phi = dict(colouring.phi)
     secs: dict = {}
@@ -144,22 +150,38 @@ def coloured_planarisation(plan: Planarisation, colouring,
         if v not in owner:
             raise InvariantError(f"dummy {v!r} lies in no section")
 
-    g = plan.embedding.copy()
+    emb = plan.embedding
     psi = {v: v for v in plan.kind}
+    spliced: dict = {}         # representative -> its rotation in C^phi
+    path_edges = set()
+    negated = []               # each edge once per dart at a flipped vertex
     for rep in sorted(secs):
         sec = secs[rep]
         cid, pos = sec_at[rep]
-        for off in range(len(sec) - 1):
-            g.contract_edge(_edge_id(cid, pos + off))
-        for v in sec:
-            psi[v] = rep
+        spliced[rep] = rot = list(emb.rotation[rep])
+        o = 1                  # -1 at each w that contraction flips
+        for off, w in enumerate(sec[1:]):
+            eid = _edge_id(cid, pos + off)
+            path_edges.add(eid)
+            o *= emb.signature[eid]
+            rw = emb.rotation[w][::o]
+            if o == -1:
+                negated += [e for e, _ in rw]
+            i, j = rw.index((eid, 1)), rot.index((eid, 0))
+            rot[j:j + 1] = rw[i + 1:] + rw[:i]
+            psi[w] = rep
+    ends = {e: (psi[a], psi[b]) for e, (a, b) in emb.edge_ends.items()
+            if e not in path_edges}
+    g = EmbeddedGraph(ends, {e: emb.signature[e] for e in ends})
+    for e in negated:
+        if e in ends:
+            g.signature[e] *= -1
+    g.rotation = {v: spliced[v] if v in spliced else list(rot)
+                  for v, rot in emb.rotation.items() if psi[v] == v}
+    g.edge_label = {e: c for e, c in emb.edge_label.items() if e in ends}
 
-    level = {}
-    for v in g.rotation:
-        if plan.kind.get(v) == "endpoint":
-            level[v] = 0
-        else:
-            level[v] = phi[sec_at[v][0]]
+    level = {v: 0 if plan.kind[v] == "endpoint" else phi[sec_at[v][0]]
+             for v in g.rotation}
 
     walks = {}
     for cid in sorted(plan.curve_paths):

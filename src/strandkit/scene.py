@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import SceneError
 from .formats import dumps_scene
 from .geometry import Point, _common_denominator, _json_int, _scaled
+
+# the characters XML 1.0 excludes, among them the surrogates, which UTF-8 cannot encode
+_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class Curve(NamedTuple):
@@ -83,6 +87,12 @@ class StringScene:
     def validate(self) -> None:
         if not self.curves:
             raise SceneError("scene has no curves")
+        xs = [*self.chirality, *(x for c in self.curves.values() for x in c.crossings or ())]
+        for kind, ids in (("curve", self.curves), ("disk", self.disks), ("crossing", xs)):
+            for i in ids:
+                if _UNWRITABLE.search(i):
+                    raise SceneError(
+                        f"{kind} id {i!r} holds a character no output file can carry")
         for cid in self.curves:
             curve = self.curves[cid]
             if (curve.points is None) == (curve.crossings is None):

@@ -414,4 +414,20 @@ MALFORMED = {
                     {"id": "b", "crossings": ["x0", "x1"]}],
          "disks": [], "chirality": {"x0": 1, "x1": 1}}, None),
         "localise needs genus 0, got 1", "localise"),
+    # an id holding a character XML 1.0 excludes: a lone surrogate, which
+    # UTF-8 cannot encode, or a control character, which no SVG may hold
+    "curve-id-surrogate": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "id": "a\ud800"}, *scene["curves"][1:]]},
+        None), "curve id 'a\\ud800' holds a character no output file can carry"),
+    "curve-id-control": (lambda scene: (
+        {**scene, "curves": [{**scene["curves"][0], "id": "a\x01"}, *scene["curves"][1:]]},
+        None), "curve id 'a\\x01' holds a character no output file can carry"),
+    "crossing-id-vertical-tab": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x\x0b"]}, {"id": "b", "crossings": ["x\x0b"]}],
+         "chirality": {"x\x0b": 1}}, None),
+        "crossing id 'x\\x0b' holds a character no output file can carry"),
+    "disk-id-noncharacter": (lambda scene: (
+        {"curves": [{**c, "grounded": {"disk": "D\ufffe", "end": 0}} for c in scene["curves"]],
+         "disks": [{**scene["disks"][0], "id": "D\ufffe"}]}, None),
+        "disk id 'D\\ufffe' holds a character no output file can carry"),
 }

@@ -791,6 +791,33 @@ def test_malformed_input_exit_2(capsys, tmp_path, outerstring_scene, case):
     assert "Traceback" not in out + err
 
 
+UNWRITABLE_IDS = ["curve-id-surrogate", "curve-id-control", "crossing-id-vertical-tab",
+                  "disk-id-noncharacter"]
+
+
+@pytest.mark.parametrize("command", sorted(SCENE_COMMANDS))
+@pytest.mark.parametrize("case", UNWRITABLE_IDS)
+def test_unwritable_id_exit_2(capsys, tmp_path, outerstring_scene, case, command):
+    """An id that no output file can carry is refused on loading: every
+    scene subcommand, with --out and every format it takes, exits 2 with one
+    report on stdout and writes no --out."""
+    make, error = MALFORMED[case][:2]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(make(scene_to_json(outerstring_scene))[0]))
+    fmt = SCENE_COMMANDS[command][0]
+    out = tmp_path / "out"
+    argv = [command, "--in", str(path)]
+    if command != "verify":
+        argv += ["--out", str(out)]
+    if fmt:
+        argv += ["--format", fmt]
+    code = main(argv)
+    stdout, stderr = capsys.readouterr()
+    assert code == 2
+    assert json.loads(stdout) == {"error": error, "kind": "invalid-input"}
+    assert stderr == "" and not out.exists()
+
+
 def without_grounding(curve: dict) -> dict:
     return {k: v for k, v in curve.items() if k != "grounded"}
 

@@ -198,8 +198,9 @@ def test_int_vertices_write_as_sorted_strings():
     same(dumps_layering, ref.layering_to_json, Layering([list(range(12))]))
 
 
-# ids with quotes, backslashes, colons, control and non-ASCII characters
-ids = st.text(st.sampled_from('ab"\\:é€\u2028\x00\t'), min_size=1, max_size=3)
+# ids with quotes, backslashes, colons, control and non-ASCII characters;
+# validate refuses the controls XML 1.0 excludes, so those drawn are DEL and tab
+ids = st.text(st.sampled_from('ab"\\:é€\u2028\x7f\t'), min_size=1, max_size=3)
 
 
 @st.composite

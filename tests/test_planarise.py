@@ -1,23 +1,27 @@
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strandkit.arrangement import events_by_curve
 from strandkit.check import check_coloured_planarisation
 from strandkit.colouring import (ColouringParams, OrderedColouring,
                                  colour_sections)
 from strandkit.decomp import Pipeline, bounds
-from strandkit.embedding import EmbeddedGraph
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded, gen_random
 from strandkit.formats import planarisation_to_dot, scene_to_svg
 from strandkit.geometry import pt
+from strandkit import planarise
 from strandkit.planarise import ColouredPlanarisation, Planarisation, coloured_planarisation
 from strandkit.scene import Curve, Disk, StringScene
 from reference_json import coloured_to_json, planarisation_to_json
 from test_colouring import check_ordered
-from test_embedding import genus
+from test_embedding import genus, oracle_contract_edge, state
+import corpus
 
 
 @dataclass(frozen=True)
@@ -390,7 +394,8 @@ def test_coloured_planarisation_refuses_a_broken_cut(monkeypatch, plus_sign,
                                                      plus_colouring):
     """coloured_planarisation's own checks of a cut, on cuts that
     colour_sections never gives: h has colour 1 and v colour 2, so only h's
-    cut holds x."""
+    cut holds x.  The count check is reached by a construction that keeps
+    the contracted end e:h:1 as a vertex of C^phi."""
     p = Pipeline(plus_sign, plus_colouring)
     x = p.plan.dummies()[0]
 
@@ -406,8 +411,86 @@ def test_coloured_planarisation_refuses_a_broken_cut(monkeypatch, plus_sign,
     assert refusal([], [range(0, 1)]) == f"walk of 'h' visits {x!r} of level 2"
     # a run past the last crossing takes in the curve's end
     assert refusal([range(0, 2)], []) == "psi moved endpoint 'e:h:1'"
-    monkeypatch.setattr(EmbeddedGraph, "contract_edge", lambda g, eid: None)
+    check = planarise._check_contraction
+
+    def kept_end(plan, cp):
+        cp.embedding.add_vertex("e:h:1")
+        check(plan, cp)
+
+    monkeypatch.setattr(planarise, "_check_contraction", kept_end)
     assert refusal([range(0, 2)], []) == "contraction count mismatch"
+
+
+def oracle_coloured_embedding(plan, cut):
+    """C^phi's embedding as the earlier code built it: a copy of C' with
+    each section contracted edge by edge, representatives in sorted order."""
+    g = copy.deepcopy(plan.embedding)
+    runs = sorted((plan.curve_paths[cid][run.start + 1], cid, run)
+                  for cid in plan.curve_paths for run in cut[cid][0])
+    for _, cid, run in runs:
+        for i in range(run.start + 1, run.stop):
+            oracle_contract_edge(g, f"c:{cid}:{i}")
+    return g
+
+
+def assert_one_pass_matches_oracle(scene, colouring=None):
+    """C^phi's rotation lists, ends, signatures and labels, the key order of
+    each, and its Euler genus are those of the copy-and-contract oracle."""
+    p = Pipeline(scene, colouring)
+    want = oracle_coloured_embedding(p.plan, p.cut)
+    assert state(p.cp.embedding) == state(want)
+    assert p.genus == genus(want)
+
+
+# name -> (scene builder, colouring builder or None for the greedy one):
+# every fixture under the greedy colouring and under its own, and generated
+# grounded and random scenes; with the drawn twist sets below, 91 scenes
+ONE_PASS_SCENES = {
+    **{f"{build.__name__}-greedy": (build, None) for build in corpus.FIXTURES},
+    **{build.__name__: (build, colouring)
+       for build, colouring in corpus.FIXTURES.items() if colouring is not None},
+    **{f"grounded-{n}-{s}": (lambda n=n, s=s: gen_grounded(n, s), None)
+       for n in (6, 12, 24, 48) for s in range(3)},
+    **{f"random-{n}-{c}-{s}": (lambda n=n, c=c, s=s: gen_random(n, c, s), None)
+       for n, c, s in ((6, 2, 0), (8, 3, 1), (12, 2, 2))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_SCENES))
+def test_one_pass_coloured_planarisation_matches_oracle(name):
+    build, colouring = ONE_PASS_SCENES[name]
+    assert_one_pass_matches_oracle(build(), colouring and colouring())
+
+
+@st.composite
+def twisted_abstract_scenes(draw):
+    """An abstract fixture with a drawn twist set on every curve, under the
+    greedy colouring or a drawn injective one, which is always ordered."""
+    scene = draw(st.sampled_from([corpus.abstract_multicross, corpus.twisted_multicross,
+                                  corpus.twisted_double_crossing]))()
+    for cid, curve in scene.curves.items():
+        arcs = st.integers(0, len(curve.crossings))
+        scene.curves[cid] = curve._replace(twists=tuple(sorted(draw(st.sets(arcs)))))
+    scene.validate()
+    colouring = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(sorted(scene.curves)))
+        colouring = OrderedColouring({cid: i + 1 for i, cid in enumerate(order)}, len(order))
+    return scene, colouring
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=64)
+@given(twisted_abstract_scenes())
+def test_one_pass_coloured_planarisation_matches_oracle_on_twists(case):
+    assert_one_pass_matches_oracle(*case)
+
+
+def test_coloured_planarisation_leaves_cprime_as_it_was():
+    for scene in (corpus.twisted_multicross(), gen_grounded(24, 0)):
+        p = Pipeline(scene)
+        before = copy.deepcopy(p.plan.embedding)
+        p.cp
+        assert state(p.plan.embedding) == state(before)
 
 
 @pytest.mark.parametrize("n", [6, 20, 24, 48])

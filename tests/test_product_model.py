@@ -1,3 +1,4 @@
+import copy
 import re
 
 import pytest
@@ -286,7 +287,7 @@ def test_grounded_distance_names_each_violated_clause(plus_sign, plus_colouring)
     make t = 1: each clause refuses with its own error."""
     _, cp, _, _ = pipeline(plus_sign, plus_colouring)
     ends = {"e:h:0", "e:v:0"}
-    lonely = cp.embedding.copy()
+    lonely = copy.deepcopy(cp.embedding)
     lonely.add_vertex("lonely")
     cases = [
         (cp, ends | {"x:h:v:0"}, SceneError, "Y contains non-endpoint vertices"),
@@ -438,7 +439,7 @@ def test_walk_weak_diameter_corrupted_matches_oracle():
     widest = max(cids, key=lambda c: diam[c])
 
     def split(*walk_ids):
-        emb = cp.embedding.copy()
+        emb = copy.deepcopy(cp.embedding)
         walks = dict(cp.walks)
         for i, cid in enumerate(walk_ids):
             emb.add_vertex(f"island{i}")
