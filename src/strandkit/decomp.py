@@ -421,7 +421,7 @@ class Pipeline:
                                  "needs a crossing to be localised")
         if not self.scene.is_geometric and self.genus != 0:
             raise SceneError(f"localise needs genus 0, got {self.genus}")
-        inst = build_HR(self.scene, along, select_crossings(self.events))
+        inst = build_HR(along, select_crossings(self.events))
         reduced = bigon_reduce(inst)
         new_scene = reassemble(reduced, along)
         after = {cid: [inst.events[x] for x in c.crossings]

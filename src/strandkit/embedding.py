@@ -25,29 +25,17 @@ def reverse(dart: Dart) -> Dart:
 
 
 class EmbeddedGraph:
-    def __init__(self, edge_ends: dict | None = None, signature: dict | None = None):
+    """Built whole from its four maps; add_chord is its one edit."""
+
+    def __init__(self, edge_ends: dict, signature: dict, rotation: dict,
+                 edge_label: dict):
         # edge id -> (u, v); orientation of the pair fixes which dart is side 0
-        self.edge_ends = {} if edge_ends is None else edge_ends
-        self.signature = {} if signature is None else signature
-        self.rotation: dict = {}       # vertex -> list of out-darts
-        self.edge_label: dict = {}     # edge id -> owning curve(s) etc.
+        self.edge_ends = edge_ends
+        self.signature = signature     # edge id -> +1 or -1
+        self.rotation = rotation       # vertex -> list of out-darts
+        self.edge_label = edge_label   # edge id -> owning curve(s) etc.
 
     # ------------------------------------------------------------- structure
-
-    def add_vertex(self, v) -> None:
-        self.rotation.setdefault(v, [])
-
-    def add_edge(self, eid, u, v, sig: int = 1, label=None) -> None:
-        """Append an edge, whose id must be new; darts are appended at the
-        end of both rotations."""
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self.edge_ends[eid] = (u, v)
-        self.signature[eid] = sig
-        if label is not None:
-            self.edge_label[eid] = label
-        self.rotation[u].append((eid, 0))
-        self.rotation[v].append((eid, 1))
 
     def vertices(self) -> list:
         return sorted(self.rotation)
@@ -103,18 +91,6 @@ class EmbeddedGraph:
         return faces
 
     # ----------------------------------------------------------- operations
-
-    def delete_vertex(self, v) -> None:
-        for d in list(self.rotation[v]):
-            self.delete_edge(d[0])
-        del self.rotation[v]
-
-    def delete_edge(self, eid) -> None:
-        u, v = self.edge_ends.pop(eid)
-        del self.signature[eid]
-        self.edge_label.pop(eid, None)
-        for w in {u, v}:
-            self.rotation[w] = [d for d in self.rotation[w] if d[0] != eid]
 
     def add_chord(self, face: list[Dart], i: int, j: int, eid) -> None:
         """Split a face by a chord between face walk corners i and j.
@@ -423,12 +399,13 @@ def planar_embedding(g: Graph) -> EmbeddedGraph:
                     add_half_edge(w, v, cw=left_ref[w])
                     left_ref[w] = v
 
-    ends = {("e", u, v): (u, v) for u, v in edges}
-    emb = EmbeddedGraph(ends, dict.fromkeys(ends, 1))
+    darts: dict = {}
     for v in verts:
         rot = rotation[v]
         i = rot.index(leftmost[v]) if rot else 0
-        emb.rotation[v] = [(("e", v, w), 0) if v < w else (("e", w, v), 1)
-                           for w in rot[i:] + rot[:i]]
+        darts[v] = [(("e", v, w), 0) if v < w else (("e", w, v), 1)
+                    for w in rot[i:] + rot[:i]]
+    ends = {("e", u, v): (u, v) for u, v in edges}
+    emb = EmbeddedGraph(ends, dict.fromkeys(ends, 1), darts, {})
     emb.check()
     return emb

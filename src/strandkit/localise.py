@@ -39,14 +39,12 @@ class AuxiliaryInstance(NamedTuple):
     drawing: dict                 # piece id -> event ids along the piece
     selection: dict               # curve pair -> CrossingEvent
     events: dict                  # event id -> CrossingEvent
-    scene: StringScene
 
     def crossing_count(self) -> int:
         return sum(len(v) for v in self.drawing.values()) // 2
 
 
-def build_HR(scene: StringScene, along: dict,
-             selection: dict) -> AuxiliaryInstance:
+def build_HR(along: dict, selection: dict) -> AuxiliaryInstance:
     """The auxiliary instance with its inherited combinatorial drawing."""
     pieces: dict = {}
     sigma: dict = {}
@@ -88,8 +86,7 @@ def build_HR(scene: StringScene, along: dict,
         drawing[pid] = kept
 
     H = Graph(sorted(selection), pieces.values())
-    return AuxiliaryInstance(H, pieces, R, sigma, drawing, dict(selection),
-                             by_id, scene)
+    return AuxiliaryInstance(H, pieces, R, sigma, drawing, dict(selection), by_id)
 
 
 def bigon_reduce(inst: AuxiliaryInstance) -> AuxiliaryInstance:
@@ -131,7 +128,7 @@ def bigon_reduce(inst: AuxiliaryInstance) -> AuxiliaryInstance:
             if changed:
                 break
     return AuxiliaryInstance(inst.H, inst.pieces, set(inst.R), inst.sigma,
-                             drawing, inst.selection, inst.events, inst.scene)
+                             drawing, inst.selection, inst.events)
 
 
 def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
@@ -144,7 +141,6 @@ def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
     scene under the identity on curve ids (checked; failure means the drawing
     was not a weak realisation).
     """
-    scene = inst.scene
     surviving = {x for xs in inst.drawing.values() for x in xs}
     selected_ids = {e.id for e in inst.selection.values()}
     events = sorted(inst.events.values(), key=lambda e: e.id)
@@ -158,7 +154,7 @@ def reassemble(inst: AuxiliaryInstance, along: dict) -> StringScene:
     for e in events:
         if e.id in selected_ids or e.id in surviving:
             new.chirality[e.id] = e.chirality
-    lost = sorted(set(scene.curves) - set(new.curves))
+    lost = sorted(set(along) - set(new.curves))
     if lost:
         raise InvariantError(f"reassembled scene lost curves {lost}")
     new.validate()

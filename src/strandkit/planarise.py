@@ -52,48 +52,52 @@ def planarise(scene: StringScene, events: list[CrossingEvent],
             raise SceneError(f"curve {cid!r} crosses no other curve; every curve "
                              "needs a crossing to be planarised")
     # curve ends and crossings are the vertices of C', named in one namespace
-    ends = {endpoint_id(cid, end): cid for cid in along for end in (0, 1)}
+    end_of = {endpoint_id(cid, end): cid for cid in along for end in (0, 1)}
     for e in events:
-        if e.id in ends:
-            raise SceneError(f"crossing {e.id!r} has the id of an end of curve {ends[e.id]!r}")
+        if e.id in end_of:
+            raise SceneError(f"crossing {e.id!r} has the id of an end of curve {end_of[e.id]!r}")
 
-    g = EmbeddedGraph()
-    kind: dict = {}
-    paths: dict = {}
-    by_id = {e.id: e for e in events}
-    edge_ids: dict = {}        # curve id -> ids of the edges of its path
-
-    for cid, mine in along.items():
-        path = [endpoint_id(cid, 0)] + [e.id for e in mine] + [endpoint_id(cid, 1)]
-        paths[cid] = path
-        kind[path[0]] = kind[path[-1]] = "endpoint"
-        for e in mine:
-            kind[e.id] = "dummy"
-        twists = set(scene.curves[cid].twists)
-        edge_ids[cid] = eids = [_edge_id(cid, i) for i in range(len(path) - 1)]
-        for i, eid in enumerate(eids):
-            sig = -1 if i in twists else 1
-            g.add_edge(eid, path[i], path[i + 1], sig=sig, label=cid)
-
+    edge_ids = {cid: [_edge_id(cid, i) for i in range(len(mine) + 1)]
+                for cid, mine in along.items()}
     # rotation at each dummy follows the chirality sign: with a the lex-smaller
     # curve, +1 means [a-next, b-next, a-prev, b-prev] (counter-clockwise when
     # a heads east and b north), -1 the mirror order
+    at: dict = {}
     for e in events:
         ea, eb = edge_ids[e.curve_a], edge_ids[e.curve_b]
         ja, jb = e.index_in_a, e.index_in_b
         a_prev, a_next = (ea[ja], 1), (ea[ja + 1], 0)
         b_prev, b_next = (eb[jb], 1), (eb[jb + 1], 0)
-        if e.chirality == 1:
-            g.rotation[e.id] = [a_next, b_next, a_prev, b_prev]
-        else:
-            g.rotation[e.id] = [a_next, b_prev, a_prev, b_next]
+        at[e.id] = ([a_next, b_next, a_prev, b_prev] if e.chirality == 1
+                    else [a_next, b_prev, a_prev, b_next])
+
+    # one pass along the curves: edges by curve and then by index, each
+    # vertex's rotation placed where the vertex first appears
+    ends, signature, rotation, label = {}, {}, {}, {}
+    kind, paths = {}, {}
+    for cid, mine in along.items():
+        path = [endpoint_id(cid, 0)] + [e.id for e in mine] + [endpoint_id(cid, 1)]
+        paths[cid] = path
+        kind[path[0]] = kind[path[-1]] = "endpoint"
+        eids = edge_ids[cid]
+        rotation[path[0]] = [(eids[0], 0)]
+        for e in mine:
+            kind[e.id] = "dummy"
+            rotation[e.id] = at[e.id]
+        rotation[path[-1]] = [(eids[-1], 1)]
+        twists = set(scene.curves[cid].twists)
+        for i, eid in enumerate(eids):
+            ends[eid] = (path[i], path[i + 1])
+            signature[eid] = -1 if i in twists else 1
+            label[eid] = cid
+    g = EmbeddedGraph(ends, signature, rotation, label)
 
     # the edge ids c:<curve>:<i> are distinct, as the text after the last ':'
     # is i; so once check finds each dart listed once at its tail, C' has one
     # vertex per curve end and crossing, one edge per path step, and degrees
     # 1 and 4
     g.check()
-    return Planarisation(g, kind, paths, by_id)
+    return Planarisation(g, kind, paths, {e.id: e for e in events})
 
 
 class ColouredPlanarisation:
@@ -172,13 +176,14 @@ def coloured_planarisation(plan: Planarisation, colouring,
             psi[w] = rep
     ends = {e: (psi[a], psi[b]) for e, (a, b) in emb.edge_ends.items()
             if e not in path_edges}
-    g = EmbeddedGraph(ends, {e: emb.signature[e] for e in ends})
+    sig = {e: emb.signature[e] for e in ends}
     for e in negated:
         if e in ends:
-            g.signature[e] *= -1
-    g.rotation = {v: spliced[v] if v in spliced else list(rot)
-                  for v, rot in emb.rotation.items() if psi[v] == v}
-    g.edge_label = {e: c for e, c in emb.edge_label.items() if e in ends}
+            sig[e] *= -1
+    g = EmbeddedGraph(ends, sig,
+                      {v: spliced[v] if v in spliced else list(rot)
+                       for v, rot in emb.rotation.items() if psi[v] == v},
+                      {e: c for e, c in emb.edge_label.items() if e in ends})
 
     level = {v: 0 if plan.kind[v] == "endpoint" else phi[sec_at[v][0]]
              for v in g.rotation}

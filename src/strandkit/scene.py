@@ -147,6 +147,9 @@ class StringScene:
             sign = self.chirality.get(x)
             if sign not in (1, -1):
                 raise SceneError(f"crossing {x!r}: chirality sign missing or not +-1")
+        unknown = sorted(self.chirality.keys() - owners.keys())
+        if unknown:
+            raise SceneError(f"chirality names {unknown[0]!r}, a crossing on no curve")
 
     def _validate_disks(self) -> None:
         geo = [d for d in self.disks.values() if d.is_geometric]

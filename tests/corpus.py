@@ -1,4 +1,5 @@
-"""Scenes the tests share, as plain functions that need no pytest.
+"""Scenes the tests share, as plain functions that need no pytest, and a
+builder of small embeddings.
 
 conftest.py turns the small scenes with known structure into fixtures, and
 golden_outputs.py runs every CLI subcommand on them, on the degenerate
@@ -8,6 +9,7 @@ scenes below and on the malformed inputs of MALFORMED.
 from fractions import Fraction
 
 from strandkit.colouring import OrderedColouring
+from strandkit.embedding import EmbeddedGraph
 from strandkit.geometry import Point, pt
 from strandkit.scene import Curve, Disk, StringScene
 from reference_json import point_to_json
@@ -143,6 +145,23 @@ FIXTURES = {
     escaped_ids: None,
     backslash_ids: None,
 }
+
+
+def embedding(edges, rotation=(), vertices=()) -> EmbeddedGraph:
+    """The given vertices, then each edge (id, u, v[, signature[, label]])
+    in turn with its darts appended at both ends, where an incremental build
+    puts them; the given rotations then replace those lists, and a vertex
+    new to them joins last.  Not checked."""
+    ends, signature, rot, label = {}, {}, {v: [] for v in vertices}, {}
+    for eid, u, v, *rest in edges:
+        ends[eid] = (u, v)
+        signature[eid] = rest[0] if rest else 1
+        if len(rest) > 1:
+            label[eid] = rest[1]
+        rot.setdefault(u, []).append((eid, 0))
+        rot.setdefault(v, []).append((eid, 1))
+    rot.update(rotation)
+    return EmbeddedGraph(ends, signature, rot, label)
 
 
 def segment(cid: str, p: tuple, q: tuple) -> dict:
@@ -391,6 +410,12 @@ MALFORMED = {
     "chirality-missing": (lambda scene: (
         {"curves": [{"id": "a", "crossings": ["x"]}, {"id": "b", "crossings": ["x"]}]},
         None), "crossing 'x': chirality sign missing or not +-1"),
+    # a chirality key is a crossing id, most likely misspelt when no curve
+    # has it
+    "chirality-unknown-crossing": (lambda scene: (
+        {"curves": [{"id": "a", "crossings": ["x0"]}, {"id": "b", "crossings": ["x0"]}],
+         "chirality": {"x0": 1, "zz": 1}}, None),
+        "chirality names 'zz', a crossing on no curve"),
     "overlapping-disks": (lambda scene: (
         {**scene, "disks": scene["disks"] + [
             {"id": "E", "center": [[1, 1], [0, 1]], "radius": [1, 1]}]}, None),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import corpus
 from reference_json import layering_to_json, td_to_json
+from test_embedding import K4
 from strandkit import decomp
 from strandkit.check import grounded_distance_check, verify_layering, verify_td
 from strandkit.colouring import OrderedColouring
@@ -471,10 +472,7 @@ def test_radius_decomposition_rejects_a_non_plane_embedding(monkeypatch):
     """The face trace after triangulating certifies V - E + F = 2: a
     toroidal rotation system of K4 is refused."""
     def toroidal_k4(graph):
-        g = EmbeddedGraph()
-        for eid, (u, v) in zip("abcdef", [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]):
-            g.add_edge(eid, u, v)
-        g.rotation[3] = [("e", 1), ("d", 1), ("f", 1)]
+        g = corpus.embedding(K4, {3: [("e", 1), ("d", 1), ("f", 1)]})
         assert euler_genus(g, g.simple_graph()) == 2
         return g
 

@@ -9,7 +9,6 @@ import corpus
 from dot_lexer import DotError, lex, parse
 from golden_outputs import compute_manifest
 from strandkit.decomp import Pipeline
-from strandkit.embedding import EmbeddedGraph
 from strandkit.formats import coloured_to_dot, dot_id, graph_to_dot, planarisation_to_dot
 from strandkit.graph import Graph
 from strandkit.planarise import Planarisation
@@ -103,9 +102,8 @@ def test_every_graph_reads_back(names, data):
     nodes, edges = parse(graph_to_dot(G))
     assert list(nodes) == G.vertices
     assert [(u, v) for u, v, _ in edges] == G.edge_list()
-    g = EmbeddedGraph()
-    for k, (u, v) in enumerate(pairs):
-        g.add_edge(f"{names[k % len(names)]}{k}", u, v, label=names[-1 - k % len(names)])
+    g = corpus.embedding([(f"{names[k % len(names)]}{k}", u, v, 1, names[-1 - k % len(names)])
+                          for k, (u, v) in enumerate(pairs)])
     plan = Planarisation(g, {v: "dummy" for v in g.vertices()}, {}, {})
     nodes, edges = parse(planarisation_to_dot(plan))
     assert nodes == {v: {"kind": "dummy"} for v in g.vertices()}

@@ -13,6 +13,7 @@ from strandkit.embedding import EmbeddedGraph, euler_genus, planar_embedding, re
 from strandkit.errors import InvariantError, SceneError
 from strandkit.families import gen_grounded
 from strandkit.graph import Graph, connected_components
+from corpus import embedding
 import corpus
 
 
@@ -20,13 +21,12 @@ def genus(g: EmbeddedGraph) -> int:
     return euler_genus(g, g.simple_graph())
 
 
+SQUARE = [("e0", 0, 1), ("e1", 1, 2), ("e2", 2, 3), ("e3", 3, 0)]
+K4 = [("a", 0, 1), ("b", 1, 2), ("c", 2, 0), ("d", 0, 3), ("e", 1, 3), ("f", 2, 3)]
+
+
 def square_embedding() -> EmbeddedGraph:
-    g = EmbeddedGraph()
-    g.add_edge("e0", 0, 1)
-    g.add_edge("e1", 1, 2)
-    g.add_edge("e2", 2, 3)
-    g.add_edge("e3", 3, 0)
-    return g
+    return embedding(SQUARE)
 
 
 def test_cycle_is_planar():
@@ -37,43 +37,28 @@ def test_cycle_is_planar():
 
 
 def test_k4_planar_embedding():
-    g = EmbeddedGraph()
     # planar rotation system of K4: 3 in the middle of triangle 0-1-2
-    g.add_edge("a", 0, 1)
-    g.add_edge("b", 1, 2)
-    g.add_edge("c", 2, 0)
-    g.add_edge("d", 0, 3)
-    g.add_edge("e", 1, 3)
-    g.add_edge("f", 2, 3)
-    g.rotation[0] = [("a", 0), ("d", 0), ("c", 1)]
-    g.rotation[1] = [("b", 0), ("e", 0), ("a", 1)]
-    g.rotation[2] = [("c", 0), ("f", 0), ("b", 1)]
-    g.rotation[3] = [("d", 1), ("e", 1), ("f", 1)]
+    g = embedding(K4, {0: [("a", 0), ("d", 0), ("c", 1)],
+                       1: [("b", 0), ("e", 0), ("a", 1)],
+                       2: [("c", 0), ("f", 0), ("b", 1)],
+                       3: [("d", 1), ("e", 1), ("f", 1)]})
     g.check()
     assert genus(g) == 0
     assert len(g.trace_faces()) == 4
 
 
 def test_k4_toroidal_embedding():
-    g = EmbeddedGraph()
-    g.add_edge("a", 0, 1)
-    g.add_edge("b", 1, 2)
-    g.add_edge("c", 2, 0)
-    g.add_edge("d", 0, 3)
-    g.add_edge("e", 1, 3)
-    g.add_edge("f", 2, 3)
     # swap two darts at vertex 3: genus goes up
-    g.rotation[0] = [("a", 0), ("d", 0), ("c", 1)]
-    g.rotation[1] = [("b", 0), ("e", 0), ("a", 1)]
-    g.rotation[2] = [("c", 0), ("f", 0), ("b", 1)]
-    g.rotation[3] = [("e", 1), ("d", 1), ("f", 1)]
+    g = embedding(K4, {0: [("a", 0), ("d", 0), ("c", 1)],
+                       1: [("b", 0), ("e", 0), ("a", 1)],
+                       2: [("c", 0), ("f", 0), ("b", 1)],
+                       3: [("e", 1), ("d", 1), ("f", 1)]})
     g.check()
     assert genus(g) == 2
 
 
 def test_loop_on_sphere():
-    g = EmbeddedGraph()
-    g.add_edge("l", 0, 0)
+    g = embedding([("l", 0, 0)])
     assert genus(g) == 0
     assert len(g.trace_faces()) == 2
 
@@ -123,25 +108,20 @@ def test_check_names_each_broken_rotation(rotation, error):
 def test_genus_refuses_a_face_trace_beyond_euler():
     """One edge whose two darts both sit at u traces two faces, so
     V - E + F = 3: no surface has that, and the count refuses it."""
-    g = EmbeddedGraph()
-    g.add_edge("e", "u", "v")
-    g.rotation = {"u": [("e", 0), ("e", 1)], "v": []}
+    g = embedding([("e", "u", "v")], {"u": [("e", 0), ("e", 1)], "v": []})
     with pytest.raises(InvariantError, match="^inconsistent face trace in component 0$"):
         genus(g)
 
 
 def test_contract_loop_rejected():
-    g = EmbeddedGraph()
-    g.add_edge("l", 0, 0)
+    g = embedding([("l", 0, 0)])
     with pytest.raises(InvariantError):
         oracle_contract_edge(g, "l")
 
 
 def test_oriented_faces_partition_darts():
-    g = square_embedding()
-    g.add_edge("diag", 0, 2)
-    g.rotation[0] = [("e0", 0), ("diag", 0), ("e3", 1)]
-    g.rotation[2] = [("e2", 0), ("diag", 1), ("e1", 1)]
+    g = embedding(SQUARE + [("diag", 0, 2)], {0: [("e0", 0), ("diag", 0), ("e3", 1)],
+                                              2: [("e2", 0), ("diag", 1), ("e1", 1)]})
     faces = g.trace_faces()
     darts = [d for f in faces for d in f]
     assert len(darts) == 2 * g.edge_count()
@@ -173,15 +153,6 @@ def test_add_chord_splits_face():
 def test_reverse_dart():
     assert reverse(("e", 0)) == ("e", 1)
     assert reverse(("e", 1)) == ("e", 0)
-
-
-def test_delete_vertex_and_edge():
-    g = square_embedding()
-    g.delete_edge("e0")
-    assert g.edge_count() == 3
-    g.delete_vertex(2)
-    assert 2 not in g.rotation
-    assert g.edge_count() == 1
 
 
 # ------------------------------------------------------------------- oracles
@@ -357,14 +328,13 @@ def state(g):
 def signed_rotation_systems(draw, all_positive=False):
     """Rotation systems on up to 6 vertices with loops and parallel edges."""
     n = draw(st.integers(1, 6))
-    g = EmbeddedGraph()
-    for v in range(n):
-        g.add_vertex(v)
+    edges = []
     for k in range(draw(st.integers(0, 10))):
         u = draw(st.integers(0, n - 1))
         v = draw(st.integers(0, n - 1))
         sig = 1 if all_positive else draw(st.sampled_from([1, -1]))
-        g.add_edge(f"e{k}", u, v, sig, label=k)
+        edges.append((f"e{k}", u, v, sig, k))
+    g = embedding(edges, vertices=range(n))
     for v in range(n):
         g.rotation[v] = list(draw(st.permutations(g.rotation[v])))
     return g
@@ -469,39 +439,28 @@ def test_signed_euler_genus_matches_oracles(g, k):
     assert genus(g) == oracle_euler_genus(g) == oracle_euler_genus(g, reference_trace_faces)
 
 
-def embedding(n, edges, rotation=()) -> EmbeddedGraph:
-    """Vertices 0..n-1, edges (id, u, v, signature), then rotations."""
-    g = EmbeddedGraph()
-    for v in range(n):
-        g.add_vertex(v)
-    for eid, u, v, sig in edges:
-        g.add_edge(eid, u, v, sig)
-    g.rotation.update(rotation)
-    g.check()
-    return g
-
-
 @pytest.mark.parametrize("g, want", [
     # a twisted loop is a crosscap: the projective plane
-    (embedding(1, [("l", 0, 0, -1)]), 1),
+    (embedding([("l", 0, 0, -1)]), 1),
     # two twisted loops: crossing, two lines of the projective plane; nested,
     # two crosscaps, the Klein bottle
-    (embedding(1, [("a", 0, 0, -1), ("b", 0, 0, -1)],
+    (embedding([("a", 0, 0, -1), ("b", 0, 0, -1)],
                {0: [("a", 0), ("b", 0), ("a", 1), ("b", 1)]}), 1),
-    (embedding(1, [("a", 0, 0, -1), ("b", 0, 0, -1)],
+    (embedding([("a", 0, 0, -1), ("b", 0, 0, -1)],
                {0: [("a", 0), ("a", 1), ("b", 0), ("b", 1)]}), 2),
     # parallel edges: one twist is a crosscap, two cancel at a vertex flip
-    (embedding(2, [("p", 0, 1, 1), ("q", 0, 1, -1)]), 1),
-    (embedding(2, [("p", 0, 1, -1), ("q", 0, 1, -1)]), 0),
+    (embedding([("p", 0, 1, 1), ("q", 0, 1, -1)]), 1),
+    (embedding([("p", 0, 1, -1), ("q", 0, 1, -1)]), 0),
     # isolated vertices are spheres
-    (embedding(3, [("l", 1, 1, -1)]), 1),
+    (embedding([("l", 1, 1, -1)], vertices=range(3)), 1),
     # components add: two twisted loops and a triangle with one twist
-    (embedding(6, [("l", 0, 0, -1), ("m", 1, 1, -1), ("a", 2, 3, 1),
-                   ("b", 3, 4, -1), ("c", 4, 2, 1)]), 3),
+    (embedding([("l", 0, 0, -1), ("m", 1, 1, -1), ("a", 2, 3, 1),
+                ("b", 3, 4, -1), ("c", 4, 2, 1)], vertices=range(6)), 3),
 ], ids=["twisted-loop", "crossing-twisted-loops", "nested-twisted-loops",
         "one-twisted-parallel-edge", "two-twisted-parallel-edges",
         "isolated-vertices", "three-components"])
 def test_signed_euler_genus_of_small_embeddings(g, want):
+    g.check()
     assert genus(g) == oracle_euler_genus(g) == want
 
 
@@ -512,14 +471,10 @@ def networkx_embedding(n, edges):
     ng.add_edges_from(edges)
     ok, pe = nx.check_planarity(ng)
     assert ok
-    g = EmbeddedGraph()
-    for v in range(n):
-        g.add_vertex(v)
-    for u, v in edges:
-        g.add_edge(("e", u, v), u, v)
-    for v in range(n):
-        g.rotation[v] = [(("e", v, w), 0) if v < w else (("e", w, v), 1)
-                         for w in pe.neighbors_cw_order(v)]
+    g = embedding([(("e", u, v), u, v) for u, v in edges],
+                  {v: [(("e", v, w), 0) if v < w else (("e", w, v), 1)
+                       for w in pe.neighbors_cw_order(v)] for v in range(n)},
+                  range(n))
     g.check()
     return g
 

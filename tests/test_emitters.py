@@ -166,14 +166,13 @@ def test_empty_and_unlabelled_records():
     same(dumps_scene, ref.scene_to_json, abstract)
     same(dumps_events, ref.events_to_json, [])
     same(dumps_graph, ref.graph_to_json, Graph())
-    g = EmbeddedGraph()
-    g.add_edge("e", "u", "v")            # no curve label: "curve": null
-    g.add_edge("f", "v", "v", label="c")
-    g.add_vertex("w")                    # an empty rotation
+    g = corpus.embedding([("e", "u", "v"),        # no curve label: "curve": null
+                          ("f", "v", "v", 1, "c")],
+                         {"w": []})                # an empty rotation
     same(dumps_planarisation, ref.planarisation_to_json,
          Planarisation(g, {"u": "endpoint", "v": "dummy", "w": "dummy"}, {"c": []}, {}))
     same(dumps_planarisation, ref.planarisation_to_json,
-         Planarisation(EmbeddedGraph(), {}, {}, {}))
+         Planarisation(EmbeddedGraph({}, {}, {}, {}), {}, {}, {}))
     same(dumps_coloured, ref.coloured_to_json, ColouredPlanarisation(
         g, {"u": 0, "v": 1, "w": 2}, {}, {"c": []}, {"u"}, {}, {}))
     same(dumps_model, ref.model_to_json, MinorModel({}, Graph(), 1))
@@ -185,7 +184,7 @@ def test_empty_and_unlabelled_records():
         same_td(td, Graph("ab", ["ab"]))
     for layers in ([], [[]], [[3, 12, 1], []]):
         same(dumps_layering, ref.layering_to_json, Layering(layers))
-    empty = AuxiliaryInstance(Graph(), {}, set(), {}, {}, {}, {}, StringScene())
+    empty = AuxiliaryInstance(Graph(), {}, set(), {}, {}, {}, {})
     same_instances([empty, empty])
 
 

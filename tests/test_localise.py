@@ -13,7 +13,7 @@ from strandkit.scene import Curve, StringScene
 def instance(scene):
     """The scene's pipeline and its auxiliary instance."""
     p = Pipeline(scene)
-    return p, build_HR(scene, p.along, select_crossings(p.events))
+    return p, build_HR(p.along, select_crossings(p.events))
 
 
 def r_membership_counts(inst) -> dict:
@@ -74,7 +74,7 @@ def test_bigon_reduce_keeps_a_bigon_with_a_crossing_inside():
     """x and y are consecutive on piece a but not on b, where z lies between
     them: the bigon is not empty, so nothing is removed."""
     drawing = {("a", 0): ["x", "y"], ("b", 0): ["x", "z", "y"], ("c", 0): ["z"]}
-    inst = AuxiliaryInstance(Graph(), {}, set(), {}, drawing, {}, {}, None)
+    inst = AuxiliaryInstance(Graph(), {}, set(), {}, drawing, {}, {})
     assert bigon_reduce(inst).drawing == drawing
 
 

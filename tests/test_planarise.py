@@ -16,7 +16,8 @@ from strandkit.families import gen_grounded, gen_random
 from strandkit.formats import planarisation_to_dot, scene_to_svg
 from strandkit.geometry import pt
 from strandkit import planarise
-from strandkit.planarise import ColouredPlanarisation, Planarisation, coloured_planarisation
+from strandkit.planarise import (ColouredPlanarisation, Planarisation, coloured_planarisation,
+                                 endpoint_id)
 from strandkit.scene import Curve, Disk, StringScene
 from reference_json import coloured_to_json, planarisation_to_json
 from test_colouring import check_ordered
@@ -414,7 +415,7 @@ def test_coloured_planarisation_refuses_a_broken_cut(monkeypatch, plus_sign,
     check = planarise._check_contraction
 
     def kept_end(plan, cp):
-        cp.embedding.add_vertex("e:h:1")
+        cp.embedding.rotation.setdefault("e:h:1", [])
         check(plan, cp)
 
     monkeypatch.setattr(planarise, "_check_contraction", kept_end)
@@ -483,6 +484,49 @@ def twisted_abstract_scenes(draw):
 @given(twisted_abstract_scenes())
 def test_one_pass_coloured_planarisation_matches_oracle_on_twists(case):
     assert_one_pass_matches_oracle(*case)
+
+
+def oracle_planarise(p: Pipeline):
+    """C' and its vertex kinds as the earlier code built them: each path
+    edge added in turn, by curve and then by index, its darts appended at
+    both ends; then the rotation at each crossing replaced by its
+    chirality order."""
+    kind, edges, rotation = {}, [], {}
+    for cid, mine in p.along.items():
+        path = [endpoint_id(cid, 0)] + [e.id for e in mine] + [endpoint_id(cid, 1)]
+        kind[path[0]] = kind[path[-1]] = "endpoint"
+        for e in mine:
+            kind[e.id] = "dummy"
+        twists = set(p.scene.curves[cid].twists)
+        edges += [(f"c:{cid}:{i}", path[i], path[i + 1], -1 if i in twists else 1, cid)
+                  for i in range(len(path) - 1)]
+    for e in p.events:
+        a, b = f"c:{e.curve_a}:", f"c:{e.curve_b}:"
+        a_prev, a_next = (a + str(e.index_in_a), 1), (a + str(e.index_in_a + 1), 0)
+        b_prev, b_next = (b + str(e.index_in_b), 1), (b + str(e.index_in_b + 1), 0)
+        rotation[e.id] = ([a_next, b_next, a_prev, b_prev] if e.chirality == 1
+                          else [a_next, b_prev, a_prev, b_next])
+    return corpus.embedding(edges, rotation), kind
+
+
+def assert_planarise_matches_oracle(scene):
+    """C''s rotation lists, ends, signatures, labels and vertex kinds, the
+    key order of each, are those of the incremental build."""
+    p = Pipeline(scene)
+    want, kind = oracle_planarise(p)
+    assert state(p.plan.embedding) == state(want)
+    assert list(p.plan.kind.items()) == list(kind.items())
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PASS_SCENES))
+def test_one_pass_planarise_matches_oracle(name):
+    assert_planarise_matches_oracle(ONE_PASS_SCENES[name][0]())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=64)
+@given(twisted_abstract_scenes())
+def test_one_pass_planarise_matches_oracle_on_twists(case):
+    assert_planarise_matches_oracle(case[0])
 
 
 def test_coloured_planarisation_leaves_cprime_as_it_was():

@@ -288,7 +288,7 @@ def test_grounded_distance_names_each_violated_clause(plus_sign, plus_colouring)
     _, cp, _, _ = pipeline(plus_sign, plus_colouring)
     ends = {"e:h:0", "e:v:0"}
     lonely = copy.deepcopy(cp.embedding)
-    lonely.add_vertex("lonely")
+    lonely.rotation["lonely"] = []
     cases = [
         (cp, ends | {"x:h:v:0"}, SceneError, "Y contains non-endpoint vertices"),
         (rebuilt(cp, embedding=lonely), ends, InvariantError,
@@ -442,7 +442,7 @@ def test_walk_weak_diameter_corrupted_matches_oracle():
         emb = copy.deepcopy(cp.embedding)
         walks = dict(cp.walks)
         for i, cid in enumerate(walk_ids):
-            emb.add_vertex(f"island{i}")
+            emb.rotation[f"island{i}"] = []
             walks[cid] = list(walks[cid]) + [f"island{i}"]
         return rebuilt(cp, embedding=emb, walks=walks)
 

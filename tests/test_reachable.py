@@ -31,8 +31,7 @@ ROOTS = {"main",                                        # cli.main
          "compute_arrangement", "intersection_graph", "Graph",
          "connected_components"}
 
-# Kept for ROADMAP item 2, which edits C^phi in place.
-ALLOWED = {"EmbeddedGraph.delete_vertex", "EmbeddedGraph.delete_edge"}
+ALLOWED: set = set()
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
